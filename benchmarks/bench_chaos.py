@@ -213,19 +213,25 @@ def _run_chaos(service, pool, requests, plan):
                 hung += 1
         injector_stats = injector.stats()
     resolved = sum(outcomes.values())
+    snapshot = service.metrics_snapshot()
     return {
         "tickets_issued": issued,
         "tickets_resolved": resolved,
         "hung_requests": hung,
         "outcomes": outcomes,
         "injector": injector_stats,
-        "pool": {key: pool.stats()[key]
-                 for key in ("crashed_batches", "dead_workers",
-                             "dispatched_batches", "stolen_batches")},
+        "pool": {
+            "crashed_batches": snapshot["pool.batches.crashed"],
+            "dead_workers": snapshot["pool.workers.dead"],
+            "dispatched_batches": snapshot["pool.batches.dispatched"],
+            "stolen_batches": snapshot["pool.steals"],
+        },
         "service_counters": {
-            key: service.stats()[key]
-            for key in ("retries", "degraded_served", "deadline_rejections",
-                        "circuit_rejections")},
+            "retries": snapshot["service.retries"],
+            "degraded_served": snapshot["service.requests.degraded"],
+            "deadline_rejections": snapshot["service.rejections.deadline"],
+            "circuit_rejections": snapshot["service.rejections.circuit"],
+        },
         "all_tickets_resolved": resolved == issued and hung == 0,
         "zero_hung_requests": hung == 0,
     }
@@ -271,7 +277,7 @@ def run_benchmark():
                     service, root, requests[:3])
             # Read AFTER stop: only then have all arenas been destroyed, so
             # the zero-leak flag certifies the pool's whole lifetime.
-            transport = pool.transport_stats()
+            transport = pool.metrics_snapshot()
         finally:
             if env_plan_set:
                 os.environ.pop(faults.ENV_PLAN, None)
@@ -283,14 +289,19 @@ def run_benchmark():
         "num_diffusion_steps": steps,
         "num_workers": NUM_WORKERS,
         "pool_mode": mode,
-        "transport": {key: transport[key]
-                      for key in ("segments_created", "segments_unlinked",
-                                  "segments_active", "live_slots",
-                                  "batches_staged", "rebuilds")},
+        "transport": {
+            "segments_created": transport["transport.segments.created"],
+            "segments_unlinked": transport["transport.segments.unlinked"],
+            "segments_active": transport["transport.segments.active"],
+            "live_slots": transport["transport.slots.live"],
+            "batches_staged": transport["transport.batches.staged"],
+            "rebuilds": transport["transport.rebuilds"],
+        },
         "zero_leaked_shm_segments": (
-            transport["segments_active"] == 0
-            and transport["live_slots"] == 0
-            and transport["segments_created"] == transport["segments_unlinked"]
+            transport["transport.segments.active"] == 0
+            and transport["transport.slots.live"] == 0
+            and transport["transport.segments.created"]
+            == transport["transport.segments.unlinked"]
         ),
     })
     return payload

@@ -26,7 +26,6 @@ from .compiled import (
     CompiledStepCache,
     compile_enabled,
     compiled_counters,
-    compiled_metrics,
     register_compiled_metrics,
     reset_compiled_counters,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "CompiledStepCache",
     "compile_enabled",
     "compiled_counters",
-    "compiled_metrics",
     "register_compiled_metrics",
     "reset_compiled_counters",
 ]

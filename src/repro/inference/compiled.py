@@ -30,7 +30,12 @@ re-runs the mirror loop eagerly on the same pre-drawn noise.
 ``REPRO_COMPILE=0`` (or ``false`` / ``off``) disables compilation process-wide;
 ``PriSTIConfig.compile_inference`` disables it per model.  Module-global
 counters aggregate hits / misses / fallbacks across every cache in the
-process for ``service.stats()`` and the gateway ``/v1/stats``.
+process under their ``compiled.*`` metric names; a serving
+:class:`~repro.serving.metrics.MetricsRegistry` reads them through
+:func:`register_compiled_metrics`, and process-pool children piggyback them
+on each batch reply for the parent to fold.  (They stay a plain dict here:
+``repro.serving`` imports this package, so importing its metrics module at
+module level would be circular.)
 """
 
 from __future__ import annotations
@@ -46,13 +51,11 @@ from ..tensor.tensor import get_default_dtype
 from ..tensor.trace import TraceUnsupported, compile_graph, trace
 
 __all__ = [
-    "COMPILED_METRIC_NAMES",
     "FALLBACK",
     "CompiledSampler",
     "CompiledStepCache",
     "compile_enabled",
     "compiled_counters",
-    "compiled_metrics",
     "register_compiled_metrics",
     "reset_compiled_counters",
     "sample_chunk_compiled",
@@ -64,9 +67,9 @@ ENV_COMPILE = "REPRO_COMPILE"
 FALLBACK = object()
 
 
-def compile_enabled(environ=None):
+def compile_enabled():
     """Whether trace-and-replay compilation is enabled process-wide."""
-    raw = (environ or os.environ).get(ENV_COMPILE, "").strip().lower()
+    raw = os.environ.get(ENV_COMPILE, "").strip().lower()
     return raw not in ("0", "false", "off")
 
 
@@ -76,11 +79,11 @@ def compile_enabled(environ=None):
 
 _GLOBAL_LOCK = threading.Lock()
 _GLOBAL_COUNTERS = {
-    "trace_cache_hits": 0,
-    "trace_cache_misses": 0,
-    "fallback_count": 0,
-    "evictions": 0,
-    "compiled_programs": 0,
+    "compiled.cache.hits": 0,
+    "compiled.cache.misses": 0,
+    "compiled.fallbacks": 0,
+    "compiled.cache.evictions": 0,
+    "compiled.programs": 0,
 }
 
 
@@ -121,22 +124,6 @@ def reset_compiled_counters():
             _GLOBAL_COUNTERS[key] = 0
 
 
-#: Legacy counter key -> dotted stable metric name (repro.serving.metrics).
-COMPILED_METRIC_NAMES = {
-    "trace_cache_hits": "compiled.cache.hits",
-    "trace_cache_misses": "compiled.cache.misses",
-    "fallback_count": "compiled.fallbacks",
-    "evictions": "compiled.cache.evictions",
-    "compiled_programs": "compiled.programs",
-}
-
-
-def compiled_metrics():
-    """The process-wide compile counters under their dotted metric names."""
-    counters = compiled_counters()
-    return {COMPILED_METRIC_NAMES[key]: value for key, value in counters.items()}
-
-
 def register_compiled_metrics(metrics):
     """Register the ``compiled.*`` metrics on a ``MetricsRegistry``.
 
@@ -145,8 +132,8 @@ def register_compiled_metrics(metrics):
     pool, everything the children fold back through their batch replies) —
     there is no second copy of the totals to drift.
     """
-    for legacy, dotted in COMPILED_METRIC_NAMES.items():
-        metrics.gauge(dotted, fn=lambda key=legacy: compiled_counters()[key])
+    for name in _GLOBAL_COUNTERS:
+        metrics.gauge(name, fn=lambda name=name: compiled_counters()[name])
     return metrics
 
 
@@ -168,10 +155,6 @@ class CompiledSampler:
     def __init__(self, program):
         self.program = program
         self._lock = threading.Lock()
-
-    @property
-    def stats(self):
-        return self.program.stats
 
     def run(self, inputs):
         with self._lock:
@@ -215,9 +198,9 @@ class CompiledStepCache:
                 if entry is not FALLBACK:
                     self.hits += 1
         if entry is None:
-            _bump("trace_cache_misses")
+            _bump("compiled.cache.misses")
         elif entry is not FALLBACK:
-            _bump("trace_cache_hits")
+            _bump("compiled.cache.hits")
         return entry
 
     def store(self, key, entry):
@@ -230,16 +213,16 @@ class CompiledStepCache:
                 self.evictions += 1
                 evicted += 1
         if evicted:
-            _bump("evictions", evicted)
+            _bump("compiled.cache.evictions", evicted)
         if entry is not FALLBACK:
-            _bump("compiled_programs")
+            _bump("compiled.programs")
         return entry
 
     def count_fallback(self):
         """One chunk was served by the eager path after a compile decision."""
         with self._lock:
             self.fallbacks += 1
-        _bump("fallback_count")
+        _bump("compiled.fallbacks")
 
     def clear(self):
         with self._lock:

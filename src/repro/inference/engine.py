@@ -128,24 +128,6 @@ class InferenceEngine:
             else getattr(diffusion, "dtype", np.dtype(np.float64))
 
     # ------------------------------------------------------------------
-    # Compilation telemetry
-    # ------------------------------------------------------------------
-    @property
-    def trace_cache_hits(self):
-        """Chunks served by compiled replay (0 without a cache)."""
-        return self.compiled_cache.hits if self.compiled_cache is not None else 0
-
-    @property
-    def trace_cache_misses(self):
-        """Chunk signatures that had to be traced (0 without a cache)."""
-        return self.compiled_cache.misses if self.compiled_cache is not None else 0
-
-    @property
-    def fallback_count(self):
-        """Chunks served eagerly after a failed compile or replay."""
-        return self.compiled_cache.fallbacks if self.compiled_cache is not None else 0
-
-    # ------------------------------------------------------------------
     # Window planning
     # ------------------------------------------------------------------
     @staticmethod

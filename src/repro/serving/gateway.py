@@ -29,8 +29,11 @@ Endpoints
 ``DELETE /v1/stream/<session>``
     Close a streaming session.
 ``GET /v1/healthz`` / ``GET /v1/stats``
-    Liveness (includes the draining flag) and the full serving counters
-    (gateway, service, registry, executor).
+    Liveness (includes the draining flag) and the serving counters:
+    ``{"metrics": <flat dotted-name snapshot>, "circuits": <per-model
+    circuit state>}``.  The snapshot covers every layer (``gateway.*``,
+    ``service.*``, ``registry.*``, ``compiled.*``, ``pool.*``,
+    ``transport.*``) with one key set whatever the executor mode.
 
 Payload codecs
 --------------
@@ -478,16 +481,13 @@ class Gateway:
         self._stream_ids = itertools.count(1)
         # Protocol counters (see /v1/stats) live in the service's metrics
         # registry under gateway.* — one snapshot covers gateway + service +
-        # executor.  Per-status / per-codec breakdowns keep their own dicts
-        # (dynamic key sets don't fit the declared-schema contract).
+        # executor.
         self.metrics = service.metrics
         self.metrics.declare(GATEWAY_METRIC_SCHEMA)
         self.metrics.gauge("gateway.tickets.unfetched",
                            fn=lambda: len(self._tickets))
         self.metrics.gauge("gateway.streams.open", fn=lambda: len(self._streams))
         self.metrics.gauge("gateway.draining", fn=lambda: int(self.draining))
-        self.responses_by_status = {}
-        self.codec_counts = {JSON_CONTENT_TYPE: 0, NPZ_CONTENT_TYPE: 0}
         service.start()
 
     # ------------------------------------------------------------------
@@ -516,8 +516,6 @@ class Gateway:
         except Exception as error:                       # noqa: BLE001 - wire boundary
             response = self._respond(500, _error_body(
                 500, "internal", f"{type(error).__name__}: {error}"))
-        self.responses_by_status[response.status] = (
-            self.responses_by_status.get(response.status, 0) + 1)
         return response
 
     async def _route(self, request):
@@ -602,14 +600,16 @@ class Gateway:
         return self._json_response(200, body)
 
     def _handle_stats(self):
-        return self._json_response(200, self.stats())
+        """The flat metrics snapshot plus per-model circuit state."""
+        return self._json_response(200, {
+            "metrics": self.service.metrics_snapshot(),
+            "circuits": self.service.circuits(),
+        })
 
     async def _handle_impute(self, request):
         self._refuse_if_draining()
         imputation = decode_impute_request(request.content_type, request.body)
         imputation.deadline = self._deadline_of(request)
-        self.codec_counts[request.content_type] = (
-            self.codec_counts.get(request.content_type, 0) + 1)
         if len(self._tickets) >= self.max_tickets:
             self.metrics.counter("gateway.rejections.overload").inc()
             return self._respond(429, _error_body(
@@ -716,7 +716,7 @@ class Gateway:
         return self._json_response(200, {"session": session_id, "closed": True})
 
     # ------------------------------------------------------------------
-    # Drain + stats
+    # Drain
     # ------------------------------------------------------------------
     async def drain(self):
         """Refuse new work, then resolve every in-flight ticket.
@@ -740,55 +740,6 @@ class Gateway:
             raise GatewayError(503, "draining",
                                "gateway is draining; no new work accepted",
                                headers={"Connection": "close"})
-
-    # Legacy counter attributes, read-through views of the shared registry.
-    @property
-    def requests_total(self):
-        return self.metrics.counter("gateway.requests").value
-
-    @property
-    def tickets_issued(self):
-        return self.metrics.counter("gateway.tickets.issued").value
-
-    @property
-    def tickets_fetched(self):
-        return self.metrics.counter("gateway.tickets.fetched").value
-
-    @property
-    def overload_rejections(self):
-        return self.metrics.counter("gateway.rejections.overload").value
-
-    @property
-    def drain_rejections(self):
-        return self.metrics.counter("gateway.rejections.drain").value
-
-    def stats(self):
-        """Gateway counters plus the full service/registry/executor picture.
-
-        The legacy nested sections are a shim over the flat snapshot exposed
-        under ``"metrics"`` (which also carries the ``gateway.*`` names).
-        """
-        stats = self.service.stats()
-        snapshot = stats["metrics"]
-        return {
-            "gateway": {
-                "draining": self.draining,
-                "requests_total": snapshot["gateway.requests"],
-                "responses_by_status": {
-                    str(status): count
-                    for status, count in sorted(self.responses_by_status.items())
-                },
-                "codec_requests": dict(self.codec_counts),
-                "tickets_issued": snapshot["gateway.tickets.issued"],
-                "tickets_fetched": snapshot["gateway.tickets.fetched"],
-                "tickets_unfetched": snapshot["gateway.tickets.unfetched"],
-                "open_streams": snapshot["gateway.streams.open"],
-                "overload_rejections": snapshot["gateway.rejections.overload"],
-                "drain_rejections": snapshot["gateway.rejections.drain"],
-            },
-            "service": stats,
-            "metrics": snapshot,
-        }
 
     # ------------------------------------------------------------------
     # Helpers

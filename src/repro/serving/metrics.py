@@ -1,15 +1,24 @@
 """First-class serving metrics: typed instruments behind one stable schema.
 
-Before this module every layer of the serving stack kept its own ad-hoc
-counters — plain ``int`` attributes on the service, the pool, the registry
-and the compiled-step cache — and ``service.stats()`` / ``/v1/stats``
-re-derived a nested dict from them whose keys appeared and disappeared with
-the executor mode.  This module is the redesign: a typed
+Every layer of the serving stack reports into a typed
 :class:`MetricsRegistry` of :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments with **dotted stable names**
-(``service.queue.depth``, ``pool.steals``, ``transport.bytes_staged``,
-``compiled.cache.hits``) that every component registers into, plus one
-:class:`WorkerCounterMerge` that folds worker-side cumulative counters into
+:class:`Histogram` instruments with **dotted stable names**, one family per
+layer:
+
+* ``service.*`` — admission, batching and resilience counters of the
+  micro-batching service (``service.requests.served``,
+  ``service.queue.depth``, ``service.retries``);
+* ``pool.*`` — worker-pool scheduling (``pool.steals``,
+  ``pool.batches.crashed``, ``pool.warm.seconds``);
+* ``transport.*`` — the shared-memory data plane of process workers
+  (``transport.bytes_staged``, ``transport.segments.active``);
+* ``registry.*`` — the loaded-model LRU (``registry.cache.hits``);
+* ``compiled.*`` — trace-and-replay compilation (``compiled.cache.hits``);
+* ``gateway.*`` — the HTTP protocol layer (``gateway.requests``).
+
+The flat snapshot is the only counter surface: ``service.metrics_snapshot()``
+in-process and the ``"metrics"`` section of the gateway's ``/v1/stats``.
+One :class:`WorkerCounterMerge` folds worker-side cumulative counters into
 the parent — the single merge path shared by thread workers, process
 children (compiled + transport counters piggybacked on batch replies) and
 crash bookkeeping.
@@ -25,8 +34,7 @@ Design rules
   snapshot time instead of being pushed on every transition.
 * **Snapshots are flat.**  ``MetricsRegistry.snapshot()`` returns
   ``{dotted-name: number}`` with histogram instruments expanded to
-  ``<name>.count`` / ``.sum`` / ``.min`` / ``.max``.  The legacy nested
-  shapes (``service.stats()``, ``pool.stats()``) are thin shims over this.
+  ``<name>.count`` / ``.sum`` / ``.min`` / ``.max``.
 * **Worker merges are delta-folds.**  A worker (thread or child process)
   reports *cumulative* totals; :class:`WorkerCounterMerge` remembers the
   last snapshot per source and folds only the delta, so repeated folds are
@@ -68,8 +76,6 @@ class Counter:
             raise ValueError(f"counter '{self.name}' cannot decrease (inc({amount}))")
         with self._lock:
             self._value += amount
-
-    add = inc
 
     @property
     def value(self):
@@ -237,7 +243,7 @@ class MetricsRegistry:
         """
         for name, amount in deltas.items():
             if amount and amount > 0:
-                self.counter(name).add(amount)
+                self.counter(name).inc(amount)
 
 
 class WorkerCounterMerge:

@@ -80,22 +80,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..inference.backend import BackendCache, process_backend
-from ..inference.compiled import COMPILED_METRIC_NAMES, fold_compiled_counters
+from ..inference.compiled import fold_compiled_counters
 from . import faults
 from .errors import PoolStopped, ServiceOverloaded, TransportError, WorkerCrashed
 from .metrics import MetricsRegistry, WorkerCounterMerge
-from .transport import (
-    DEFAULT_SEGMENT_BYTES,
-    TRANSPORT_COUNTER_NAMES,
-    TRANSPORT_GAUGE_NAMES,
-    ShmArena,
-)
+from .transport import DEFAULT_SEGMENT_BYTES, TRANSPORT_METRIC_SCHEMA, ShmArena
 
 __all__ = ["WorkerPool", "ServiceOverloaded", "PoolStopped", "WorkerCrashed",
            "TransportError", "RequestPayload", "BatchTask", "execute_batch",
            "POOL_METRIC_SCHEMA", "TRANSPORT_METRIC_SCHEMA",
-           "executor_metric_schema", "zero_executor_snapshot",
-           "inline_executor_stats"]
+           "executor_metric_schema", "zero_executor_snapshot"]
 
 #: The stable ``pool.*`` metric schema every WorkerPool registers — and every
 #: inline service zero-fills — so a scraper sees one key set in every mode.
@@ -117,16 +111,6 @@ POOL_METRIC_SCHEMA = {
     "pool.warm.seconds": "counter",
 }
 
-#: The ``transport.*`` half of the executor schema (shm data plane).
-TRANSPORT_METRIC_SCHEMA = dict(
-    {name: "counter" for name in TRANSPORT_COUNTER_NAMES.values()},
-    **{name: "gauge" for name in TRANSPORT_GAUGE_NAMES.values()},
-)
-
-#: Dotted compile-counter name -> legacy key (child piggyback fold routing).
-_DOTTED_TO_COMPILED = {dotted: legacy
-                       for legacy, dotted in COMPILED_METRIC_NAMES.items()}
-
 
 def executor_metric_schema():
     """The full executor metric schema (``pool.*`` + ``transport.*``)."""
@@ -137,36 +121,6 @@ def zero_executor_snapshot():
     """Zero-valued executor snapshot — what an inline service reports so the
     flat metrics key set never depends on whether a pool is attached."""
     return {name: 0 for name in executor_metric_schema()}
-
-
-def inline_executor_stats():
-    """The legacy ``executor`` stats section of a pool-less service.
-
-    Key-compatible with :meth:`WorkerPool.stats` (``mode`` aside) so
-    ``/v1/stats`` scrapers never need schema branches on executor mode.
-    """
-    return {
-        "mode": "inline",
-        "num_workers": 0,
-        "dispatched_batches": 0,
-        "executed_batches": [],
-        "stolen_batches": 0,
-        "split_batches": 0,
-        "rejected_requests": 0,
-        "crashed_batches": 0,
-        "dead_workers": 0,
-        "max_backlog_observed": 0,
-        "backlog_requests": 0,
-        "queued_batches": [],
-        "in_flight_batches": 0,
-        "warmed_models": 0,
-        "warm_failures": 0,
-        "warm_seconds": [],
-        "transport": dict(
-            {legacy: 0 for legacy in TRANSPORT_COUNTER_NAMES},
-            **{legacy: 0 for legacy in TRANSPORT_GAUGE_NAMES},
-        ),
-    }
 
 
 @dataclass
@@ -320,8 +274,8 @@ class _WorkerProcess:
     batch into the arena, send the descriptors, wait for the completion
     control message, copy the responses out, release the slots.  Control
     messages cross as explicit pickled byte blobs (``send_bytes``) so the
-    transport cost is measurable — ``control_bytes_*`` count every byte that
-    actually crosses the pipe.
+    transport cost is measurable — ``transport.control.bytes_*`` count every
+    byte that actually crosses the pipe.
     """
 
     def __init__(self, mp_context, name, *, segment_bytes=DEFAULT_SEGMENT_BYTES,
@@ -335,8 +289,9 @@ class _WorkerProcess:
         self.control_bytes_received = 0
         self.batches_run = 0
         # Last compiled-counter snapshot seen from the child: batch replies
-        # carry the child's cumulative totals, and counter_totals() republishes
-        # them (dotted) for the pool's worker->parent merge to delta-fold.
+        # carry the child's cumulative ``compiled.*`` totals, and
+        # counter_totals() republishes them for the pool's worker->parent
+        # merge to delta-fold.
         self._compiled_last = {}
         self.process = ctx.Process(target=_process_worker_main,
                                    args=(child_conn, max_loaded),
@@ -410,17 +365,12 @@ class _WorkerProcess:
         worker->parent path shared by the shm-transport counters and the
         compile counters the child piggybacks on its batch replies.
         """
-        arena = self.arena.stats()
-        totals = {dotted: arena[legacy]
-                  for legacy, dotted in TRANSPORT_COUNTER_NAMES.items()
-                  if legacy in arena}
+        totals = {name: value for name, value in self.arena.stats().items()
+                  if TRANSPORT_METRIC_SCHEMA[name] == "counter"}
         totals["transport.control.bytes_sent"] = self.control_bytes_sent
         totals["transport.control.bytes_received"] = self.control_bytes_received
         totals["transport.batches.run"] = self.batches_run
-        for legacy, value in self._compiled_last.items():
-            dotted = COMPILED_METRIC_NAMES.get(legacy)
-            if dotted is not None:
-                totals[dotted] = value
+        totals.update(self._compiled_last)
         return totals
 
     def close(self, kill=False):
@@ -564,8 +514,7 @@ class WorkerPool:
         self._stopping = False
         self._drain = True
         # Instrumentation: every scheduling/transport counter lives in the
-        # typed registry under its dotted stable name; .stats() and the
-        # legacy attribute properties below are thin shims over it.
+        # typed registry under its dotted stable name (metrics_snapshot()).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.declare(executor_metric_schema())
         self.metrics.gauge("pool.workers", fn=lambda: self.num_workers)
@@ -575,14 +524,15 @@ class WorkerPool:
         self.metrics.gauge("pool.batches.queued", fn=self._queued_batches)
         self.metrics.gauge("pool.batches.inflight", fn=self._inflight_batches)
         self.metrics.gauge("transport.segments.active",
-                           fn=lambda: self._live_arena_stat("segments_active"))
+                           fn=lambda: self._live_arena_stat("transport.segments.active"))
         self.metrics.gauge("transport.slots.live",
-                           fn=lambda: self._live_arena_stat("live_slots"))
+                           fn=lambda: self._live_arena_stat("transport.slots.live"))
         # The one worker->parent counter path: thread workers fold their
         # loop-local totals, process workers fold the child's cumulative
         # transport + piggybacked compile counters (see _fold_worker_counters).
         self._merge = WorkerCounterMerge(self._fold_worker_counters)
-        # Per-worker views (legacy stats lists, not part of the flat schema).
+        # Per-worker views the flat schema sums over: batches executed and
+        # warm-load seconds (``pool.batches.executed`` / ``pool.warm.seconds``).
         self.executed_batches = [0] * self.num_workers
         self.warm_seconds = [0.0] * self.num_workers
         # A worker whose child process died and has not been respawned yet
@@ -600,7 +550,7 @@ class WorkerPool:
         self._processes = [None] * self.num_workers
 
     # ------------------------------------------------------------------
-    # Metrics plumbing (one worker->parent merge; legacy attribute shims)
+    # Metrics plumbing (one worker->parent merge)
     # ------------------------------------------------------------------
     def _fold_worker_counters(self, deltas):
         """Merge sink: route worker counter deltas to their parent sinks.
@@ -610,18 +560,12 @@ class WorkerPool:
         folding them into registry counters too would double count); every
         other delta lands on this pool's registry counters.
         """
-        compiled = {}
-        metric = {}
-        for name, amount in deltas.items():
-            legacy = _DOTTED_TO_COMPILED.get(name)
-            if legacy is not None:
-                compiled[legacy] = amount
-            else:
-                metric[name] = amount
+        compiled = {name: amount for name, amount in deltas.items()
+                    if name.startswith("compiled.")}
         if compiled:
             fold_compiled_counters(compiled)
-        if metric:
-            self.metrics.fold(metric)
+        self.metrics.fold({name: amount for name, amount in deltas.items()
+                           if name not in compiled})
 
     def _fold_process(self, process):
         """Delta-fold one child's cumulative counters into the parent."""
@@ -661,41 +605,6 @@ class WorkerPool:
         self._fold_live_processes()
         return self.metrics.snapshot()
 
-    # Legacy counter attributes, preserved as read-only views of the registry
-    # instruments (external code only ever read these; writes go through the
-    # instruments now).
-    @property
-    def dispatched_batches(self):
-        return self.metrics.counter("pool.batches.dispatched").value
-
-    @property
-    def stolen_batches(self):
-        return self.metrics.counter("pool.steals").value
-
-    @property
-    def split_batches(self):
-        return self.metrics.counter("pool.splits").value
-
-    @property
-    def rejected_requests(self):
-        return self.metrics.counter("pool.requests.rejected").value
-
-    @property
-    def crashed_batches(self):
-        return self.metrics.counter("pool.batches.crashed").value
-
-    @property
-    def max_backlog_observed(self):
-        return self.metrics.gauge("pool.backlog.max").value
-
-    @property
-    def warmed_models(self):
-        return self.metrics.counter("pool.warm.models").value
-
-    @property
-    def warm_failures(self):
-        return self.metrics.counter("pool.warm.failures").value
-
     # ------------------------------------------------------------------
     # Dispatch surface
     # ------------------------------------------------------------------
@@ -727,7 +636,7 @@ class WorkerPool:
             self._start_locked()
             backlog = self._backlog_locked()
             if backlog + task.num_requests > self.max_queue_depth:
-                self.metrics.counter("pool.requests.rejected").add(
+                self.metrics.counter("pool.requests.rejected").inc(
                     task.num_requests)
                 raise ServiceOverloaded(
                     f"pool queue depth {backlog} + {task.num_requests} exceeds "
@@ -790,55 +699,6 @@ class WorkerPool:
                 and all(task is None for task in self._in_flight),
                 timeout=timeout,
             )
-
-    def stats(self):
-        """Legacy nested stats — a shim over :meth:`metrics_snapshot`.
-
-        The snapshot's dotted names are the source of truth; this keeps the
-        historical key set (plus the per-worker list views) for existing
-        callers, benchmarks and fixtures.
-        """
-        snapshot = self.metrics_snapshot()
-        with self._lock:
-            executed = list(self.executed_batches)
-            queued = [len(queue) for queue in self._queues]
-            warm_seconds = list(self.warm_seconds)
-        return {
-            "mode": self.mode,
-            "num_workers": self.num_workers,
-            "dispatched_batches": snapshot["pool.batches.dispatched"],
-            "executed_batches": executed,
-            "stolen_batches": snapshot["pool.steals"],
-            "split_batches": snapshot["pool.splits"],
-            "rejected_requests": snapshot["pool.requests.rejected"],
-            "crashed_batches": snapshot["pool.batches.crashed"],
-            "dead_workers": snapshot["pool.workers.dead"],
-            "max_backlog_observed": snapshot["pool.backlog.max"],
-            "backlog_requests": snapshot["pool.backlog"],
-            "queued_batches": queued,
-            "in_flight_batches": snapshot["pool.batches.inflight"],
-            "warmed_models": snapshot["pool.warm.models"],
-            "warm_failures": snapshot["pool.warm.failures"],
-            "warm_seconds": warm_seconds,
-            "transport": self._transport_stats_from(snapshot),
-        }
-
-    def transport_stats(self):
-        """Lifetime shm-transport counters (live workers + retired ones).
-
-        ``segments_active == 0`` and ``segments_created == segments_unlinked``
-        after :meth:`stop` is the zero-leak invariant the transport tests and
-        the chaos benchmark gate on.
-        """
-        return self._transport_stats_from(self.metrics_snapshot())
-
-    @staticmethod
-    def _transport_stats_from(snapshot):
-        totals = {legacy: snapshot[dotted]
-                  for legacy, dotted in TRANSPORT_COUNTER_NAMES.items()}
-        totals.update({legacy: snapshot[dotted]
-                       for legacy, dotted in TRANSPORT_GAUGE_NAMES.items()})
-        return totals
 
     # ------------------------------------------------------------------
     # Warm pre-fork
@@ -974,7 +834,7 @@ class WorkerPool:
         """Fold a child's final counters through the merge and drop it.
         A crashed child is already closed (its arena destroyed) by
         :meth:`_WorkerProcess.run`; a clean retirement closes it here.
-        The handle stays known to the merge (not ``retire()``-d) so a stats
+        The handle stays known to the merge (not ``retire()``-d) so a metrics
         snapshot racing this retirement cannot re-fold the same totals."""
         if process is None:
             return
@@ -992,7 +852,7 @@ class WorkerPool:
             self.metrics.counter("pool.warm.failures").inc()
         else:
             self.metrics.counter("pool.warm.models").inc()
-            self.metrics.counter("pool.warm.seconds").add(seconds)
+            self.metrics.counter("pool.warm.seconds").inc(seconds)
             self.warm_seconds[wid] += seconds
 
     def _note_resident_locked(self, wid, artifact_path):

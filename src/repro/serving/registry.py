@@ -222,12 +222,6 @@ class ModelRegistry:
         with self._lock:
             return [f"{name}@{version}" for name, version in self._loaded]
 
-    def stats(self):
-        """LRU counters (hits / misses / evictions / resident)."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions, "resident": len(self._loaded)}
-
     def register_metrics(self, metrics):
         """Expose the LRU counters as ``registry.*`` metrics on ``metrics``.
 
@@ -237,8 +231,7 @@ class ModelRegistry:
         metrics.gauge("registry.cache.hits", fn=lambda: self.hits)
         metrics.gauge("registry.cache.misses", fn=lambda: self.misses)
         metrics.gauge("registry.cache.evictions", fn=lambda: self.evictions)
-        metrics.gauge("registry.models.resident",
-                      fn=lambda: self.stats()["resident"])
+        metrics.gauge("registry.models.resident", fn=lambda: len(self.loaded))
         return metrics
 
     @staticmethod

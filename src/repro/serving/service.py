@@ -41,6 +41,16 @@ Execution semantics
   would push the number of waiting requests (service queues + pool backlog)
   past the bound raises :class:`~repro.serving.pool.ServiceOverloaded`
   instead of queueing unboundedly.
+
+Telemetry
+---------
+:meth:`ImputationService.metrics_snapshot` is the one counter surface: a
+flat ``{dotted-name: number}`` dict covering the ``service.*`` counters
+registered here, the ``registry.*`` LRU and the process-wide ``compiled.*``
+counters (read-through gauges), the executor's ``pool.*`` / ``transport.*``
+names (zero-filled when the service runs inline, so the key set never
+depends on the executor mode) and, once a gateway fronts the service, its
+``gateway.*`` names.  See :mod:`repro.serving.metrics`.
 """
 
 from __future__ import annotations
@@ -52,18 +62,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..inference.compiled import compiled_counters, register_compiled_metrics
+from ..inference.compiled import register_compiled_metrics
 from ..metrics import imputation_metrics
 from . import faults
 from .errors import DeadlineExceeded, ServiceOverloaded
 from .metrics import MetricsRegistry
-from .pool import (
-    BatchTask,
-    RequestPayload,
-    execute_batch,
-    inline_executor_stats,
-    zero_executor_snapshot,
-)
+from .pool import BatchTask, RequestPayload, execute_batch, zero_executor_snapshot
 from .registry import ModelRegistry, ResolvedModel
 from .resilience import CircuitBreaker, counts_as_breaker_failure
 
@@ -281,11 +285,9 @@ class ImputationService:
         self._retry_rng = np.random.default_rng(
             np.random.SeedSequence([int(seed) if np.isscalar(seed) else 0, 0x7e7]))
         # Instrumentation: every serving counter lives in the typed registry
-        # under its dotted stable name; .stats() and the legacy attribute
-        # properties below are thin shims over .metrics_snapshot().  The
-        # registry LRU and the process-wide compile counters register
-        # themselves as read-through gauges, so one snapshot covers the
-        # whole stack.
+        # under its dotted stable name.  The registry LRU and the
+        # process-wide compile counters register themselves as read-through
+        # gauges, so one snapshot covers the whole stack.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.declare(SERVICE_METRIC_SCHEMA)
         self.metrics.gauge("service.queue.depth", fn=self.pending)
@@ -524,45 +526,6 @@ class ImputationService:
         return sum(1 for snapshot in self.circuits().values()
                    if snapshot["state"] == "open")
 
-    # Legacy counter attributes, now read-through views of the registry.
-    # They were plain mutable ints before the metrics redesign; external
-    # writes were never part of the contract, so properties are safe.
-    @property
-    def requests_served(self):
-        return self.metrics.counter("service.requests.served").value
-
-    @property
-    def batches(self):
-        return self.metrics.counter("service.batches").value
-
-    @property
-    def coalesced_requests(self):
-        return self.metrics.counter("service.requests.coalesced").value
-
-    @property
-    def max_batch_observed(self):
-        return self.metrics.gauge("service.batch.max_requests").value
-
-    @property
-    def retries(self):
-        return self.metrics.counter("service.retries").value
-
-    @property
-    def degraded_served(self):
-        return self.metrics.counter("service.requests.degraded").value
-
-    @property
-    def deadline_rejections(self):
-        return self.metrics.counter("service.rejections.deadline").value
-
-    @property
-    def deadline_expired(self):
-        return self.metrics.counter("service.deadline.expired").value
-
-    @property
-    def circuit_rejections(self):
-        return self.metrics.counter("service.rejections.circuit").value
-
     def metrics_snapshot(self):
         """One flat ``{dotted_name: number}`` snapshot of the whole stack.
 
@@ -576,44 +539,6 @@ class ImputationService:
             snapshot.update(self.executor.metrics_snapshot())
         snapshot.update(self.metrics.snapshot())
         return snapshot
-
-    def stats(self):
-        """Serving counters: batches, coalescing, queue depth, registry LRU,
-        executor — the scrape surface behind the gateway's ``/v1/stats``.
-
-        Legacy nested-dict shim over :meth:`metrics_snapshot` (also embedded
-        under the ``"metrics"`` key).  Every section is always present —
-        ``executor`` zero-filled in inline mode, ``circuits`` empty without a
-        policy — so the key schema does not depend on configuration.
-        """
-        snapshot = self.metrics_snapshot()
-        served = snapshot["service.requests.served"]
-        batches = snapshot["service.batches"]
-        stats = {
-            "requests_served": served,
-            "batches": batches,
-            "average_batch_requests": served / batches if batches else 0.0,
-            "max_batch_requests_observed": snapshot["service.batch.max_requests"],
-            "coalesced_requests": snapshot["service.requests.coalesced"],
-            "pending_requests": snapshot["service.queue.depth"],
-            "inflight_requests": snapshot["service.requests.inflight"],
-            "retries": snapshot["service.retries"],
-            "degraded_served": snapshot["service.requests.degraded"],
-            "deadline_rejections": snapshot["service.rejections.deadline"],
-            "deadline_expired": snapshot["service.deadline.expired"],
-            "circuit_rejections": snapshot["service.rejections.circuit"],
-            "registry": self.registry.stats(),
-            # Trace-and-replay compilation counters, aggregated process-wide
-            # (additive key — golden fixtures assert presence, not equality).
-            "compiled": compiled_counters(),
-            "circuits": self.circuits(),
-            "metrics": snapshot,
-        }
-        if self.executor is not None and hasattr(self.executor, "stats"):
-            stats["executor"] = self.executor.stats()
-        else:
-            stats["executor"] = inline_executor_stats()
-        return stats
 
     # ------------------------------------------------------------------
     # Background worker (deadline enforcement without client polling)
@@ -851,11 +776,11 @@ class ImputationService:
         batch_seconds = self.clock() - started
         key = (resolved.name, resolved.version)
         self.metrics.counter("service.batches").inc()
-        self.metrics.counter("service.requests.served").add(len(entries))
+        self.metrics.counter("service.requests.served").inc(len(entries))
         self.metrics.gauge("service.batch.max_requests").set_max(len(entries))
         self.metrics.histogram("service.batch.seconds").observe(batch_seconds)
         if len(entries) > 1:
-            self.metrics.counter("service.requests.coalesced").add(len(entries))
+            self.metrics.counter("service.requests.coalesced").inc(len(entries))
         with self._lock:
             # Feed deadline admission: an EWMA of this model's batch time
             # (includes queue-to-worker wait in executor mode, which is the

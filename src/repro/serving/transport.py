@@ -29,8 +29,9 @@ Lifecycle invariants (pinned by ``tests/test_pool_transport.py``):
   the previous attempt's slots.
 * **Segments are provably unlinked.**  Clean drain, ``stop(drain=False)``
   and worker crashes all funnel through ``release()``/``destroy()``; the
-  arena's counters expose ``segments_created == segments_unlinked`` so tests
-  and the chaos gate can assert zero leaked segments by name.
+  arena's counters expose ``transport.segments.created ==
+  transport.segments.unlinked`` so tests and the chaos gate can assert zero
+  leaked segments by name.
 * **A failed detach never leaks.**  If releasing a slot fails (the
   ``transport.shm_detach`` injection point models this), the arena rebuilds:
   every live segment is unlinked and the allocator starts fresh.
@@ -63,28 +64,23 @@ __all__ = [
     "SegmentAttachments",
     "decode_batch",
     "DEFAULT_SEGMENT_BYTES",
-    "TRANSPORT_COUNTER_NAMES",
-    "TRANSPORT_GAUGE_NAMES",
+    "TRANSPORT_METRIC_SCHEMA",
 ]
 
-#: Legacy arena/worker counter key -> dotted stable metric name (the
-#: ``transport.*`` section of the serving :class:`~repro.serving.metrics.
-#: MetricsRegistry` schema).  Counters are cumulative and fold worker->parent
-#: through the pool's WorkerCounterMerge; gauges are instantaneous reads of
-#: the live arenas.
-TRANSPORT_COUNTER_NAMES = {
-    "segments_created": "transport.segments.created",
-    "segments_unlinked": "transport.segments.unlinked",
-    "batches_staged": "transport.batches.staged",
-    "shm_bytes_staged": "transport.bytes_staged",
-    "rebuilds": "transport.rebuilds",
-    "control_bytes_sent": "transport.control.bytes_sent",
-    "control_bytes_received": "transport.control.bytes_received",
-    "batches_run": "transport.batches.run",
-}
-TRANSPORT_GAUGE_NAMES = {
-    "segments_active": "transport.segments.active",
-    "live_slots": "transport.slots.live",
+#: The ``transport.*`` section of the serving metric schema.  Counters are
+#: cumulative and fold worker->parent through the pool's WorkerCounterMerge;
+#: gauges are instantaneous reads of the live arenas.
+TRANSPORT_METRIC_SCHEMA = {
+    "transport.segments.created": "counter",
+    "transport.segments.unlinked": "counter",
+    "transport.batches.staged": "counter",
+    "transport.bytes_staged": "counter",
+    "transport.rebuilds": "counter",
+    "transport.control.bytes_sent": "counter",
+    "transport.control.bytes_received": "counter",
+    "transport.batches.run": "counter",
+    "transport.segments.active": "gauge",
+    "transport.slots.live": "gauge",
 }
 
 #: Slot alignment — cache-line sized so staged tensors never share a line.
@@ -200,7 +196,7 @@ class ShmArena:
 
     One arena per worker process.  The owning worker thread drives its child
     strictly serially, so at most one batch is staged at a time — but the
-    allocator is still fully locked because ``transport_stats`` readers and
+    allocator is still fully locked because metrics snapshots and
     ``destroy()`` (pool stop / crash cleanup) come from other threads.
     """
 
@@ -371,16 +367,17 @@ class ShmArena:
             self._primary = None
 
     def stats(self):
+        """This arena's counters and gauges under their ``transport.*`` names."""
         with self._lock:
             return {
-                "segments_created": self.segments_created,
-                "segments_unlinked": self.segments_unlinked,
-                "segments_active": len(self._segments),
-                "live_slots": sum(segment.live_slots
-                                  for segment in self._segments.values()),
-                "batches_staged": self.batches_staged,
-                "shm_bytes_staged": self.bytes_staged,
-                "rebuilds": self.rebuilds,
+                "transport.segments.created": self.segments_created,
+                "transport.segments.unlinked": self.segments_unlinked,
+                "transport.segments.active": len(self._segments),
+                "transport.slots.live": sum(segment.live_slots
+                                            for segment in self._segments.values()),
+                "transport.batches.staged": self.batches_staged,
+                "transport.bytes_staged": self.bytes_staged,
+                "transport.rebuilds": self.rebuilds,
             }
 
     def segment_names(self):

@@ -185,20 +185,6 @@ def test_injected_trace_fault_serves_eagerly():
     assert clean_cache.stats()["compiled_entries"] == 1
 
 
-def test_engine_counter_properties():
-    cache = CompiledStepCache()
-    engine = _engine(seed=2, cache=cache)
-    assert (engine.trace_cache_hits, engine.trace_cache_misses,
-            engine.fallback_count) == (0, 0, 0)
-    _impute(engine)
-    assert engine.trace_cache_misses == 1
-    assert engine.trace_cache_hits == cache.hits >= 1
-    assert engine.fallback_count == 0
-    plain = _engine(seed=2)
-    assert (plain.trace_cache_hits, plain.trace_cache_misses,
-            plain.fallback_count) == (0, 0, 0)
-
-
 def test_compile_disabled_by_env(monkeypatch):
     monkeypatch.setenv("REPRO_COMPILE", "0")
     cache = CompiledStepCache()

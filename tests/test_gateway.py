@@ -412,20 +412,14 @@ class TestProtocol:
             return await client.request("GET", "/v1/stats")
 
         response = run(go())
-        stats = response.json()
-        assert stats["gateway"]["tickets_issued"] == 1
-        assert stats["gateway"]["tickets_fetched"] == 1
-        assert stats["gateway"]["codec_requests"][NPZ_CONTENT_TYPE] == 1
-        assert stats["service"]["requests_served"] >= 1
-        assert "pending_requests" in stats["service"]
-        assert "registry" in stats["service"]
-        # Compiled-inference counters ride along (additive key): gateway
-        # traffic runs on trace-and-replay, so the cache was consulted.
-        compiled = stats["service"]["compiled"]
-        for key in ("trace_cache_hits", "trace_cache_misses",
-                    "fallback_count"):
-            assert key in compiled
-        assert compiled["trace_cache_misses"] + compiled["trace_cache_hits"] >= 1
+        metrics = response.json()["metrics"]
+        assert metrics["gateway.tickets.issued"] == 1
+        assert metrics["gateway.tickets.fetched"] == 1
+        assert metrics["service.requests.served"] >= 1
+        assert metrics["service.queue.depth"] == 0
+        assert metrics["registry.cache.misses"] >= 1
+        # Gateway traffic runs on trace-and-replay, so the cache was consulted.
+        assert metrics["compiled.cache.misses"] + metrics["compiled.cache.hits"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +637,7 @@ class TestResilienceProtocol:
             observed = request.observed_mask & np.isfinite(request.values)
             assert np.array_equal(payload["median"][observed],
                                   request.values[observed])
-            assert service.stats()["degraded_served"] == 1
+            assert service.metrics_snapshot()["service.requests.degraded"] == 1
         finally:
             service.stop()
 
@@ -707,7 +701,7 @@ class TestResilienceProtocol:
                 assert rejected.json()["error"] == "circuit_open"
                 assert int(rejected.headers["Retry-After"]) >= 1
                 stats = await client.request("GET", "/v1/stats")
-                circuits = stats.json()["service"]["circuits"]
+                circuits = stats.json()["circuits"]
                 assert circuits["traffic@1"]["state"] == "open"
                 return True
 

@@ -84,9 +84,10 @@ def _payloads(count=2, time_steps=6, nodes=3, num_samples=2):
 
 def _assert_zero_leak(transport):
     """The invariant every lifecycle path must land on."""
-    assert transport["segments_active"] == 0
-    assert transport["live_slots"] == 0
-    assert transport["segments_created"] == transport["segments_unlinked"]
+    assert transport["transport.segments.active"] == 0
+    assert transport["transport.slots.live"] == 0
+    assert (transport["transport.segments.created"]
+            == transport["transport.segments.unlinked"])
 
 
 def _assert_names_unlinked(names):
@@ -105,13 +106,13 @@ class TestShmArena:
         staged = arena.stage(_payloads(count=3))
         stats = arena.stats()
         # 4 tensors per payload: values, mask, median slot, samples slot.
-        assert stats["live_slots"] == 12
-        assert stats["batches_staged"] == 1
-        assert stats["shm_bytes_staged"] == staged.nbytes > 0
+        assert stats["transport.slots.live"] == 12
+        assert stats["transport.batches.staged"] == 1
+        assert stats["transport.bytes_staged"] == staged.nbytes > 0
         staged.release()
-        assert arena.stats()["live_slots"] == 0
+        assert arena.stats()["transport.slots.live"] == 0
         staged.release()                       # idempotent: no double free
-        assert arena.stats()["live_slots"] == 0
+        assert arena.stats()["transport.slots.live"] == 0
         names = arena.segment_names()
         arena.destroy()
         transport = arena.stats()
@@ -128,12 +129,12 @@ class TestShmArena:
         arena = ShmArena(segment_bytes=4096)
         staged = arena.stage(_payloads(count=2, time_steps=32, nodes=8,
                                        num_samples=4))
-        created = arena.stats()["segments_created"]
+        created = arena.stats()["transport.segments.created"]
         assert created > 1
         staged.release()
         stats = arena.stats()
-        assert stats["segments_active"] == 1           # only the primary
-        assert stats["segments_unlinked"] == created - 1
+        assert stats["transport.segments.active"] == 1   # only the primary
+        assert stats["transport.segments.unlinked"] == created - 1
         arena.destroy()
         _assert_zero_leak(arena.stats())
 
@@ -143,7 +144,7 @@ class TestShmArena:
         bad[1].values = np.zeros((2, 3, 4))            # not a (time, node) array
         with pytest.raises(ValueError):
             arena.stage(bad)
-        assert arena.stats()["live_slots"] == 0        # payload 0 reclaimed
+        assert arena.stats()["transport.slots.live"] == 0        # payload 0 reclaimed
         arena.destroy()
         _assert_zero_leak(arena.stats())
 
@@ -152,8 +153,8 @@ class TestShmArena:
         with faults.active([{"point": "transport.stage", "hits": [1]}]):
             with pytest.raises(TransportError):
                 arena.stage(_payloads(count=1))
-        assert arena.stats()["live_slots"] == 0
-        assert arena.stats()["segments_created"] == 0
+        assert arena.stats()["transport.slots.live"] == 0
+        assert arena.stats()["transport.segments.created"] == 0
         arena.destroy()
 
     def test_failed_detach_rebuilds_instead_of_leaking(self):
@@ -163,14 +164,13 @@ class TestShmArena:
         with faults.active([{"point": "transport.shm_detach", "hits": [1]}]):
             staged.release()
         stats = arena.stats()
-        assert stats["rebuilds"] == 1
-        assert stats["segments_active"] == 0           # everything torn down
-        assert stats["segments_created"] == stats["segments_unlinked"]
+        assert stats["transport.rebuilds"] == 1
+        _assert_zero_leak(stats)                       # everything torn down
         _assert_names_unlinked(names)
         # The arena keeps working after a rebuild: fresh segments, clean free.
         staged = arena.stage(_payloads(count=1))
         staged.release()
-        assert arena.stats()["live_slots"] == 0
+        assert arena.stats()["transport.slots.live"] == 0
         arena.destroy()
         _assert_zero_leak(arena.stats())
 
@@ -235,9 +235,9 @@ class TestPoolTransportLifecycle:
             live = [name for process in pool._processes if process is not None
                     for name in process.arena.segment_names()]
             assert live                       # the transport really ran on shm
-        transport = pool.transport_stats()
-        assert transport["batches_staged"] > 0
-        assert transport["shm_bytes_staged"] > 0
+        transport = pool.metrics_snapshot()
+        assert transport["transport.batches.staged"] > 0
+        assert transport["transport.bytes_staged"] > 0
         _assert_zero_leak(transport)
         _assert_names_unlinked(live)
 
@@ -245,7 +245,7 @@ class TestPoolTransportLifecycle:
                                                      tiny_traffic_dataset):
         """Batch replies carry the child's cumulative compile counters and
         the parent folds the deltas, so ``compiled_counters()`` (and with it
-        ``service.stats()['compiled']``) covers process-mode inference."""
+        the ``compiled.*`` metrics) covers process-mode inference."""
         from repro.inference import compiled_counters, reset_compiled_counters
 
         reset_compiled_counters()
@@ -256,9 +256,9 @@ class TestPoolTransportLifecycle:
             for ticket in tickets:
                 ticket.result(timeout=120)
         counters = compiled_counters()
-        assert counters["trace_cache_misses"] >= 1, counters
-        assert counters["compiled_programs"] >= 1, counters
-        assert counters["fallback_count"] == 0, counters
+        assert counters["compiled.cache.misses"] >= 1, counters
+        assert counters["compiled.programs"] >= 1, counters
+        assert counters["compiled.fallbacks"] == 0, counters
 
     def test_hard_stop_unlinks_every_segment(self, registry,
                                              tiny_traffic_dataset):
@@ -278,7 +278,7 @@ class TestPoolTransportLifecycle:
                 ticket.result(timeout=120)
             except (PoolStopped, ServingError):
                 pass
-        _assert_zero_leak(pool.transport_stats())
+        _assert_zero_leak(pool.metrics_snapshot())
 
     def test_seeded_transport_storm_resolves_all_and_leaks_nothing(
             self, registry, tiny_traffic_dataset):
@@ -310,8 +310,7 @@ class TestPoolTransportLifecycle:
                     except ServingError as error:
                         resolved.append(error)
         assert len(resolved) == 8             # every ticket resolved, no hangs
-        transport = pool.transport_stats()
-        _assert_zero_leak(transport)
+        _assert_zero_leak(pool.metrics_snapshot())
 
     def test_retry_after_transport_fault_is_bit_identical(
             self, registry, tiny_traffic_dataset):
@@ -332,7 +331,7 @@ class TestPoolTransportLifecycle:
         for reference, response in zip(alone, pooled):
             assert np.array_equal(reference.samples, response.samples)
             assert np.array_equal(reference.median, response.median)
-        _assert_zero_leak(pool.transport_stats())
+        _assert_zero_leak(pool.metrics_snapshot())
 
     def test_crashed_child_reclaims_staged_slots(self, registry,
                                                  tiny_traffic_dataset):
@@ -366,7 +365,7 @@ class TestPoolTransportLifecycle:
                     ticket.result(timeout=120)
             # The crashed worker's segments are gone *before* pool stop.
             _assert_names_unlinked(names_before)
-        _assert_zero_leak(pool.transport_stats())
+        _assert_zero_leak(pool.metrics_snapshot())
 
     def test_child_attach_fault_is_retried(self, registry,
                                            tiny_traffic_dataset,
@@ -390,7 +389,7 @@ class TestPoolTransportLifecycle:
             pooled = [ticket.result(timeout=120) for ticket in tickets]
         for reference, response in zip(alone, pooled):
             assert np.array_equal(reference.samples, response.samples)
-        _assert_zero_leak(pool.transport_stats())
+        _assert_zero_leak(pool.metrics_snapshot())
 
 
 # ----------------------------------------------------------------------
@@ -405,17 +404,17 @@ class TestWarmPrefork:
         with pool:
             resolved = registry.publish(trained_model, "warmtest")
             assert pool.wait_idle(timeout=120)
-            stats = pool.stats()
-            assert stats["warmed_models"] == 2      # one load per worker
-            assert stats["warm_failures"] == 0
-            assert all(seconds >= 0.0 for seconds in stats["warm_seconds"])
+            snapshot = pool.metrics_snapshot()
+            assert snapshot["pool.warm.models"] == 2      # one load per worker
+            assert snapshot["pool.warm.failures"] == 0
+            assert all(seconds >= 0.0 for seconds in pool.warm_seconds)
             assert resolved.spec == "warmtest@1"
             if mode == "process":
                 # The children exist *before* the first request.
                 assert all(process is not None
                            for process in pool._processes)
         if mode == "process":
-            _assert_zero_leak(pool.transport_stats())
+            _assert_zero_leak(pool.metrics_snapshot())
 
     def test_generation_rides_dispatch_to_worker_caches(
             self, registry, tiny_traffic_dataset):
@@ -452,10 +451,10 @@ class TestBatchSplitting:
             tickets = [service.submit(request) for request in requests]
             service.flush()
             pooled = [ticket.result(timeout=120) for ticket in tickets]
-            stats = pool.stats()
-        assert stats["split_batches"] >= 1
+            splits = pool.metrics_snapshot()["pool.splits"]
+        assert splits >= 1
         # The parts really ran on different workers.
-        assert sum(1 for count in stats["executed_batches"] if count) >= 2
+        assert sum(1 for count in pool.executed_batches if count) >= 2
         # ...and the join preserved order and bits.
         for reference, response in zip(alone, pooled):
             assert np.array_equal(reference.samples, response.samples)
@@ -472,6 +471,6 @@ class TestBatchSplitting:
             service.flush()
             for ticket in tickets:
                 ticket.result(timeout=120)
-            stats = pool.stats()
-        assert stats["split_batches"] == 0
-        assert sum(1 for count in stats["executed_batches"] if count) == 1
+            splits = pool.metrics_snapshot()["pool.splits"]
+        assert splits == 0
+        assert sum(1 for count in pool.executed_batches if count) == 1

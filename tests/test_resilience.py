@@ -349,7 +349,7 @@ class TestServiceDeadlines:
         request.deadline = Deadline.after(0.01, clock=service.clock)
         with pytest.raises(DeadlineExceeded):
             service.submit(request)
-        assert service.stats()["deadline_rejections"] == 1
+        assert service.metrics_snapshot()["service.rejections.deadline"] == 1
         assert service.pending() == 0               # no ticket was issued
 
     def test_meetable_deadline_is_served_bit_identically(
@@ -376,7 +376,7 @@ class TestServiceDeadlines:
         service.flush()
         with pytest.raises(DeadlineExceeded):
             ticket.result(timeout=5)
-        assert service.stats()["deadline_expired"] == 1
+        assert service.metrics_snapshot()["service.deadline.expired"] == 1
 
     def test_no_headroom_deadline_degrades_with_fallback(
             self, registry, tiny_traffic_dataset):
@@ -389,7 +389,7 @@ class TestServiceDeadlines:
         observed = request.observed_mask & np.isfinite(request.values)
         assert np.array_equal(response.median[observed],
                               request.values[observed])
-        assert service.stats()["degraded_served"] == 1
+        assert service.metrics_snapshot()["service.requests.degraded"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +411,7 @@ class TestServiceRetries:
             response = ticket.result(timeout=30)
             assert np.array_equal(response.samples, clean.samples)
             assert np.array_equal(response.median, clean.median)
-        assert service.stats()["retries"] == 1
+        assert service.metrics_snapshot()["service.retries"] == 1
 
     def test_exhausted_retries_fail_tickets_with_the_error(
             self, registry, tiny_traffic_dataset):
@@ -426,7 +426,7 @@ class TestServiceRetries:
                 service.flush()
         with pytest.raises(InjectedFault):
             ticket.result(timeout=5)
-        assert service.stats()["retries"] == 1      # one retry, then give up
+        assert service.metrics_snapshot()["service.retries"] == 1      # one retry, then give up
 
     def test_pool_crash_retry_replays_bit_identically(
             self, registry, tiny_traffic_dataset):
@@ -443,8 +443,8 @@ class TestServiceRetries:
                 responses = [ticket.result(timeout=120) for ticket in tickets]
         for response, clean in zip(responses, reference):
             assert np.array_equal(response.samples, clean.samples)
-        assert service.stats()["retries"] == 1
-        assert pool.stats()["crashed_batches"] == 1
+        assert service.metrics_snapshot()["service.retries"] == 1
+        assert pool.metrics_snapshot()["pool.batches.crashed"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +481,7 @@ class TestServiceCircuit:
         with pytest.raises(CircuitOpen) as excinfo:
             service.submit(request)
         assert excinfo.value.retry_after == pytest.approx(30.0)
-        assert service.stats()["circuit_rejections"] == 1
+        assert service.metrics_snapshot()["service.rejections.circuit"] == 1
         # After the reset timeout a probe is admitted; success closes.
         clock.advance(31.0)
         assert not service.any_circuit_open()       # half-open, probing
@@ -498,7 +498,7 @@ class TestServiceCircuit:
         request = _requests(tiny_traffic_dataset, count=1)[0]
         response = service.submit(request).result(timeout=5)
         assert response.degraded is True
-        assert service.stats()["degraded_served"] == 1
+        assert service.metrics_snapshot()["service.requests.degraded"] == 1
 
     def test_capacity_rejections_do_not_trip_the_breaker(
             self, registry, tiny_traffic_dataset):
@@ -634,4 +634,4 @@ class TestWorkerStall:
                 service.flush()
                 response = ticket.result(timeout=120)
         assert np.array_equal(response.samples, reference.samples)
-        assert pool.stats()["crashed_batches"] == 0
+        assert pool.metrics_snapshot()["pool.batches.crashed"] == 0

@@ -246,7 +246,7 @@ class TestModelRegistry:
         assert registry.load("traffic@1") is first              # LRU hit
         registry.load("traffic@2")                              # fills capacity (2)
         registry.load("aqi")                                    # evicts traffic@1
-        assert registry.stats()["evictions"] == 1
+        assert registry.evictions == 1
         assert "traffic@1" not in registry.loaded
         reloaded = registry.load("traffic@1")                   # transparent reload
         assert reloaded is not first
@@ -342,9 +342,9 @@ class TestImputationService:
         assert response.model == "traffic@1"
 
     def test_stats_carry_compiled_counters(self, registry, tiny_traffic_dataset):
-        """``service.stats()`` exposes the process-wide trace-cache counters
-        (the additive ``compiled`` key behind the gateway's ``/v1/stats``),
-        and served traffic actually rides the compiled path."""
+        """The metrics snapshot carries the process-wide ``compiled.*``
+        counters (behind the gateway's ``/v1/stats``), and served traffic
+        actually rides the compiled path."""
         from repro.inference import reset_compiled_counters
 
         service = ImputationService(registry, max_batch_requests=4)
@@ -352,14 +352,15 @@ class TestImputationService:
         values, mask = _test_arrays(tiny_traffic_dataset)
         service.serve(ImputationRequest("traffic", values, mask,
                                         num_samples=2, seed=5))
-        compiled = service.stats()["compiled"]
-        for key in ("trace_cache_hits", "trace_cache_misses",
-                    "fallback_count", "compiled_programs", "evictions"):
-            assert key in compiled
+        snapshot = service.metrics_snapshot()
+        for name in ("compiled.cache.hits", "compiled.cache.misses",
+                     "compiled.fallbacks", "compiled.programs",
+                     "compiled.cache.evictions"):
+            assert name in snapshot
         # First chunk of the signature traces (or replays an earlier
         # program); either way the compiled machinery was consulted.
-        assert compiled["trace_cache_misses"] + compiled["trace_cache_hits"] >= 1
-        assert compiled["fallback_count"] == 0
+        assert snapshot["compiled.cache.misses"] + snapshot["compiled.cache.hits"] >= 1
+        assert snapshot["compiled.fallbacks"] == 0
 
     def test_unknown_model_fails_at_submit(self, registry, tiny_traffic_dataset):
         service = ImputationService(registry)

@@ -3,9 +3,10 @@
 Covers the instrument semantics (monotonic counters, callback gauges,
 histogram expansion, declared zero-valued schemas), the one worker->parent
 counter merge (delta folds, idempotence, crash/respawn), snapshot
-consistency under concurrent writers, and the acceptance criterion that
-``/v1/stats`` exposes the same stable key set whatever executor mode the
-service runs in.
+consistency under concurrent writers, callback gauges reading their live
+sources, exact compile accounting across the process boundary, and the
+acceptance criterion that ``/v1/stats`` exposes one pinned key set whatever
+executor mode the service runs in.
 """
 
 import asyncio
@@ -15,6 +16,7 @@ import threading
 import pytest
 
 from repro import (
+    CircuitBreakerPolicy,
     ImputationRequest,
     ImputationService,
     ModelRegistry,
@@ -25,8 +27,49 @@ from repro import (
 from repro.inference.compiled import compiled_counters, reset_compiled_counters
 from repro.serving import Gateway, InProcessClient
 from repro.serving.metrics import MetricsRegistry, WorkerCounterMerge
-from repro.serving.pool import executor_metric_schema, zero_executor_snapshot
-from repro.serving.service import SERVICE_METRIC_SCHEMA
+from repro.serving.pool import executor_metric_schema
+
+#: The flat snapshot's complete, sorted key set with a gateway attached —
+#: the one counter vocabulary.  Renaming or dropping a metric must show up
+#: here as a deliberate edit, not as a scraper silently reading 0.
+METRIC_NAMES = [
+    "compiled.cache.evictions", "compiled.cache.hits", "compiled.cache.misses",
+    "compiled.fallbacks", "compiled.programs", "gateway.draining",
+    "gateway.rejections.drain", "gateway.rejections.overload",
+    "gateway.requests", "gateway.streams.open", "gateway.tickets.fetched",
+    "gateway.tickets.issued", "gateway.tickets.unfetched", "pool.backlog",
+    "pool.backlog.max", "pool.batches.crashed", "pool.batches.dispatched",
+    "pool.batches.executed", "pool.batches.inflight", "pool.batches.queued",
+    "pool.requests.rejected", "pool.splits", "pool.steals",
+    "pool.warm.failures", "pool.warm.models", "pool.warm.seconds",
+    "pool.workers", "pool.workers.dead", "registry.cache.evictions",
+    "registry.cache.hits", "registry.cache.misses", "registry.models.resident",
+    "service.batch.max_requests", "service.batch.seconds.count",
+    "service.batch.seconds.max", "service.batch.seconds.min",
+    "service.batch.seconds.sum", "service.batches", "service.circuits.open",
+    "service.deadline.expired", "service.queue.depth",
+    "service.rejections.circuit", "service.rejections.deadline",
+    "service.requests.coalesced", "service.requests.degraded",
+    "service.requests.inflight", "service.requests.served", "service.retries",
+    "transport.batches.run", "transport.batches.staged",
+    "transport.bytes_staged", "transport.control.bytes_received",
+    "transport.control.bytes_sent", "transport.rebuilds",
+    "transport.segments.active", "transport.segments.created",
+    "transport.segments.unlinked", "transport.slots.live",
+]
+
+#: Keys of the retired nested stats views; none may reappear in /v1/stats.
+#: (The retired compile keys cannot reappear in "metrics" either: its key
+#: set must equal METRIC_NAMES exactly.)
+LEGACY_KEYS = {
+    "requests_served", "batches", "coalesced_requests", "pending_requests",
+    "retries", "degraded_served", "deadline_rejections", "circuit_rejections",
+    "compiled_programs", "stolen_batches", "split_batches", "crashed_batches",
+    "dispatched_batches", "executed_batches", "warmed_models", "warm_seconds",
+    "segments_created", "segments_active", "live_slots", "shm_bytes_staged",
+    "control_bytes_sent", "gateway", "service", "executor", "registry",
+    "compiled", "transport",
+}
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +79,7 @@ class TestInstruments:
     def test_counter_is_monotonic(self):
         counter = MetricsRegistry().counter("pool.steals")
         counter.inc()
-        counter.add(3)
+        counter.inc(3)
         assert counter.value == 4
         with pytest.raises(ValueError):
             counter.inc(-1)
@@ -265,7 +308,7 @@ class TestStackSnapshots:
         assert snapshot["pool.batches.executed"] >= 2
         assert snapshot["transport.batches.run"] >= 2
         assert snapshot["transport.batches.staged"] >= 2
-        assert compiled_counters()["trace_cache_misses"] >= 1
+        assert compiled_counters()["compiled.cache.misses"] >= 1
 
     def test_executor_schema_zero_filled_inline(self, registry,
                                                 tiny_traffic_dataset):
@@ -275,10 +318,7 @@ class TestStackSnapshots:
         for name in executor_metric_schema():
             assert name in snapshot, name
             assert snapshot[name] == 0
-        stats = service.stats()
-        assert stats["executor"]["mode"] == "inline"
-        assert stats["executor"]["num_workers"] == 0
-        assert stats["circuits"] == {}
+        assert service.circuits() == {}
 
     def test_shared_registry_spans_service_and_pool(self, registry,
                                                     tiny_traffic_dataset):
@@ -293,14 +333,54 @@ class TestStackSnapshots:
         assert snapshot["service.requests.served"] == 2
         assert snapshot["pool.batches.dispatched"] >= 1
 
-    def test_legacy_attributes_read_through(self, registry,
-                                            tiny_traffic_dataset):
-        service = ImputationService(registry, max_batch_requests=4)
-        _serve(service, _requests(tiny_traffic_dataset, count=3))
-        assert service.requests_served == 3
-        assert service.batches >= 1
-        assert service.max_batch_observed >= 1
-        assert service.deadline_rejections == 0
+    def test_callback_gauges_read_live_sources(self, registry,
+                                               tiny_traffic_dataset):
+        """A gauge whose callback breaks reads 0 forever (``Gauge.value``
+        swallows the error), so each callback gauge must report its live
+        source — and a non-zero one, so a silent 0 cannot pass."""
+        pool = WorkerPool(num_workers=1, mode="process")
+        service = ImputationService(registry, max_batch_requests=64,
+                                    executor=pool)
+        requests = _requests(tiny_traffic_dataset, count=3)
+        with pool:
+            _serve(service, requests[:1])                # spawns the child
+            service.serve(requests[0])                   # loads parent-side
+            for request in requests:                     # queued, not flushed
+                service.submit(request)
+            snapshot = service.metrics_snapshot()
+            assert snapshot["registry.models.resident"] == len(registry.loaded) >= 1
+            assert snapshot["pool.workers"] == pool.num_workers == 1
+            assert snapshot["service.queue.depth"] == service.pending() == 3
+            # The primary segment stays mapped for the worker's lifetime.
+            assert snapshot["transport.segments.active"] >= 1
+            assert snapshot["transport.slots.live"] == 0
+            service.stop()
+
+    def test_process_compile_accounting_is_exact(self, registry,
+                                                 tiny_traffic_dataset,
+                                                 monkeypatch):
+        """k same-shape requests, one batch each, through one child: the
+        child traces the signature once and replays it k-1 times, and the
+        parent's ``compiled.*`` totals move by exactly that — no double
+        counting on the piggyback fold."""
+        monkeypatch.delenv("REPRO_COMPILE", raising=False)
+        pool = WorkerPool(num_workers=1, mode="process")
+        service = ImputationService(registry, max_batch_requests=64,
+                                    executor=pool)
+        requests = _requests(tiny_traffic_dataset, count=3)
+        before = service.metrics_snapshot()
+        with pool:
+            for request in requests:
+                _serve(service, [request])
+            service.stop()
+            after = service.metrics_snapshot()
+
+        def delta(name):
+            return after[name] - before[name]
+
+        assert delta("compiled.cache.misses") == 1
+        assert delta("compiled.cache.hits") == len(requests) - 1
+        assert delta("compiled.fallbacks") == 0
 
 
 class TestStableStatsSchema:
@@ -325,36 +405,32 @@ class TestStableStatsSchema:
     def test_stats_key_set_is_mode_invariant(self, registry,
                                              tiny_traffic_dataset):
         requests = _requests(tiny_traffic_dataset, count=2)
-        schemas = {}
+        service_names = [name for name in METRIC_NAMES
+                         if not name.startswith("gateway.")]
         for mode, pool in self._modes(registry):
+            # A circuit policy populates "circuits", so the legacy-key scan
+            # below also covers the nested per-model breaker snapshots.
             service = ImputationService(registry, max_batch_requests=4,
-                                        executor=pool)
+                                        executor=pool,
+                                        circuit_policy=CircuitBreakerPolicy())
             try:
                 if pool is not None:
                     pool.start()
                 _serve(service, requests)
+                assert sorted(service.metrics_snapshot()) == service_names, mode
                 stats = self._stats_via_gateway(service)
             finally:
                 service.stop()
                 if pool is not None:
                     pool.stop()
-            schemas[mode] = {
-                "top": sorted(stats),
-                "gateway": sorted(stats["gateway"]),
-                "service": sorted(stats["service"]),
-                "executor": sorted(stats["service"]["executor"]),
-                "metrics": sorted(stats["metrics"]),
-            }
-            assert stats["service"]["executor"]["mode"] == mode
-        assert schemas["inline"] == schemas["thread"] == schemas["process"]
-        # The flat snapshot carries every declared family.
-        names = set(schemas["inline"]["metrics"])
-        for declared in SERVICE_METRIC_SCHEMA:
-            if SERVICE_METRIC_SCHEMA[declared] == "histogram":
-                assert f"{declared}.count" in names
-            else:
-                assert declared in names
-        assert set(zero_executor_snapshot()) <= names
-        assert "gateway.requests" in names
-        assert "registry.cache.hits" in names
-        assert "compiled.cache.hits" in names
+            assert set(stats) == {"metrics", "circuits"}, mode
+            assert sorted(stats["metrics"]) == METRIC_NAMES, mode
+            assert list(stats["circuits"]) == ["traffic@1"], mode
+            assert not _all_keys(stats) & LEGACY_KEYS, mode
+
+
+def _all_keys(document):
+    """Every dict key at any depth of a decoded JSON document."""
+    if not isinstance(document, dict):
+        return set()
+    return set(document).union(*map(_all_keys, document.values()))

@@ -3,7 +3,7 @@
 The batched :class:`~repro.inference.InferenceEngine` replaces the seed's
 per-(window, sample) network calls with one call per diffusion step per chunk
 and hoists the step-independent conditioning work out of the step loop.  This
-benchmark times both paths on a synthetic traffic dataset at ``num_samples=8``
+benchmark times both sides on a synthetic traffic dataset at ``num_samples=8``
 (the Fig. 9 regime scaled to CPU), checks they agree bit-for-bit under a
 shared sampling seed, and asserts the batched engine is at least
 ``MIN_SPEEDUP`` times faster.  The floor was re-baselined from 3x to 2x in
@@ -11,6 +11,19 @@ PR 2: the fused kernels shrink the per-call autograd/graph overhead that
 dominated the batch-1 serial reference, so the *organisational* ratio fell
 (measured 2.6–3.3x run-to-run) even though absolute batched wall-clock is
 unchanged-to-better; the JSON artifact tracks both absolute times.
+
+The ``serial`` side is the same model with ``inference_batch_size=1``: the
+engine's one reverse loop with one item per network call, the same per-item
+network calls as the per-window, per-sample sampler it replaced (that
+sampler was retired from the package, and its samples are bit-identical to
+these).  Batch-1 chunks still reuse the per-chunk conditioning across the
+diffusion steps, which the retired sampler recomputed every call, so the
+ratio is lower than before.  On a shared 2-core x86 host (OpenBLAS 0.3.31)
+best-of-``TIMING_REPEATS`` ratios measured 1.9–2.3x in float64 and 2.4–2.8x
+in float32 over four runs, where the retired sampler measured 3.8x and 4.0x
+single-pass.  Single passes on that host spread from 1.7x to 2.6x, which is
+why each side reports its best of several interleaved passes; the 2x floor
+now has little headroom on small shared hosts.
 
 Results are written to ``benchmarks/results/batched_inference.json`` so the
 speedup can be tracked across commits.  Since PR 2 the payload also carries a
@@ -52,6 +65,8 @@ FLOAT32_MAX_DIFF = 1e-3
 WINDOW_LENGTH = 16
 NUM_DIFFUSION_STEPS = 20
 DDIM_STEPS = 8
+#: Interleaved serial/batched passes per dtype; the best of each is reported.
+TIMING_REPEATS = 3
 
 
 def _smoke_mode():
@@ -75,26 +90,37 @@ def _build_model(dtype="float64", *, compile_inference=False, ddim_steps=None):
     return model, dataset
 
 
-def _timed_impute(model, dataset, batched):
-    # Reseed the sampling RNG so both paths draw the same noise stream.
+def _timed_impute(model, dataset, serial=False):
+    """One timed, reseeded impute (both sides draw the same noise stream);
+    ``serial`` runs it with one item per network call."""
+    batch_size = model.config.inference_batch_size
+    model.config.inference_batch_size = 1 if serial else batch_size
     model.diffusion.rng = np.random.default_rng(0)
-    start = time.perf_counter()
-    result = model.impute(dataset, segment="test", num_samples=NUM_SAMPLES,
-                          batched=batched)
-    return time.perf_counter() - start, result
+    try:
+        start = time.perf_counter()
+        result = model.impute(dataset, segment="test", num_samples=NUM_SAMPLES)
+        return time.perf_counter() - start, result
+    finally:
+        model.config.inference_batch_size = batch_size
 
 
 def _measure(dtype):
-    """Warm up, then time the serial and batched paths for one dtype.
+    """Warm up, then time the serial and batched sides for one dtype
+    (best of ``TIMING_REPEATS`` interleaved passes each).
 
     Returns ``(section, config, serial_result, batched_result)`` where
     ``section`` is the timing/agreement payload shared by both dtype entries.
     """
     model, dataset = _build_model(dtype=dtype)
     # Warm-up outside the timed region (first call pays lazy allocations).
-    _timed_impute(model, dataset, batched=True)
-    serial_seconds, serial_result = _timed_impute(model, dataset, batched=False)
-    batched_seconds, batched_result = _timed_impute(model, dataset, batched=True)
+    _timed_impute(model, dataset)
+    serial_times, batched_times = [], []
+    for _ in range(TIMING_REPEATS):
+        seconds, serial_result = _timed_impute(model, dataset, serial=True)
+        serial_times.append(seconds)
+        seconds, batched_result = _timed_impute(model, dataset)
+        batched_times.append(seconds)
+    serial_seconds, batched_seconds = min(serial_times), min(batched_times)
     section = {
         "serial_seconds": round(serial_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),
@@ -135,16 +161,14 @@ def _measure_compiled(dtype, ddim_steps):
         dtype=dtype, compile_inference=True, ddim_steps=ddim_steps)
     windows = _window_count(dataset)
 
-    _timed_impute(eager_model, dataset, batched=True)       # warm-up
-    _timed_impute(compiled_model, dataset, batched=True)    # trace + compile
+    _timed_impute(eager_model, dataset)       # warm-up
+    _timed_impute(compiled_model, dataset)    # trace + compile
     eager_times, compiled_times = [], []
     eager_result = compiled_result = None
     for _ in range(_latency_repeats()):
-        seconds, eager_result = _timed_impute(eager_model, dataset,
-                                              batched=True)
+        seconds, eager_result = _timed_impute(eager_model, dataset)
         eager_times.append(seconds)
-        seconds, compiled_result = _timed_impute(compiled_model, dataset,
-                                                 batched=True)
+        seconds, compiled_result = _timed_impute(compiled_model, dataset)
         compiled_times.append(seconds)
 
     eager_best, compiled_best = min(eager_times), min(compiled_times)

@@ -11,6 +11,7 @@ of layers and the number of diffusion steps; see
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 __all__ = ["PriSTIConfig"]
 
@@ -130,6 +131,10 @@ class PriSTIConfig:
             raise ValueError("parameterization must be 'epsilon' or 'x0_residual'")
         if self.inference_batch_size is not None and self.inference_batch_size < 1:
             raise ValueError("inference_batch_size must be a positive integer (or None)")
+        if self.ddim_steps is not None and (isinstance(self.ddim_steps, bool)
+                                            or not isinstance(self.ddim_steps, Integral)
+                                            or self.ddim_steps < 1):
+            raise ValueError("ddim_steps must be None or a positive integer")
         if self.ddim_eta < 0:
             raise ValueError("ddim_eta must be non-negative")
         if self.compiled_cache_size < 1:

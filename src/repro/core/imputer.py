@@ -248,7 +248,7 @@ class ConditionalDiffusionImputer(PersistableModel):
     # ------------------------------------------------------------------
     # Imputation (Algorithm 2)
     # ------------------------------------------------------------------
-    def impute(self, dataset, segment="test", num_samples=None, stride=None, batched=True):
+    def impute(self, dataset, segment="test", num_samples=None, stride=None):
         """Impute all missing values of a dataset split.
 
         Returns an :class:`ImputationResult`; every missing entry (both the
@@ -260,9 +260,9 @@ class ConditionalDiffusionImputer(PersistableModel):
         sampling runs through the shared
         :class:`~repro.inference.InferenceEngine`, which packs ``(window,
         sample)`` pairs into chunks of ``config.inference_batch_size`` and
-        calls the network once per diffusion step per chunk.
-        ``batched=False`` selects the serial per-window, per-sample reference
-        path (identical output under a shared RNG seed, but far slower).
+        calls the network once per diffusion step per chunk
+        (``inference_batch_size=1`` is the unbatched run, identical output
+        under a shared RNG seed).
         """
         if self.network is None:
             raise RuntimeError("impute() called before fit()")
@@ -273,7 +273,6 @@ class ConditionalDiffusionImputer(PersistableModel):
         inference_start = time.perf_counter()
         raw = self.backend().impute_segment(
             values, input_mask, num_samples=num_samples, stride=stride,
-            batched=batched,
         )
         self.inference_seconds = time.perf_counter() - inference_start
 
@@ -339,7 +338,7 @@ class ConditionalDiffusionImputer(PersistableModel):
         ``cache`` is the engine's per-chunk scratch dict: the step-independent
         conditioning tensors (auxiliary encodings and the prior ``H^pri``) are
         computed on the first diffusion step of a chunk and reused for the
-        rest.  ``None`` (the serial reference path) recomputes them per call.
+        rest.  ``None`` recomputes them per call.
         """
         with no_grad():
             conditioning = None

@@ -4,13 +4,15 @@ The :class:`GaussianDiffusion` object owns a noise schedule and implements
 
 * the forward (diffusion) process ``q(x_t | x_0)`` used to create training
   targets,
-* the reverse (denoising) step ``p_theta(x_{t-1} | x_t, ...)`` of Eq. (2)–(3),
-  given a noise-prediction callable, and
-* full ancestral sampling plus a strided DDIM-style sampler for fast
-  inference.
+* the per-step scalar coefficients of the reverse (denoising) process
+  ``p_theta(x_{t-1} | x_t, ...)`` of Eq. (2)–(3) — ancestral and strided
+  DDIM — plus the pre-drawn starting and per-step noise it consumes.
 
-It is deliberately model-agnostic: both PriSTI and the CSDI baseline plug in
-their own noise-prediction networks.
+The reverse loop itself lives in
+:meth:`repro.inference.engine.InferenceEngine._reverse_loop`, the one
+implementation every sampling path (eager, traced, compiled replay) runs.
+This object is deliberately model-agnostic: both PriSTI and the CSDI
+baseline plug their own noise-prediction networks into that engine.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ __all__ = ["GaussianDiffusion"]
 
 
 class GaussianDiffusion:
-    """Forward/reverse diffusion over numpy arrays.
+    """Noise schedule, forward process and reverse-step coefficients.
 
-    The arrays handled here are plain ndarrays (the sampler never needs
-    gradients); the noise prediction callable is expected to accept
-    ``(noisy_target, step_indices)`` and return the predicted noise with the
-    same shape as ``noisy_target``.
+    The arrays handled here are plain ndarrays in :attr:`dtype`; the
+    sampling generator :attr:`rng` is shared by training (step and noise
+    draws) and the inference engine (:meth:`_prepare_noise`).
     """
 
     def __init__(self, schedule, rng=None, dtype=np.float64):
@@ -46,11 +47,11 @@ class GaussianDiffusion:
     def _ancestral_coefficients(self):
         """Per-step ``(eps_coef, sqrt_alpha, sigma)`` scalars, hoisted.
 
-        These used to be recomputed inside every reverse step of every
-        chunk.  Each entry is produced by the *exact* float expression the
-        step functions used inline, so hoisting changes no bits — it only
-        removes per-step Python/numpy scalar work and gives the trace
-        compiler a ready-made per-step constant table to bake.
+        The ancestral update of Eq. (3) is ``(x_t - eps_coef * eps) /
+        sqrt_alpha + sigma * z`` (``sigma`` is 0 at step 0).  Computing the
+        scalars once per instance removes per-step Python/numpy scalar work
+        from the reverse loop and gives the trace compiler a ready-made
+        per-step constant table to bake.
         """
         if self._ancestral_coeffs is None:
             schedule = self.schedule
@@ -77,7 +78,7 @@ class GaussianDiffusion:
 
         Always consumes the generator's ``float64`` stream and casts
         afterwards, so float32 and float64 runs under the same seed see the
-        same noise (up to rounding) and the serial/batched equivalence holds
+        same noise (up to rounding) and chunking never changes the samples
         in either dtype.  ``rng`` selects a generator other than the shared
         sampling stream (used for per-request RNG streams in serving).
         """
@@ -119,31 +120,15 @@ class GaussianDiffusion:
         sqrt_1mab = float(self.schedule.sqrt_one_minus_alpha_bar(step))
         return (x_t - sqrt_1mab * predicted_noise) / max(sqrt_ab, 1e-12)
 
-    def p_mean(self, x_t, predicted_noise, step):
-        """Posterior mean ``mu_theta`` of Eq. (3)."""
-        # Scalars come from the hoisted per-step table; the expression is the
-        # historical ``(x_t - beta / sqrt_1mab * pred) / sqrt(alpha)``.
-        eps_coef, sqrt_alpha, _ = self._ancestral_coefficients()
-        return (x_t - eps_coef[step] * predicted_noise) / sqrt_alpha[step]
-
-    def p_sample_step(self, x_t, predicted_noise, step, noise=None):
-        """One ancestral sampling step ``x_t -> x_{t-1}``."""
-        mean = self.p_mean(x_t, predicted_noise, step)
-        if step == 0:
-            return mean
-        if noise is None:
-            noise = self._standard_normal(x_t.shape)
-        sigma = self._ancestral_coefficients()[2][step]
-        return mean + sigma * noise
-
-    def _prepare_noise(self, num_samples, shape, draws_per_sample, initial_noise,
-                       rngs=None):
+    def _prepare_noise(self, num_samples, shape, draws_per_sample, rngs=None):
         """Pre-draw the starting and per-step noise in the serial RNG order.
 
-        The serial samplers consume the generator sample-major (all of sample
-        0's draws before sample 1's).  Pre-drawing in that exact order is what
-        keeps the batched samplers bit-compatible with the serial loops under
-        a shared seed.
+        The generator is consumed sample-major (all of sample 0's draws —
+        start, then each step — before sample 1's), the order a
+        one-sample-at-a-time sampler would draw in.  That order is what makes
+        a chunk's samples independent of how items are packed into chunks:
+        any ``inference_batch_size`` reproduces the same samples under a
+        shared seed.
 
         ``rngs`` optionally supplies one generator per sample (per-request RNG
         streams for the serving stack): sample ``i``'s draws then come from
@@ -154,9 +139,9 @@ class GaussianDiffusion:
         draws are consumed in sample order.
 
         The price of that compatibility is memory: the step noise is a
-        ``(num_samples, draws_per_sample) + shape`` float64 buffer, i.e. the
-        batched ancestral sampler holds all ``num_steps - 1`` step draws at
-        once (deterministic DDIM draws none).  Callers bound the peak through
+        ``(num_samples, draws_per_sample) + shape`` buffer in :attr:`dtype`,
+        i.e. ancestral sampling holds all ``num_steps - 1`` step draws of a
+        chunk at once (deterministic DDIM draws none).  Callers bound the peak through
         the batch size they pass as ``num_samples`` — see
         ``inference_batch_size`` in :mod:`repro.inference.engine`.
         """
@@ -165,10 +150,7 @@ class GaussianDiffusion:
         step_noise = np.empty((num_samples, draws_per_sample) + shape, dtype=self.dtype)
         for sample_index in range(num_samples):
             rng = rngs[sample_index] if rngs is not None else None
-            if initial_noise is None:
-                start[sample_index] = self._standard_normal(shape, rng=rng)
-            else:
-                start[sample_index] = np.asarray(initial_noise[sample_index], dtype=self.dtype)
+            start[sample_index] = self._standard_normal(shape, rng=rng)
             if draws_per_sample:
                 # One generator call for the sample's whole step-noise block:
                 # standard_normal fills C-order, so the float64 stream is
@@ -177,86 +159,24 @@ class GaussianDiffusion:
                     (draws_per_sample,) + shape, rng=rng)
         return start, step_noise
 
-    def sample(self, shape, noise_fn, num_samples=1, initial_noise=None, batched=True,
-               rngs=None):
-        """Full reverse process from Gaussian noise (Algorithm 2).
-
-        Parameters
-        ----------
-        shape:
-            Shape of one sample, e.g. ``(batch, node, time)``.
-        noise_fn:
-            Callable ``(x_t, step) -> predicted_noise`` (step is an int).
-            With ``batched=True`` it receives all samples at once —
-            ``x_t`` has shape ``(num_samples,) + shape`` — so the network
-            behind it runs one forward pass per diffusion step instead of one
-            per (sample, step) pair.  With ``batched=False`` it receives one
-            sample of shape ``shape`` at a time (the serial reference path).
-        num_samples:
-            Number of independent samples to draw (used for the probabilistic
-            evaluation with CRPS).
-        initial_noise:
-            Optional fixed starting noise of shape ``(num_samples,) + shape``.
-        batched:
-            Vectorise the sample axis (default).  Both paths consume the RNG
-            in the same order, so they produce identical outputs under a
-            shared seed whenever ``noise_fn`` treats samples independently.
-        rngs:
-            Optional per-sample generators (see :meth:`_prepare_noise`);
-            batched path only.
-
-        Returns
-        -------
-        ndarray of shape ``(num_samples,) + shape``.
-        """
-        if not batched:
-            if rngs is not None:
-                raise ValueError("per-sample rngs require the batched sampler")
-            return self._sample_serial(shape, noise_fn, num_samples, initial_noise)
-        x_t, step_noise = self._prepare_noise(
-            num_samples, shape, max(self.num_steps - 1, 0), initial_noise, rngs=rngs
-        )
-        sigmas = self._ancestral_coefficients()[2]
-        for position, step in enumerate(range(self.num_steps - 1, -1, -1)):
-            predicted = np.asarray(noise_fn(x_t, step))
-            mean = self.p_mean(x_t, predicted, step)
-            if step == 0:
-                x_t = mean
-            else:
-                x_t = mean + sigmas[step] * step_noise[:, position]
-        return x_t
-
-    def _sample_serial(self, shape, noise_fn, num_samples, initial_noise):
-        """One-sample-at-a-time ancestral sampling (reference path)."""
-        samples = []
-        for sample_index in range(num_samples):
-            if initial_noise is not None:
-                x_t = np.array(initial_noise[sample_index], dtype=self.dtype)
-            else:
-                x_t = self._standard_normal(shape)
-            for step in range(self.num_steps - 1, -1, -1):
-                predicted = noise_fn(x_t, step)
-                x_t = self.p_sample_step(x_t, predicted, step)
-            samples.append(x_t)
-        return np.stack(samples)
-
     # ------------------------------------------------------------------
     # DDIM
     # ------------------------------------------------------------------
     def ddim_step_sequence(self, num_inference_steps=None):
-        """Decreasing step subset used by :meth:`sample_ddim`."""
+        """Decreasing step subset visited by strided (DDIM) sampling."""
         if num_inference_steps is None or num_inference_steps >= self.num_steps:
             return list(range(self.num_steps - 1, -1, -1))
         return list(
             np.unique(np.linspace(0, self.num_steps - 1, num_inference_steps, dtype=int))
         )[::-1]
 
-    def _ddim_coefficients(self, step, prev_step, eta):
-        """``(alpha_bar, alpha_bar_prev, sigma)`` for one DDIM update.
+    def _ddim_terms(self, step, prev_step, eta):
+        """Scalar coefficients of one DDIM update ``x_t -> x_prev``.
 
+        Returns ``(noise_coef, x0_denom, direction_coef, x0_coef, sigma)``.
         ``1 - alpha_bar`` can underflow to ~0 at step 0 for gentle schedules,
         so the sigma ratio guards the denominator; the final step (no
-        predecessor) is always deterministic.
+        predecessor, ``prev_step == -1``) is always deterministic.
         """
         alpha_bars = self.schedule.alpha_bars
         alpha_bar = alpha_bars[step]
@@ -266,15 +186,6 @@ class GaussianDiffusion:
             sigma = float(eta * np.sqrt(max(ratio * (1.0 - alpha_bar / alpha_bar_prev), 0.0)))
         else:
             sigma = 0.0
-        return alpha_bar, alpha_bar_prev, sigma
-
-    def _ddim_terms(self, step, prev_step, eta):
-        """Scalar coefficients of one DDIM update, hoisted out of the loop.
-
-        Returns ``(noise_coef, x0_denom, direction_coef, x0_coef, sigma)``,
-        each produced by the exact float expression the update used inline.
-        """
-        alpha_bar, alpha_bar_prev, sigma = self._ddim_coefficients(step, prev_step, eta)
         return (float(np.sqrt(1 - alpha_bar)),
                 max(float(np.sqrt(alpha_bar)), 1e-12),
                 float(np.sqrt(max(1 - alpha_bar_prev - sigma ** 2, 0.0))),
@@ -290,63 +201,3 @@ class GaussianDiffusion:
                              eta)
             for position, step in enumerate(step_sequence)
         ]
-
-    @staticmethod
-    def _ddim_apply(x_t, predicted, terms):
-        """Apply one DDIM update from precomputed scalar ``terms``."""
-        noise_coef, x0_denom, direction_coef, x0_coef, sigma = terms
-        x0_estimate = (x_t - noise_coef * predicted) / x0_denom
-        direction = direction_coef * predicted
-        return x0_coef * x0_estimate + direction, sigma
-
-    def _ddim_update(self, x_t, predicted, step, prev_step, eta):
-        """Deterministic part of one DDIM step; returns ``(x_prev, sigma)``."""
-        return self._ddim_apply(x_t, predicted,
-                                self._ddim_terms(step, prev_step, eta))
-
-    def sample_ddim(self, shape, noise_fn, num_samples=1, num_inference_steps=None,
-                    eta=0.0, initial_noise=None, batched=True, rngs=None):
-        """Strided (DDIM) sampling for faster inference.
-
-        ``num_inference_steps`` selects an evenly spaced subset of the
-        training steps; ``eta=0`` gives a fully deterministic trajectory.
-        With ``batched=True`` the sample axis is vectorised exactly as in
-        :meth:`sample` — one ``noise_fn`` call per step for all samples, with
-        the ``eta > 0`` stochastic noise drawn *per sample* (never shared
-        across the batch axis) in the serial loop's RNG order.  ``rngs``
-        optionally supplies per-sample generators (see
-        :meth:`_prepare_noise`); batched path only.
-        """
-        step_sequence = self.ddim_step_sequence(num_inference_steps)
-        if not batched:
-            if rngs is not None:
-                raise ValueError("per-sample rngs require the batched sampler")
-            return self._sample_ddim_serial(shape, noise_fn, num_samples, step_sequence,
-                                            eta, initial_noise)
-        draws_per_sample = len(step_sequence) - 1 if eta > 0 else 0
-        x_t, step_noise = self._prepare_noise(num_samples, shape, draws_per_sample,
-                                              initial_noise, rngs=rngs)
-        plan = self._ddim_step_plan(step_sequence, eta)
-        for position, step in enumerate(step_sequence):
-            predicted = np.asarray(noise_fn(x_t, step))
-            x_t, sigma = self._ddim_apply(x_t, predicted, plan[position])
-            if sigma > 0:
-                x_t = x_t + sigma * step_noise[:, position]
-        return x_t
-
-    def _sample_ddim_serial(self, shape, noise_fn, num_samples, step_sequence, eta, initial_noise):
-        """One-sample-at-a-time DDIM sampling (reference path)."""
-        plan = self._ddim_step_plan(step_sequence, eta)
-        samples = []
-        for sample_index in range(num_samples):
-            if initial_noise is not None:
-                x_t = np.array(initial_noise[sample_index], dtype=self.dtype)
-            else:
-                x_t = self._standard_normal(shape)
-            for position, step in enumerate(step_sequence):
-                predicted = noise_fn(x_t, step)
-                x_t, sigma = self._ddim_apply(x_t, predicted, plan[position])
-                if sigma > 0:
-                    x_t = x_t + sigma * self._standard_normal(shape)
-            samples.append(x_t)
-        return np.stack(samples)

@@ -1,11 +1,11 @@
 """Batched reverse-diffusion inference shared by the diffusion imputers.
 
-:class:`InferenceEngine` owns the chunking of work items (uniform segment
-windows or heterogeneous :class:`RequestPlan` traffic), the per-window
-condition cache and the strided-window overlap averaging used by
-:meth:`repro.core.imputer.ConditionalDiffusionImputer.impute`.  See
-:mod:`repro.inference.engine` for the batching contract and the serial
-fallback path.
+:class:`InferenceEngine` owns the reverse-diffusion loop, the chunking of
+work items (uniform segment windows or heterogeneous :class:`RequestPlan`
+traffic), the per-window condition cache and the strided-window overlap
+averaging used by :meth:`repro.core.imputer.ConditionalDiffusionImputer.impute`.
+See :mod:`repro.inference.engine` for the batching contract and
+:mod:`repro.inference.compiled` for trace-and-replay of that loop.
 
 :mod:`repro.inference.backend` layers the stateless request-oriented
 backends on top: :class:`DiffusionBackend` / :class:`WindowedBackend` impute

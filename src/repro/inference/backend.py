@@ -302,8 +302,7 @@ class DiffusionBackend(ImputationBackend):
     # ------------------------------------------------------------------
     # Dataset-segment path (the thin wrapper behind model.impute)
     # ------------------------------------------------------------------
-    def impute_segment(self, values, input_mask, *, num_samples, stride=None,
-                       batched=True):
+    def impute_segment(self, values, input_mask, *, num_samples, stride=None):
         """Impute a full dataset segment — bit-identical to the pre-backend
         ``ConditionalDiffusionImputer.impute`` body (same engine call, same
         unscale / pass-through / median tail)."""
@@ -313,7 +312,6 @@ class DiffusionBackend(ImputationBackend):
                 self.scaler.transform(values), input_mask,
                 window_length=self.window_length, stride=stride,
                 num_samples=num_samples, build_condition=self.build_condition,
-                batched=batched,
             )
         return self._finalize(samples_scaled, values, input_mask)
 

@@ -5,15 +5,12 @@ chunk — graph-node construction, fresh intermediate allocations, attribute
 dispatch.  The *computation* of a chunk is fully determined by its signature
 ``(num_items, item shape, dtype, parameterization, step sequence)``, so this
 module records it once with :mod:`repro.tensor.trace` and replays it as a
-flat kernel schedule over a pre-planned buffer arena:
+flat kernel schedule over a pre-planned buffer arena.  It owns no sampling
+algorithm: the recorded loop is
+:meth:`~repro.inference.engine.InferenceEngine._reverse_loop`, the same
+Tensor-op loop the engine runs eagerly, run here under a
+:class:`~repro.tensor.trace.Tracer`.
 
-* :func:`_run_loop` is a Tensor-op mirror of the eager chunk path — the same
-  ``noise_fn`` network call plus ``p_sample_step`` / ``_ddim_update`` algebra
-  the engine and :class:`~repro.diffusion.GaussianDiffusion` run in raw
-  numpy, expressed op-for-op in the same ufunc order so its results are
-  bit-identical.  Run under a :class:`~repro.tensor.trace.Tracer` it yields
-  the :class:`~repro.tensor.trace.TraceGraph`; run without one it is the
-  eager fallback for noise that has already been drawn.
 * :class:`CompiledStepCache` is the per-model LRU keyed by the chunk
   signature.  The first chunk of a signature traces, plans and validates
   (one replay on the trace inputs must reproduce the traced execution
@@ -21,11 +18,11 @@ flat kernel schedule over a pre-planned buffer arena:
   the tracer cannot capture — an op without a replay kernel, data-dependent
   parameters, an injected ``compile.trace`` fault — negative-caches a
   :data:`FALLBACK` sentinel so the signature never re-pays the trace cost.
-
-Fallback never changes results or the RNG stream: a signature that cannot
-compile returns ``None`` *before* any noise is drawn (the eager sampler then
-draws exactly as it always did), and a replay that fails after drawing
-re-runs the mirror loop eagerly on the same pre-drawn noise.
+* :func:`sample_chunk_compiled` serves one chunk whose noise the engine has
+  already drawn.  Every path that is not a replay — compilation disabled, a
+  negative-cached signature, a failed replay, a failed trace — runs the
+  eager loop on those same draws, so fallback never changes results or the
+  RNG stream.
 
 ``REPRO_COMPILE=0`` (or ``false`` / ``off``) disables compilation process-wide;
 ``PriSTIConfig.compile_inference`` disables it per model.  Module-global
@@ -46,7 +43,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..tensor import Tensor, no_grad
 from ..tensor.tensor import get_default_dtype
 from ..tensor.trace import TraceUnsupported, compile_graph, trace
 
@@ -244,12 +240,8 @@ class CompiledStepCache:
 
 
 # ---------------------------------------------------------------------------
-# The Tensor-op mirror of the eager chunk path
+# Trace, validate and replay one chunk
 # ---------------------------------------------------------------------------
-
-
-def _ddim_sequence(engine):
-    return engine.diffusion.ddim_step_sequence(engine.ddim_steps)
 
 
 def _chunk_key(engine, num_items, item_shape):
@@ -259,103 +251,12 @@ def _chunk_key(engine, num_items, item_shape):
     network follows it (``set_default_dtype`` must invalidate, not corrupt);
     the model itself is implicit — the cache is owned by one model.
     """
-    if engine.ddim_steps:
-        fingerprint = ("ddim", tuple(_ddim_sequence(engine)), float(engine.ddim_eta))
-    else:
+    if engine.ddim_steps is None:
         fingerprint = ("ddpm", engine.diffusion.num_steps)
+    else:
+        fingerprint = ("ddim", tuple(engine._step_sequence()), float(engine.ddim_eta))
     return (num_items, tuple(item_shape), str(engine.dtype),
             engine.parameterization, fingerprint, str(get_default_dtype()))
-
-
-def _draw_noise(engine, num_items, item_shape, rngs):
-    """Pre-draw start + step noise exactly as the eager batched sampler does."""
-    diffusion = engine.diffusion
-    if engine.ddim_steps:
-        draws = len(_ddim_sequence(engine)) - 1 if engine.ddim_eta > 0 else 0
-    else:
-        draws = max(diffusion.num_steps - 1, 0)
-    return diffusion._prepare_noise(num_items, item_shape, draws, None, rngs=rngs)
-
-
-def _noise_from_prediction(engine, x, prediction, condition, step):
-    """Tensor mirror of ``InferenceEngine._noise_from_prediction``."""
-    if engine.parameterization == "epsilon":
-        return prediction
-    x0_estimate = condition + prediction
-    schedule = engine.diffusion.schedule
-    sqrt_ab = float(schedule.sqrt_alpha_bar(step))
-    sqrt_1mab = max(float(schedule.sqrt_one_minus_alpha_bar(step)), 1e-6)
-    return (x - sqrt_ab * x0_estimate) / sqrt_1mab
-
-
-def _run_loop(engine, start, step_noise, condition, conditional_mask, tracer=None):
-    """Run one chunk's full reverse process in Tensor ops.
-
-    Mirrors the eager path op for op — the same ufuncs in the same operand
-    order as ``GaussianDiffusion.sample`` / ``sample_ddim`` plus the engine's
-    ``noise_fn`` — so the result is bit-identical to what the eager numpy
-    loop computes from the same pre-drawn noise.  With ``tracer`` set the
-    loop is recorded (inputs registered first, per-step scalar coefficients
-    and embedding rows baked as constants); without one it doubles as the
-    eager fallback for noise that has already been drawn.
-
-    Returns the final state as a :class:`Tensor` of shape
-    ``(num_items,) + item_shape``.
-    """
-    if tracer is not None:
-        start = tracer.add_input("x", start)
-        condition = tracer.add_input("condition", condition)
-        conditional_mask = tracer.add_input("conditional_mask", conditional_mask)
-        if step_noise.size:
-            step_noise = tracer.add_input("step_noise", step_noise)
-    num_items = start.shape[0]
-    diffusion = engine.diffusion
-    with no_grad():
-        # dtype is pinned on every wrapper so no array is copied: the trace
-        # resolves values by ndarray identity, and a silent cast here would
-        # turn a runtime value into a baked constant.
-        x = Tensor(start, dtype=start.dtype)
-        cond_t = Tensor(condition, dtype=condition.dtype)
-        mask_t = Tensor(conditional_mask, dtype=conditional_mask.dtype)
-        target_t = 1.0 - mask_t
-        noise_t = Tensor(step_noise, dtype=step_noise.dtype) if step_noise.size else None
-        cache = {}
-
-        def predicted_noise(x, step):
-            steps = np.full(num_items, step, dtype=int)
-            prediction = engine.predict(x * target_t, cond_t, steps, mask_t,
-                                        cache=cache)
-            prediction = Tensor(prediction, dtype=prediction.dtype)
-            if tracer is not None:
-                # A predictor that computes outside the trace (raw numpy)
-                # would resolve as a capture and bake this execution's
-                # prediction into every replay — refuse instead.
-                tracer.require_runtime(
-                    prediction.data,
-                    "network prediction was not produced by traced ops")
-            return _noise_from_prediction(engine, x, prediction, cond_t, step)
-
-        if engine.ddim_steps:
-            sequence = _ddim_sequence(engine)
-            plan = diffusion._ddim_step_plan(sequence, engine.ddim_eta)
-            for position, step in enumerate(sequence):
-                eps = predicted_noise(x, step)
-                noise_coef, x0_denom, direction_coef, x0_coef, sigma = plan[position]
-                x0_estimate = (x - noise_coef * eps) / x0_denom
-                direction = direction_coef * eps
-                x = x0_coef * x0_estimate + direction
-                if sigma > 0:
-                    x = x + sigma * noise_t[:, position]
-        else:
-            eps_coef, sqrt_alpha, sigmas = diffusion._ancestral_coefficients()
-            for position, step in enumerate(range(diffusion.num_steps - 1, -1, -1)):
-                eps = predicted_noise(x, step)
-                mean = (x - eps_coef[step] * eps) / sqrt_alpha[step]
-                if step == 0:
-                    x = mean
-                else:
-                    x = mean + sigmas[step] * noise_t[:, position]
-    return x
 
 
 def _replay_inputs(start, step_noise, condition, conditional_mask):
@@ -379,61 +280,49 @@ def _bit_identical(a, b):
             and np.array_equal(a, b, equal_nan=True))
 
 
-def sample_chunk_compiled(engine, plans, condition, conditional_mask, rngs):
-    """Try to serve one chunk via trace-and-replay.
+def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask):
+    """Serve one chunk from ``engine.compiled_cache``, tracing on a miss.
 
-    Returns the ``(len(plans),) + item_shape`` samples, or ``None`` when the
-    chunk should run on the plain eager path *with the RNG untouched* (cache
-    disabled, or the signature is negative-cached).  Once noise has been
-    drawn here this function always returns samples — failures re-run the
-    mirror loop eagerly on the same draws, so the stream stays identical to
-    an uncompiled run.
+    ``start`` / ``step_noise`` are the chunk's already-drawn noise (see
+    :meth:`~repro.inference.engine.InferenceEngine._draw_noise`).  Returns
+    the ``(num_items,) + item_shape`` samples: a replay of the signature's
+    compiled program, the validated traced execution on a miss, or the eager
+    loop on the same draws for every other path.
     """
-    cache = getattr(engine, "compiled_cache", None)
-    if cache is None or not compile_enabled():
-        return None
-    num_items = len(plans)
-    item_shape = tuple(plans[0].item_shape)
-    key = _chunk_key(engine, num_items, item_shape)
+    def eager():
+        return engine._reverse_loop(start, step_noise, condition,
+                                    conditional_mask).data
+
+    if not compile_enabled():
+        return eager()
+    cache = engine.compiled_cache
+    key = _chunk_key(engine, start.shape[0], start.shape[1:])
+    inputs = _replay_inputs(start, step_noise, condition, conditional_mask)
     entry = cache.lookup(key)
     if entry is FALLBACK:
         cache.count_fallback()
-        return None
-
-    start, step_noise = _draw_noise(engine, num_items, item_shape, rngs)
+        return eager()
     if entry is not None:
         try:
-            return entry.run(_replay_inputs(start, step_noise, condition,
-                                            conditional_mask))
+            return entry.run(inputs)
         except Exception:
             cache.count_fallback()
-            return _run_loop(engine, start, step_noise, condition,
-                             conditional_mask).data
+            return eager()
 
     # Cache miss: trace this execution, plan it, validate the replay.
-    result = None
     try:
         _inject_trace_fault()
         with trace() as tracer:
-            result = _run_loop(engine, start, step_noise, condition,
-                               conditional_mask, tracer=tracer)
+            result = engine._reverse_loop(start, step_noise, condition,
+                                          conditional_mask, tracer=tracer)
             graph = tracer.finish([result])
-        program = compile_graph(graph)
-        sampler = CompiledSampler(program)
-        replay = sampler.run(_replay_inputs(start, step_noise, condition,
-                                            conditional_mask))
-        if not _bit_identical(replay, result.data):
+        sampler = CompiledSampler(compile_graph(graph))
+        if not _bit_identical(sampler.run(inputs), result.data):
             raise TraceUnsupported(
                 "validation replay diverged from the traced execution")
-        cache.store(key, sampler)
-        return result.data
     except Exception:
         cache.store(key, FALLBACK)
         cache.count_fallback()
-        if result is not None:
-            return result.data
-        # The failure struck before the traced execution finished (e.g. an
-        # injected compile.trace fault): the noise is already drawn, so run
-        # the mirror eagerly on the same draws.
-        return _run_loop(engine, start, step_noise, condition,
-                         conditional_mask).data
+        return eager()
+    cache.store(key, sampler)
+    return result.data

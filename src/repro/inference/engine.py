@@ -7,8 +7,9 @@ per-sample and per-window serialisation by
 
 * packing the flat ``(window, sample)`` product into chunks of at most
   ``inference_batch_size`` items and running the reverse process for a whole
-  chunk with **one network call per diffusion step** (the samplers in
-  :mod:`repro.diffusion` vectorise the leading sample axis),
+  chunk with **one network call per diffusion step**
+  (:meth:`InferenceEngine._reverse_loop`, the one reverse-process
+  implementation in the package),
 * computing the conditional information **once per window** and reusing it for
   every posterior sample of that window (condition caching), and
 * overlap-averaging the per-window samples back onto the full segment when
@@ -19,29 +20,31 @@ per-sample and per-window serialisation by
 memory: ``None`` packs one window's ``num_samples`` per chunk — the safe
 default — while larger values let chunks span window boundaries for more
 hardware utilisation.  Note the bound carries a ``num_diffusion_steps``
-multiplier for *ancestral* sampling: to stay bit-compatible with the serial
-RNG stream the batched sampler pre-draws every step's noise, a
-``chunk × (num_steps - 1) × node × window`` float64 buffer
+multiplier for *ancestral* sampling: every step's noise is pre-drawn, a
+``chunk × (num_steps - 1) × node × window`` buffer in the model dtype
 (:meth:`repro.diffusion.GaussianDiffusion._prepare_noise`).  Large step
 counts with many samples per chunk should lower ``inference_batch_size``
 accordingly; deterministic DDIM (``eta=0``) draws no step noise at all.
 
-Serial fallback
----------------
-``impute_segment(..., batched=False)`` runs the pre-engine per-window,
-per-sample loop unchanged.  Both paths consume the diffusion RNG in the same
-order, so under a shared seed the batched engine reproduces the serial
-reference bit-for-bit (to ≤1e-10); the equivalence tests in
-``tests/test_inference_engine.py`` pin this down.  Keep the serial path as the
-reference when touching either one.
+Chunking and the RNG stream
+---------------------------
+Noise is drawn per chunk in the order a one-sample-at-a-time sampler would
+draw it (sample-major), so the packing never changes the samples: any
+``inference_batch_size`` — 1 included, the unbatched run — reproduces the
+same output under a shared seed.  ``tests/serial_reference.py`` keeps a
+plain-numpy per-window, per-sample sampler as the independent reference;
+the equivalence tests pin the engine to it (≤1e-10) with compilation on and
+off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
+from ..tensor import Tensor, no_grad
 from .compiled import sample_chunk_compiled
 
 __all__ = ["InferenceEngine", "RequestPlan"]
@@ -82,13 +85,15 @@ class InferenceEngine:
         A :class:`~repro.diffusion.GaussianDiffusion` owning the schedule and
         the sampling RNG.
     predict:
-        Callable ``(x_t, condition, steps, conditional_mask, cache=None) ->
+        Callable ``(x_t, condition, steps, conditional_mask, cache) ->
         ndarray`` returning the raw network output for a ``(batch, node,
         time)`` input; the engine converts ``x0_residual`` outputs to the
-        implied noise.  ``cache`` is a mutable per-chunk dict the predictor
-        may use to memoise step-independent work (condition and batch size
-        are constant within a chunk); it is ``None`` on the serial reference
-        path, which must reproduce the pre-engine per-call behaviour.
+        implied noise.  ``x_t``, ``condition`` and ``conditional_mask`` are
+        :class:`~repro.tensor.Tensor` operands (so a compiled chunk can
+        trace the network), ``steps`` is an int array.  ``cache`` is a
+        mutable per-chunk dict the predictor may use to memoise
+        step-independent work (condition and batch size are constant within
+        a chunk).
     parameterization:
         ``"epsilon"`` (network predicts the added noise) or ``"x0_residual"``
         (network predicts the clean target as a residual on the condition).
@@ -96,7 +101,8 @@ class InferenceEngine:
         Maximum ``(window, sample)`` items per network call; ``None`` batches
         one window's samples at a time.
     ddim_steps:
-        If set, use strided DDIM sampling with this many inference steps.
+        If set (an int ≥ 1), use strided DDIM sampling with this many
+        inference steps; ``None`` runs full ancestral (DDPM) sampling.
     ddim_eta:
         DDIM stochasticity (0 = deterministic trajectories, the default).
     compiled_cache:
@@ -113,6 +119,10 @@ class InferenceEngine:
             raise ValueError("parameterization must be 'epsilon' or 'x0_residual'")
         if inference_batch_size is not None and inference_batch_size < 1:
             raise ValueError("inference_batch_size must be a positive integer")
+        if ddim_steps is not None and (isinstance(ddim_steps, bool)
+                                       or not isinstance(ddim_steps, Integral)
+                                       or ddim_steps < 1):
+            raise ValueError("ddim_steps must be None or a positive integer")
         if ddim_eta < 0:
             raise ValueError("ddim_eta must be non-negative")
         self.diffusion = diffusion
@@ -172,6 +182,20 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
+    def _step_sequence(self):
+        """Diffusion steps visited by the reverse process, in order."""
+        if self.ddim_steps is None:
+            return list(range(self.diffusion.num_steps - 1, -1, -1))
+        return self.diffusion.ddim_step_sequence(self.ddim_steps)
+
+    def _draw_noise(self, num_items, item_shape, rngs):
+        """Pre-draw a chunk's start and step noise (sample-major order)."""
+        if self.ddim_steps is None:
+            draws = max(self.diffusion.num_steps - 1, 0)
+        else:
+            draws = len(self._step_sequence()) - 1 if self.ddim_eta > 0 else 0
+        return self.diffusion._prepare_noise(num_items, item_shape, draws, rngs=rngs)
+
     def _noise_from_prediction(self, x_t, prediction, condition, step):
         """Map the raw network output to the predicted noise ϵ."""
         if self.parameterization == "epsilon":
@@ -183,6 +207,78 @@ class InferenceEngine:
         sqrt_1mab = max(float(schedule.sqrt_one_minus_alpha_bar(step)), 1e-6)
         return (x_t - sqrt_ab * x0_estimate) / sqrt_1mab
 
+    def _reverse_loop(self, start, step_noise, condition, conditional_mask,
+                      tracer=None):
+        """Run one chunk's full reverse process (Algorithm 2) in Tensor ops.
+
+        ``start`` is the ``(num_items,) + item_shape`` noise at step T-1 and
+        ``step_noise`` the pre-drawn per-step noise (see :meth:`_draw_noise`).
+        Ancestral sampling applies Eq. (3); with ``ddim_steps`` set the
+        strided DDIM update runs instead.  With ``tracer`` set the loop is
+        recorded for :mod:`repro.inference.compiled` (inputs registered
+        first, per-step scalar coefficients and embedding rows baked as
+        constants); without one it is the eager sampler.
+
+        Returns the final state as a :class:`Tensor` of shape
+        ``(num_items,) + item_shape``.
+        """
+        if tracer is not None:
+            start = tracer.add_input("x", start)
+            condition = tracer.add_input("condition", condition)
+            conditional_mask = tracer.add_input("conditional_mask", conditional_mask)
+            if step_noise.size:
+                step_noise = tracer.add_input("step_noise", step_noise)
+        num_items = start.shape[0]
+        diffusion = self.diffusion
+        with no_grad():
+            # dtype is pinned on every wrapper so no array is copied: the trace
+            # resolves values by ndarray identity, and a silent cast here would
+            # turn a runtime value into a baked constant.
+            x = Tensor(start, dtype=start.dtype)
+            cond_t = Tensor(condition, dtype=condition.dtype)
+            mask_t = Tensor(conditional_mask, dtype=conditional_mask.dtype)
+            target_t = 1.0 - mask_t
+            noise_t = Tensor(step_noise, dtype=step_noise.dtype) if step_noise.size else None
+            # Scratch space the predictor may use to reuse step-independent
+            # work (e.g. the conditioning tensors) across this chunk's steps.
+            cache = {}
+
+            def predicted_noise(x, step):
+                steps = np.full(num_items, step, dtype=int)
+                prediction = self.predict(x * target_t, cond_t, steps, mask_t,
+                                          cache=cache)
+                prediction = Tensor(prediction, dtype=prediction.dtype)
+                if tracer is not None:
+                    # A predictor that computes outside the trace (raw numpy)
+                    # would resolve as a capture and bake this execution's
+                    # prediction into every replay — refuse instead.
+                    tracer.require_runtime(
+                        prediction.data,
+                        "network prediction was not produced by traced ops")
+                return self._noise_from_prediction(x, prediction, cond_t, step)
+
+            sequence = self._step_sequence()
+            if self.ddim_steps is not None:
+                plan = diffusion._ddim_step_plan(sequence, self.ddim_eta)
+                for position, step in enumerate(sequence):
+                    eps = predicted_noise(x, step)
+                    noise_coef, x0_denom, direction_coef, x0_coef, sigma = plan[position]
+                    x0_estimate = (x - noise_coef * eps) / x0_denom
+                    direction = direction_coef * eps
+                    x = x0_coef * x0_estimate + direction
+                    if sigma > 0:
+                        x = x + sigma * noise_t[:, position]
+            else:
+                eps_coef, sqrt_alpha, sigmas = diffusion._ancestral_coefficients()
+                for position, step in enumerate(sequence):
+                    eps = predicted_noise(x, step)
+                    mean = (x - eps_coef[step] * eps) / sqrt_alpha[step]
+                    if step == 0:
+                        x = mean
+                    else:
+                        x = mean + sigmas[step] * noise_t[:, position]
+        return x
+
     def _sample_chunk(self, plans):
         """Draw one posterior sample for each ``(window, sample)`` item.
 
@@ -190,13 +286,14 @@ class InferenceEngine:
         together), so a chunk costs one network call per diffusion step
         regardless of its size.  Every plan in a chunk must have the same
         item shape; per-plan RNG streams are honoured when set (all plans of
-        a chunk must agree on whether they carry one).  Returns
+        a chunk must agree on whether they carry one).  The noise is drawn
+        first; the chunk then replays a compiled program when the model has a
+        compile cache (:func:`~repro.inference.compiled.sample_chunk_compiled`)
+        and runs :meth:`_reverse_loop` eagerly otherwise.  Returns
         ``(len(plans), node, window)``.
         """
         condition = np.concatenate([plan.condition for plan in plans], axis=0)
         conditional_mask = np.concatenate([plan.mask for plan in plans], axis=0)
-        target_mask = 1.0 - conditional_mask
-        item_shape = plans[0].item_shape                                  # (N, L)
         rngs = [plan.rng for plan in plans]
         if all(rng is None for rng in rngs):
             rngs = None                     # shared diffusion stream (segment path)
@@ -204,30 +301,11 @@ class InferenceEngine:
             raise ValueError(
                 "cannot mix plans with and without per-request RNG streams in one batch"
             )
+        start, step_noise = self._draw_noise(len(plans), plans[0].item_shape, rngs)
         if self.compiled_cache is not None:
-            compiled = sample_chunk_compiled(self, plans, condition,
-                                             conditional_mask, rngs)
-            if compiled is not None:
-                return compiled
-        # Scratch space the predictor may use to reuse step-independent work
-        # (e.g. the conditioning tensors) across the diffusion steps of this
-        # chunk; the condition and batch size are constant within a chunk.
-        cache = {}
-
-        def noise_fn(x_t, step):
-            steps = np.full(len(plans), step, dtype=int)
-            prediction = self.predict(x_t * target_mask, condition, steps,
-                                      conditional_mask, cache=cache)
-            return self._noise_from_prediction(x_t, prediction, condition, step)
-
-        if self.ddim_steps:
-            return self.diffusion.sample_ddim(
-                item_shape, noise_fn, num_samples=len(plans),
-                num_inference_steps=self.ddim_steps, eta=self.ddim_eta,
-                batched=True, rngs=rngs,
-            )
-        return self.diffusion.sample(item_shape, noise_fn, num_samples=len(plans),
-                                     batched=True, rngs=rngs)
+            return sample_chunk_compiled(self, start, step_noise, condition,
+                                         conditional_mask)
+        return self._reverse_loop(start, step_noise, condition, conditional_mask).data
 
     def sample_plans(self, plans, chunk_size=None):
         """Draw one posterior sample per plan; heterogeneous plans allowed.
@@ -256,34 +334,11 @@ class InferenceEngine:
                     samples[index] = chunk_samples[item]
         return samples
 
-    def _sample_window_serial(self, plan, num_samples):
-        """Pre-engine reference path: batch-1 network calls, serial samplers."""
-        condition, conditional_mask = plan.condition, plan.mask
-        target_mask = 1.0 - conditional_mask
-
-        def noise_fn(x_t, step):
-            prediction = self.predict(
-                x_t * target_mask, condition, np.array([step]), conditional_mask
-            )
-            return self._noise_from_prediction(x_t, prediction, condition, step)
-
-        if self.ddim_steps:
-            samples = self.diffusion.sample_ddim(
-                plan.values.shape, noise_fn, num_samples=num_samples,
-                num_inference_steps=self.ddim_steps, eta=self.ddim_eta,
-                batched=False,
-            )
-        else:
-            samples = self.diffusion.sample(
-                plan.values.shape, noise_fn, num_samples=num_samples, batched=False
-            )
-        return samples[:, 0]
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def impute_segment(self, values, input_mask, *, window_length, stride=None,
-                       num_samples=1, build_condition, batched=True):
+                       num_samples=1, build_condition):
         """Sample imputations for a whole (already scaled) segment.
 
         Parameters
@@ -301,8 +356,6 @@ class InferenceEngine:
         build_condition:
             Callable ``(values, mask) -> condition`` over ``(1, node, window)``
             arrays; invoked exactly once per window.
-        batched:
-            ``False`` selects the serial reference path (see module docstring).
 
         Returns
         -------
@@ -314,30 +367,21 @@ class InferenceEngine:
         stride = stride or window_length
         windows = self._plan_windows(values, input_mask, window_length, stride, build_condition)
 
-        per_window = [
-            np.empty((num_samples, num_nodes, window_length)) for _ in windows
-        ]
-        if batched:
-            # Flat (window, sample) product in window-major order — the same
-            # order the serial path visits, which keeps the RNG streams equal.
-            # All plans share one window shape, so sample_plans degenerates to
-            # the uniform chunking the segment path always used.
-            tasks = [(w, s) for w in range(len(windows)) for s in range(num_samples)]
-            flat = self.sample_plans([windows[w] for w, _ in tasks],
-                                     chunk_size=self.inference_batch_size or num_samples)
-            for item, (w, s) in enumerate(tasks):
-                per_window[w][s] = flat[item]
-        else:
-            for w, plan in enumerate(windows):
-                per_window[w] = self._sample_window_serial(plan, num_samples)
+        # Flat (window, sample) product in window-major order — the order a
+        # per-window, per-sample loop visits, which fixes the RNG stream.  All
+        # plans share one window shape, so sample_plans degenerates to the
+        # uniform chunking the segment path always used.
+        flat = self.sample_plans([plan for plan in windows for _ in range(num_samples)],
+                                 chunk_size=self.inference_batch_size or num_samples)
 
-        # Overlap averaging: accumulate in window order (matching the serial
-        # path's summation order bit-for-bit), then divide by the coverage.
+        # Overlap averaging: accumulate in window order, then divide by the
+        # coverage.
         sums = np.zeros((num_samples, length, num_nodes))
         counts = np.zeros((length, num_nodes))
         for w, plan in enumerate(windows):
             stop = plan.start + window_length
-            sums[:, plan.start:stop, :] += per_window[w].transpose(0, 2, 1)
+            window_block = np.stack(flat[w * num_samples:(w + 1) * num_samples])
+            sums[:, plan.start:stop, :] += window_block.transpose(0, 2, 1)
             counts[plan.start:stop, :] += 1.0
         counts = np.maximum(counts, 1.0)
         return sums / counts[None]

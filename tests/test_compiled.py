@@ -4,8 +4,8 @@ Covers the :class:`~repro.inference.CompiledStepCache` contract around the
 engine: compiled-vs-eager bit-identity (DDPM and DDIM, eta 0 and > 0),
 eviction at a configurable capacity, cross-thread replay reuse, invalidation
 when the process default dtype changes, and the fallback paths (untraced
-predictor, unsupported op, injected ``compile.trace`` fault) leaving results
-bit-identical to an uncompiled run.
+predictor, unsupported op, injected ``compile.trace`` fault, failed replay)
+leaving results bit-identical to an uncompiled run.
 """
 
 import threading
@@ -15,39 +15,28 @@ import pytest
 
 from repro import InferenceEngine
 from repro.diffusion import GaussianDiffusion, quadratic_schedule
-from repro.inference import CompiledStepCache
+from repro.inference import CompiledSampler, CompiledStepCache
 from repro.serving import faults
-from repro.tensor import Tensor, leaky_relu, set_default_dtype, tanh
+from repro.tensor import leaky_relu, set_default_dtype, tanh
 
 
-def _as_tensor(value):
-    """Both engine paths reach the predictor: the eager loop passes ndarrays,
-    the compiled mirror passes Tensors.  Pinning the dtype keeps the wrap
-    copy-free so the tracer resolves values by array identity."""
-    if isinstance(value, Tensor):
-        return value
-    array = np.asarray(value)
-    return Tensor(array, dtype=array.dtype)
+# The engine hands every predictor Tensor operands, eager and traced alike.
 
 
 def _tensor_predict(x_t, condition, steps, conditional_mask, cache=None):
-    """A deterministic Tensor-op predictor (replayable on both paths)."""
-    x, c = _as_tensor(x_t), _as_tensor(condition)
-    return (tanh(x) * 0.25 + c * 0.125).data
+    """A deterministic Tensor-op predictor (replayable)."""
+    return (tanh(x_t) * 0.25 + condition * 0.125).data
 
 
 def _numpy_predict(x_t, condition, steps, conditional_mask, cache=None):
     """Computes outside the trace: the tracer must refuse to bake this."""
-    x = x_t.data if isinstance(x_t, Tensor) else np.asarray(x_t)
-    c = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    return np.tanh(x) * 0.25 + c * 0.125
+    return np.tanh(x_t.data) * 0.25 + condition.data * 0.125
 
 
 def _barrier_predict(x_t, condition, steps, conditional_mask, cache=None):
     """Routes through ``leaky_relu``, whose data-dependent constant raises a
     trace barrier — the unsupported-op fallback path."""
-    x, c = _as_tensor(x_t), _as_tensor(condition)
-    return leaky_relu(tanh(x) * 0.25 + c * 0.125, negative_slope=1.0).data
+    return leaky_relu(tanh(x_t) * 0.25 + condition * 0.125, negative_slope=1.0).data
 
 
 def _engine(*, predict=_tensor_predict, cache=None, seed=0, num_steps=6,
@@ -162,8 +151,9 @@ def test_fallback_keeps_results_bit_identical(predict):
     assert stats["compiled_entries"] == 0
     assert stats["fallback_entries"] == 1    # negative-cached signature
     assert stats["fallbacks"] >= 1
-    # The negative cache answers before noise is drawn, so a rerun is
-    # bit-identical to a fresh eager run too.
+    # A negative-cached signature runs the eager loop on the noise the
+    # engine already drew, so a rerun is bit-identical to a fresh eager run
+    # too.
     rerun = _impute(_engine(seed=5, predict=predict, cache=cache))
     assert np.array_equal(rerun, eager, equal_nan=True)
 
@@ -183,6 +173,22 @@ def test_injected_trace_fault_serves_eagerly():
     clean = _impute(_engine(seed=21, cache=clean_cache))
     assert np.array_equal(clean, eager, equal_nan=True)
     assert clean_cache.stats()["compiled_entries"] == 1
+
+
+def test_failed_replay_serves_eagerly_on_the_same_draws(monkeypatch):
+    eager = _impute(_engine(seed=8))
+    cache = CompiledStepCache()
+    _impute(_engine(seed=99, cache=cache))          # trace + store the program
+
+    def broken_run(self, inputs):
+        raise RuntimeError("replay failed")
+
+    monkeypatch.setattr(CompiledSampler, "run", broken_run)
+    result = _impute(_engine(seed=8, cache=cache))
+    assert np.array_equal(result, eager, equal_nan=True)
+    stats = cache.stats()
+    assert stats["compiled_entries"] == 1             # the program stays cached
+    assert stats["fallbacks"] >= 1
 
 
 def test_compile_disabled_by_env(monkeypatch):

@@ -53,6 +53,12 @@ class TestConfig:
             PriSTIConfig(layers=0)
         with pytest.raises(ValueError):
             PriSTIConfig(parameterization="something")
+        # ddim_steps=0 used to run full DDPM silently and -2 failed only
+        # inside numpy at the first impute().
+        for ddim_steps in (0, -2, 2.5, True):
+            with pytest.raises(ValueError, match="ddim_steps"):
+                PriSTIConfig(ddim_steps=ddim_steps)
+        assert PriSTIConfig(ddim_steps=4).ddim_steps == 4
 
     def test_variant_overrides(self):
         config = PriSTIConfig.fast()

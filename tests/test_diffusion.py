@@ -1,4 +1,9 @@
-"""Tests for noise schedules and the DDPM forward/reverse machinery."""
+"""Tests for noise schedules, the DDPM forward process and the reverse loop.
+
+The reverse-process tests drive :meth:`InferenceEngine.sample_plans` with an
+oracle predictor and compare it against the plain-numpy serial reference in
+``tests/serial_reference.py``.
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from repro.diffusion import (
     make_schedule,
     quadratic_schedule,
 )
+from repro.inference import InferenceEngine, RequestPlan
+from serial_reference import sample_serial
 
 
 class TestSchedules:
@@ -89,42 +96,81 @@ class TestForwardProcess:
         assert np.allclose(recovered, x0[0], atol=1e-10)
 
 
-class TestReverseProcess:
-    def _oracle(self, diffusion, x0):
-        def noise_fn(x_t, step):
-            alpha_bar = diffusion.schedule.alpha_bars[step]
-            return (x_t - np.sqrt(alpha_bar) * x0) / np.sqrt(1 - alpha_bar)
-        return noise_fn
+def _oracle_predict(diffusion, x0):
+    """Engine predictor returning the exact noise that maps ``x_t`` to ``x0``."""
+    def predict(x_t, condition, steps, conditional_mask, cache=None):
+        alpha_bar = diffusion.schedule.alpha_bars[steps[0]]
+        return (x_t.data - np.sqrt(alpha_bar) * x0) / np.sqrt(1 - alpha_bar)
+    return predict
 
+
+def _zero_predict(x_t, condition, steps, conditional_mask, cache=None):
+    return np.zeros_like(x_t.data)
+
+
+def _oracle_noise_fn(diffusion, x0):
+    """The same oracle for the serial reference's ``noise_fn(x_t, step)``."""
+    def noise_fn(x_t, step):
+        alpha_bar = diffusion.schedule.alpha_bars[step]
+        return (x_t - np.sqrt(alpha_bar) * x0) / np.sqrt(1 - alpha_bar)
+    return noise_fn
+
+
+def _sample(diffusion, predict, item_shape, num_samples, rngs=None, **engine_kwargs):
+    """Draw ``num_samples`` items of ``item_shape`` through the engine.
+
+    The conditional mask is all zeros, so the predictor sees ``x_t``
+    unmasked; ``rngs`` optionally pins each item to its own generator.
+    """
+    engine = InferenceEngine(diffusion, predict, **engine_kwargs)
+    zeros = np.zeros((1,) + tuple(item_shape))
+    plans = [RequestPlan(0, zeros, zeros, zeros,
+                         rng=None if rngs is None else rngs[index])
+             for index in range(num_samples)]
+    return np.stack(engine.sample_plans(plans))
+
+
+class _SharedStart:
+    """Generator stand-in whose first draw is a fixed start; every later draw
+    comes from its own seeded stream.  Giving one to each item makes every
+    trajectory start from the same noise while the step noise stays
+    per-item."""
+
+    def __init__(self, start, seed):
+        self._start = start
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, shape):
+        if self._start is not None:
+            start, self._start = self._start, None
+            assert start.shape == tuple(shape)
+            return start.copy()
+        return self._rng.standard_normal(shape)
+
+
+def _shared_start_rngs(start, num_samples):
+    return [_SharedStart(start, seed) for seed in range(num_samples)]
+
+
+class TestReverseProcess:
     def test_ancestral_sampling_recovers_oracle_target(self, rng):
         diffusion = GaussianDiffusion(quadratic_schedule(25), rng=rng)
-        x0 = rng.standard_normal((1, 3, 8))
-        samples = diffusion.sample(x0.shape, self._oracle(diffusion, x0), num_samples=2)
+        x0 = rng.standard_normal((3, 8))
+        samples = _sample(diffusion, _oracle_predict(diffusion, x0), x0.shape, 2)
         assert samples.shape == (2,) + x0.shape
         assert np.abs(samples - x0).mean() < 1e-8
 
     def test_ddim_sampling_recovers_oracle_target(self, rng):
         diffusion = GaussianDiffusion(quadratic_schedule(25), rng=rng)
-        x0 = rng.standard_normal((1, 3, 8))
-        samples = diffusion.sample_ddim(x0.shape, self._oracle(diffusion, x0),
-                                        num_samples=2, num_inference_steps=10)
+        x0 = rng.standard_normal((3, 8))
+        samples = _sample(diffusion, _oracle_predict(diffusion, x0), x0.shape, 2,
+                          ddim_steps=10)
         assert np.abs(samples - x0).mean() < 0.05
 
     def test_sampling_with_constant_zero_predictor_is_finite(self, rng):
         diffusion = GaussianDiffusion(quadratic_schedule(10), rng=rng)
-        samples = diffusion.sample((1, 2, 4), lambda x_t, step: np.zeros_like(x_t), num_samples=1)
+        samples = _sample(diffusion, _zero_predict, (2, 4), 1)
         assert np.all(np.isfinite(samples))
-
-    def test_initial_noise_is_respected(self, rng):
-        diffusion = GaussianDiffusion(quadratic_schedule(10), rng=np.random.default_rng(0))
-        x0 = np.zeros((1, 2, 3))
-        fixed = np.zeros((1, 1, 2, 3))
-        first = diffusion.sample(x0.shape, self._oracle(diffusion, x0), num_samples=1,
-                                 initial_noise=fixed)
-        diffusion2 = GaussianDiffusion(quadratic_schedule(10), rng=np.random.default_rng(1))
-        second = diffusion2.sample(x0.shape, self._oracle(diffusion2, x0), num_samples=1,
-                                   initial_noise=fixed)
-        assert np.allclose(first, second, atol=1e-6)
 
     def test_invalid_schedule_type_rejected(self):
         with pytest.raises(TypeError):
@@ -132,13 +178,8 @@ class TestReverseProcess:
 
 
 class TestBatchedSamplers:
-    """The vectorised sample axis must reproduce the serial loops exactly."""
-
-    def _oracle(self, diffusion, x0):
-        def noise_fn(x_t, step):
-            alpha_bar = diffusion.schedule.alpha_bars[step]
-            return (x_t - np.sqrt(alpha_bar) * x0) / np.sqrt(1 - alpha_bar)
-        return noise_fn
+    """The engine's chunked loop must reproduce the serial reference
+    (``tests/serial_reference.py``) under a shared seed."""
 
     def _pair(self, num_steps=12, seed=42):
         return (GaussianDiffusion(quadratic_schedule(num_steps), rng=np.random.default_rng(seed)),
@@ -146,52 +187,47 @@ class TestBatchedSamplers:
 
     def test_sample_batched_matches_serial_with_shared_initial_noise(self, rng):
         serial_diff, batched_diff = self._pair()
-        x0 = rng.standard_normal((1, 3, 5))
-        initial = rng.standard_normal((4,) + x0.shape)
-        serial = serial_diff.sample(x0.shape, self._oracle(serial_diff, x0),
-                                    num_samples=4, initial_noise=initial, batched=False)
-        batched = batched_diff.sample(x0.shape, self._oracle(batched_diff, x0),
-                                      num_samples=4, initial_noise=initial, batched=True)
-        assert serial.shape == batched.shape == (4, 1, 3, 5)
+        x0 = rng.standard_normal((3, 5))
+        start = rng.standard_normal(x0.shape)
+        serial = sample_serial(serial_diff, x0.shape, _oracle_noise_fn(serial_diff, x0), 4,
+                               rngs=_shared_start_rngs(start, 4))
+        batched = _sample(batched_diff, _oracle_predict(batched_diff, x0), x0.shape, 4,
+                          rngs=_shared_start_rngs(start, 4))
+        assert serial.shape == batched.shape == (4, 3, 5)
         np.testing.assert_allclose(batched, serial, atol=1e-10, rtol=0)
 
     def test_sample_batched_matches_serial_seeded(self, rng):
-        """Without fixed initial noise both paths must consume the RNG alike."""
+        """Without per-item streams both paths must consume the RNG alike."""
         serial_diff, batched_diff = self._pair(seed=7)
         x0 = rng.standard_normal((2, 4))
-        serial = serial_diff.sample(x0.shape, self._oracle(serial_diff, x0),
-                                    num_samples=3, batched=False)
-        batched = batched_diff.sample(x0.shape, self._oracle(batched_diff, x0),
-                                      num_samples=3, batched=True)
+        serial = sample_serial(serial_diff, x0.shape, _oracle_noise_fn(serial_diff, x0), 3)
+        batched = _sample(batched_diff, _oracle_predict(batched_diff, x0), x0.shape, 3)
         np.testing.assert_allclose(batched, serial, atol=1e-10, rtol=0)
 
     @pytest.mark.parametrize("eta", [0.0, 0.7])
     def test_ddim_batched_matches_serial(self, rng, eta):
         serial_diff, batched_diff = self._pair(num_steps=20, seed=11)
-        x0 = rng.standard_normal((1, 3, 6))
-        initial = rng.standard_normal((3,) + x0.shape)
-        serial = serial_diff.sample_ddim(x0.shape, self._oracle(serial_diff, x0),
-                                         num_samples=3, num_inference_steps=8,
-                                         eta=eta, initial_noise=initial, batched=False)
-        batched = batched_diff.sample_ddim(x0.shape, self._oracle(batched_diff, x0),
-                                           num_samples=3, num_inference_steps=8,
-                                           eta=eta, initial_noise=initial, batched=True)
+        x0 = rng.standard_normal((3, 6))
+        start = rng.standard_normal(x0.shape)
+        serial = sample_serial(serial_diff, x0.shape, _oracle_noise_fn(serial_diff, x0), 3,
+                               ddim_steps=8, eta=eta, rngs=_shared_start_rngs(start, 3))
+        batched = _sample(batched_diff, _oracle_predict(batched_diff, x0), x0.shape, 3,
+                          rngs=_shared_start_rngs(start, 3), ddim_steps=8, ddim_eta=eta)
         np.testing.assert_allclose(batched, serial, atol=1e-10, rtol=0)
 
     def test_ddim_eta_noise_is_per_sample(self, rng):
-        """Stochastic DDIM noise must differ across the batched sample axis.
+        """Stochastic DDIM noise must differ across the item axis.
 
         With identical starting noise and a deterministic predictor whose
         output depends on ``x_t`` (zero-noise prediction: the x0 estimate is
         ``x_t / sqrt(alpha_bar)``), all trajectories coincide unless each
-        sample draws its own step noise — a shared ``shape``-sized draw would
+        item draws its own step noise — a shared ``shape``-sized draw would
         keep them identical.
         """
         diffusion = GaussianDiffusion(quadratic_schedule(15), rng=np.random.default_rng(3))
-        shared_start = np.broadcast_to(rng.standard_normal((1, 2, 4)), (5, 2, 4))
-        samples = diffusion.sample_ddim((2, 4), lambda x_t, step: np.zeros_like(x_t),
-                                        num_samples=5, num_inference_steps=6,
-                                        eta=0.9, initial_noise=shared_start, batched=True)
+        start = rng.standard_normal((2, 4))
+        samples = _sample(diffusion, _zero_predict, (2, 4), 5,
+                          rngs=_shared_start_rngs(start, 5), ddim_steps=6, ddim_eta=0.9)
         pairwise_gap = np.abs(samples[None] - samples[:, None]).max(axis=(-1, -2))
         assert pairwise_gap[np.triu_indices(5, k=1)].min() > 0
 
@@ -201,44 +237,45 @@ class TestBatchedSamplers:
         # guarded sigma/x0 divisions must stay finite for stochastic DDIM.
         schedule = quadratic_schedule(10, beta_min=1e-10, beta_max=0.05)
         x0 = rng.standard_normal((2, 3))
-        for num_inference_steps, eta in ((1, 0.0), (1, 0.9), (2, 0.9), (None, 0.9)):
-            for batched in (True, False):
-                diffusion = GaussianDiffusion(schedule, rng=np.random.default_rng(0))
-                samples = diffusion.sample_ddim(
-                    x0.shape, self._oracle(diffusion, x0), num_samples=2,
-                    num_inference_steps=num_inference_steps, eta=eta, batched=batched,
-                )
-                assert samples.shape == (2, 2, 3)
-                assert np.all(np.isfinite(samples))
+        for ddim_steps, eta in ((1, 0.0), (1, 0.9), (2, 0.9), (10, 0.9)):
+            diffusion = GaussianDiffusion(schedule, rng=np.random.default_rng(0))
+            samples = _sample(diffusion, _oracle_predict(diffusion, x0), x0.shape, 2,
+                              ddim_steps=ddim_steps, ddim_eta=eta)
+            assert samples.shape == (2, 2, 3)
+            assert np.all(np.isfinite(samples))
+            serial_diff = GaussianDiffusion(schedule, rng=np.random.default_rng(0))
+            serial = sample_serial(serial_diff, x0.shape, _oracle_noise_fn(serial_diff, x0),
+                                   2, ddim_steps=ddim_steps, eta=eta)
+            np.testing.assert_allclose(samples, serial, atol=1e-10, rtol=0)
 
     def test_ddim_single_training_step_schedule(self, rng):
         """num_steps=1: the only step is 0 and must be deterministic."""
         diffusion = GaussianDiffusion(quadratic_schedule(1), rng=np.random.default_rng(0))
-        initial = rng.standard_normal((2, 1, 4))
-        samples = diffusion.sample_ddim((1, 4), lambda x_t, step: np.zeros_like(x_t),
-                                        num_samples=2, eta=0.9, initial_noise=initial)
+        samples = _sample(diffusion, _zero_predict, (1, 4), 2, ddim_steps=1, ddim_eta=0.9)
         assert np.all(np.isfinite(samples))
-        # eta > 0 draws nothing when there is no predecessor step.
-        repeat = GaussianDiffusion(quadratic_schedule(1), rng=np.random.default_rng(0))
-        again = repeat.sample_ddim((1, 4), lambda x_t, step: np.zeros_like(x_t),
-                                   num_samples=2, eta=0.9, initial_noise=initial)
-        np.testing.assert_array_equal(samples, again)
+        # eta > 0 draws nothing when there is no predecessor step: the
+        # generator consumed exactly the two start draws.
+        reference = np.random.default_rng(0)
+        for _ in range(2):
+            reference.standard_normal((1, 4))
+        np.testing.assert_array_equal(diffusion.rng.standard_normal(3),
+                                      reference.standard_normal(3))
 
     def test_ancestral_single_step_schedule(self):
         diffusion = GaussianDiffusion(quadratic_schedule(1), rng=np.random.default_rng(0))
-        samples = diffusion.sample((2, 2), lambda x_t, step: np.zeros_like(x_t),
-                                   num_samples=3, batched=True)
+        samples = _sample(diffusion, _zero_predict, (2, 2), 3)
         assert samples.shape == (3, 2, 2)
         assert np.all(np.isfinite(samples))
 
     def test_batched_noise_fn_sees_sample_axis(self):
-        """The batched samplers must call noise_fn once per step for all samples."""
+        """The engine must call the predictor once per step for all items."""
         diffusion = GaussianDiffusion(quadratic_schedule(9), rng=np.random.default_rng(0))
         seen_shapes = []
 
-        def noise_fn(x_t, step):
+        def predict(x_t, condition, steps, conditional_mask, cache=None):
             seen_shapes.append(x_t.shape)
-            return np.zeros_like(x_t)
+            assert len(steps) == x_t.shape[0]
+            return np.zeros_like(x_t.data)
 
-        diffusion.sample((3, 5), noise_fn, num_samples=4, batched=True)
+        _sample(diffusion, predict, (3, 5), 4)
         assert seen_shapes == [(4, 3, 5)] * 9

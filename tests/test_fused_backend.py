@@ -30,6 +30,7 @@ from repro.tensor import (
     set_default_dtype,
     softmax,
 )
+from serial_reference import impute_serial
 
 
 def _t(rng, *shape):
@@ -389,7 +390,7 @@ class TestInferenceEquivalenceBothDtypes:
         model.fit(tiny_traffic_dataset)
 
         model.diffusion.rng = np.random.default_rng(5)
-        batched = model.impute(tiny_traffic_dataset, segment="test", batched=True)
+        batched = model.impute(tiny_traffic_dataset, segment="test")
         model.diffusion.rng = np.random.default_rng(5)
-        serial = model.impute(tiny_traffic_dataset, segment="test", batched=False)
+        serial = impute_serial(model, tiny_traffic_dataset, num_samples=config.num_samples)
         assert np.max(np.abs(batched.samples - serial.samples)) <= tolerance

@@ -2,8 +2,9 @@
 
 Covers the engine's three responsibilities — ``(window, sample)`` chunking,
 per-window condition caching, and strided-window overlap averaging — plus the
-bit-compatibility contract between the batched path and the pre-engine serial
-reference (``impute(..., batched=False)``).
+equivalence contract between the engine and the plain-numpy serial reference
+in ``tests/serial_reference.py`` (per window, per sample, batch-1 network
+calls).
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from repro import InferenceEngine, PriSTI, PriSTIConfig
 from repro.baselines import CSDIImputer
 from repro.diffusion import GaussianDiffusion, quadratic_schedule
+from serial_reference import impute_segment_serial, impute_serial
 
 
 def _fast_config(**overrides):
@@ -27,6 +29,12 @@ def _reseeded_impute(model, dataset, seed=99, **kwargs):
     return model.impute(dataset, segment="test", **kwargs)
 
 
+def _reseeded_serial(model, dataset, seed=99, **kwargs):
+    """The serial reference under the same seed as :func:`_reseeded_impute`."""
+    model.diffusion.rng = np.random.default_rng(seed)
+    return impute_serial(model, dataset, segment="test", **kwargs)
+
+
 # ----------------------------------------------------------------------
 # Engine-level tests (fake predictor; no training involved)
 # ----------------------------------------------------------------------
@@ -38,7 +46,7 @@ class TestEngineMechanics:
         def predict(x_t, condition, steps, conditional_mask, cache=None):
             assert x_t.shape == condition.shape == conditional_mask.shape
             assert len(steps) == x_t.shape[0]
-            return np.zeros_like(x_t)
+            return np.zeros_like(x_t.data)
 
         return InferenceEngine(diffusion, predict, **kwargs)
 
@@ -80,7 +88,7 @@ class TestEngineMechanics:
         diffusion = GaussianDiffusion(quadratic_schedule(4), rng=np.random.default_rng(0))
 
         def predict(x_t, condition, steps, conditional_mask, cache=None):
-            return np.zeros_like(x_t)
+            return np.zeros_like(x_t.data)
 
         engine = InferenceEngine(diffusion, predict)
         values = np.zeros((10, 1))
@@ -105,20 +113,28 @@ class TestEngineMechanics:
 
         def predict(x_t, condition, steps, conditional_mask, cache=None):
             seen.append(cache)
-            return np.zeros_like(x_t)
+            return np.zeros(x_t.shape)
 
         engine = InferenceEngine(diffusion, predict)
         values, mask = np.zeros((8, 2)), np.ones((8, 2), dtype=bool)
         engine.impute_segment(values, mask, window_length=8, num_samples=2,
-                              build_condition=lambda v, m: v, batched=True)
+                              build_condition=lambda v, m: v)
         assert all(isinstance(cache, dict) for cache in seen)
         # One chunk: the same scratch dict is reused across its steps.
         assert len({id(cache) for cache in seen}) == 1
 
+        # Batch-1 chunks still get one scratch dict per chunk.
         seen.clear()
-        engine.impute_segment(values, mask, window_length=8, num_samples=2,
-                              build_condition=lambda v, m: v, batched=False)
-        assert all(cache is None for cache in seen)
+        InferenceEngine(diffusion, predict, inference_batch_size=1).impute_segment(
+            values, mask, window_length=8, num_samples=2, build_condition=lambda v, m: v)
+        assert all(isinstance(cache, dict) for cache in seen)
+        assert len({id(cache) for cache in seen}) == 2
+
+        # The serial reference recomputes everything per call.
+        seen.clear()
+        impute_segment_serial(engine, values, mask, window_length=8, num_samples=2,
+                              build_condition=lambda v, m: v)
+        assert seen and all(cache is None for cache in seen)
 
     def test_invalid_arguments_rejected(self):
         diffusion = GaussianDiffusion(quadratic_schedule(4), rng=np.random.default_rng(0))
@@ -128,6 +144,10 @@ class TestEngineMechanics:
             InferenceEngine(diffusion, predict, parameterization="bogus")
         with pytest.raises(ValueError):
             InferenceEngine(diffusion, predict, inference_batch_size=0)
+        for ddim_steps in (0, -2, 2.5, True):
+            with pytest.raises(ValueError, match="ddim_steps"):
+                InferenceEngine(diffusion, predict, ddim_steps=ddim_steps)
+        assert InferenceEngine(diffusion, predict, ddim_steps=np.int64(3)).ddim_steps == 3
 
 
 # ----------------------------------------------------------------------
@@ -148,22 +168,18 @@ class TestBatchedImputeEquivalence:
     @pytest.mark.parametrize("parameterization", ["epsilon", "x0_residual"])
     def test_strided_batched_matches_serial(self, trained_models, tiny_traffic_dataset,
                                             parameterization):
-        """stride < window: batched engine == pre-change serial loop (≤1e-10)."""
+        """stride < window: batched engine == serial reference (≤1e-10)."""
         model = trained_models[parameterization]
-        batched = _reseeded_impute(model, tiny_traffic_dataset, num_samples=3,
-                                   stride=5, batched=True)
-        serial = _reseeded_impute(model, tiny_traffic_dataset, num_samples=3,
-                                  stride=5, batched=False)
+        batched = _reseeded_impute(model, tiny_traffic_dataset, num_samples=3, stride=5)
+        serial = _reseeded_serial(model, tiny_traffic_dataset, num_samples=3, stride=5)
         np.testing.assert_allclose(batched.samples, serial.samples, atol=1e-10, rtol=0)
         np.testing.assert_allclose(batched.median, serial.median, atol=1e-10, rtol=0)
 
     def test_ddim_batched_matches_serial(self, tiny_traffic_dataset):
         model = PriSTI(_fast_config(ddim_steps=4))
         model.fit(tiny_traffic_dataset)
-        batched = _reseeded_impute(model, tiny_traffic_dataset, num_samples=2,
-                                   stride=7, batched=True)
-        serial = _reseeded_impute(model, tiny_traffic_dataset, num_samples=2,
-                                  stride=7, batched=False)
+        batched = _reseeded_impute(model, tiny_traffic_dataset, num_samples=2, stride=7)
+        serial = _reseeded_serial(model, tiny_traffic_dataset, num_samples=2, stride=7)
         np.testing.assert_allclose(batched.samples, serial.samples, atol=1e-10, rtol=0)
 
     def test_cross_window_chunks_match_default(self, trained_models, tiny_traffic_dataset):
@@ -191,10 +207,8 @@ class TestBatchedImputeEquivalence:
     def test_csdi_shares_engine(self, tiny_traffic_dataset):
         model = CSDIImputer(_fast_config())
         model.fit(tiny_traffic_dataset)
-        batched = _reseeded_impute(model, tiny_traffic_dataset, num_samples=2,
-                                   stride=5, batched=True)
-        serial = _reseeded_impute(model, tiny_traffic_dataset, num_samples=2,
-                                  stride=5, batched=False)
+        batched = _reseeded_impute(model, tiny_traffic_dataset, num_samples=2, stride=5)
+        serial = _reseeded_serial(model, tiny_traffic_dataset, num_samples=2, stride=5)
         np.testing.assert_allclose(batched.samples, serial.samples, atol=1e-10, rtol=0)
 
     def test_engine_requires_fit(self, tiny_traffic_dataset):
@@ -208,7 +222,7 @@ class TestBatchedImputeEquivalence:
 
     @pytest.mark.slow
     def test_equivalence_sweep(self, tiny_traffic_dataset):
-        """Exhaustive batched-vs-serial sweep; run with --run-slow."""
+        """Exhaustive engine-vs-serial-reference sweep; run with --run-slow."""
         for parameterization in ("epsilon", "x0_residual"):
             for ddim_steps in (None, 4):
                 for stride in (3, 6, 12):
@@ -216,8 +230,8 @@ class TestBatchedImputeEquivalence:
                                                 ddim_steps=ddim_steps))
                     model.fit(tiny_traffic_dataset)
                     batched = _reseeded_impute(model, tiny_traffic_dataset,
-                                               num_samples=3, stride=stride, batched=True)
-                    serial = _reseeded_impute(model, tiny_traffic_dataset,
-                                              num_samples=3, stride=stride, batched=False)
+                                               num_samples=3, stride=stride)
+                    serial = _reseeded_serial(model, tiny_traffic_dataset,
+                                              num_samples=3, stride=stride)
                     np.testing.assert_allclose(batched.samples, serial.samples,
                                                atol=1e-10, rtol=0)

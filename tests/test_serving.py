@@ -37,6 +37,7 @@ from repro.baselines import BRITSImputer
 from repro.data import SlidingWindowBuffer
 from repro.serving import PoolStopped, RegistryError
 from repro.serving.gateway import Gateway, InProcessClient, decode_array_payload
+from serial_reference import impute_serial
 
 
 def _fast_config(**overrides):
@@ -69,8 +70,7 @@ def _test_arrays(dataset, start=0, length=12):
 # ----------------------------------------------------------------------
 # Wrapper equivalence: impute(dataset, segment) == pre-refactor path
 # ----------------------------------------------------------------------
-def _legacy_impute(model, dataset, segment="test", num_samples=3, stride=None,
-                   batched=True):
+def _legacy_impute(model, dataset, segment="test", num_samples=3, stride=None):
     """The pre-backend ``ConditionalDiffusionImputer.impute`` body, inlined
     verbatim: any numeric drift in the refactored wrapper shows up as a
     bitwise mismatch against this reference."""
@@ -84,7 +84,7 @@ def _legacy_impute(model, dataset, segment="test", num_samples=3, stride=None,
     samples_scaled = engine.impute_segment(
         model.scaler.transform(values), input_mask,
         window_length=window, stride=stride, num_samples=num_samples,
-        build_condition=model.build_condition, batched=batched,
+        build_condition=model.build_condition,
     )
     samples = model.scaler.inverse_transform(samples_scaled)
     samples = np.where(input_mask[None], values[None], samples)
@@ -114,15 +114,19 @@ class TestWrapperEquivalence:
 
     def test_serial_fallback_also_bit_identical(self, trained_pristi,
                                                 tiny_traffic_dataset):
+        """The unbatched run (batch-1 chunks) through the wrapper matches the
+        plain-numpy serial reference bit for bit."""
         model = trained_pristi
         model.diffusion.rng = np.random.default_rng(7)
-        reference_median, reference_samples = _legacy_impute(
-            model, tiny_traffic_dataset, num_samples=2, batched=False)
-        model.diffusion.rng = np.random.default_rng(7)
-        result = model.impute(tiny_traffic_dataset, segment="test",
-                              num_samples=2, batched=False)
-        assert np.array_equal(result.samples, reference_samples)
-        assert np.array_equal(result.median, reference_median)
+        reference = impute_serial(model, tiny_traffic_dataset, num_samples=2)
+        model.config.inference_batch_size = 1
+        try:
+            model.diffusion.rng = np.random.default_rng(7)
+            result = model.impute(tiny_traffic_dataset, segment="test", num_samples=2)
+        finally:
+            model.config.inference_batch_size = None
+        assert np.array_equal(result.samples, reference.samples)
+        assert np.array_equal(result.median, reference.median)
 
 
 # ----------------------------------------------------------------------

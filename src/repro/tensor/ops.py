@@ -283,7 +283,10 @@ def gelu(x):
         return _gelu_reference(x)
     data = x.data
     c = data.dtype.type(np.sqrt(2.0 / np.pi))
-    inner = np.tanh(c * (data + _GELU_COEFF * data ** 3))
+    # Cube by multiplication: ``data ** 3`` goes through libm ``pow``, which
+    # is far slower and rounds differently from ``_gelu_reference``.  The
+    # replay kernel (``trace._k_gelu``) runs this exact ufunc sequence.
+    inner = np.tanh(c * (data + _GELU_COEFF * (data * data * data)))
     out_data = 0.5 * data * (1.0 + inner)
 
     def backward(grad):

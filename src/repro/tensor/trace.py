@@ -12,17 +12,23 @@ input buffers change — so this module records it once and replays it flat:
   symbolic; every other leaf (network weights, scalar diffusion
   coefficients, step-embedding rows) is captured **by reference** as a
   constant — that is the constant folding: per-step coefficients computed
-  while tracing become a baked constant table.
+  while tracing become a baked constant table.  A ``reshape`` whose eager
+  result did not alias its input (merging heads after ``swapaxes``) records
+  as ``reshape_copy``, a copy into an arena slot rather than a view.
 * :func:`compile_graph` plans the replay: dead code is dropped, a liveness
   pass assigns every intermediate a slot in a single pre-allocated buffer
   arena (slots are reused the moment their last consumer has run), and
   adjacent single-consumer elementwise ops are fused into one kernel
   closure.  The fused single-node ops from ``repro.tensor.ops`` (softmax,
   silu, gelu, layer_norm, attention_core, add_n) record as single nodes, so
-  the planner reuses those kernels directly.
+  the planner reuses those kernels directly; gelu and layer_norm borrow
+  their temporaries from the arena for the duration of the node.
 * :class:`CompiledProgram.run` rebinds the inputs and executes the schedule
   — zero graph construction, zero Tensor wrappers, intermediates written
-  in place via ``out=``.
+  in place via ``out=``.  What still allocates per replay: the output
+  copies, the temporaries of the other fused kernels (softmax, silu,
+  attention), the kernels that skip the arena (pow, where, stack, astype)
+  and fancy ``getitem``, which copies while planned as a view.
 
 Bit-identity is the contract: every kernel replicates the *exact* numpy
 expression of the eager op (same ufuncs, same operand order, same scalar
@@ -40,6 +46,7 @@ replays of one program across threads.
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 import numpy as np
@@ -107,13 +114,19 @@ def trace_runtime_guard(array):
 
 
 class _Kernel:
-    __slots__ = ("fn", "elementwise", "view", "uses_out")
+    __slots__ = ("fn", "elementwise", "view", "uses_out", "scratch")
 
-    def __init__(self, fn, elementwise=False, view=False, uses_out=False):
+    def __init__(self, fn, elementwise=False, view=False, uses_out=False,
+                 scratch=None):
         self.fn = fn
         self.elementwise = elementwise
         self.view = view
         self.uses_out = uses_out
+        # ``scratch(input_values, out_value)`` lists the ``(shape, dtype)``
+        # temporaries the kernel's ``out`` form needs, or returns ``None``
+        # when it cannot run in place; the planner lends them from the
+        # arena and passes them as ``scratch=``.
+        self.scratch = scratch
 
 
 def _k_add(out, p, a, b):
@@ -209,6 +222,15 @@ def _k_reshape(out, p, a):
     return a.reshape(p["shape"])
 
 
+def _k_reshape_copy(out, p, a):
+    # A reshape numpy cannot express as a view of its input (merging heads
+    # after ``swapaxes``): copy in C order into the arena slot.
+    if out is None:
+        return a.reshape(p["shape"])
+    np.copyto(out.reshape(a.shape), a)
+    return out
+
+
 def _k_transpose(out, p, a):
     return a.transpose(p["axes"])
 
@@ -272,25 +294,66 @@ def _k_silu(out, p, a):
     return a * sig if out is None else np.multiply(a, sig, out=out)
 
 
-def _k_gelu(out, p, a):
+def _k_gelu(out, p, a, scratch=None):
     c = a.dtype.type(np.sqrt(2.0 / np.pi))
-    inner = np.tanh(c * (a + p["coeff"] * a ** 3))
     if out is None:
+        inner = np.tanh(c * (a + p["coeff"] * (a * a * a)))
         return 0.5 * a * (1.0 + inner)
-    np.multiply(0.5 * a, 1.0 + inner, out=out)
+    # The eager expression, one ufunc at a time: ``inner`` in the scratch
+    # buffer, ``0.5 * a`` in the output slot.
+    (inner,) = scratch
+    np.multiply(a, a, out=inner)
+    np.multiply(inner, a, out=inner)
+    np.multiply(p["coeff"], inner, out=inner)
+    np.add(a, inner, out=inner)
+    np.multiply(c, inner, out=inner)
+    np.tanh(inner, out=inner)
+    np.add(1.0, inner, out=inner)
+    np.multiply(0.5, a, out=out)
+    np.multiply(out, inner, out=out)
     return out
 
 
-def _k_layer_norm(out, p, a, gamma, beta):
-    mean = a.mean(axis=-1, keepdims=True)
-    centered = a - mean
-    variance = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(variance + p["eps"])
-    x_hat = centered * inv_std
-    if out is None:
-        return x_hat * gamma + beta
-    np.add(x_hat * gamma, beta, out=out)
+def _gelu_scratch(ins, out):
+    return [(out.shape, out.dtype)]
+
+
+def _k_layer_norm(out, p, a, gamma, beta, scratch=None):
+    # The in-place form keeps eager's reduction order only when ``a - mean``
+    # is laid out like ``a``: a C-ordered ``a`` (the scratch is C-ordered).
+    if out is None or scratch is None or not a.flags.c_contiguous:
+        mean = a.mean(axis=-1, keepdims=True)
+        centered = a - mean
+        variance = np.mean(centered * centered, axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(variance + p["eps"])
+        x_hat = centered * inv_std
+        if out is None:
+            return x_hat * gamma + beta
+        np.add(x_hat * gamma, beta, out=out)
+        return out
+    # The same ufuncs in the same operand order: ``centered``/``x_hat`` in
+    # one scratch buffer, the mean/variance/inv_std column in the other and
+    # ``centered * centered`` in the output slot.
+    centered, column = scratch
+    np.mean(a, axis=-1, keepdims=True, out=column)
+    np.subtract(a, column, out=centered)
+    np.multiply(centered, centered, out=out)
+    np.mean(out, axis=-1, keepdims=True, out=column)
+    np.add(column, p["eps"], out=column)
+    np.sqrt(column, out=column)
+    np.true_divide(1.0, column, out=column)
+    np.multiply(centered, column, out=centered)
+    np.multiply(centered, gamma, out=centered)
+    np.add(centered, beta, out=out)
     return out
+
+
+def _layer_norm_scratch(ins, out):
+    a, gamma, beta = ins
+    if a.shape != out.shape or not (
+            a.dtype == gamma.dtype == beta.dtype == out.dtype):
+        return None
+    return [(a.shape, a.dtype), (a.shape[:-1] + (1,), a.dtype)]
 
 
 def _k_attention_core(out, p, q, k, v):
@@ -351,13 +414,15 @@ _KERNELS = {
     "copy": _Kernel(_k_copy, uses_out=True),
     "astype": _Kernel(_k_astype),
     "reshape": _Kernel(_k_reshape, view=True),
+    "reshape_copy": _Kernel(_k_reshape_copy, uses_out=True),
     "transpose": _Kernel(_k_transpose, view=True),
     "expand_dims": _Kernel(_k_expand_dims, view=True),
     "squeeze": _Kernel(_k_squeeze, view=True),
     "broadcast_to": _Kernel(_k_broadcast_to, view=True),
-    # Basic getitem returns a view, fancy getitem a copy; treating both as
-    # views is the conservative choice — the input's storage merely stays
-    # live a little longer than strictly needed in the fancy case.
+    # Basic getitem returns a view, fancy getitem a copy.  Both are planned
+    # as views, which is safe but not free for a fancy index: its copy is a
+    # fresh allocation outside the arena on every replay, and it keeps the
+    # input's storage live for as long as the copy is used.
     "getitem": _Kernel(_k_getitem, view=True),
     "add_n": _Kernel(_k_add_n, uses_out=True),
     "cat": _Kernel(_k_cat, uses_out=True),
@@ -366,8 +431,10 @@ _KERNELS = {
     "maximum": _Kernel(_k_maximum, elementwise=True, uses_out=True),
     "softmax": _Kernel(_k_softmax, uses_out=True),
     "silu": _Kernel(_k_silu, elementwise=True, uses_out=True),
-    "gelu": _Kernel(_k_gelu, elementwise=True, uses_out=True),
-    "layer_norm": _Kernel(_k_layer_norm, uses_out=True),
+    "gelu": _Kernel(_k_gelu, elementwise=True, uses_out=True,
+                    scratch=_gelu_scratch),
+    "layer_norm": _Kernel(_k_layer_norm, uses_out=True,
+                          scratch=_layer_norm_scratch),
     "attention_core": _Kernel(_k_attention_core, uses_out=True),
     "attention_weights": _Kernel(_k_attention_weights, uses_out=True),
     "pad_time": _Kernel(_k_pad_time, uses_out=True),
@@ -514,6 +581,9 @@ class Tracer:
         """Hook called by ``Tensor._from_op`` (and friends) after each op."""
         if self.graph.failed is not None:
             return
+        if op == "reshape" and not np.may_share_memory(out.data,
+                                                       inputs[0].data):
+            op = "reshape_copy"
         kernel = _KERNELS.get(op)
         if kernel is None:
             self.fail(f"op without a replay kernel: {op!r}")
@@ -547,7 +617,10 @@ def trace():
 # ---------------------------------------------------------------------------
 
 
-def _make_step(kernel_fn, out_vid, in_vids, params, out_buf):
+def _make_step(kernel_fn, out_vid, in_vids, params, out_buf, scratch):
+    if scratch is not None:
+        kernel_fn = functools.partial(kernel_fn, scratch=scratch)
+
     def step(env):
         env[out_vid] = kernel_fn(out_buf, params, *[env[v] for v in in_vids])
 
@@ -746,30 +819,48 @@ def compile_graph(graph):
     # Arena assignment: exact (shape, dtype) slot reuse, freed only after
     # the producing/consuming node has fully run — an output buffer is never
     # one of the same node's dying inputs, which keeps kernels that read
-    # while writing (matmul, reductions) trivially safe.
+    # while writing (matmul, reductions) trivially safe.  A kernel's scratch
+    # buffers come from the same pool and go back to it right after the
+    # node, so they never alias the node's inputs or output.
     pool = {}
     buffers = []
     buffer_of = {}
     node_steps = []
+    reshape_copies = 0
+
+    def _take(shape, dtype):
+        free = pool.get((shape, dtype))
+        if free:
+            return free.pop()
+        buf = np.empty(shape, dtype=dtype)
+        buffers.append(buf)
+        return buf
+
+    def _give(buf):
+        pool.setdefault((buf.shape, buf.dtype), []).append(buf)
+
     for index, node in enumerate(schedule):
         kernel = _KERNELS[node.op]
         out_value = values[node.out]
         out_buf = None
+        scratch = None
         if kernel.uses_out and not kernel.view and out_value.kind == "op":
-            key = (out_value.shape, out_value.dtype)
-            free = pool.get(key)
-            if free:
-                out_buf = free.pop()
-            else:
-                out_buf = np.empty(out_value.shape, dtype=out_value.dtype)
-                buffers.append(out_buf)
+            out_buf = _take(out_value.shape, out_value.dtype)
             buffer_of[node.out] = out_buf
+            if node.op == "reshape_copy":
+                reshape_copies += 1
+            needs = kernel.scratch and kernel.scratch(
+                [values[vin] for vin in node.inputs], out_value)
+            if needs:
+                scratch = tuple(_take(shape, dtype) for shape, dtype in needs)
+                for buf in scratch:
+                    _give(buf)
         node_steps.append(_make_step(kernel.fn, node.out, node.inputs,
-                                     node.params, out_buf))
+                                     node.params, out_buf, scratch))
         for storage in release_at.get(index, ()):
             buf = buffer_of.get(storage)
             if buf is not None:
-                pool.setdefault((buf.shape, buf.dtype), []).append(buf)
+                _give(buf)
 
     # Chain fusion: collapse maximal runs of elementwise ops where each op
     # is the sole consumer of its predecessor's result into one kernel
@@ -829,6 +920,7 @@ def compile_graph(graph):
         "attention_splits": attention_splits,
         "folded_ops": folded_ops,
         "cse_ops": cse_ops,
+        "reshape_copies": reshape_copies,
         "arena_buffers": len(buffers),
         "arena_bytes": int(sum(buf.nbytes for buf in buffers)),
         "values": len(values),

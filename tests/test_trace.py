@@ -160,6 +160,6 @@ def test_stats_shape():
     stats = program.stats
     for key in ("ops_recorded", "ops_scheduled", "kernels", "fused_chains",
                 "fused_ops", "attention_splits", "folded_ops", "cse_ops",
-                "arena_buffers", "arena_bytes", "constants"):
+                "reshape_copies", "arena_buffers", "arena_bytes", "constants"):
         assert key in stats
     assert stats["ops_recorded"] >= stats["ops_scheduled"]

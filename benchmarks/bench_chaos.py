@@ -16,17 +16,15 @@ serving stack's core resilience invariant rather than wall-clock numbers:
 * **clean-run bit-identity** — with the injector uninstalled, the same
   service (resilience stack still wired) serves bits identical to a bare
   service, so the machinery is free when healthy.
-* **zero leaked shm segments** — in process mode every shared-memory
-  segment the pool's transport arenas ever created must be unlinked by the
-  time the pool stops, whatever the schedule crashed or faulted mid-batch
-  (trivially true in thread mode, where no segments exist).
+* **zero leaked shm segments** — every shared-memory segment the pool's
+  transport arenas ever created must be unlinked by the time the pool
+  stops, whatever the schedule crashed or faulted mid-batch.
 
-``REPRO_CHAOS_POOL_MODE=process`` runs the same schedule against process
-workers and the zero-copy shm transport, with extra parent-side rules
-(``transport.stage``, ``transport.shm_detach``) and a child-side plan
-(``backend.load``, ``transport.shm_attach``) delivered to the spawned
-workers via ``REPRO_FAULT_PLAN``.  The default is the historical thread
-pool, so ``chaos.json`` numbers stay comparable run over run.
+The pool runs process workers over the zero-copy shm transport.  The
+parent's plan hits the worker threads, the flush path and the transport
+(``transport.stage``, ``transport.shm_detach``); a child-side plan
+(``backend.load``, ``transport.shm_attach``, ``compile.trace``) reaches the
+spawned workers via ``REPRO_FAULT_PLAN``, because inference runs there.
 
 The payload carries the full error taxonomy (outcome counts by type), the
 injector's per-point invocation/fire counts, and the flags above.  Results
@@ -68,47 +66,39 @@ NUM_SAMPLES = 1
 NUM_WORKERS = 2
 DRAIN_TIMEOUT = 300.0
 
-#: The pinned fault plan.  Rates are aggressive on purpose: roughly a third
-#: of worker executions crash, a quarter of backend loads fail, and stalls
-#: pepper both the workers and the flush path.
+#: The pinned parent-side plan.  Rates are aggressive on purpose: roughly a
+#: third of worker executions crash, stalls pepper both the workers and the
+#: flush path, and staging and detach faults hit the shm transport itself,
+#: so the gate proves slot reclamation under the exact failure modes the
+#: arena was built to survive.
 FAULT_PLAN = {
     "seed": CHAOS_SEED,
     "rules": [
         {"point": "pool.worker_crash", "probability": 0.3},
-        {"point": "backend.load", "probability": 0.25},
         {"point": "pool.worker_stall", "probability": 0.2,
          "action": "sleep", "seconds": 0.02},
         {"point": "service.queue_stall", "probability": 0.1,
          "action": "sleep", "seconds": 0.01},
-        # Trace-and-replay compilation failures: a fired fault negative-caches
-        # the chunk signature and the eager mirror serves it — the gate's
-        # every-ticket-resolves invariant proves fallback never strands work.
-        # Explicit hits (the point is only consulted on trace-cache misses,
-        # so a probability rule could sit out an entire run): the first two
-        # compile attempts of the run fail deterministically.
-        {"point": "compile.trace", "hits": [1, 2]},
+        {"point": "transport.stage", "probability": 0.15},
+        {"point": "transport.shm_detach", "probability": 0.1},
     ],
 }
 
-#: Extra parent-side rules for process mode: staging and detach faults hit
-#: the shm transport itself, so the gate proves slot reclamation under the
-#: exact failure modes the arena was built to survive.
-PROCESS_FAULT_RULES = [
-    {"point": "transport.stage", "probability": 0.15},
-    {"point": "transport.shm_detach", "probability": 0.1},
-]
-
-#: Child-side plan for process mode, delivered via ``REPRO_FAULT_PLAN`` to
-#: the spawned workers (the parent's installed injector does not cross the
-#: process boundary): artifact loads fail and arena attaches fault inside
-#: the children themselves.
+#: Child-side plan, delivered via ``REPRO_FAULT_PLAN`` to the spawned
+#: workers (the parent's installed injector does not cross the process
+#: boundary): artifact loads fail and arena attaches fault inside the
+#: children themselves.
 CHILD_FAULT_PLAN = {
     "seed": CHAOS_SEED,
     "rules": [
         {"point": "backend.load", "probability": 0.2},
         {"point": "transport.shm_attach", "probability": 0.15},
-        # In process mode inference runs inside the children, so the
-        # compile-fault rule must ride the child plan to be exercised.
+        # Trace-and-replay compilation failures: a fired fault negative-caches
+        # the chunk signature and the eager mirror serves it — the gate's
+        # every-ticket-resolves invariant proves fallback never strands work.
+        # Explicit hits (the point is only consulted on trace-cache misses,
+        # so a probability rule could sit out an entire run): the first two
+        # compile attempts of each child fail deterministically.
         {"point": "compile.trace", "hits": [1, 2]},
     ],
 }
@@ -118,27 +108,11 @@ def _smoke_mode():
     return get_profile().name == "smoke"
 
 
-def _pool_mode():
-    """``thread`` (default, historical numbers) or ``process`` via env."""
-    mode = os.environ.get("REPRO_CHAOS_POOL_MODE", "thread").strip() or "thread"
-    if mode not in ("thread", "process"):
-        raise SystemExit(f"REPRO_CHAOS_POOL_MODE must be thread|process, "
-                         f"got {mode!r}")
-    return mode
-
-
-def _fault_plan(mode):
-    plan = {"seed": CHAOS_SEED, "rules": list(FAULT_PLAN["rules"])}
-    if mode == "process":
-        plan["rules"] += PROCESS_FAULT_RULES
-    return plan
-
-
 def _num_requests():
     return 12 if _smoke_mode() else 48
 
 
-def _build_service(root, mode):
+def _build_service(root):
     dataset = metr_la_like(num_nodes=NUM_NODES, num_days=4, steps_per_day=24,
                            missing_pattern="block", seed=3)
     steps = 8 if _smoke_mode() else 20
@@ -149,7 +123,7 @@ def _build_service(root, mode):
     model = PriSTI(config).fit(dataset)
     registry = ModelRegistry(root)
     registry.publish(model, "bench")
-    pool = WorkerPool(num_workers=NUM_WORKERS, mode=mode)
+    pool = WorkerPool(num_workers=NUM_WORKERS)
     service = ImputationService(
         registry, executor=pool, max_batch_requests=4,
         retry_policy=RetryPolicy(max_attempts=2, base_delay_seconds=0.002,
@@ -256,21 +230,16 @@ def _clean_run_identity(service, registry_root, requests):
 
 
 def run_benchmark():
-    mode = _pool_mode()
-    plan = _fault_plan(mode)
-    env_plan_set = False
     with tempfile.TemporaryDirectory() as root:
-        service, pool, dataset, steps = _build_service(root, mode)
+        service, pool, dataset, steps = _build_service(root)
         requests = _requests(dataset, _num_requests())
         try:
-            if mode == "process":
-                # Spawned children install this at import; the parent's
-                # injector (installed below) never crosses the boundary.
-                os.environ[faults.ENV_PLAN] = json.dumps(CHILD_FAULT_PLAN)
-                env_plan_set = True
+            # Spawned children install this at import; the parent's
+            # injector (installed below) never crosses the boundary.
+            os.environ[faults.ENV_PLAN] = json.dumps(CHILD_FAULT_PLAN)
             with pool:
                 started = time.perf_counter()
-                payload = _run_chaos(service, pool, requests, plan)
+                payload = _run_chaos(service, pool, requests, FAULT_PLAN)
                 payload["chaos_seconds"] = round(
                     time.perf_counter() - started, 4)
                 payload["clean_run_bit_identical"] = _clean_run_identity(
@@ -279,8 +248,7 @@ def run_benchmark():
             # the zero-leak flag certifies the pool's whole lifetime.
             transport = pool.metrics_snapshot()
         finally:
-            if env_plan_set:
-                os.environ.pop(faults.ENV_PLAN, None)
+            os.environ.pop(faults.ENV_PLAN, None)
             service.stop()
     payload.update({
         "seed": CHAOS_SEED,
@@ -288,7 +256,7 @@ def run_benchmark():
         "window_length": WINDOW_LENGTH,
         "num_diffusion_steps": steps,
         "num_workers": NUM_WORKERS,
-        "pool_mode": mode,
+        "pool_mode": "process",
         "transport": {
             "segments_created": transport["transport.segments.created"],
             "segments_unlinked": transport["transport.segments.unlinked"],

@@ -1,7 +1,7 @@
 """Experiment-matrix smoke: a 2x2 cell table with resume validation.
 
 Runs a small :class:`~repro.experiments.ExperimentMatrix` — executor mode
-(inline / thread) crossed with micro-batch size — through the real
+(inline / process) crossed with micro-batch size — through the real
 service/pool/metrics stack, then re-validates the matrix's two structural
 guarantees end to end:
 
@@ -10,7 +10,7 @@ guarantees end to end:
   on-disk manifests and finishes with ``run_table.csv`` byte-identical to
   the uninterrupted run's.
 * **Bit-identity across executors**: every (scenario, batch, dtype, rep)
-  workload carries mode-independent seeds, so the inline and thread cells
+  workload carries mode-independent seeds, so the inline and process cells
   of the same workload must report the same response checksum.
 
 The payload also pins ``stable_stats_schema``: every cell's flat metrics
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.experiments import ExperimentMatrix, compare_run_tables
 
-MODES = ("inline", "thread")
+MODES = ("inline", "process")
 BATCH_SIZES = (2, 4)
 REQUESTS_PER_CELL = 4
 
@@ -86,8 +86,8 @@ def run_benchmark():
     checksum_pairs = []
     for batch in BATCH_SIZES:
         inline = by_id[f"burst-inline-w0-s1-b{batch}-float64-r0"]
-        thread = by_id[f"burst-thread-w2-s1-b{batch}-float64-r0"]
-        checksum_pairs.append(inline["checksum"] == thread["checksum"])
+        process = by_id[f"burst-process-w2-s1-b{batch}-float64-r0"]
+        checksum_pairs.append(inline["checksum"] == process["checksum"])
 
     payload = {
         "num_cells": reference["cells_total"],

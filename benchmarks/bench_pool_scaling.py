@@ -1,13 +1,12 @@
 """Worker-pool scaling: serving throughput vs worker count (1 / 2 / 4).
 
 The :class:`~repro.serving.WorkerPool` fans flushed micro-batches out across
-N workers with shard-aware routing, so traffic spread over several published
-models executes in parallel — thread workers overlap in the BLAS kernels
-(which release the GIL), process workers overlap unconditionally.  This
-benchmark publishes one trained model under ``NUM_SHARDS`` names, warm
-pre-forks every pool (``pool.prewarm`` pushes each published artifact onto
-every worker before the first request), fires the same seeded request burst
-at pools of 1, 2 and 4 workers in both modes, and records for every cell the
+N worker processes with shard-aware routing, so traffic spread over several
+published models executes in parallel.  This benchmark publishes one trained
+model under ``NUM_SHARDS`` names, warm pre-forks every pool
+(``pool.prewarm`` pushes each published artifact onto every worker before
+the first request), fires the same seeded request burst at pools of 1, 2
+and 4 workers, and records for every cell the
 throughput curve, per-request latency percentiles (p50/p95/p99 of queue wait
 + batch execution), the transport cost per request (pickled control bytes on
 the worker channel vs tensor payload bytes carried zero-copy through the
@@ -17,14 +16,17 @@ model load time).
 Floors
 ------
 * **Bit-identity (always enforced, smoke included):** every pooled response —
-  any worker count, either mode — must equal the same request through
-  ``service.serve`` alone.  Parallelism must be invisible in the bits.
+  any worker count — must equal the same request through ``service.serve``
+  alone.  Parallelism must be invisible in the bits.
 * **Scaling (hardware-gated):** on any host with ≥ 4 CPU cores — smoke
-  profile included, there is no profile escape hatch — *each* mode must
-  reach ``MIN_SCALING``x throughput at 4 workers vs 1.  A single-core host
-  cannot express parallel speedup whatever the scheduler does, so the floor
+  profile included, there is no profile escape hatch — the pool must reach
+  ``MIN_SCALING``x throughput at 4 workers vs 1.  A host with fewer cores
+  cannot run 4 workers in parallel whatever the scheduler does, so the floor
   is recorded but not asserted there (``scaling_floor_enforced`` in the
   JSON says which case ran).
+
+Cells sit under ``modes.process``, the keys the regression gate in
+``check_results.py`` reads.
 
 Results land in ``benchmarks/results/pool_scaling.json``.  Run directly
 (``PYTHONPATH=src python benchmarks/bench_pool_scaling.py``) or through
@@ -51,8 +53,7 @@ from repro.data import metr_la_like
 from repro.experiments import get_profile
 
 WORKER_COUNTS = (1, 2, 4)
-MODES = ("thread", "process")
-MIN_SCALING = 2.0          # floor on the better mode's 4-worker speedup
+MIN_SCALING = 2.0          # floor on the 4-worker speedup
 NUM_SHARDS = 8             # published model names the traffic spreads over
 REQUESTS_PER_SHARD = 2
 NUM_SAMPLES = 1
@@ -121,7 +122,7 @@ def _requests(dataset):
     return requests
 
 
-def _run_pooled(registry, requests, mode, num_workers):
+def _run_pooled(registry, requests, num_workers):
     """Wall-clock of the burst through a fresh, warm pre-forked pool.
 
     The warm phase is what production gets from ``pool.watch(registry)``:
@@ -133,7 +134,7 @@ def _run_pooled(registry, requests, mode, num_workers):
     per-request byte accounting over the timed burst only and ``warm``
     describes the pre-fork phase.
     """
-    pool = WorkerPool(num_workers=num_workers, mode=mode,
+    pool = WorkerPool(num_workers=num_workers,
                       max_queue_depth=10 * len(requests),
                       max_loaded_per_worker=NUM_SHARDS + 1)
     service = ImputationService(registry, max_batch_requests=REQUESTS_PER_SHARD,
@@ -179,7 +180,7 @@ def _run_pooled(registry, requests, mode, num_workers):
 
 
 def run_benchmark():
-    """Measure every (mode, workers) cell; returns (payload, references)."""
+    """Measure every worker-count cell; returns (payload, references)."""
     with tempfile.TemporaryDirectory() as root:
         registry, dataset, steps = _build_registry(root)
         requests = _requests(dataset)
@@ -189,38 +190,36 @@ def run_benchmark():
         reference_service = ImputationService(registry)
         references = [reference_service.serve(request) for request in requests]
 
-        modes = {}
+        cells = {}
         identical = True
-        for mode in MODES:
-            cells = {}
-            for num_workers in WORKER_COUNTS:
-                seconds, responses, transport, warm = _run_pooled(
-                    registry, requests, mode, num_workers)
-                identical = identical and all(
-                    np.array_equal(reference.samples, response.samples)
-                    for reference, response in zip(references, responses)
-                )
-                cells[num_workers] = {
-                    "seconds": round(seconds, 4),
-                    "requests_per_second": round(len(requests) / seconds, 2),
-                    # Per-request latency inside the pool: queue wait + the
-                    # batch execution the request rode in.
-                    "latency_ms": _percentiles(
-                        [response.queued_seconds + response.batch_seconds
-                         for response in responses]),
-                    # Bytes crossing the worker boundary per request over the
-                    # timed burst: pickled control messages vs tensor payload
-                    # staged zero-copy through the shm arena (zeros in thread
-                    # mode, where no bytes cross at all).
-                    "transport": transport,
-                    "warm": warm,
-                }
-            base = cells[WORKER_COUNTS[0]]["seconds"]
-            modes[mode] = {
-                "workers": {str(count): cell for count, cell in cells.items()},
-                "speedup_at_2": round(base / cells[2]["seconds"], 2),
-                "speedup_at_4": round(base / cells[4]["seconds"], 2),
+        for num_workers in WORKER_COUNTS:
+            seconds, responses, transport, warm = _run_pooled(
+                registry, requests, num_workers)
+            identical = identical and all(
+                np.array_equal(reference.samples, response.samples)
+                for reference, response in zip(references, responses)
+            )
+            cells[num_workers] = {
+                "seconds": round(seconds, 4),
+                "requests_per_second": round(len(requests) / seconds, 2),
+                # Per-request latency inside the pool: queue wait + the
+                # batch execution the request rode in.
+                "latency_ms": _percentiles(
+                    [response.queued_seconds + response.batch_seconds
+                     for response in responses]),
+                # Bytes crossing the worker boundary per request over the
+                # timed burst: pickled control messages vs tensor payload
+                # staged zero-copy through the shm arena.
+                "transport": transport,
+                "warm": warm,
             }
+        base = cells[WORKER_COUNTS[0]]["seconds"]
+        speedup_at_4 = round(base / cells[4]["seconds"], 2)
+        process = {
+            "workers": {str(count): cell for count, cell in cells.items()},
+            "speedup_at_2": round(base / cells[2]["seconds"], 2),
+            "speedup_at_4": speedup_at_4,
+        }
 
     payload = {
         "cpu_count": os.cpu_count(),
@@ -230,8 +229,8 @@ def run_benchmark():
         "num_samples": NUM_SAMPLES,
         "window_length": WINDOW_LENGTH,
         "num_diffusion_steps": steps,
-        "modes": modes,
-        "speedup_at_4": max(modes[mode]["speedup_at_4"] for mode in MODES),
+        "modes": {"process": process},
+        "speedup_at_4": speedup_at_4,
         "min_scaling_floor": MIN_SCALING,
         "scaling_floor_enforced": _floor_enforced(),
         "bit_identical_to_serve_alone": identical,
@@ -244,11 +243,9 @@ def test_bench_pool_scaling(save_json):
     save_json("pool_scaling", payload)
     # Parallelism must be invisible in the numbers...
     assert payload["bit_identical_to_serve_alone"]
-    # ...and visible in the wall-clock where the hardware can express it —
-    # in BOTH modes, not just the better one.
+    # ...and visible in the wall-clock where the hardware can express it.
     if payload["scaling_floor_enforced"]:
-        for mode in MODES:
-            assert payload["modes"][mode]["speedup_at_4"] >= MIN_SCALING, mode
+        assert payload["speedup_at_4"] >= MIN_SCALING
 
 
 if __name__ == "__main__":
@@ -260,11 +257,9 @@ if __name__ == "__main__":
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not payload["bit_identical_to_serve_alone"]:
         raise SystemExit("pooled responses diverged from serve-alone")
-    if payload["scaling_floor_enforced"]:
-        for mode in MODES:
-            speedup = payload["modes"][mode]["speedup_at_4"]
-            if speedup < MIN_SCALING:
-                raise SystemExit(
-                    f"{mode}-mode 4-worker speedup {speedup}x below the "
-                    f"{MIN_SCALING}x floor"
-                )
+    if (payload["scaling_floor_enforced"]
+            and payload["speedup_at_4"] < MIN_SCALING):
+        raise SystemExit(
+            f"4-worker speedup {payload['speedup_at_4']}x below the "
+            f"{MIN_SCALING}x floor"
+        )

@@ -105,15 +105,12 @@ BASELINES = {
     "pool_scaling.json": {
         "required": ["cpu_count", "num_requests", "modes", "speedup_at_4",
                      "min_scaling_floor",
-                     "modes.thread.workers.1.latency_ms.p50",
-                     "modes.thread.workers.4.latency_ms.p99",
                      "modes.process.workers.1.latency_ms.p50",
                      "modes.process.workers.4.latency_ms.p99",
                      "modes.process.workers.4.transport"
                      ".control_bytes_per_request",
                      "modes.process.workers.4.transport"
                      ".shm_payload_bytes_per_request",
-                     "modes.thread.workers.4.warm.models_warmed",
                      "modes.process.workers.4.warm.models_warmed"],
         "flags": ["bit_identical_to_serve_alone"],
         # Control messages must stay small — the tensors ride the shm arena,
@@ -122,7 +119,6 @@ BASELINES = {
         "max": {"modes.process.workers.4.transport"
                 ".control_bytes_per_request": 16384},
         "min": {"speedup_at_4": 2.0,
-                "modes.thread.speedup_at_4": 2.0,
                 "modes.process.speedup_at_4": 2.0},
         "enforced_by": "scaling_floor_enforced",
     },

@@ -15,7 +15,8 @@ take:
    coalesces them into shared inference-engine chunks, and per-request RNG
    streams keep every response bit-identical to the request served alone,
 3. scale the service horizontally with a :class:`~repro.serving.WorkerPool`:
-   flushed micro-batches fan out across workers with shard-aware routing
+   flushed micro-batches fan out across worker processes (spawned children
+   that exchange tensors over shared memory) with shard-aware routing
    (one model's traffic sticks to one worker, keeping its model cache hot),
    admission control sheds load past ``max_queue_depth``, and the pooled
    responses stay bit-identical to serve-alone,
@@ -138,7 +139,7 @@ def main():
         pooled_seconds = time.perf_counter() - started
     assert np.array_equal(pooled[0].samples, responses[0].samples)
     print(f"\nserved {len(pooled)} requests across 2 pool workers in "
-          f"{pooled_seconds:.2f}s (bit-identical to the single-threaded path)")
+          f"{pooled_seconds:.2f}s (bit-identical to the inline path)")
     print(f"pool metrics: {_family(pooled_service.metrics_snapshot(), 'pool.')}")
 
     # 4. Stream ticks through a live session (NaN marks sensor dropouts).
@@ -176,7 +177,7 @@ def _family(snapshot, prefix):
 
 
 def chaos_demo(registry, requests, clean_responses):
-    """Fault injection + the resilience stack, end to end in process."""
+    """Fault injection + the resilience stack, end to end."""
     pool = WorkerPool(num_workers=2)
     service = ImputationService(
         registry, executor=pool, max_batch_requests=8,

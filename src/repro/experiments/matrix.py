@@ -22,7 +22,7 @@ Execution contract
   the *workload* coordinates only (scenario, shards, batch size, dtype,
   repetition — never mode or workers), and per-request RNG streams make
   responses independent of batching and parallelism, so the response
-  checksum of a thread cell must equal its inline and process twins.  This
+  checksum of a process cell must equal its inline twin.  This
   turns the matrix into an end-to-end bit-identity harness: any executor
   that changes the bits shows up as a checksum diff across a mode column.
 * **Comparison is a first-class step**: :func:`compare_run_tables` diffs a
@@ -101,7 +101,7 @@ class MatrixCell:
     """One fully pinned configuration of the matrix."""
 
     scenario: str
-    mode: str              # "inline" | "thread" | "process"
+    mode: str              # "inline" | "process"
     workers: int
     shards: int
     batch_size: int
@@ -153,7 +153,7 @@ class ExperimentMatrix:
         floor of 4 when left ``None``).
     """
 
-    modes: tuple = ("inline", "thread")
+    modes: tuple = ("inline", "process")
     workers: tuple = (2,)
     shards: tuple = (1,)
     batch_sizes: tuple = (4,)
@@ -165,7 +165,7 @@ class ExperimentMatrix:
 
     def __post_init__(self):
         for mode in self.modes:
-            if mode not in ("inline", "thread", "process"):
+            if mode not in ("inline", "process"):
                 raise ValueError(f"unknown mode '{mode}'")
         for scenario in self.scenarios:
             if scenario not in SCENARIOS:
@@ -415,7 +415,7 @@ class ServingCellRunner:
         registry = ModelRegistry(root, max_loaded=self.MAX_SHARDS + 1)
         pool = None
         if cell.mode != "inline":
-            pool = WorkerPool(num_workers=cell.workers, mode=cell.mode,
+            pool = WorkerPool(num_workers=cell.workers,
                               name=f"matrix-{cell.cell_id}")
         service = ImputationService(
             registry,

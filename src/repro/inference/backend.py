@@ -54,10 +54,10 @@ def load_backend(artifact_path):
     """Rehydrate a stateless backend from a :mod:`repro.io` artifact on disk.
 
     This is the worker-side hook of the serving
-    :class:`~repro.serving.pool.WorkerPool`: a pool worker (a sibling thread
-    or a separate process) is handed nothing but the artifact *path* of the
-    resolved model and rebuilds its own private backend from it, so no live
-    network objects ever cross a thread or process boundary.  The loaded
+    :class:`~repro.serving.pool.WorkerPool`: a pool worker's child process
+    is handed nothing but the artifact *path* of the resolved model and
+    rebuilds its own private backend from it, so no live network objects
+    ever cross the process boundary.  The loaded
     model is a faithful copy of the published one (the artifact round-trip is
     bit-exact, see ``tests/test_persistence.py``), which is what keeps
     pool-served responses bit-identical to the in-process serve-alone path.
@@ -94,13 +94,14 @@ def _artifact_signature(artifact_path):
 class BackendCache:
     """A small per-worker LRU of rehydrated backends keyed by artifact path.
 
-    Every pool worker owns one: repeated batches for the same model reuse the
-    worker's resident copy (keeping its shard "hot"), while colder models are
-    evicted and transparently re-loaded on the next request.  Unlike the
-    :class:`~repro.serving.ModelRegistry` LRU this cache is deliberately
-    **not** shared — one instance per worker means one model instance per
-    worker, so concurrent workers never run inference through the same
-    mutable network object.
+    Every pool worker's child process owns one (``_PROCESS_BACKENDS``):
+    repeated batches for the same model reuse the worker's resident copy
+    (keeping its shard "hot"), while colder models are evicted and
+    transparently re-loaded on the next request.  Unlike the
+    :class:`~repro.serving.ModelRegistry` LRU this cache is **not** shared —
+    one instance per worker means one model instance per worker, so
+    concurrent workers never run inference through the same mutable network
+    object.
 
     Staleness is generation-gated.  A registry ``publish`` may overwrite an
     existing version *path* in place, so a path-keyed cache can silently

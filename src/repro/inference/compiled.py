@@ -91,7 +91,7 @@ def _bump(name, amount=1):
 def compiled_counters():
     """Aggregated compile counters across every cache in this process.
 
-    Process-mode pool workers fold their children's counters back into the
+    Pool workers fold their children's counters back into the
     parent's totals through each batch reply (see
     :func:`fold_compiled_counters`), so on a pool-owning process this also
     covers work the children did.

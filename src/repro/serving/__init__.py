@@ -16,8 +16,9 @@ production-facing counterpart built on the stateless
 :class:`WorkerPool`
     Parallel batch execution behind the service: shard-aware routing by
     model spec, work stealing, admission control
-    (:class:`ServiceOverloaded`), thread workers by default with an opt-in
-    process pool that rehydrates models from the artifact tree.
+    (:class:`ServiceOverloaded`) and one child process per worker that
+    rehydrates models from the artifact tree and exchanges tensors over
+    shared memory.
 :class:`StreamingImputer`
     Tick-by-tick sessions over live sensor streams, backed by a ring-buffer
     sliding window with per-window condition caching and incremental

@@ -19,9 +19,9 @@ layer:
 The flat snapshot is the only counter surface: ``service.metrics_snapshot()``
 in-process and the ``"metrics"`` section of the gateway's ``/v1/stats``.
 One :class:`WorkerCounterMerge` folds worker-side cumulative counters into
-the parent — the single merge path shared by thread workers, process
-children (compiled + transport counters piggybacked on batch replies) and
-crash bookkeeping.
+the parent — the single merge path shared by the pool's worker threads
+(batch and crash bookkeeping) and their child processes (compiled +
+transport counters piggybacked on batch replies).
 
 Design rules
 ------------
@@ -35,15 +35,15 @@ Design rules
 * **Snapshots are flat.**  ``MetricsRegistry.snapshot()`` returns
   ``{dotted-name: number}`` with histogram instruments expanded to
   ``<name>.count`` / ``.sum`` / ``.min`` / ``.max``.
-* **Worker merges are delta-folds.**  A worker (thread or child process)
+* **Worker merges are delta-folds.**  A worker thread or child process
   reports *cumulative* totals; :class:`WorkerCounterMerge` remembers the
   last snapshot per source and folds only the delta, so repeated folds are
   idempotent and a respawned worker (fresh source, counters back at zero)
   never subtracts history.
 
 ``tests/test_serving_metrics.py`` pins snapshot consistency under
-concurrent writers, the stable-schema invariant across inline / thread /
-process modes, and delta-folding across worker crash + respawn.
+concurrent writers, the stable-schema invariant across inline and
+pool-backed services, and delta-folding across worker crash + respawn.
 """
 
 from __future__ import annotations
@@ -249,10 +249,10 @@ class MetricsRegistry:
 class WorkerCounterMerge:
     """Fold per-source *cumulative* counter snapshots into parent sinks.
 
-    One instance per pool unifies every worker→parent counter path: thread
-    workers fold their local batch/crash totals, process workers fold the
-    compiled-step counters their child piggybacks on each batch reply plus
-    the shm-transport totals of their arena and pipe.  The merge remembers
+    One instance per pool unifies every worker→parent counter path: worker
+    threads fold their local batch/crash totals and the compiled-step
+    counters their child piggybacks on each batch reply, plus the
+    shm-transport totals of their arena and pipe.  The merge remembers
     the last snapshot per ``source`` (any hashable — a worker slot, a child
     process handle) and applies only the positive delta, so:
 

@@ -3,28 +3,22 @@
 :class:`WorkerPool` is the horizontal-scale substrate behind
 :class:`~repro.serving.ImputationService`: flushed micro-batches are fanned
 out to ``num_workers`` workers instead of executing on the caller's thread.
-Two execution modes share one scheduling core:
 
-``mode="thread"`` (default)
-    Workers are sibling threads.  The fused numpy/BLAS kernels under the
-    network release the GIL for the bulk of a reverse-diffusion step, so
-    same-process threads already overlap on multi-core hosts, and nothing
-    needs to be serialised — each worker holds its **own** rehydrated model
-    instances (a per-worker :class:`~repro.inference.backend.BackendCache`),
-    so no network object is ever shared across threads.
-
-``mode="process"``
-    Each worker thread drives a dedicated child process over a **zero-copy
-    shared-memory transport** (:mod:`repro.serving.transport`).  Request and
-    response tensors live in a per-worker shm arena and cross the process
-    boundary as ``(segment, offset, shape, dtype)`` descriptors; the
-    persistent pipe carries only those small control records plus each
-    request's RNG ``Generator`` (pickled with its exact state, which is what
-    keeps a process-served response bit-identical to the same request served
-    in-process).  Models are rehydrated child-side at most once per
-    (process, artifact, registry generation) — and usually *before* the
-    first request, via warm pre-fork (:meth:`WorkerPool.watch` /
-    :meth:`WorkerPool.prewarm`).
+Each worker is a parent-side thread that drives a dedicated child process
+over a **zero-copy shared-memory transport** (:mod:`repro.serving.transport`).
+Every reverse-diffusion step is a chain of Python-level tensor ops that
+holds the GIL, so sibling threads of one process would run one at a time;
+separate processes are what let workers compute in parallel.  Request and
+response tensors live in a per-worker shm arena and cross the process
+boundary as ``(segment, offset, shape, dtype)`` descriptors; the persistent
+pipe carries only those small control records plus each request's RNG
+``Generator`` (pickled with its exact state, which is what keeps a
+pool-served response bit-identical to the same request served in-process).
+Children are started with the ``spawn`` method (``fork`` is unsafe in a
+multi-threaded parent).  Models are rehydrated child-side at most once per
+(process, artifact, registry generation) — and usually *before* the first
+request, via warm pre-fork (:meth:`WorkerPool.watch` /
+:meth:`WorkerPool.prewarm`).
 
 Scheduling
 ----------
@@ -59,13 +53,12 @@ Bit-identity
 ------------
 The pool never changes what is computed, only where: batches are executed by
 :func:`execute_batch` exactly as the service's inline path executes them, each
-request samples from its own RNG stream, and per-worker model instances plus
-thread-local autograd/dtype scopes (:mod:`repro.tensor`) keep concurrent
-batches from perturbing each other.  The shm transport moves bytes, not
-maths: staging writes the backend's own idempotent request normalisation
-into the arena, and responses are copied out verbatim.  ``tests/test_pool.py``
-pins pooled == serve-alone in float32 and float64 for both modes;
-``tests/test_pool_transport.py`` pins the arena lifecycle.
+request samples from its own RNG stream, and each child process holds its
+own model instances, so concurrent batches cannot perturb each other.  The
+shm transport moves bytes, not maths: staging writes the backend's own
+idempotent request normalisation into the arena, and responses are copied
+out verbatim.  ``tests/test_pool.py`` pins pooled == serve-alone in float32
+and float64; ``tests/test_pool_transport.py`` pins the arena lifecycle.
 """
 
 from __future__ import annotations
@@ -79,12 +72,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..inference.backend import BackendCache, process_backend
+from ..inference.backend import process_backend
 from ..inference.compiled import fold_compiled_counters
 from . import faults
 from .errors import PoolStopped, ServiceOverloaded, TransportError, WorkerCrashed
 from .metrics import MetricsRegistry, WorkerCounterMerge
-from .transport import DEFAULT_SEGMENT_BYTES, TRANSPORT_METRIC_SCHEMA, ShmArena
+from .transport import TRANSPORT_METRIC_SCHEMA, ShmArena
 
 __all__ = ["WorkerPool", "ServiceOverloaded", "PoolStopped", "WorkerCrashed",
            "TransportError", "RequestPayload", "BatchTask", "execute_batch",
@@ -130,9 +123,9 @@ class RequestPayload:
     This is the wire format between the service and the pool workers: raw
     arrays plus the request's private RNG stream (``numpy.random.Generator``
     pickles with its exact state, which is what keeps process-pool responses
-    bit-identical to in-process ones).  In process mode the arrays never
-    actually cross the pipe — they are staged into the worker's shm arena
-    and only their descriptors travel (see :mod:`repro.serving.transport`).
+    bit-identical to in-process ones).  The arrays never actually cross the
+    pipe — they are staged into the worker's shm arena and only their
+    descriptors travel (see :mod:`repro.serving.transport`).
     """
 
     values: np.ndarray
@@ -146,8 +139,8 @@ def execute_batch(backend, payloads):
     """Execute one micro-batch on ``backend``; returns per-payload raws.
 
     The single execution path shared by the service's inline ``serve``/
-    ``flush``, the thread-pool workers and the process-pool workers — all
-    three produce identical bits for identical payloads:
+    ``flush`` and the pool's worker processes — both produce identical bits
+    for identical payloads:
 
     * backends with the request-plan protocol (the diffusion family) are
       **coalesced**: every payload is planned, all items run through one
@@ -183,13 +176,13 @@ def execute_batch(backend, payloads):
 class BatchTask:
     """One dispatched micro-batch: routing key, inputs and completion hooks.
 
-    ``on_done(raws)`` / ``on_error(exc)`` run on the worker *thread* (also in
-    process mode — the child only computes), so the dispatcher keeps ticket
+    ``on_done(raws)`` / ``on_error(exc)`` run on the parent-side worker
+    *thread* (the child only computes), so the dispatcher keeps ticket
     resolution and its own bookkeeping in-process.  ``generation`` is the
-    dispatching registry's publish counter; workers pass it to their backend
+    dispatching registry's publish counter; children pass it to their backend
     caches so steady-state batches skip the artifact staleness probe.
-    ``execute`` is a test hook: when set, the worker calls
-    ``execute(worker_id)`` instead of the backend path (always in-thread),
+    ``execute`` is a test hook: when set, the worker thread calls
+    ``execute(worker_id)`` itself instead of handing the batch to its child,
     which lets the scheduling tests drive routing, stealing, overload and
     crash handling without trained models.
     """
@@ -213,8 +206,8 @@ class _WarmupTask:
     """A queued warm pre-load: rehydrate one artifact on one worker.
 
     Queued on *every* worker by :meth:`WorkerPool.prewarm` right after a
-    registry publish, so the model is resident (thread LRU or child-process
-    cache) before its first request arrives.  Never stolen — each worker
+    registry publish, so the model is resident in the child-process cache
+    before its first request arrives.  Never stolen — each worker
     must warm its own cache — and invisible to admission control.
     """
 
@@ -278,13 +271,12 @@ class _WorkerProcess:
     byte that actually crosses the pipe.
     """
 
-    def __init__(self, mp_context, name, *, segment_bytes=DEFAULT_SEGMENT_BYTES,
-                 max_loaded=4):
+    def __init__(self, name, *, max_loaded=4):
         import multiprocessing
 
-        ctx = multiprocessing.get_context(mp_context)
+        ctx = multiprocessing.get_context("spawn")
         self.conn, child_conn = ctx.Pipe()
-        self.arena = ShmArena(segment_bytes=segment_bytes)
+        self.arena = ShmArena()
         self.control_bytes_sent = 0
         self.control_bytes_received = 0
         self.batches_run = 0
@@ -333,7 +325,7 @@ class _WorkerProcess:
 
     def warm(self, artifact_path, generation=None):
         """Pre-load one artifact in the child; returns the child's load
-        seconds (0.0 when it was already resident)."""
+        seconds (near zero when it was already resident)."""
         return self._roundtrip(("warm", artifact_path, generation))
 
     def run(self, task):
@@ -398,10 +390,10 @@ def _process_worker_main(conn, max_loaded=4):
     from ..inference.compiled import compiled_counters
     from .transport import SegmentAttachments, decode_batch
 
-    # The pool's per-worker LRU capacity applies to process workers too (one
-    # single-threaded child per worker, so process-global == per-worker).
-    _PROCESS_BACKENDS.max_loaded = max(int(max_loaded),
-                                       _PROCESS_BACKENDS.max_loaded)
+    # One single-threaded, freshly spawned child per worker, so the
+    # process-global cache is the worker's LRU: its capacity is exactly the
+    # pool's per-worker bound, which the parent's residency tracking assumes.
+    _PROCESS_BACKENDS.max_loaded = int(max_loaded)
 
     def reply(message):
         try:
@@ -465,45 +457,37 @@ class WorkerPool:
     num_workers:
         Worker (and shard) count.
     mode:
-        ``"thread"`` (default) or ``"process"`` — see the module docstring.
+        Only ``"process"`` is accepted; thread mode was removed.
     max_queue_depth:
         Admission-control bound on queued (not yet executing) requests across
         all shards; ``dispatch`` beyond it raises :class:`ServiceOverloaded`.
     max_loaded_per_worker:
-        Capacity of each worker's rehydrated-model LRU (thread mode; process
-        workers use the process-global cache in
-        :mod:`repro.inference.backend`).
+        Capacity of each worker child's rehydrated-model LRU (the
+        process-global cache in :mod:`repro.inference.backend`).
     steal:
         Allow idle workers to take batches from backed-up sibling shards.
     split:
         Allow an idle pool to split one multi-request batch across idle
         workers (bit-identical by the batch-composition invariant).
-    mp_context:
-        ``multiprocessing`` start method for process workers.  ``"spawn"``
-        (default) is safe regardless of what the parent's threads are doing;
-        ``"fork"`` starts faster but is unsafe in multi-threaded parents.
-    segment_bytes:
-        Size of each worker arena's shm segments (process mode).
     """
 
-    def __init__(self, num_workers=2, *, mode="thread", max_queue_depth=256,
+    def __init__(self, num_workers=2, *, mode="process", max_queue_depth=256,
                  max_loaded_per_worker=4, steal=True, split=True,
-                 mp_context="spawn", segment_bytes=DEFAULT_SEGMENT_BYTES,
                  name="imputation-pool", metrics=None):
         if num_workers < 1:
             raise ValueError("num_workers must be a positive integer")
-        if mode not in ("thread", "process"):
-            raise ValueError("mode must be 'thread' or 'process'")
+        if mode != "process":
+            raise ValueError(f"mode={mode!r} is not supported: thread mode was "
+                             "removed, WorkerPool runs process workers only")
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be a positive integer")
+        if max_loaded_per_worker < 1:
+            raise ValueError("max_loaded_per_worker must be a positive integer")
         self.num_workers = int(num_workers)
-        self.mode = mode
         self.max_queue_depth = int(max_queue_depth)
         self.max_loaded_per_worker = int(max_loaded_per_worker)
         self.steal = bool(steal)
         self.split = bool(split)
-        self.mp_context = mp_context
-        self.segment_bytes = int(segment_bytes)
         self.name = name
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -527,16 +511,17 @@ class WorkerPool:
                            fn=lambda: self._live_arena_stat("transport.segments.active"))
         self.metrics.gauge("transport.slots.live",
                            fn=lambda: self._live_arena_stat("transport.slots.live"))
-        # The one worker->parent counter path: thread workers fold their
-        # loop-local totals, process workers fold the child's cumulative
-        # transport + piggybacked compile counters (see _fold_worker_counters).
+        # The one worker->parent counter path: worker threads fold their
+        # loop-local totals, and each child's cumulative transport +
+        # piggybacked compile counters fold the same way
+        # (see _fold_worker_counters).
         self._merge = WorkerCounterMerge(self._fold_worker_counters)
         # Per-worker views the flat schema sums over: batches executed and
         # warm-load seconds (``pool.batches.executed`` / ``pool.warm.seconds``).
         self.executed_batches = [0] * self.num_workers
         self.warm_seconds = [0.0] * self.num_workers
         # A worker whose child process died and has not been respawned yet
-        # (process mode; respawn is lazy, on the worker's next batch).  The
+        # (respawn is lazy, on the worker's next batch).  The
         # gateway's readiness probe reports not-ready while any entry is True.
         self.dead_workers = [False] * self.num_workers
         # Which artifacts each worker (probably) has resident — fed by warm
@@ -544,7 +529,7 @@ class WorkerPool:
         # a split never forces a cold model load.  Approximate on purpose: a
         # stale entry costs one reload, never correctness.
         self._resident = [set() for _ in range(self.num_workers)]
-        # Live child processes by worker id (process mode); retired children
+        # Live child processes by worker id; retired children
         # have already folded their final counters through the merge, so the
         # registry covers the pool's whole lifetime.
         self._processes = [None] * self.num_workers
@@ -749,7 +734,7 @@ class WorkerPool:
             return
         self._started = True
         self._drain = True
-        # Fresh worker threads mean fresh backend caches: forget residency.
+        # Fresh worker threads spawn fresh children: forget residency.
         self._resident = [set() for _ in range(self.num_workers)]
         self._threads = [
             threading.Thread(target=self._worker_loop, args=(wid,),
@@ -821,10 +806,8 @@ class WorkerPool:
     def _ensure_process(self, wid, process):
         """The worker's live child process, spawning one if needed."""
         if process is None:
-            process = _WorkerProcess(
-                self.mp_context, f"{self.name}-proc-{wid}",
-                segment_bytes=self.segment_bytes,
-                max_loaded=self.max_loaded_per_worker)
+            process = _WorkerProcess(f"{self.name}-proc-{wid}",
+                                     max_loaded=self.max_loaded_per_worker)
             with self._lock:
                 self.dead_workers[wid] = False
                 self._processes[wid] = process
@@ -866,16 +849,13 @@ class WorkerPool:
         while len(resident) > self.max_loaded_per_worker:
             resident.pop()
 
-    def _run_warmup(self, wid, task, handle, process):
+    def _run_warmup(self, wid, task, process):
         """Execute a :class:`_WarmupTask`; returns the (possibly respawned,
         possibly retired) child process handle."""
         started = time.perf_counter()
         try:
-            if self.mode == "process":
-                process = self._ensure_process(wid, process)
-                process.warm(task.artifact_path, task.generation)
-            else:
-                handle.get(task.artifact_path, generation=task.generation)
+            process = self._ensure_process(wid, process)
+            process.warm(task.artifact_path, task.generation)
         except WorkerCrashed:
             self._retire_process(wid, process, crashed=True)
             process = None
@@ -891,11 +871,10 @@ class WorkerPool:
         return process
 
     def _worker_loop(self, wid):
-        handle = BackendCache(self.max_loaded_per_worker)
         process = None
         # This loop's cumulative worker-side totals, delta-folded into the
-        # registry through the same merge the process children use — one
-        # worker->parent path for both modes.  The source object is unique
+        # registry through the same merge the child counters use — one
+        # worker->parent path.  The source object is unique
         # per loop run, so a restarted pool's fresh workers start from zero
         # without ever subtracting history.
         source = object()
@@ -921,7 +900,7 @@ class WorkerPool:
                             self.metrics.counter("pool.steals").inc()
                 if isinstance(task, _WarmupTask):
                     try:
-                        process = self._run_warmup(wid, task, handle, process)
+                        process = self._run_warmup(wid, task, process)
                     finally:
                         with self._cond:
                             self._in_flight[wid] = None
@@ -937,7 +916,7 @@ class WorkerPool:
                     faults.inject("pool.worker_crash", error=WorkerCrashed)
                     if task.execute is not None:
                         raws = task.execute(wid)
-                    elif self.mode == "process":
+                    else:
                         process = self._ensure_process(wid, process)
                         try:
                             raws = process.run(task)
@@ -949,11 +928,6 @@ class WorkerPool:
                             self._retire_process(wid, process, crashed=True)
                             process = None
                             raise
-                    else:
-                        raws = execute_batch(
-                            handle.get(task.artifact_path,
-                                       generation=task.generation),
-                            task.payloads)
                 except BaseException as error:
                     # Resolve the batch's tickets whatever escaped — a ticket
                     # left pending blocks its client forever.  Exceptions are

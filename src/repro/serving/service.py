@@ -707,7 +707,8 @@ class ImputationService:
     def _dispatch_batch(self, resolved, entries):
         """Hand one model's micro-batch to the executor's shard queue.
 
-        The completion hooks run on the worker thread; a dispatch-time
+        The completion hooks run on the pool's parent-side worker thread; a
+        dispatch-time
         rejection (pool overloaded or stopped) resolves the tickets here and
         re-raises so the flusher sees it.  With a retry policy, a retryable
         worker failure (e.g. a crashed worker) re-dispatches the batch with
@@ -814,8 +815,8 @@ class ImputationService:
 
 def _rng_states(payloads):
     """Snapshot every payload's RNG stream state (pre-attempt), so a retry
-    can replay the batch bit-identically: the thread/inline execution paths
-    mutate ``payload.rng`` in place."""
+    can replay the batch bit-identically: the inline execution path draws
+    from ``payload.rng`` in place."""
     return [copy.deepcopy(payload.rng.bit_generator.state)
             if payload.rng is not None else None
             for payload in payloads]

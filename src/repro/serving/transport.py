@@ -1,10 +1,10 @@
-"""Zero-copy shared-memory transport for process-mode pool workers.
+"""Zero-copy shared-memory transport for the pool's worker processes.
 
-Before this module, ``mode="process"`` workers received every batch as a
-pickle: request arrays, masks and RNG streams serialised over a ``Pipe()``,
-and the full :class:`~repro.inference.backend.RawImputation` results pickled
-back.  That puts every tensor byte through pickle twice per hop and scales
-the per-batch cost with payload size.  The shm transport splits the channel
+Before this module, worker processes received every batch as a pickle:
+request arrays, masks and RNG streams serialised over a ``Pipe()``, and the
+full :class:`~repro.inference.backend.RawImputation` results pickled back.
+That puts every tensor byte through pickle twice per hop and scales the
+per-batch cost with payload size.  The shm transport splits the channel
 into two planes:
 
 **Data plane** — a per-worker :class:`ShmArena` of

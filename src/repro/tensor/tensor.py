@@ -32,10 +32,10 @@ __all__ = [
 # Both interpreter-wide switches have a *thread-local* override layer: the
 # process-wide value is what ``set_default_dtype`` writes, while ``dtype_scope``
 # and ``no_grad`` only ever touch the calling thread's view.  The serving
-# worker pool runs concurrent inference on sibling threads, and a scope
-# entered by one request must not change the numerics (dtype casts) or the
-# graph policy of a request running on another thread — that isolation is part
-# of the micro-batching bit-identity contract.
+# service's flush thread and the gateway's executor threads run inference
+# concurrently, and a scope entered by one request must not change the
+# numerics (dtype casts) or the graph policy of a request running on another
+# thread — that isolation is part of the micro-batching bit-identity contract.
 _STATE = threading.local()
 
 _GRAD_ENABLED_DEFAULT = True
@@ -77,8 +77,8 @@ def dtype_scope(dtype):
 
     Used by the imputers to run a whole ``fit()`` / ``impute()`` in
     ``float32`` while leaving the process-wide default untouched.  The scope
-    is **thread-local**: a pool worker loading a ``float32`` model never
-    changes the dtype another worker's in-flight ``float64`` request resolves.
+    is **thread-local**: a serving thread loading a ``float32`` model never
+    changes the dtype another thread's in-flight ``float64`` request resolves.
     """
     dtype = np.dtype(dtype)
     if dtype not in _FLOAT_DTYPES:

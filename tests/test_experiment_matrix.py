@@ -22,7 +22,7 @@ from repro.experiments.matrix import RUN_TABLE_COLUMNS, render_run_table_csv
 
 def _tiny_matrix(**overrides):
     """The smallest matrix that still exercises two modes and two sizes."""
-    defaults = dict(modes=("inline", "thread"), workers=(2,),
+    defaults = dict(modes=("inline", "process"), workers=(2,),
                     batch_sizes=(2, 4), repetitions=1, base_seed=5,
                     requests_per_cell=2)
     defaults.update(overrides)
@@ -37,8 +37,8 @@ class TestEnumeration:
         assert ids == [
             "steady-inline-w0-s1-b2-float64-r0",
             "steady-inline-w0-s1-b4-float64-r0",
-            "steady-thread-w2-s1-b2-float64-r0",
-            "steady-thread-w2-s1-b4-float64-r0",
+            "steady-process-w2-s1-b2-float64-r0",
+            "steady-process-w2-s1-b4-float64-r0",
         ]
 
     def test_inline_cells_collapse_worker_levels(self):
@@ -52,8 +52,8 @@ class TestEnumeration:
         shared = dict(scenario="burst", shards=2, batch_size=4,
                       dtype="float64", repetition=1, base_seed=9)
         inline = MatrixCell(mode="inline", workers=0, **shared)
-        thread = MatrixCell(mode="thread", workers=4, **shared)
-        assert inline.seed == thread.seed
+        process = MatrixCell(mode="process", workers=4, **shared)
+        assert inline.seed == process.seed
         other = MatrixCell(mode="inline", workers=0,
                            **{**shared, "repetition": 2})
         assert other.seed != inline.seed
@@ -61,6 +61,8 @@ class TestEnumeration:
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             ExperimentMatrix(modes=("fiber",))
+        with pytest.raises(ValueError):
+            ExperimentMatrix(modes=("inline", "thread"))
         with pytest.raises(ValueError):
             ExperimentMatrix(scenarios=("spiky",))
         with pytest.raises(ValueError):
@@ -156,9 +158,9 @@ class TestExecution:
         by_id = {row["cell_id"]: row for row in rows}
         for batch in (2, 4):
             inline = by_id[f"steady-inline-w0-s1-b{batch}-float64-r0"]
-            thread = by_id[f"steady-thread-w2-s1-b{batch}-float64-r0"]
-            assert inline["checksum"] == thread["checksum"]
-            assert inline["seed"] == thread["seed"]
+            process = by_id[f"steady-process-w2-s1-b{batch}-float64-r0"]
+            assert inline["checksum"] == process["checksum"]
+            assert inline["seed"] == process["seed"]
 
     def test_manifest_carries_metrics_snapshot(self, tmp_path):
         matrix = _tiny_matrix(modes=("inline",), batch_sizes=(2,))

@@ -4,8 +4,10 @@ Covers the scheduling core (shard-aware routing, work stealing, admission
 control, drain-on-stop), the failure contract (a batch error — including a
 worker *process* dying mid-batch — resolves every affected ticket with the
 error and never wedges the pool), and the bit-identity acceptance criterion:
-pool-served responses equal ``service.serve`` alone in float32 and float64,
-for both thread and process workers.
+pool-served responses equal ``service.serve`` alone in float32 and float64.
+Every pool runs process workers; the scheduling tests drive dummy tasks
+through ``BatchTask.execute``, which runs on the worker thread and spawns
+no child.
 """
 
 import multiprocessing
@@ -329,7 +331,9 @@ class TestFailureContract:
             assert snapshot["pool.batches.crashed"] == storm
             assert snapshot["pool.backlog"] == 0        # no leaked slots
             assert snapshot["pool.batches.inflight"] == 0
-            assert snapshot["pool.workers.dead"] == 0   # thread workers survive crashes
+            # The injected crashes fire before any child is spawned, so no
+            # worker is left dead.
+            assert snapshot["pool.workers.dead"] == 0
 
     def test_worker_process_crash_resolves_tickets_and_respawns(
             self, registry, tiny_traffic_dataset):
@@ -367,23 +371,6 @@ class TestFailureContract:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("model", ["traffic", "traffic32"])
-    def test_thread_pool_matches_serve_alone(self, registry,
-                                             tiny_traffic_dataset, model):
-        pool = WorkerPool(num_workers=3)
-        service = ImputationService(registry, max_batch_requests=64,
-                                    executor=pool)
-        requests = _requests(tiny_traffic_dataset, model=model, count=6)
-        with pool:
-            alone = [service.serve(request) for request in requests]
-            tickets = [service.submit(request) for request in requests]
-            service.flush()
-            pooled = [ticket.result(timeout=120) for ticket in tickets]
-        for reference, response in zip(alone, pooled):
-            assert np.array_equal(reference.samples, response.samples)
-            assert np.array_equal(reference.median, response.median)
-            assert response.samples.dtype == reference.samples.dtype
-
-    @pytest.mark.parametrize("model", ["traffic", "traffic32"])
     def test_process_pool_rehydration_matches_in_process(
             self, registry, tiny_traffic_dataset, model):
         """The process workers rebuild the model from its artifact; the
@@ -399,11 +386,13 @@ class TestBitIdentity:
             pooled = [ticket.result(timeout=120) for ticket in tickets]
         for reference, response in zip(alone, pooled):
             assert np.array_equal(reference.samples, response.samples)
+            assert np.array_equal(reference.median, response.median)
+            assert response.samples.dtype == reference.samples.dtype
 
     def test_mixed_models_under_concurrency(self, registry,
                                             tiny_traffic_dataset):
         """f32 and f64 batches executing on sibling workers must not perturb
-        each other (thread-local dtype scopes, per-worker model copies)."""
+        each other (each worker's child process holds its own models)."""
         pool = WorkerPool(num_workers=2)
         service = ImputationService(registry, max_batch_requests=4,
                                     executor=pool)
@@ -496,13 +485,38 @@ class TestSharedCaches:
         assert cache.get(resolved.path, generation=4) is a
         assert cache.stats()["stat_probes"] == 1
 
+    def test_worker_lru_holds_exactly_max_loaded_per_worker(self, registry):
+        """A child keeps at most ``max_loaded_per_worker`` models, as the
+        parent's residency tracking assumes — also below the backend cache's
+        default of 4.  With capacity 1, warming A, B, then A again must
+        reload A; A's artifact is gone by then, so the reload fails, while a
+        stale cache hit would succeed."""
+        first = registry.resolve("traffic")
+        second = registry.resolve("traffic32")
+        pool = WorkerPool(num_workers=1, mode="process",
+                          max_loaded_per_worker=1)
+        with pool:
+            for resolved in (first, second):
+                pool.prewarm(resolved.path, generation=registry.generation)
+                assert pool.wait_idle(timeout=120)
+            shutil.rmtree(first.path)
+            pool.prewarm(first.path, generation=registry.generation)
+            assert pool.wait_idle(timeout=120)
+            snapshot = pool.metrics_snapshot()
+        assert snapshot["pool.warm.models"] == 2
+        assert snapshot["pool.warm.failures"] == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkerPool(num_workers=0)
+        with pytest.raises(ValueError, match="thread mode was removed"):
+            WorkerPool(mode="thread")
         with pytest.raises(ValueError):
             WorkerPool(mode="fiber")
         with pytest.raises(ValueError):
             WorkerPool(max_queue_depth=0)
+        with pytest.raises(ValueError):
+            WorkerPool(max_loaded_per_worker=0)
         with pytest.raises(ValueError):
             BackendCache(max_loaded=0)
         with pytest.raises(TypeError):

@@ -245,7 +245,7 @@ class TestPoolTransportLifecycle:
                                                      tiny_traffic_dataset):
         """Batch replies carry the child's cumulative compile counters and
         the parent folds the deltas, so ``compiled_counters()`` (and with it
-        the ``compiled.*`` metrics) covers process-mode inference."""
+        the ``compiled.*`` metrics) covers inference in pool children."""
         from repro.inference import compiled_counters, reset_compiled_counters
 
         reset_compiled_counters()
@@ -396,10 +396,8 @@ class TestPoolTransportLifecycle:
 # Warm pre-fork and batch splitting
 # ----------------------------------------------------------------------
 class TestWarmPrefork:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_publish_prewarms_every_worker(self, registry, trained_model,
-                                           mode):
-        pool = WorkerPool(num_workers=2, mode=mode)
+    def test_publish_prewarms_every_worker(self, registry, trained_model):
+        pool = WorkerPool(num_workers=2)
         pool.watch(registry)
         with pool:
             resolved = registry.publish(trained_model, "warmtest")
@@ -409,19 +407,25 @@ class TestWarmPrefork:
             assert snapshot["pool.warm.failures"] == 0
             assert all(seconds >= 0.0 for seconds in pool.warm_seconds)
             assert resolved.spec == "warmtest@1"
-            if mode == "process":
-                # The children exist *before* the first request.
-                assert all(process is not None
-                           for process in pool._processes)
-        if mode == "process":
-            _assert_zero_leak(pool.metrics_snapshot())
+            # The children exist *before* the first request.
+            assert all(process is not None for process in pool._processes)
+        _assert_zero_leak(pool.metrics_snapshot())
 
     def test_generation_rides_dispatch_to_worker_caches(
             self, registry, tiny_traffic_dataset):
         """Steady-state batches must not stat the artifact tree: the service
-        stamps each batch with the registry generation and the worker cache
-        skips the probe when it matches."""
-        pool = WorkerPool(num_workers=1)         # thread mode: cache visible
+        stamps each batch with the registry generation, which rides the
+        control message to the child's backend cache (that cache skipping
+        the probe on a match is pinned in ``tests/test_pool.py``)."""
+        pool = WorkerPool(num_workers=1)
+        dispatch = pool.dispatch
+        generations = []
+
+        def recording_dispatch(task):
+            generations.append(task.generation)
+            return dispatch(task)
+
+        pool.dispatch = recording_dispatch
         service = ImputationService(registry, max_batch_requests=64,
                                     executor=pool)
         with pool:
@@ -432,6 +436,7 @@ class TestWarmPrefork:
                 for ticket in tickets:
                     ticket.result(timeout=120)
         assert registry.generation == 1          # the fixture's one publish
+        assert generations == [1, 1, 1]
 
 
 class TestBatchSplitting:

@@ -14,6 +14,7 @@ Three tiers:
   ``degraded`` result.  No hangs, no lost tickets.
 """
 
+import json
 import time
 
 import numpy as np
@@ -542,7 +543,11 @@ class TestEveryTicketResolves:
     @pytest.mark.parametrize("plan", SCHEDULES,
                              ids=[f"seed{p['seed']}" for p in SCHEDULES])
     def test_pool_backed_service_resolves_all_tickets(
-            self, registry, tiny_traffic_dataset, plan):
+            self, registry, tiny_traffic_dataset, plan, monkeypatch):
+        # Models load and run in the pool's child processes, so the schedule
+        # also reaches them through the env hook: ``backend.load`` fires
+        # where the worker rehydrates its model.
+        monkeypatch.setenv(faults.ENV_PLAN, json.dumps(plan))
         pool = WorkerPool(num_workers=2)
         service = ImputationService(
             registry, executor=pool, max_batch_requests=2,

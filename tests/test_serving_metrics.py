@@ -5,8 +5,8 @@ histogram expansion, declared zero-valued schemas), the one worker->parent
 counter merge (delta folds, idempotence, crash/respawn), snapshot
 consistency under concurrent writers, callback gauges reading their live
 sources, exact compile accounting across the process boundary, and the
-acceptance criterion that ``/v1/stats`` exposes one pinned key set whatever
-executor mode the service runs in.
+acceptance criterion that ``/v1/stats`` exposes one pinned key set whether
+the service runs inline or on a worker pool.
 """
 
 import asyncio
@@ -258,7 +258,7 @@ def _serve(service, requests):
 
 
 class TestStackSnapshots:
-    def test_thread_pool_snapshot_consistent_under_traffic(
+    def test_pool_snapshot_consistent_under_traffic(
             self, registry, tiny_traffic_dataset):
         pool = WorkerPool(num_workers=2)
         service = ImputationService(registry, max_batch_requests=2,
@@ -384,7 +384,7 @@ class TestStackSnapshots:
 
 
 class TestStableStatsSchema:
-    """``/v1/stats`` must expose one key schema whatever the executor mode."""
+    """``/v1/stats`` must expose one key schema, inline or pool-backed."""
 
     @staticmethod
     def _stats_via_gateway(service):
@@ -399,7 +399,6 @@ class TestStableStatsSchema:
 
     def _modes(self, registry):
         yield "inline", None
-        yield "thread", WorkerPool(num_workers=2, mode="thread")
         yield "process", WorkerPool(num_workers=1, mode="process")
 
     def test_stats_key_set_is_mode_invariant(self, registry,

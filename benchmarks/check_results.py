@@ -136,30 +136,6 @@ BASELINES = {
         "max": {"hung_requests": 0, "transport.segments_active": 0,
                 "transport.live_slots": 0},
     },
-    "experiment_matrix.json": {
-        "required": ["num_cells", "cells_executed", "noop_resume_executed",
-                     "interrupted_cells_executed", "resumed_cells_executed",
-                     "resumed_cells_skipped", "cells"],
-        # Structural guarantees of the matrix harness — resume from
-        # manifests, byte-identical regenerated run tables, executor-mode
-        # bit-identity, and a mode-invariant metrics schema — hold on any
-        # hardware, smoke profile included.
-        "flags": ["resume_validated", "run_table_bit_identical",
-                  "checksum_mode_invariant", "stable_stats_schema"],
-        "max": {"noop_resume_executed": 0},
-    },
-    "gateway_load.json": {
-        "required": ["closed_loop", "open_loop", "num_requests_total",
-                     "num_errors_total", "error_rate",
-                     "peak_requests_per_second",
-                     "open_loop.latency_ms.p50", "open_loop.latency_ms.p95",
-                     "open_loop.latency_ms.p99",
-                     "closed_loop.1.latency_ms.p50",
-                     "closed_loop.1.latency_ms.p99"],
-        "flags": ["bit_identical_to_serve_alone",
-                  "drain_resolved_all_tickets"],
-        "max": {"error_rate": 0.0},
-    },
 }
 
 

@@ -1,13 +1,6 @@
-"""Experiment harness: profiles, dataset/method factories, per-table runners,
-and the declarative serving-stack experiment matrix (:mod:`.matrix`)."""
+"""Experiment harness: profiles, dataset/method factories and the per-table
+runners behind the paper's benchmark scripts."""
 
-from .matrix import (
-    ExperimentMatrix,
-    MatrixCell,
-    ServingCellRunner,
-    compare_run_tables,
-    format_comparison,
-)
 from .profiles import Profile, get_profile, FAST, FULL
 from .configs import (
     TABLE3_GRID,
@@ -32,11 +25,6 @@ from .runner import (
 )
 
 __all__ = [
-    "ExperimentMatrix",
-    "MatrixCell",
-    "ServingCellRunner",
-    "compare_run_tables",
-    "format_comparison",
     "Profile",
     "get_profile",
     "FAST",

@@ -151,6 +151,7 @@ _REASONS = {
     400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     408: "Request Timeout", 413: "Payload Too Large",
     415: "Unsupported Media Type", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 501: "Not Implemented",
     503: "Service Unavailable",
 }
@@ -901,7 +902,11 @@ async def _read_http_request(reader):
     headers = {}
     header_bytes = 0
     while True:
-        line = await reader.readuntil(b"\r\n")
+        try:
+            line = await reader.readuntil(b"\r\n")
+        except asyncio.LimitOverrunError:
+            # One header line longer than the stream's buffer limit.
+            raise _FramingError(431, "bad_request", "header line too long")
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise _FramingError(431, "bad_request", "headers too large")
@@ -915,11 +920,10 @@ async def _read_http_request(reader):
         raise _FramingError(501, "not_implemented",
                             "chunked request bodies are not supported")
     length = headers.get("content-length", "0")
-    try:
-        length = int(length)
-    except ValueError:
+    if not (length.isascii() and length.isdigit()):
         raise _FramingError(400, "bad_request", f"bad Content-Length '{length}'")
-    if length < 0 or length > MAX_BODY_BYTES:
+    length = int(length)
+    if length > MAX_BODY_BYTES:
         raise _FramingError(413, "payload_too_large",
                             f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""

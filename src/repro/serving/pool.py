@@ -84,6 +84,9 @@ __all__ = ["WorkerPool", "ServiceOverloaded", "PoolStopped", "WorkerCrashed",
            "POOL_METRIC_SCHEMA", "TRANSPORT_METRIC_SCHEMA",
            "executor_metric_schema", "zero_executor_snapshot"]
 
+#: Name prefix of every worker thread and child process a pool starts.
+POOL_NAME = "imputation-pool"
+
 #: The stable ``pool.*`` metric schema every WorkerPool registers — and every
 #: inline service zero-fills — so a scraper sees one key set in every mode.
 POOL_METRIC_SCHEMA = {
@@ -473,7 +476,7 @@ class WorkerPool:
 
     def __init__(self, num_workers=2, *, mode="process", max_queue_depth=256,
                  max_loaded_per_worker=4, steal=True, split=True,
-                 name="imputation-pool", metrics=None):
+                 metrics=None):
         if num_workers < 1:
             raise ValueError("num_workers must be a positive integer")
         if mode != "process":
@@ -488,7 +491,6 @@ class WorkerPool:
         self.max_loaded_per_worker = int(max_loaded_per_worker)
         self.steal = bool(steal)
         self.split = bool(split)
-        self.name = name
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._queues = [deque() for _ in range(self.num_workers)]
@@ -738,7 +740,7 @@ class WorkerPool:
         self._resident = [set() for _ in range(self.num_workers)]
         self._threads = [
             threading.Thread(target=self._worker_loop, args=(wid,),
-                             name=f"{self.name}-{wid}", daemon=True)
+                             name=f"{POOL_NAME}-{wid}", daemon=True)
             for wid in range(self.num_workers)
         ]
         for thread in self._threads:
@@ -806,7 +808,7 @@ class WorkerPool:
     def _ensure_process(self, wid, process):
         """The worker's live child process, spawning one if needed."""
         if process is None:
-            process = _WorkerProcess(f"{self.name}-proc-{wid}",
+            process = _WorkerProcess(f"{POOL_NAME}-proc-{wid}",
                                      max_loaded=self.max_loaded_per_worker)
             with self._lock:
                 self.dead_workers[wid] = False

@@ -1,10 +1,12 @@
 """Deterministic protocol test suite for the HTTP gateway.
 
-Everything here runs **in-process** — no sockets: the protocol core is the
-pure ``HTTPRequest -> HTTPResponse`` function :meth:`Gateway.handle`, driven
+Almost everything here runs **in-process**: the protocol core is the pure
+``HTTPRequest -> HTTPResponse`` function :meth:`Gateway.handle`, driven
 through :class:`InProcessClient`, and the wire framing layer is driven by
 feeding hand-crafted bytes into an ``asyncio.StreamReader`` with a recording
-writer.  The suite pins:
+writer.  ``TestRealSocket`` alone binds a localhost socket (port 0) and
+re-checks bit-identity and drain through :class:`GatewayServer` and
+:class:`GatewayClient`.  The suite pins:
 
 * both payload codecs against **golden byte fixtures**
   (``tests/fixtures/gateway/``) — JSON is canonical (sorted keys, NaN as
@@ -40,9 +42,12 @@ from repro import (
 from repro.serving import faults
 from repro.serving.gateway import (
     JSON_CONTENT_TYPE,
+    MAX_HEADER_BYTES,
     NPZ_CONTENT_TYPE,
     Gateway,
+    GatewayClient,
     GatewayError,
+    GatewayServer,
     InProcessClient,
     decode_array_payload,
     decode_impute_request,
@@ -832,6 +837,32 @@ class TestWireFraming:
                              b"Content-Length: banana\r\n\r\n")
         assert writer.data.startswith(b"HTTP/1.1 400 Bad Request\r\n")
 
+    def test_negative_content_length_is_bad_request(self, gateway):
+        writer = _drive_wire(gateway,
+                             b"POST /v1/impute HTTP/1.1\r\n"
+                             b"Content-Length: -5\r\n\r\n")
+        assert writer.data.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+
+    def test_oversized_header_line_answered(self, gateway):
+        """One header line past the stream limit gets a 431, not silence."""
+        writer = _drive_wire(gateway,
+                             b"GET /v1/healthz HTTP/1.1\r\n"
+                             b"X-Padding: " + b"a" * MAX_HEADER_BYTES
+                             + b"\r\n\r\n")
+        assert writer.data.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+        assert b"Connection: close" in writer.data
+        assert writer.closed
+
+    def test_too_many_headers_answered(self, gateway):
+        header = b"X-Padding: " + b"a" * 1000 + b"\r\n"
+        count = MAX_HEADER_BYTES // len(header) + 1
+        writer = _drive_wire(gateway,
+                             b"GET /v1/healthz HTTP/1.1\r\n"
+                             + header * count + b"\r\n")
+        assert writer.data.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+
     def test_oversized_body_rejected(self, gateway):
         writer = _drive_wire(gateway,
                              b"POST /v1/impute HTTP/1.1\r\n"
@@ -883,6 +914,65 @@ class TestWireFaults:
             second = _drive_wire(gateway, b"GET /v1/healthz HTTP/1.1\r\n\r\n")
         assert first.data.startswith(b"HTTP/1.1 200 OK\r\n")
         assert second.data == b""
+
+
+# ----------------------------------------------------------------------
+# A real localhost socket: GatewayServer on port 0, GatewayClient
+# ----------------------------------------------------------------------
+class TestRealSocket:
+    @staticmethod
+    async def _over_socket(gateway, scenario):
+        async with GatewayServer(gateway) as server:
+            client = GatewayClient(server.host, server.port)
+            try:
+                return await scenario(client)
+            finally:
+                await client.close()
+
+    def test_bit_identical_to_serve_in_both_codecs(self, service, gateway,
+                                                   tiny_traffic_dataset):
+        request = _request(tiny_traffic_dataset, seed=321)
+        reference = service.serve(request)
+
+        async def scenario(client):
+            return [await submit_and_fetch(client, request, codec=codec)
+                    for codec in CODECS]
+
+        for payload, status in run(self._over_socket(gateway, scenario)):
+            assert status == 200
+            for key in ("median", "samples", "values", "observed_mask"):
+                expected = getattr(reference, key)
+                assert payload[key].dtype == expected.dtype
+                assert np.array_equal(payload[key], expected)
+
+    def test_drain_resolves_queued_tickets(self, gateway_registry,
+                                           tiny_traffic_dataset):
+        """Tickets queued on a slow service all resolve to 200 after the
+        drain, and the next submit is refused with 503."""
+        service = ImputationService(gateway_registry, max_batch_requests=100,
+                                    max_delay_seconds=30.0)
+        gateway = Gateway(service)
+        body = encode_impute_request(_request(tiny_traffic_dataset))
+
+        async def scenario(client):
+            tickets = []
+            for _ in range(4):
+                submitted = await client.request("POST", "/v1/impute",
+                                                 body=body)
+                assert submitted.status == 202
+                tickets.append(submitted.json()["ticket"])
+            assert service.pending() == 4
+            await gateway.drain()
+            statuses = [
+                (await client.request("GET", f"/v1/result/{ticket}")).status
+                for ticket in tickets
+            ]
+            refused = await client.request("POST", "/v1/impute", body=body)
+            return statuses, refused.status
+
+        statuses, refused = run(self._over_socket(gateway, scenario))
+        assert statuses == [200] * 4
+        assert refused == 503
 
 
 # ----------------------------------------------------------------------

@@ -517,6 +517,8 @@ class TestSharedCaches:
             WorkerPool(max_queue_depth=0)
         with pytest.raises(ValueError):
             WorkerPool(max_loaded_per_worker=0)
+        with pytest.raises(TypeError):
+            WorkerPool(name="custom")       # fixed prefix POOL_NAME
         with pytest.raises(ValueError):
             BackendCache(max_loaded=0)
         with pytest.raises(TypeError):

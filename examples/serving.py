@@ -152,11 +152,8 @@ def main():
         missing = int((~update.observed_mask[-1]).sum())
         newest = np.array2string(update.new_median[-1][:4], precision=2)
         print(f"  tick {update.tick:2d}: imputed {missing} missing sensors, "
-              f"median[:4] = {newest}"
-              + ("  (condition cache hit)" if update.condition_cached else ""))
-    print(f"\nstream: {stream.emissions} emissions, "
-          f"{stream.condition_cache_misses} condition builds, "
-          f"{stream.condition_cache_hits} cache hits")
+              f"median[:4] = {newest}")
+    print(f"\nstream: {stream.emissions} emissions")
 
     # 5. The HTTP gateway: the same service behind real sockets.
     asyncio.run(gateway_demo(registry, requests))

@@ -25,9 +25,6 @@ from .compiled import (
     CompiledSampler,
     CompiledStepCache,
     compile_enabled,
-    compiled_counters,
-    register_compiled_metrics,
-    reset_compiled_counters,
 )
 from .engine import InferenceEngine, RequestPlan
 
@@ -42,7 +39,4 @@ __all__ = [
     "CompiledSampler",
     "CompiledStepCache",
     "compile_enabled",
-    "compiled_counters",
-    "register_compiled_metrics",
-    "reset_compiled_counters",
 ]

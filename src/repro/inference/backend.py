@@ -320,7 +320,7 @@ class DiffusionBackend(ImputationBackend):
     # Request-plan protocol (used by the serving micro-batcher)
     # ------------------------------------------------------------------
     def plan_request(self, values, observed_mask=None, *, num_samples=1,
-                     rng=None, stride=None, condition_cache=None, cache_key=None):
+                     rng=None, stride=None):
         """Plan a raw request into engine work items.
 
         Parameters
@@ -339,12 +339,6 @@ class DiffusionBackend(ImputationBackend):
         stride:
             Sliding-window stride for requests longer than the model window;
             defaults to the window length (non-overlapping).
-        condition_cache, cache_key:
-            Optional memo for the per-window conditional information:
-            ``condition_cache[(cache_key, start)]`` stores the built
-            condition of the window at ``start``.  The streaming session
-            passes a session-scoped dict keyed by absolute tick, so
-            re-imputing an unchanged window skips ``build_condition``.
         """
         values, observed_mask = self._check_request(values, observed_mask)
         num_samples = int(num_samples)
@@ -372,17 +366,12 @@ class DiffusionBackend(ImputationBackend):
         windows = []
         for start in self.engine.window_starts(padded_length, window, stride):
             stop = start + window
-            key = None if condition_cache is None else (cache_key, start)
             window_values = scaled[start:stop].T[None]
             window_mask = mask[start:stop].T[None].astype(dtype)
-            condition = None if key is None else condition_cache.get(key)
-            if condition is None:
-                condition = np.asarray(
-                    self.build_condition(window_values * window_mask, window_mask),
-                    dtype=dtype,
-                )
-                if key is not None:
-                    condition_cache[key] = condition
+            condition = np.asarray(
+                self.build_condition(window_values * window_mask, window_mask),
+                dtype=dtype,
+            )
             windows.append(RequestPlan(start, window_values, window_mask,
                                        condition, rng=rng))
         # Window-major (window, sample) order — identical to the serve-alone
@@ -421,7 +410,7 @@ class DiffusionBackend(ImputationBackend):
     # Raw-array path
     # ------------------------------------------------------------------
     def impute_arrays(self, values, observed_mask=None, *, num_samples=1,
-                      rng=None, stride=None, condition_cache=None, cache_key=None):
+                      rng=None, stride=None):
         """Impute a raw ``(time, node)`` request end to end.
 
         This is exactly ``plan_request`` → engine → ``assemble``; the serving
@@ -430,8 +419,7 @@ class DiffusionBackend(ImputationBackend):
         bit-identical to this serve-alone path.
         """
         job = self.plan_request(values, observed_mask, num_samples=num_samples,
-                                rng=rng, stride=stride,
-                                condition_cache=condition_cache, cache_key=cache_key)
+                                rng=rng, stride=stride)
         with self.eval_mode():
             item_samples = self.engine.sample_plans(job.items)
         return self.assemble(job, item_samples)
@@ -476,18 +464,17 @@ class WindowedBackend(ImputationBackend):
         return self._finalize(samples_scaled, values, input_mask)
 
     def impute_arrays(self, values, observed_mask=None, *, num_samples=1,
-                      rng=None, stride=None, condition_cache=None, cache_key=None):
+                      rng=None, stride=None):
         """Impute a raw ``(time, node)`` request of any length ≥ 1.
 
         Requests shorter than the trained window are mask-padded to it and
         cropped after reconstruction — some windowed decoders (the VAE
         family) emit a fixed window length, so short inputs cannot be fed
-        through directly.  ``rng`` / ``stride`` / ``condition_cache`` are
-        accepted for interface parity with :class:`DiffusionBackend` and
-        ignored: windowed reconstruction has no engine-side noise or
-        condition to control — stochastic windowed models (VAE, rGAIN) draw
-        from their *model-owned* stream, so replayable streams are a
-        diffusion-backend guarantee only.
+        through directly.  ``rng`` / ``stride`` are accepted for interface
+        parity with :class:`DiffusionBackend` and ignored: windowed
+        reconstruction has no engine-side noise to control — stochastic
+        windowed models (VAE, rGAIN) draw from their *model-owned* stream,
+        so replayable streams are a diffusion-backend guarantee only.
         """
         values, observed_mask = self._check_request(values, observed_mask)
         num_samples = int(num_samples)

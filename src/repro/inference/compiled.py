@@ -25,14 +25,11 @@ Tensor-op loop the engine runs eagerly, run here under a
   RNG stream.
 
 ``REPRO_COMPILE=0`` (or ``false`` / ``off``) disables compilation process-wide;
-``PriSTIConfig.compile_inference`` disables it per model.  Module-global
-counters aggregate hits / misses / fallbacks across every cache in the
-process under their ``compiled.*`` metric names; a serving
-:class:`~repro.serving.metrics.MetricsRegistry` reads them through
-:func:`register_compiled_metrics`, and process-pool children piggyback them
-on each batch reply for the parent to fold.  (They stay a plain dict here:
-``repro.serving`` imports this package, so importing its metrics module at
-module level would be circular.)
+``PriSTIConfig.compile_inference`` disables it per model.  Every cache in the
+process increments the same ordinary ``compiled.*`` counters in
+:data:`repro.telemetry.PROCESS_METRICS`; a serving snapshot merges that
+registry, and process-pool children piggyback it on each batch reply for the
+parent to fold.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..telemetry import PROCESS_METRICS
 from ..tensor.tensor import get_default_dtype
 from ..tensor.trace import TraceUnsupported, compile_graph, trace
 
@@ -51,9 +49,6 @@ __all__ = [
     "CompiledSampler",
     "CompiledStepCache",
     "compile_enabled",
-    "compiled_counters",
-    "register_compiled_metrics",
-    "reset_compiled_counters",
     "sample_chunk_compiled",
 ]
 
@@ -69,68 +64,12 @@ def compile_enabled():
     return raw not in ("0", "false", "off")
 
 
-# ---------------------------------------------------------------------------
-# Process-wide counters (serving telemetry)
-# ---------------------------------------------------------------------------
-
-_GLOBAL_LOCK = threading.Lock()
-_GLOBAL_COUNTERS = {
-    "compiled.cache.hits": 0,
-    "compiled.cache.misses": 0,
-    "compiled.fallbacks": 0,
-    "compiled.cache.evictions": 0,
-    "compiled.programs": 0,
-}
-
-
-def _bump(name, amount=1):
-    with _GLOBAL_LOCK:
-        _GLOBAL_COUNTERS[name] += amount
-
-
-def compiled_counters():
-    """Aggregated compile counters across every cache in this process.
-
-    Pool workers fold their children's counters back into the
-    parent's totals through each batch reply (see
-    :func:`fold_compiled_counters`), so on a pool-owning process this also
-    covers work the children did.
-    """
-    with _GLOBAL_LOCK:
-        return dict(_GLOBAL_COUNTERS)
-
-
-def fold_compiled_counters(delta):
-    """Add another process's counter deltas into this process's totals.
-
-    The worker pool calls this with the per-batch delta of a child
-    process's cumulative counters, so ``compiled_counters()`` on the
-    parent reflects compilation work wherever it physically ran.
-    """
-    with _GLOBAL_LOCK:
-        for key, amount in delta.items():
-            if key in _GLOBAL_COUNTERS and amount:
-                _GLOBAL_COUNTERS[key] += int(amount)
-
-
-def reset_compiled_counters():
-    """Zero the process-wide counters (tests and benchmarks)."""
-    with _GLOBAL_LOCK:
-        for key in _GLOBAL_COUNTERS:
-            _GLOBAL_COUNTERS[key] = 0
-
-
-def register_compiled_metrics(metrics):
-    """Register the ``compiled.*`` metrics on a ``MetricsRegistry``.
-
-    The instruments are callback gauges over the process-global counters, so
-    one registration covers every cache in the process (and, behind a worker
-    pool, everything the children fold back through their batch replies) —
-    there is no second copy of the totals to drift.
-    """
-    for name in _GLOBAL_COUNTERS:
-        metrics.gauge(name, fn=lambda name=name: compiled_counters()[name])
-    return metrics
+# Process-wide counters (serving telemetry): one set for every cache here.
+_HITS = PROCESS_METRICS.counter("compiled.cache.hits")
+_MISSES = PROCESS_METRICS.counter("compiled.cache.misses")
+_FALLBACKS = PROCESS_METRICS.counter("compiled.fallbacks")
+_EVICTIONS = PROCESS_METRICS.counter("compiled.cache.evictions")
+_PROGRAMS = PROCESS_METRICS.counter("compiled.programs")
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +133,9 @@ class CompiledStepCache:
                 if entry is not FALLBACK:
                     self.hits += 1
         if entry is None:
-            _bump("compiled.cache.misses")
+            _MISSES.inc()
         elif entry is not FALLBACK:
-            _bump("compiled.cache.hits")
+            _HITS.inc()
         return entry
 
     def store(self, key, entry):
@@ -209,16 +148,16 @@ class CompiledStepCache:
                 self.evictions += 1
                 evicted += 1
         if evicted:
-            _bump("compiled.cache.evictions", evicted)
+            _EVICTIONS.inc(evicted)
         if entry is not FALLBACK:
-            _bump("compiled.programs")
+            _PROGRAMS.inc()
         return entry
 
     def count_fallback(self):
         """One chunk was served by the eager path after a compile decision."""
         with self._lock:
             self.fallbacks += 1
-        _bump("compiled.fallbacks")
+        _FALLBACKS.inc()
 
     def clear(self):
         with self._lock:

@@ -21,21 +21,22 @@ production-facing counterpart built on the stateless
     shared memory.
 :class:`StreamingImputer`
     Tick-by-tick sessions over live sensor streams, backed by a ring-buffer
-    sliding window with per-window condition caching and incremental
-    emissions.
+    sliding window with incremental emissions.
 :class:`Gateway` / :class:`GatewayServer`
     The wire protocol in front of all of it: a minimal-dependency asyncio
     HTTP server exposing submit/result/streaming endpoints with JSON and NPZ
     payload codecs, boundary validation, overload -> 429 mapping and graceful
     drain on SIGTERM (see :mod:`repro.serving.gateway`).
 :class:`MetricsRegistry`
-    The typed observability spine under all of the above: every layer
-    registers its counters/gauges/histograms under dotted stable names
-    (``service.queue.depth``, ``pool.steals``, ``transport.bytes_staged``,
-    ``compiled.cache.hits``) into one registry, worker counters fold into
-    the parent through :class:`WorkerCounterMerge`, and one flat
-    :meth:`~ImputationService.metrics_snapshot` covers the whole stack with
-    a mode-independent key set (see :mod:`repro.serving.metrics`).
+    The typed observability spine under all of the above, re-exported from
+    the leaf module :mod:`repro.telemetry`: every layer registers its
+    counters/gauges/histograms under dotted stable names
+    (``service.queue.depth``, ``pool.steals``, ``transport.bytes_staged``),
+    the compile caches count ``compiled.cache.hits`` and friends in the
+    process-wide :data:`~repro.telemetry.PROCESS_METRICS`, worker and child
+    counters fold into the parent through :class:`WorkerCounterMerge`, and
+    one flat :meth:`~ImputationService.metrics_snapshot` covers the whole
+    stack with a mode-independent key set.
 :mod:`repro.serving.faults` / :mod:`repro.serving.resilience`
     Deterministic chaos and the machinery that survives it: a seeded,
     schedule-driven :class:`~repro.serving.faults.FaultInjector` with named
@@ -67,7 +68,7 @@ from .gateway import (
     GatewayServer,
     InProcessClient,
 )
-from .metrics import (
+from ..telemetry import (
     Counter,
     Gauge,
     Histogram,

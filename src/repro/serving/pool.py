@@ -73,10 +73,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..inference.backend import process_backend
-from ..inference.compiled import fold_compiled_counters
+from ..telemetry import PROCESS_METRICS, MetricsRegistry, WorkerCounterMerge
 from . import faults
 from .errors import PoolStopped, ServiceOverloaded, TransportError, WorkerCrashed
-from .metrics import MetricsRegistry, WorkerCounterMerge
 from .transport import TRANSPORT_METRIC_SCHEMA, ShmArena
 
 __all__ = ["WorkerPool", "ServiceOverloaded", "PoolStopped", "WorkerCrashed",
@@ -283,11 +282,9 @@ class _WorkerProcess:
         self.control_bytes_sent = 0
         self.control_bytes_received = 0
         self.batches_run = 0
-        # Last compiled-counter snapshot seen from the child: batch replies
-        # carry the child's cumulative ``compiled.*`` totals, and
-        # counter_totals() republishes them for the pool's worker->parent
-        # merge to delta-fold.
-        self._compiled_last = {}
+        # The child's cumulative PROCESS_METRICS counters as of its last
+        # batch reply (its compile counters), for the pool to delta-fold.
+        self.process_totals = {}
         self.process = ctx.Process(target=_process_worker_main,
                                    args=(child_conn, max_loaded),
                                    name=name, daemon=True)
@@ -346,26 +343,24 @@ class _WorkerProcess:
                                         task.generation,
                                         staged.descriptors()))
             if isinstance(snapshot, dict):
-                self._compiled_last = snapshot
+                self.process_totals = snapshot
             self.batches_run += 1
             return staged.read_responses()
         finally:
             staged.release()
 
-    def counter_totals(self):
-        """This worker's cumulative counters under their dotted metric names.
+    def transport_totals(self):
+        """This worker's cumulative shm-transport counters by metric name.
 
-        The pool's :class:`~repro.serving.metrics.WorkerCounterMerge` folds
-        these after every batch, at snapshot time and on retirement — the one
-        worker->parent path shared by the shm-transport counters and the
-        compile counters the child piggybacks on its batch replies.
+        The pool folds these (and :attr:`process_totals`) through its
+        :class:`~repro.telemetry.WorkerCounterMerge` instances after every
+        batch, at snapshot time and on retirement.
         """
         totals = {name: value for name, value in self.arena.stats().items()
                   if TRANSPORT_METRIC_SCHEMA[name] == "counter"}
         totals["transport.control.bytes_sent"] = self.control_bytes_sent
         totals["transport.control.bytes_received"] = self.control_bytes_received
         totals["transport.batches.run"] = self.batches_run
-        totals.update(self._compiled_last)
         return totals
 
     def close(self, kill=False):
@@ -390,7 +385,6 @@ def _process_worker_main(conn, max_loaded=4):
     """Child-process loop: attach segments, decode descriptors, execute,
     write responses in place, reply with a small status message."""
     from ..inference.backend import _PROCESS_BACKENDS
-    from ..inference.compiled import compiled_counters
     from .transport import SegmentAttachments, decode_batch
 
     # One single-threaded, freshly spawned child per worker, so the
@@ -431,10 +425,10 @@ def _process_worker_main(conn, max_loaded=4):
                 except BaseException as error:  # noqa: BLE001 - forwarded
                     reply(("error", error))
                 else:
-                    # The reply piggybacks this child's cumulative compile
-                    # counters; the parent folds the delta into its own
-                    # totals so serving telemetry covers process workers.
-                    reply(("ok", compiled_counters()))
+                    # The reply piggybacks this child's cumulative
+                    # process-wide (compile) counters; the parent folds the
+                    # delta into its own so telemetry covers process workers.
+                    reply(("ok", PROCESS_METRICS.snapshot()))
                 attachments.trim()
             elif kind == "warm":
                 _, artifact_path, generation = message
@@ -475,8 +469,7 @@ class WorkerPool:
     """
 
     def __init__(self, num_workers=2, *, mode="process", max_queue_depth=256,
-                 max_loaded_per_worker=4, steal=True, split=True,
-                 metrics=None):
+                 max_loaded_per_worker=4, steal=True, split=True):
         if num_workers < 1:
             raise ValueError("num_workers must be a positive integer")
         if mode != "process":
@@ -501,7 +494,7 @@ class WorkerPool:
         self._drain = True
         # Instrumentation: every scheduling/transport counter lives in the
         # typed registry under its dotted stable name (metrics_snapshot()).
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.metrics.declare(executor_metric_schema())
         self.metrics.gauge("pool.workers", fn=lambda: self.num_workers)
         self.metrics.gauge("pool.workers.dead",
@@ -513,11 +506,12 @@ class WorkerPool:
                            fn=lambda: self._live_arena_stat("transport.segments.active"))
         self.metrics.gauge("transport.slots.live",
                            fn=lambda: self._live_arena_stat("transport.slots.live"))
-        # The one worker->parent counter path: worker threads fold their
-        # loop-local totals, and each child's cumulative transport +
-        # piggybacked compile counters fold the same way
-        # (see _fold_worker_counters).
-        self._merge = WorkerCounterMerge(self._fold_worker_counters)
+        # Worker->parent counter merges, one per destination registry:
+        # worker threads' loop-local totals and each child's transport totals
+        # land on this pool's registry, each child's piggybacked compile
+        # counters on this process's PROCESS_METRICS.
+        self._merge = WorkerCounterMerge(self.metrics.fold)
+        self._process_merge = WorkerCounterMerge(PROCESS_METRICS.fold)
         # Per-worker views the flat schema sums over: batches executed and
         # warm-load seconds (``pool.batches.executed`` / ``pool.warm.seconds``).
         self.executed_batches = [0] * self.num_workers
@@ -537,27 +531,13 @@ class WorkerPool:
         self._processes = [None] * self.num_workers
 
     # ------------------------------------------------------------------
-    # Metrics plumbing (one worker->parent merge)
+    # Metrics plumbing (worker->parent merges)
     # ------------------------------------------------------------------
-    def _fold_worker_counters(self, deltas):
-        """Merge sink: route worker counter deltas to their parent sinks.
-
-        ``compiled.*`` deltas go to the process-global compile counters
-        (their registry instruments are callback gauges over those, so
-        folding them into registry counters too would double count); every
-        other delta lands on this pool's registry counters.
-        """
-        compiled = {name: amount for name, amount in deltas.items()
-                    if name.startswith("compiled.")}
-        if compiled:
-            fold_compiled_counters(compiled)
-        self.metrics.fold({name: amount for name, amount in deltas.items()
-                           if name not in compiled})
-
     def _fold_process(self, process):
         """Delta-fold one child's cumulative counters into the parent."""
         if process is not None:
-            self._merge.fold(process, process.counter_totals())
+            self._merge.fold(process, process.transport_totals())
+            self._process_merge.fold(process, process.process_totals)
 
     def _fold_live_processes(self):
         """Fold every live child so a snapshot reflects in-progress work.

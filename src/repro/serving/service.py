@@ -46,11 +46,13 @@ Telemetry
 ---------
 :meth:`ImputationService.metrics_snapshot` is the one counter surface: a
 flat ``{dotted-name: number}`` dict covering the ``service.*`` counters
-registered here, the ``registry.*`` LRU and the process-wide ``compiled.*``
-counters (read-through gauges), the executor's ``pool.*`` / ``transport.*``
-names (zero-filled when the service runs inline, so the key set never
-depends on the executor mode) and, once a gateway fronts the service, its
-``gateway.*`` names.  See :mod:`repro.serving.metrics`.
+registered here, the ``registry.*`` LRU (read-through gauges), the
+process-wide ``compiled.*`` counters of
+:data:`repro.telemetry.PROCESS_METRICS` (which, behind a worker pool, also
+carry the compiles its children ran), the executor's ``pool.*`` /
+``transport.*`` names (zero-filled when the service runs inline, so the key
+set never depends on the executor mode) and, once a gateway fronts the
+service, its ``gateway.*`` names.  See :mod:`repro.telemetry`.
 """
 
 from __future__ import annotations
@@ -62,11 +64,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..inference.compiled import register_compiled_metrics
 from ..metrics import imputation_metrics
+from ..telemetry import PROCESS_METRICS, MetricsRegistry
 from . import faults
 from .errors import DeadlineExceeded, ServiceOverloaded
-from .metrics import MetricsRegistry
 from .pool import BatchTask, RequestPayload, execute_batch, zero_executor_snapshot
 from .registry import ModelRegistry, ResolvedModel
 from .resilience import CircuitBreaker, counts_as_breaker_failure
@@ -243,8 +244,7 @@ class ImputationService:
 
     def __init__(self, registry, *, max_batch_requests=16, max_delay_seconds=0.005,
                  seed=0, clock=time.monotonic, executor=None, max_queue_depth=None,
-                 retry_policy=None, circuit_policy=None, fallback=None,
-                 metrics=None):
+                 retry_policy=None, circuit_policy=None, fallback=None):
         if not isinstance(registry, ModelRegistry):
             raise TypeError("registry must be a ModelRegistry")
         if max_batch_requests < 1:
@@ -285,17 +285,16 @@ class ImputationService:
         self._retry_rng = np.random.default_rng(
             np.random.SeedSequence([int(seed) if np.isscalar(seed) else 0, 0x7e7]))
         # Instrumentation: every serving counter lives in the typed registry
-        # under its dotted stable name.  The registry LRU and the
-        # process-wide compile counters register themselves as read-through
-        # gauges, so one snapshot covers the whole stack.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # under its dotted stable name.  The registry LRU registers itself as
+        # read-through gauges; metrics_snapshot() adds the executor's and the
+        # process-wide registries, so one snapshot covers the whole stack.
+        self.metrics = MetricsRegistry()
         self.metrics.declare(SERVICE_METRIC_SCHEMA)
         self.metrics.gauge("service.queue.depth", fn=self.pending)
         self.metrics.gauge("service.requests.inflight",
                            fn=lambda: self._inflight_requests)
         self.metrics.gauge("service.circuits.open", fn=self._open_circuits)
         registry.register_metrics(self.metrics)
-        register_compiled_metrics(self.metrics)
 
     # ------------------------------------------------------------------
     # Client surface
@@ -531,12 +530,14 @@ class ImputationService:
 
         The key set is stable across executor modes: executor metrics are
         zero-filled when the service runs inline, live when a pool is
-        attached (folding its worker counters first).  Never call this while
-        holding the service or pool lock — gauge callbacks take them.
+        attached (folding its worker counters — and its children's compile
+        counters into the process-wide registry — first).  Never call this
+        while holding the service or pool lock — gauge callbacks take them.
         """
         snapshot = zero_executor_snapshot()
         if self.executor is not None and hasattr(self.executor, "metrics_snapshot"):
             snapshot.update(self.executor.metrics_snapshot())
+        snapshot.update(PROCESS_METRICS.snapshot())
         snapshot.update(self.metrics.snapshot())
         return snapshot
 

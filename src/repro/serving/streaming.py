@@ -13,13 +13,10 @@ imputation is the valuable one.  :class:`StreamingImputer` closes that gap:
   fine — windows shorter than the model's trained length are mask-padded),
 * the emitted :class:`StreamingUpdate` carries the full imputed window plus
   the *incremental* slice — the ticks imputed for the first time since the
-  previous emission,
-* per-window conditional information is memoised by **absolute window
-  start** (a window's content is immutable once its ticks are pushed), so
-  re-imputing an unchanged window — repeated :meth:`StreamingImputer.query`
-  calls between ticks, emission retries — never rebuilds the condition, and
-  within one imputation the engine already computes it once per window
-  regardless of ``num_samples``.
+  previous emission.
+
+Each imputation builds the window's conditional information once, whatever
+``num_samples`` is.
 
 The session draws all diffusion noise from one private RNG stream
 (``seed``), so a replayed stream reproduces its imputations exactly.  (The
@@ -59,8 +56,10 @@ class StreamingUpdate:
     observed_mask:
         ``(window, node)`` visibility of the window's raw readings.
     condition_cached:
-        Whether the window's conditional information came from the session
-        cache instead of being rebuilt.
+        Always ``False``: every emission builds its window's condition (the
+        deterministic ``build_condition``).  The field stays because stream
+        consumers read it — the gateway's stream meta carries it, and the
+        benchmark's span tracer reports its share.
     """
 
     tick: int
@@ -98,6 +97,8 @@ class StreamingImputer:
                  min_history=1, seed=0):
         if emit_stride < 1:
             raise ValueError("emit_stride must be a positive integer")
+        if num_samples < 1:
+            raise ValueError("num_samples must be a positive integer")
         window_length = int(backend.window_length)
         if not 1 <= min_history <= window_length:
             raise ValueError("min_history must be in [1, window_length]")
@@ -107,11 +108,8 @@ class StreamingImputer:
         self.min_history = int(min_history)
         self.buffer = SlidingWindowBuffer(window_length, num_nodes)
         self._rng = np.random.default_rng(seed)
-        self._condition_cache = {}
         self._last_emitted_tick = -1    # absolute index of the newest emitted tick
         self.emissions = 0
-        self.condition_cache_hits = 0
-        self.condition_cache_misses = 0
 
     @property
     def tick(self):
@@ -136,8 +134,7 @@ class StreamingImputer:
     def query(self):
         """Impute the current window on demand (also used by :meth:`push`).
 
-        Safe to call repeatedly between ticks: the window's conditional
-        information is cached by absolute start, and the emitted update's
+        Safe to call repeatedly between ticks: the emitted update's
         ``new_median`` is empty when nothing new arrived.
         """
         if not self.warm:
@@ -146,22 +143,9 @@ class StreamingImputer:
             )
         values, mask = self.buffer.window()
         start = self.buffer.start
-        # Identify the window by (absolute start, ticks it holds): a full
-        # buffer's window is pinned by its start alone, but while the buffer
-        # is still filling the start stays 0 and the *content* grows — the
-        # tick count disambiguates, so a longer window never hits a shorter
-        # window's cached condition.
-        content_key = (start, len(self.buffer))
-        cached = (content_key, 0) in self._condition_cache
         raw = self.backend.impute_arrays(
             values, mask, num_samples=self.num_samples, rng=self._rng,
-            condition_cache=self._condition_cache, cache_key=content_key,
         )
-        if cached:
-            self.condition_cache_hits += 1
-        else:
-            self.condition_cache_misses += 1
-        self._prune_cache(content_key)
 
         new_ticks = self.tick - self._last_emitted_tick
         new_ticks = int(np.clip(new_ticks, 0, raw.median.shape[0]))
@@ -172,15 +156,9 @@ class StreamingImputer:
             samples=raw.samples,
             new_median=raw.median[raw.median.shape[0] - new_ticks:],
             observed_mask=mask,
-            condition_cached=cached,
+            condition_cached=False,
         )
         self._last_emitted_tick = self.tick
         self.emissions += 1
         return update
 
-    def _prune_cache(self, content_key):
-        """Keep only the live window's entries: anything else describes a
-        window that slid (or grew) out of reach and can never hit again."""
-        stale = [key for key in self._condition_cache if key[0] != content_key]
-        for key in stale:
-            del self._condition_cache[key]

@@ -1,9 +1,8 @@
-"""First-class serving metrics: typed instruments behind one stable schema.
+"""Typed metric instruments behind one stable schema: the one metrics home.
 
-Every layer of the serving stack reports into a typed
-:class:`MetricsRegistry` of :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments with **dotted stable names**, one family per
-layer:
+Every layer of the stack reports into a typed :class:`MetricsRegistry` of
+:class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments with
+**dotted stable names**, one family per layer:
 
 * ``service.*`` — admission, batching and resilience counters of the
   micro-batching service (``service.requests.served``,
@@ -16,19 +15,27 @@ layer:
 * ``compiled.*`` — trace-and-replay compilation (``compiled.cache.hits``);
 * ``gateway.*`` — the HTTP protocol layer (``gateway.requests``).
 
+This module is a leaf: it imports only the standard library, so
+:mod:`repro.inference` and :mod:`repro.serving` both import it without a
+cycle.  (It is not :mod:`repro.metrics`, which holds the paper's
+MAE / CRPS evaluation code.)
+
+Families whose instruments are not owned by one serving object live in
+:data:`PROCESS_METRICS`, the process-wide registry — today only the
+``compiled.*`` counters every :class:`~repro.inference.CompiledStepCache`
+in the process increments.  ``ImputationService.metrics_snapshot()`` merges
+it, and a worker pool folds each child process's ``PROCESS_METRICS``
+counters into the parent's through a :class:`WorkerCounterMerge`.
+
 The flat snapshot is the only counter surface: ``service.metrics_snapshot()``
 in-process and the ``"metrics"`` section of the gateway's ``/v1/stats``.
-One :class:`WorkerCounterMerge` folds worker-side cumulative counters into
-the parent — the single merge path shared by the pool's worker threads
-(batch and crash bookkeeping) and their child processes (compiled +
-transport counters piggybacked on batch replies).
 
 Design rules
 ------------
 * **Names are the schema.**  A scraper never branches on executor mode:
-  :func:`declare` pre-registers every name with a zero value, so a snapshot
-  always carries the full key set — an inline service reports
-  ``pool.steals == 0`` instead of omitting the key.
+  :meth:`MetricsRegistry.declare` pre-registers every name with a zero
+  value, so a snapshot always carries the full key set — an inline service
+  reports ``pool.steals == 0`` instead of omitting the key.
 * **Counters are monotonic, gauges are instantaneous.**  A :class:`Gauge`
   may wrap a callback so queue depths and LRU occupancy are read live at
   snapshot time instead of being pushed on every transition.
@@ -57,6 +64,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "WorkerCounterMerge",
+    "PROCESS_METRICS",
 ]
 
 
@@ -249,10 +257,11 @@ class MetricsRegistry:
 class WorkerCounterMerge:
     """Fold per-source *cumulative* counter snapshots into parent sinks.
 
-    One instance per pool unifies every worker→parent counter path: worker
-    threads fold their local batch/crash totals and the compiled-step
-    counters their child piggybacks on each batch reply, plus the
-    shm-transport totals of their arena and pipe.  The merge remembers
+    A worker pool keeps one per destination registry: worker threads fold
+    their local batch/crash totals and the shm-transport totals of their
+    arena and pipe into the pool's registry, and the ``compiled.*`` counters
+    each child piggybacks on its batch replies fold into the parent's
+    :data:`PROCESS_METRICS`.  The merge remembers
     the last snapshot per ``source`` (any hashable — a worker slot, a child
     process handle) and applies only the positive delta, so:
 
@@ -295,3 +304,9 @@ class WorkerCounterMerge:
     def sources(self):
         with self._lock:
             return list(self._seen)
+
+
+#: The process-wide registry: instrument families owned by no single serving
+#: object (the ``compiled.*`` counters of every compile cache in this
+#: process, plus whatever a worker pool folds in from its children).
+PROCESS_METRICS = MetricsRegistry()

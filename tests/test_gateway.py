@@ -499,6 +499,18 @@ class TestStreamingEndpoints:
         assert unknown.status == 404
         assert wrong_shape.status == 400
 
+    def test_stream_open_rejects_zero_samples(self, gateway, client):
+        """A session that could never emit must be refused at open, not
+        accepted and then failed on every tick."""
+        async def go():
+            return await self._open(client, num_samples=0)
+
+        response = run(go())
+        assert response.status == 400
+        assert response.json()["error"] == "bad_request"
+        assert "num_samples" in response.json()["message"]
+        assert gateway.metrics.gauge("gateway.streams.open").value == 0
+
 
 # ----------------------------------------------------------------------
 # Graceful drain

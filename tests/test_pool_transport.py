@@ -244,21 +244,24 @@ class TestPoolTransportLifecycle:
     def test_child_compile_counters_fold_into_parent(self, registry,
                                                      tiny_traffic_dataset):
         """Batch replies carry the child's cumulative compile counters and
-        the parent folds the deltas, so ``compiled_counters()`` (and with it
-        the ``compiled.*`` metrics) covers inference in pool children."""
-        from repro.inference import compiled_counters, reset_compiled_counters
-
-        reset_compiled_counters()
+        the parent folds the deltas, so the ``compiled.*`` metrics of the
+        service snapshot cover inference in pool children."""
         pool = WorkerPool(num_workers=1, mode="process")
+        service = ImputationService(registry, max_batch_requests=64,
+                                    executor=pool)
+        before = service.metrics_snapshot()
         with pool:
-            tickets = self._serve(registry, tiny_traffic_dataset, pool,
-                                  count=2)
+            tickets = [service.submit(request)
+                       for request in _requests(tiny_traffic_dataset, count=2)]
+            service.flush()
             for ticket in tickets:
                 ticket.result(timeout=120)
-        counters = compiled_counters()
-        assert counters["compiled.cache.misses"] >= 1, counters
-        assert counters["compiled.programs"] >= 1, counters
-        assert counters["compiled.fallbacks"] == 0, counters
+        after = service.metrics_snapshot()
+        deltas = {name: after[name] - before[name]
+                  for name in after if name.startswith("compiled.")}
+        assert deltas["compiled.cache.misses"] >= 1, deltas
+        assert deltas["compiled.programs"] >= 1, deltas
+        assert deltas["compiled.fallbacks"] == 0, deltas
 
     def test_hard_stop_unlinks_every_segment(self, registry,
                                              tiny_traffic_dataset):

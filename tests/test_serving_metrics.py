@@ -24,10 +24,9 @@ from repro import (
     PriSTIConfig,
     WorkerPool,
 )
-from repro.inference.compiled import compiled_counters, reset_compiled_counters
 from repro.serving import Gateway, InProcessClient
-from repro.serving.metrics import MetricsRegistry, WorkerCounterMerge
 from repro.serving.pool import executor_metric_schema
+from repro.telemetry import MetricsRegistry, WorkerCounterMerge
 
 #: The flat snapshot's complete, sorted key set with a gateway attached —
 #: the one counter vocabulary.  Renaming or dropping a metric must show up
@@ -281,11 +280,11 @@ class TestStackSnapshots:
 
     def test_process_crash_and_respawn_fold_counters(
             self, registry, tiny_traffic_dataset):
-        reset_compiled_counters()
         pool = WorkerPool(num_workers=1, mode="process")
         service = ImputationService(registry, max_batch_requests=64,
                                     executor=pool)
         requests = _requests(tiny_traffic_dataset, count=2)
+        before = service.metrics_snapshot()
         with pool:
             _serve(service, requests)                    # spawns the child
             for child in multiprocessing.active_children():
@@ -303,12 +302,13 @@ class TestStackSnapshots:
             snapshot = service.metrics_snapshot()
         # The respawned child's counters folded as fresh deltas: executed
         # totals grew, crash count did not, and the child's piggybacked
-        # compile counters reached the parent's process-global aggregate.
+        # compile counters reached the parent's process-wide registry.
         assert snapshot["pool.batches.crashed"] == 1
         assert snapshot["pool.batches.executed"] >= 2
         assert snapshot["transport.batches.run"] >= 2
         assert snapshot["transport.batches.staged"] >= 2
-        assert compiled_counters()["compiled.cache.misses"] >= 1
+        assert (snapshot["compiled.cache.misses"]
+                - before["compiled.cache.misses"]) >= 1
 
     def test_executor_schema_zero_filled_inline(self, registry,
                                                 tiny_traffic_dataset):
@@ -319,19 +319,6 @@ class TestStackSnapshots:
             assert name in snapshot, name
             assert snapshot[name] == 0
         assert service.circuits() == {}
-
-    def test_shared_registry_spans_service_and_pool(self, registry,
-                                                    tiny_traffic_dataset):
-        metrics = MetricsRegistry()
-        pool = WorkerPool(num_workers=1, metrics=metrics)
-        service = ImputationService(registry, max_batch_requests=4,
-                                    executor=pool, metrics=metrics)
-        with pool:
-            _serve(service, _requests(tiny_traffic_dataset, count=2))
-            service.stop()
-        snapshot = metrics.snapshot()
-        assert snapshot["service.requests.served"] == 2
-        assert snapshot["pool.batches.dispatched"] >= 1
 
     def test_callback_gauges_read_live_sources(self, registry,
                                                tiny_traffic_dataset):
@@ -380,6 +367,34 @@ class TestStackSnapshots:
 
         assert delta("compiled.cache.misses") == 1
         assert delta("compiled.cache.hits") == len(requests) - 1
+        assert delta("compiled.fallbacks") == 0
+
+    def test_parent_and_child_compiles_add_up(self, registry,
+                                              tiny_traffic_dataset,
+                                              monkeypatch):
+        """One pooled batch compiles in the child and one ``serve()`` of
+        another chunk shape compiles in the parent: both land in the same
+        process-wide ``compiled.*`` counters, each counted exactly once."""
+        monkeypatch.delenv("REPRO_COMPILE", raising=False)
+        pool = WorkerPool(num_workers=1, mode="process")
+        service = ImputationService(registry, max_batch_requests=64,
+                                    executor=pool)
+        pooled = _requests(tiny_traffic_dataset, count=1)[0]
+        inline = ImputationRequest(model="traffic", values=pooled.values,
+                                   observed_mask=pooled.observed_mask,
+                                   num_samples=pooled.num_samples + 1,
+                                   seed=7)
+        before = service.metrics_snapshot()
+        with pool:
+            _serve(service, [pooled])                    # compiles in the child
+            service.serve(inline)                        # compiles in the parent
+            service.stop()
+            after = service.metrics_snapshot()
+
+        def delta(name):
+            return after[name] - before[name]
+
+        assert delta("compiled.cache.misses") == 2
         assert delta("compiled.fallbacks") == 0
 
 

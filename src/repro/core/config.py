@@ -96,9 +96,12 @@ class PriSTIConfig:
     #: signatures fall back to the eager loop automatically); set ``False``
     #: — or export ``REPRO_COMPILE=0`` — to force the eager path everywhere.
     compile_inference: bool = True
-    #: Maximum number of compiled chunk programs kept per model (LRU).  Each
-    #: entry holds a buffer arena sized like one chunk's intermediates, so
-    #: serving mixes of many shapes may want a larger cache, memory-tight
+    #: Maximum number of compiled chunk programs kept per architecture (LRU):
+    #: every model with the same config, node count and adjacency shares one
+    #: cache in the process, binding its own weights to the shared programs,
+    #: so new weights of a published architecture replay without a trace.
+    #: Each entry holds a buffer arena sized like one chunk's intermediates,
+    #: so serving mixes of many shapes may want a larger cache, memory-tight
     #: deployments a smaller one.
     compiled_cache_size: int = 8
     #: Maximum number of ``(window, sample)`` items packed into one network

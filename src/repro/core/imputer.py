@@ -13,8 +13,10 @@ values for CSDI / mix-STI).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from ..data.scalers import StandardScaler
 from ..data.windows import WindowSampler
 from ..diffusion import GaussianDiffusion, make_schedule
 from ..inference import DiffusionBackend, InferenceEngine
-from ..inference.compiled import CompiledStepCache, compile_enabled
+from ..inference.compiled import WeightSet, compile_enabled, shared_step_cache
 from ..metrics import imputation_metrics
 from ..io.artifacts import PersistableModel
 from ..nn import Adam, MilestoneLR
@@ -82,10 +84,11 @@ class ConditionalDiffusionImputer(PersistableModel):
         self.trainer = None
         self.training_seconds = 0.0
         self.inference_seconds = 0.0
-        # Model-owned compiled-chunk cache: engines and backends are cheap
-        # throwaway objects (serving builds a fresh one per batch), so the
-        # traced programs must live with the weights they were traced from.
+        # The shared compiled-chunk cache of this architecture (held here so
+        # the process store keeps it while the model lives) and the weight
+        # set its programs bind for this model.
         self._compiled_cache = None
+        self._weights = None
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -186,7 +189,15 @@ class ConditionalDiffusionImputer(PersistableModel):
                 strategy, optimizer,
             ),
         )
-        trainer.fit(plan, max_epochs=max_epochs, callbacks=callbacks, verbose=verbose)
+        try:
+            trainer.fit(plan, max_epochs=max_epochs, callbacks=callbacks,
+                        verbose=verbose)
+        finally:
+            # Training rewrote the weights, and creating the trainer may have
+            # re-pointed ``parameter.data`` at flat-buffer views: drop this
+            # model's bindings so the next chunk re-prefolds on the current
+            # arrays.
+            self._weights = None
         return self
 
     def _training_step(self, batch, strategy, optimizer):
@@ -315,22 +326,42 @@ class ConditionalDiffusionImputer(PersistableModel):
             ddim_steps=self.config.ddim_steps,
             ddim_eta=self.config.ddim_eta,
             compiled_cache=self.compiled_step_cache(),
+            weights=self._weight_set(),
         )
 
     def compiled_step_cache(self):
-        """This model's :class:`~repro.inference.compiled.CompiledStepCache`.
+        """The :class:`~repro.inference.compiled.CompiledStepCache` of this
+        model's architecture.
 
-        Lazily created (and shared by every engine the model hands out) when
-        ``config.compile_inference`` is on and the ``REPRO_COMPILE`` kill
-        switch is not set; ``None`` otherwise, which keeps every chunk on
-        the eager path.
+        Taken from the process-level program store on first use and shared
+        with every model of the same :meth:`architecture_fingerprint` (each
+        binds its own weights) when ``config.compile_inference`` is on and
+        the ``REPRO_COMPILE`` kill switch is not set; ``None`` otherwise,
+        which keeps every chunk on the eager path.
         """
         if not self.config.compile_inference or not compile_enabled():
             return None
         if self._compiled_cache is None:
-            self._compiled_cache = CompiledStepCache(
+            self._compiled_cache = shared_step_cache(
+                self.architecture_fingerprint(),
                 capacity=self.config.compiled_cache_size)
         return self._compiled_cache
+
+    def architecture_fingerprint(self):
+        """Everything the network is built from except its weights: the
+        model class, the config, the node count and the adjacency (bytes
+        and dtype).  Models with equal fingerprints share compiled
+        programs."""
+        adjacency = np.ascontiguousarray(self.adjacency)
+        return (type(self).__module__, type(self).__qualname__,
+                json.dumps(asdict(self.config), sort_keys=True),
+                int(self.num_nodes), adjacency.dtype.str, adjacency.shape,
+                hashlib.sha256(adjacency.tobytes()).hexdigest())
+
+    def _weight_set(self):
+        if self._weights is None:
+            self._weights = WeightSet(self.network)
+        return self._weights
 
     def _predict_raw(self, noisy_target, condition, steps, conditional_mask, cache=None):
         """Gradient-free network forward used by the inference engine.

@@ -11,13 +11,26 @@ algorithm: the recorded loop is
 Tensor-op loop the engine runs eagerly, run here under a
 :class:`~repro.tensor.trace.Tracer`.
 
-* :class:`CompiledStepCache` is the per-model LRU keyed by the chunk
-  signature.  The first chunk of a signature traces, plans and validates
-  (one replay on the trace inputs must reproduce the traced execution
-  bit-for-bit); later chunks replay with zero graph construction.  Anything
-  the tracer cannot capture — an op without a replay kernel, data-dependent
-  parameters, an injected ``compile.trace`` fault — negative-caches a
-  :data:`FALLBACK` sentinel so the signature never re-pays the trace cost.
+* Programs do not bake the network weights: the tracer binds a model's
+  named parameters (its :class:`WeightSet`) as weight values, and each
+  program keeps a *prefold* schedule — the folds that read weights, such as
+  the step-embedding MLP and the adaptive adjacency — that
+  :meth:`~repro.tensor.trace.CompiledProgram.bind` runs once per weight
+  set.  A :class:`CompiledSampler` keeps one binding per live weight set,
+  keyed weakly, so a binding dies with its model and a program never pins
+  a retired model's parameters.
+* :class:`CompiledStepCache` is the LRU keyed by the chunk signature, one
+  per *architecture fingerprint* (everything a network is built from
+  except its weights) in a process-level store, :func:`shared_step_cache`.
+  Every model of a fingerprint shares its programs and its negative cache,
+  so publishing new weights of the same architecture costs one prefold per
+  ``(model, signature)``, not a trace.  The first chunk of a signature
+  traces, plans and validates (one replay on the trace inputs must
+  reproduce the traced execution bit-for-bit); later chunks replay with
+  zero graph construction.  Anything the tracer cannot capture — an op
+  without a replay kernel, data-dependent parameters, an injected
+  ``compile.trace`` fault — negative-caches a :data:`FALLBACK` sentinel so
+  the signature never re-pays the trace cost.
 * :func:`sample_chunk_compiled` serves one chunk whose noise the engine has
   already drawn.  Every path that is not a replay — compilation disabled, a
   negative-cached signature, a failed replay, a failed trace — runs the
@@ -36,6 +49,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -46,10 +60,14 @@ from ..tensor.trace import TraceUnsupported, compile_graph, trace
 
 __all__ = [
     "FALLBACK",
+    "NO_WEIGHTS",
     "CompiledSampler",
     "CompiledStepCache",
+    "WeightSet",
+    "clear_program_store",
     "compile_enabled",
     "sample_chunk_compiled",
+    "shared_step_cache",
 ]
 
 ENV_COMPILE = "REPRO_COMPILE"
@@ -77,33 +95,67 @@ _PROGRAMS = PROCESS_METRICS.counter("compiled.programs")
 # ---------------------------------------------------------------------------
 
 
+class WeightSet:
+    """The named parameter arrays one model binds compiled programs with.
+
+    ``arrays()`` reads the network's parameters when called, so a trace and
+    a bind see the arrays the network holds at that moment.  Samplers key
+    their bindings weakly on this object: a model drops every binding by
+    replacing its weight set (after training rewrote the weights), and the
+    bindings of a collected model die with it.
+    """
+
+    __slots__ = ("_network", "__weakref__")
+
+    def __init__(self, network=None):
+        self._network = network
+
+    def arrays(self):
+        if self._network is None:
+            return {}
+        return {name: parameter.data
+                for name, parameter in self._network.named_parameters()}
+
+
+#: The weight set of engines whose predictor reads no trainable tensors.
+NO_WEIGHTS = WeightSet()
+
+
 class CompiledSampler:
-    """One compiled chunk program plus the lock serialising its replays.
+    """One compiled chunk program, its bindings and the lock serialising
+    its replays.
 
     The replay arena is shared mutable state, so concurrent replays of the
     *same* signature are serialised here; different signatures (different
-    cache entries) replay concurrently.
+    cache entries) replay concurrently.  A weight set seen for the first
+    time is bound (the program's prefold runs on it) under the same lock.
     """
 
-    __slots__ = ("program", "_lock")
+    __slots__ = ("program", "_lock", "_bindings")
 
     def __init__(self, program):
         self.program = program
         self._lock = threading.Lock()
+        self._bindings = weakref.WeakKeyDictionary()   # WeightSet -> template
 
-    def run(self, inputs):
+    def run(self, inputs, weights):
         with self._lock:
-            return self.program.run(inputs)[0]
+            bound = self._bindings.get(weights)
+            if bound is None:
+                bound = self.program.bind(weights.arrays())
+                self._bindings[weights] = bound
+            return self.program.run(inputs, bound)[0]
 
 
 class CompiledStepCache:
     """LRU of compiled chunk samplers, keyed by the chunk signature.
 
-    Owned by the *model* (one cache per set of weights) and shared by every
-    engine / backend the model hands out, so serving traffic — where a fresh
-    backend is constructed per batch — still replays programs traced by
-    earlier batches.  ``FALLBACK`` entries negative-cache signatures that
-    cannot compile.  Thread-safe.
+    One per architecture fingerprint (see :func:`shared_step_cache`),
+    shared by every model of that architecture and every engine / backend
+    those models hand out, so serving traffic — where a fresh backend is
+    constructed per batch, and a rollout loads new weights — still replays
+    programs traced earlier.  ``FALLBACK`` entries negative-cache
+    signatures that cannot compile.  Thread-safe.
     """
 
     def __init__(self, capacity=8):
@@ -178,6 +230,32 @@ class CompiledStepCache:
             }
 
 
+# The process-level program store: one cache per architecture fingerprint.
+# Weak values: models hold their cache, the store holds none alive.
+_STORE = weakref.WeakValueDictionary()
+_STORE_LOCK = threading.Lock()
+
+
+def shared_step_cache(fingerprint, capacity=8):
+    """The process's :class:`CompiledStepCache` for ``fingerprint``.
+
+    Created with ``capacity`` on first use and shared by every caller of the
+    same fingerprint while any of them holds it.
+    """
+    with _STORE_LOCK:
+        cache = _STORE.get(fingerprint)
+        if cache is None:
+            cache = CompiledStepCache(capacity)
+            _STORE[fingerprint] = cache
+        return cache
+
+
+def clear_program_store():
+    """Forget every shared cache; caches already handed out stay valid."""
+    with _STORE_LOCK:
+        _STORE.clear()
+
+
 # ---------------------------------------------------------------------------
 # Trace, validate and replay one chunk
 # ---------------------------------------------------------------------------
@@ -188,7 +266,7 @@ def _chunk_key(engine, num_items, item_shape):
 
     The default dtype participates because leaf construction inside the
     network follows it (``set_default_dtype`` must invalidate, not corrupt);
-    the model itself is implicit — the cache is owned by one model.
+    the architecture is implicit — a cache serves one fingerprint.
     """
     if engine.ddim_steps is None:
         fingerprint = ("ddpm", engine.diffusion.num_steps)
@@ -225,8 +303,9 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     ``start`` / ``step_noise`` are the chunk's already-drawn noise (see
     :meth:`~repro.inference.engine.InferenceEngine._draw_noise`).  Returns
     the ``(num_items,) + item_shape`` samples: a replay of the signature's
-    compiled program, the validated traced execution on a miss, or the eager
-    loop on the same draws for every other path.
+    compiled program bound to ``engine.weights``, the validated traced
+    execution on a miss, or the eager loop on the same draws for every other
+    path.
     """
     def eager():
         return engine._reverse_loop(start, step_noise, condition,
@@ -235,6 +314,7 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     if not compile_enabled():
         return eager()
     cache = engine.compiled_cache
+    weights = engine.weights
     key = _chunk_key(engine, start.shape[0], start.shape[1:])
     inputs = _replay_inputs(start, step_noise, condition, conditional_mask)
     entry = cache.lookup(key)
@@ -243,7 +323,7 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
         return eager()
     if entry is not None:
         try:
-            return entry.run(inputs)
+            return entry.run(inputs, weights)
         except Exception:
             cache.count_fallback()
             return eager()
@@ -251,12 +331,12 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     # Cache miss: trace this execution, plan it, validate the replay.
     try:
         _inject_trace_fault()
-        with trace() as tracer:
+        with trace(weights.arrays()) as tracer:
             result = engine._reverse_loop(start, step_noise, condition,
                                           conditional_mask, tracer=tracer)
             graph = tracer.finish([result])
         sampler = CompiledSampler(compile_graph(graph))
-        if not _bit_identical(sampler.run(inputs), result.data):
+        if not _bit_identical(sampler.run(inputs, weights), result.data):
             raise TraceUnsupported(
                 "validation replay diverged from the traced execution")
     except Exception:

@@ -45,7 +45,7 @@ from numbers import Integral
 import numpy as np
 
 from ..tensor import Tensor, no_grad
-from .compiled import sample_chunk_compiled
+from .compiled import NO_WEIGHTS, sample_chunk_compiled
 
 __all__ = ["InferenceEngine", "RequestPlan"]
 
@@ -110,11 +110,16 @@ class InferenceEngine:
         whose signature has been traced replay as a flat compiled schedule
         instead of the eager per-op loop, falling back transparently when a
         signature cannot compile.  ``None`` keeps every chunk eager.
+    weights:
+        The :class:`~repro.inference.compiled.WeightSet` of the network
+        ``predict`` runs: compiled programs bind these parameters instead of
+        baking them.  ``None`` is for predictors that read no trainable
+        tensors.
     """
 
     def __init__(self, diffusion, predict, *, parameterization="epsilon",
                  inference_batch_size=None, ddim_steps=None, dtype=None,
-                 ddim_eta=0.0, compiled_cache=None):
+                 ddim_eta=0.0, compiled_cache=None, weights=None):
         if parameterization not in ("epsilon", "x0_residual"):
             raise ValueError("parameterization must be 'epsilon' or 'x0_residual'")
         if inference_batch_size is not None and inference_batch_size < 1:
@@ -132,6 +137,7 @@ class InferenceEngine:
         self.ddim_steps = ddim_steps
         self.ddim_eta = float(ddim_eta)
         self.compiled_cache = compiled_cache
+        self.weights = NO_WEIGHTS if weights is None else weights
         # Working dtype for the reverse process; defaults to the diffusion
         # object's dtype so float32 models sample in float32 end to end.
         self.dtype = np.dtype(dtype) if dtype is not None \

@@ -618,7 +618,11 @@ class Gateway:
                 f"{len(self._tickets)} unfetched tickets (max_tickets="
                 f"{self.max_tickets}); fetch results or retry later"),
                 extra={"Retry-After": self._retry_after()})
-        pending = self.service.submit(imputation)       # ServiceOverloaded -> 429
+        try:
+            pending = self.service.submit(imputation)   # ServiceOverloaded -> 429
+        except ValueError as error:
+            # Refused at admission (a node count the model was not trained on).
+            raise GatewayError(400, "bad_request", str(error))
         if request.query.get("sync"):
             response = await self._await_pending(pending,
                                                  self._timeout_of(request, 60.0))
@@ -665,6 +669,11 @@ class Gateway:
                                    default=1)
         seed = _meta_scalar(decoded.get("seed"), what="seed", default=0)
         resolved = self.service.registry.resolve(model)
+        expected = self.service.registry.num_nodes(resolved)
+        if num_nodes != expected:
+            raise GatewayError(400, "bad_request",
+                               f"'num_nodes' is {num_nodes}, but {resolved.spec} "
+                               f"was trained on {expected} nodes")
         backend = self.service.registry.backend(resolved)
         try:
             imputer = StreamingImputer(backend, num_nodes,

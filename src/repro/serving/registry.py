@@ -22,6 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..io import load_model, save_model
+from ..io.artifacts import _read_manifest
 from . import faults
 
 __all__ = ["ModelRegistry", "RegistryError", "ResolvedModel"]
@@ -85,6 +86,7 @@ class ModelRegistry:
         self.max_loaded = int(max_loaded)
         self._lock = threading.RLock()
         self._loaded = OrderedDict()      # (name, version) -> model
+        self._num_nodes = {}              # (name, version) -> manifest num_nodes
         self._generation = 0
         self._subscribers = []
         self.hits = 0
@@ -140,6 +142,7 @@ class ModelRegistry:
         # generation so path-keyed worker caches revalidate.
         with self._lock:
             self._loaded.pop((name, version), None)
+            self._num_nodes.pop((name, version), None)
             self._generation += 1
             generation = self._generation
             subscribers = list(self._subscribers)
@@ -211,6 +214,23 @@ class ModelRegistry:
                 self._loaded.popitem(last=False)
                 self.evictions += 1
             return model
+
+    def num_nodes(self, spec):
+        """The node count a spec's model was trained on.
+
+        Read from the published manifest — no model load, so a service
+        whose models live in pool workers can check it too — and cached
+        per version until that version is re-published.
+        """
+        resolved = spec if isinstance(spec, ResolvedModel) else self.resolve(spec)
+        key = (resolved.name, resolved.version)
+        with self._lock:
+            count = self._num_nodes.get(key)
+        if count is None:
+            count = int(_read_manifest(resolved.path)["num_nodes"])
+            with self._lock:
+                self._num_nodes[key] = count
+        return count
 
     def backend(self, spec):
         """The stateless imputation backend of a spec's model (LRU-backed)."""

@@ -321,6 +321,7 @@ class ImputationService:
                     f"(max_queue_depth={self.max_queue_depth})"
                 )
         resolved = self.registry.resolve(request.model)
+        self._check_nodes(resolved, request)
         admission_error, degradable = self._admission_error(resolved, request)
         if admission_error is not None:
             if degradable and self.fallback is not None:
@@ -352,6 +353,7 @@ class ImputationService:
         if not isinstance(request, ImputationRequest):
             raise TypeError("serve expects an ImputationRequest")
         resolved = self.registry.resolve(request.model)
+        self._check_nodes(resolved, request)
         admission_error, degradable = self._admission_error(resolved, request)
         if admission_error is not None:
             if degradable and self.fallback is not None:
@@ -432,6 +434,16 @@ class ImputationService:
         """EWMA of the model's observed batch execution time (0 when cold)."""
         with self._lock:
             return self._batch_ewma.get(key, 0.0)
+
+    def _check_nodes(self, resolved, request):
+        """Refuse a request whose node count is not the model's: in a
+        micro-batch it would fail every request it shares the flush with."""
+        values = np.asarray(request.values)
+        expected = self.registry.num_nodes(resolved)
+        if values.ndim != 2 or values.shape[1] != expected:
+            raise ValueError(
+                f"request values are {values.shape}, but {resolved.spec} "
+                f"expects (time, {expected}) — one column per node")
 
     def _admission_error(self, resolved, request):
         """Admission-control verdict for a request: ``(error, degradable)``.

@@ -6,35 +6,45 @@ output ndarray, builds a :class:`~repro.tensor.Tensor` wrapper and (outside
 *computation* is identical on every call of the same signature — only the
 input buffers change — so this module records it once and replays it flat:
 
-* a :class:`Tracer` (the ``trace()`` context) hooks ``Tensor._from_op`` and
-  records every op executed on the calling thread into a :class:`TraceGraph`
-  of flat nodes.  Tensors whose arrays were registered as *inputs* stay
-  symbolic; every other leaf (network weights, scalar diffusion
-  coefficients, step-embedding rows) is captured **by reference** as a
-  constant — that is the constant folding: per-step coefficients computed
-  while tracing become a baked constant table.  A ``reshape`` whose eager
-  result did not alias its input (merging heads after ``swapaxes``) records
-  as ``reshape_copy``, a copy into an arena slot rather than a view.
-* :func:`compile_graph` plans the replay: dead code is dropped, a liveness
-  pass assigns every intermediate a slot in a single pre-allocated buffer
-  arena (slots are reused the moment their last consumer has run), and
-  adjacent single-consumer elementwise ops are fused into one kernel
+* a :class:`Tracer` (the ``trace(weights)`` context) hooks
+  ``Tensor._from_op`` and records every op executed on the calling thread
+  into a :class:`TraceGraph` of flat nodes.  Tensors whose arrays were
+  registered as *inputs* stay symbolic.  The arrays of the ``weights``
+  mapping (a network's named parameters) are resolved by identity as named
+  *weight* values: instead of being baked, they are bound per weight set
+  (below), so one program serves every set of weights of the same
+  architecture.  Every other leaf (scalar diffusion coefficients,
+  step-embedding table rows, graph supports) is captured **by reference**
+  as a constant.  A ``reshape`` whose eager result did not alias its input
+  (merging heads after ``swapaxes``) records as ``reshape_copy``, a copy
+  into an arena slot rather than a view.
+* :func:`compile_graph` plans the replay: constant folding splits off the
+  nodes that read no input — capture-only folds are baked into the
+  template, weight-reading folds (the step-embedding MLP, the adaptive
+  adjacency) become the *prefold* schedule — dead code is dropped, a
+  liveness pass assigns every intermediate a slot in a single pre-allocated
+  buffer arena (slots are reused the moment their last consumer has run),
+  and adjacent single-consumer elementwise ops are fused into one kernel
   closure.  The fused single-node ops from ``repro.tensor.ops`` (softmax,
   silu, gelu, layer_norm, attention_core, add_n) record as single nodes, so
   the planner reuses those kernels directly; gelu and layer_norm borrow
   their temporaries from the arena for the duration of the node.
-* :class:`CompiledProgram.run` rebinds the inputs and executes the schedule
-  — zero graph construction, zero Tensor wrappers, intermediates written
-  in place via ``out=``.  What still allocates per replay: the output
-  copies, the temporaries of the other fused kernels (softmax, silu,
-  attention), the kernels that skip the arena (pow, where, stack, astype)
-  and fancy ``getitem``, which copies while planned as a view.
+* :meth:`CompiledProgram.bind` runs the prefold schedule on one weight set
+  and returns the template :meth:`CompiledProgram.run` replays with; the
+  traced weights bind through the same call.  ``run`` rebinds the inputs
+  and executes the schedule — zero graph construction, zero Tensor
+  wrappers, intermediates written in place via ``out=``.  What still
+  allocates per replay: the output copies, the temporaries of the other
+  fused kernels (softmax, silu, attention), the kernels that skip the arena
+  (pow, where, stack, astype) and fancy ``getitem``, which copies while
+  planned as a view.
 
 Bit-identity is the contract: every kernel replicates the *exact* numpy
 expression of the eager op (same ufuncs, same operand order, same scalar
 handling), so a replay produces the same bits as the recorded execution.
 Anything the tracer cannot prove replayable — an op recorded without
-metadata, a parameter derived from runtime data, an explicit
+metadata, a parameter derived from runtime data or from a weight, a
+trainable tensor that is not one of the declared weights, an explicit
 :func:`trace_barrier` — marks the trace failed; callers then fall back to
 the eager path, which already ran to completion (tracing never changes what
 the eager code computes).
@@ -451,7 +461,7 @@ class _Value:
 
     def __init__(self, vid, kind, shape, dtype, name=None, array=None):
         self.vid = vid
-        self.kind = kind          # "input" | "capture" | "op"
+        self.kind = kind          # "input" | "weight" | "capture" | "op"
         self.name = name
         self.shape = shape
         self.dtype = dtype
@@ -475,6 +485,7 @@ class TraceGraph:
         self.values = []
         self.nodes = []
         self.inputs = {}          # name -> vid
+        self.weights = {}         # name -> vid
         self.outputs = []         # vids
         self.failed = None        # first failure reason, or None
 
@@ -497,18 +508,29 @@ class Tracer:
     are valid whether or not the trace succeeds.  Values are resolved by the
     ``id`` of their underlying ndarray: arrays registered via
     :meth:`add_input` (and every recorded op output) are *runtime* values,
-    anything else reaching an op is captured by reference as a constant.
+    the arrays of ``weights`` (name -> ndarray) are named weight values
+    bound at replay time, and anything else reaching an op is captured by
+    reference as a constant.  With ``weights`` given, a trainable tensor
+    outside it fails the trace rather than bake one model's weights into a
+    shared program.
     Runtime array ids are tracked through weak references so a collected
     intermediate can never alias a later allocation.
     """
 
-    def __init__(self):
+    def __init__(self, weights=None):
         self.graph = TraceGraph()
         self._array_vids = {}
         self._runtime_ids = set()
         self._weakrefs = []
         self._captures = []          # strong refs: ids must stay stable
         self._input_arrays = {}
+        self._weights_declared = weights is not None
+        for name, array in (weights or {}).items():
+            vid = self._new_value("weight", array.shape, array.dtype, name=name)
+            self.graph.weights[name] = vid
+            # Weights count as runtime data: an op parameter or a ``where``
+            # condition holding one would bake it, so the guards refuse it.
+            self._register_array(array, vid, runtime=True)
 
     # -- context management -------------------------------------------------
     def __enter__(self):
@@ -558,6 +580,9 @@ class Tracer:
         vid = self._array_vids.get(id(array))
         if vid is not None:
             return vid
+        if self._weights_declared and tensor.requires_grad:
+            self.fail("a trainable tensor reached the trace without being "
+                      "bound as a weight")
         vid = self._new_value("capture", array.shape, array.dtype, array=array)
         self._register_array(array, vid, runtime=False)
         return vid
@@ -607,9 +632,13 @@ class Tracer:
         return self.graph.failed
 
 
-def trace():
-    """Create a :class:`Tracer` (use as ``with trace() as tracer: ...``)."""
-    return Tracer()
+def trace(weights=None):
+    """Create a :class:`Tracer` (use as ``with trace() as tracer: ...``).
+
+    ``weights`` maps names to the parameter arrays the traced code reads;
+    they become bound weight values instead of baked constants.
+    """
+    return Tracer(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -638,26 +667,56 @@ def _make_fused(substeps):
 class CompiledProgram:
     """A planned, replayable schedule compiled from a :class:`TraceGraph`."""
 
-    def __init__(self, steps, template, input_specs, output_vids, stats):
+    def __init__(self, steps, template, input_specs, output_vids, stats,
+                 weight_specs, prefold, bind_scratch):
         self._steps = steps
         self._template = template
         self._input_specs = input_specs
         self._output_vids = output_vids
+        self._weight_specs = weight_specs
+        self._prefold = prefold
+        self._bind_scratch = bind_scratch
         self.stats = stats
 
-    def run(self, inputs):
+    def bind(self, weights):
+        """Bind a weight set; returns the template :meth:`run` replays with.
+
+        ``weights`` maps names to arrays shaped like the traced ones.  The
+        prefold schedule runs once on them, so a bound template holds the
+        weight-derived constants (and the weights themselves) of this one
+        weight set; nothing of it is kept by the program.
+        """
+        env = list(self._template)
+        for name, (vid, shape, dtype) in self._weight_specs.items():
+            array = weights.get(name)
+            if array is None:
+                raise TraceUnsupported(f"weight {name!r} is not bound")
+            if array.shape != shape or array.dtype != dtype:
+                raise TraceUnsupported(
+                    f"weight {name!r} is {array.dtype}{array.shape}, traced "
+                    f"as {dtype}{shape}"
+                )
+            env[vid] = array
+        for fn, params, in_vids, out_vid in self._prefold:
+            env[out_vid] = np.asarray(fn(None, params, *[env[v] for v in in_vids]))
+        for vid in self._bind_scratch:
+            env[vid] = None
+        return env
+
+    def run(self, inputs, bound=None):
         """Replay the schedule on fresh input arrays; returns output copies.
 
-        Not reentrant: intermediates live in a shared buffer arena, so
-        concurrent replays of the same program must be serialised by the
-        caller.
+        ``bound`` is a template from :meth:`bind`; ``None`` binds no
+        weights, which serves programs traced without any.  Not reentrant:
+        intermediates live in a shared buffer arena, so concurrent replays
+        of the same program must be serialised by the caller.
         """
         if set(inputs) != set(self._input_specs):
             raise TraceUnsupported(
                 f"replay inputs {sorted(inputs)} do not match the traced "
                 f"signature {sorted(self._input_specs)}"
             )
-        env = list(self._template)
+        env = list(self.bind({}) if bound is None else bound)
         for name, array in inputs.items():
             vid, shape, dtype = self._input_specs[name]
             if array.shape != shape or array.dtype != dtype:
@@ -703,9 +762,12 @@ def compile_graph(graph):
       ``attention_weights(q, k)`` + ``matmul(weights, v)`` (the exact same
       ufunc sequence, cut in two), so the softmax map becomes a node of its
       own that the next pass can deduplicate;
-    * **constant folding** — nodes whose inputs are all captures run once at
-      compile time and bake their result into the template (the diffusion
-      step-embedding MLP collapses here: its only input is a table row);
+    * **constant folding** — nodes whose inputs are all constants leave the
+      replay schedule.  Those fed by captures only run once here and bake
+      their result into the template; those that read a weight (the
+      diffusion step-embedding MLP: a table row through the projection
+      weights) form the prefold schedule :meth:`CompiledProgram.bind` runs
+      once per weight set;
     * **CSE** — structurally identical nodes fed by the same values merge.
       Reverse-diffusion traces recompute every prior-derived quantity (Q/K
       projections, attention maps, pooled keys) once per step; after CSE the
@@ -742,24 +804,31 @@ def compile_graph(graph):
             nodes.append(node)
 
     # Pass 2: constant folding.  ``baked`` maps vids produced purely from
-    # captures to their compile-time result; folded nodes leave the
-    # schedule and their outputs join the template as constants.
+    # captures to their compile-time result; ``weighted`` holds the weights
+    # and every fold that reads one, which is deferred to the prefold
+    # schedule.  Folded nodes leave the replay schedule either way.
     baked = {}
+    weighted = set(graph.weights.values())
 
-    def _const_array(vid):
-        value = values[vid]
-        return value.array if value.kind == "capture" else baked.get(vid)
+    def _constant(vid):
+        return values[vid].kind == "capture" or vid in baked or vid in weighted
 
     folded = []
+    prefold = []
     folded_ops = 0
     for node in nodes:
-        arrays = [_const_array(vin) for vin in node.inputs]
-        if arrays and all(array is not None for array in arrays):
-            baked[node.out] = np.asarray(
-                _KERNELS[node.op].fn(None, node.params, *arrays))
-            folded_ops += 1
-        else:
+        if not node.inputs or not all(_constant(vin) for vin in node.inputs):
             folded.append(node)
+            continue
+        folded_ops += 1
+        if any(vin in weighted for vin in node.inputs):
+            weighted.add(node.out)
+            prefold.append(node)
+            continue
+        arrays = [values[vin].array if values[vin].kind == "capture"
+                  else baked[vin] for vin in node.inputs]
+        baked[node.out] = np.asarray(
+            _KERNELS[node.op].fn(None, node.params, *arrays))
 
     # Pass 3: common-subexpression elimination.  Processing in recorded
     # order lets merges cascade: once two steps' Q projections merge, the
@@ -889,18 +958,28 @@ def compile_graph(graph):
             steps.append(node_steps[index])
         index = run_end + 1
 
-    # Template: only constants the schedule (or the outputs) actually read
-    # are retained — folding and CSE orphan many captures, and keeping them
-    # would pin dead arrays for the lifetime of the program.
+    # Prefold: only the weight folds the schedule (or the outputs) read,
+    # and what they read in turn.
     used = set(outputs)
     for node in schedule:
         used.update(node.inputs)
+    needed = set(used)
+    prefold_nodes = []
+    for node in reversed(prefold):
+        if node.out in needed:
+            needed.update(node.inputs)
+            prefold_nodes.append(node)
+    prefold_nodes.reverse()
+
+    # Template: only constants the schedule, the outputs or the prefold
+    # read are retained — folding and CSE orphan many captures, and keeping
+    # them would pin dead arrays for the lifetime of the program.
     template = [None] * len(values)
     constants = 0
     constant_scalars = 0
     for value in values:
         array = value.array if value.kind == "capture" else baked.get(value.vid)
-        if array is not None and value.vid in used:
+        if array is not None and value.vid in needed:
             template[value.vid] = array
             constants += 1
             if array.size == 1:
@@ -910,6 +989,12 @@ def compile_graph(graph):
         values[vid].name: (vid, values[vid].shape, values[vid].dtype)
         for vid in graph.inputs.values()
     }
+    weight_specs = {
+        name: (vid, values[vid].shape, values[vid].dtype)
+        for name, vid in graph.weights.items() if vid in needed
+    }
+    prefold_steps = [(_KERNELS[node.op].fn, node.params, node.inputs, node.out)
+                     for node in prefold_nodes]
 
     stats = {
         "ops_recorded": len(graph.nodes),
@@ -919,6 +1004,8 @@ def compile_graph(graph):
         "fused_ops": fused_ops,
         "attention_splits": attention_splits,
         "folded_ops": folded_ops,
+        "prefold_ops": len(prefold_nodes),
+        "weights": len(weight_specs),
         "cse_ops": cse_ops,
         "reshape_copies": reshape_copies,
         "arena_buffers": len(buffers),
@@ -927,4 +1014,7 @@ def compile_graph(graph):
         "constants": constants,
         "constant_scalars": constant_scalars,
     }
-    return CompiledProgram(steps, template, input_specs, outputs, stats)
+    # A bound template drops what only the prefold reads.
+    bind_scratch = sorted(needed - used)
+    return CompiledProgram(steps, template, input_specs, outputs, stats,
+                           weight_specs, prefold_steps, bind_scratch)

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 from repro.data import aqi36_like, metr_la_like
+from repro.inference.compiled import clear_program_store
+
+
+@pytest.fixture(autouse=True)
+def fresh_program_store():
+    """Compiled programs are shared per architecture across the process;
+    start every test on an empty store so miss counts and fault tests do not
+    depend on which tests ran before."""
+    clear_program_store()
 
 
 @pytest.fixture

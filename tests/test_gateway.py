@@ -341,9 +341,11 @@ class TestProtocol:
 
     def test_model_rejection_maps_to_400_at_result(self, client):
         """A request that clears boundary validation but fails in the model
-        (wrong node count) reports 400 through the result endpoint, and the
-        errored ticket is retained so retries see the same failure."""
-        request = ImputationRequest("traffic", np.zeros((12, 99)), None, seed=0)
+        (a stride wider than the model window) reports 400 through the
+        result endpoint, and the errored ticket is retained so retries see
+        the same failure."""
+        request = ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0,
+                                    stride=99)
 
         async def go():
             body = encode_impute_request(request)
@@ -357,6 +359,15 @@ class TestProtocol:
         first, second = run(go())
         assert first.status == 400 and second.status == 400
         assert first.json()["error"] == "bad_request"
+
+    def test_wrong_node_count_is_400_at_submit(self, client):
+        """A node count the published model was not trained on is refused
+        before a ticket is issued."""
+        request = ImputationRequest("traffic", np.zeros((12, 3)), None, seed=0)
+        response = run(client.request("POST", "/v1/impute",
+                                      body=encode_impute_request(request)))
+        assert response.status == 400
+        assert response.json()["error"] == "bad_request"
 
     def test_routing_errors(self, client):
         async def go():
@@ -460,6 +471,12 @@ class TestStreamingEndpoints:
             assert gone.status == 404
 
         run(go())
+
+    def test_open_with_wrong_node_count_is_refused(self, client):
+        response = run(self._open(client, num_nodes=3))
+        assert response.status == 400
+        assert response.json()["error"] == "bad_request"
+        assert "6 nodes" in response.json()["message"]
 
     def test_min_history_holds_emissions(self, client, tiny_traffic_dataset):
         values, mask = _test_arrays(tiny_traffic_dataset)

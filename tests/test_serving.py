@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    CircuitBreakerPolicy,
     ImputationRequest,
     ImputationService,
     ModelRegistry,
@@ -376,7 +377,10 @@ class TestImputationService:
 
     def test_malformed_request_error_reaches_ticket(self, registry):
         service = ImputationService(registry, max_batch_requests=100)
-        bad = ImputationRequest("traffic", np.zeros((12, 99)), None, seed=0)
+        # A stride wider than the model window passes admission and fails
+        # in the model.
+        bad = ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0,
+                                stride=99)
         ticket = service.submit(bad)
         with pytest.raises(Exception):
             service.flush()
@@ -392,8 +396,9 @@ class TestImputationService:
         registry.publish(trained_pristi, "second")
         service = ImputationService(registry, max_batch_requests=100)
         values, mask = _test_arrays(tiny_traffic_dataset)
-        bad = service.submit(            # wrong node count: this batch fails
-            ImputationRequest("traffic", np.zeros((12, 99)), None, seed=0))
+        bad = service.submit(            # stride > window: this batch fails
+            ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0,
+                              stride=99))
         good = service.submit(
             ImputationRequest("second", values, mask, num_samples=2, seed=1))
         with pytest.raises(Exception):
@@ -402,6 +407,31 @@ class TestImputationService:
         assert good.result().median.shape == values.shape
         with pytest.raises(Exception):
             bad.result()
+
+    def test_wrong_node_count_refused_at_admission(self, registry,
+                                                   tiny_traffic_dataset):
+        """A request whose node count is not the published model's is
+        refused at submit: it never joins (and fails) the micro-batch of a
+        healthy request, and it counts nothing toward the model's circuit."""
+        service = ImputationService(
+            registry, max_batch_requests=100,
+            circuit_policy=CircuitBreakerPolicy(failure_threshold=1))
+        values, mask = _test_arrays(tiny_traffic_dataset)
+        good_request = ImputationRequest("traffic", values, mask,
+                                         num_samples=2, seed=9)
+        bad_request = ImputationRequest("traffic", values[:, :3], mask[:, :3],
+                                        seed=0)
+        good = service.submit(good_request)
+        with pytest.raises(ValueError, match="expects"):
+            service.submit(bad_request)
+        with pytest.raises(ValueError, match="expects"):
+            service.serve(bad_request)
+        assert service.flush() == 1
+        alone = service.serve(good_request)
+        assert np.array_equal(good.result().samples, alone.samples)
+        assert np.array_equal(good.result().median, alone.median)
+        assert service.circuits()["traffic@1"] == {
+            "state": "closed", "consecutive_failures": 0, "opened_total": 0}
 
     def test_invalid_num_samples_rejected_clearly(self, trained_pristi,
                                                   tiny_traffic_dataset):

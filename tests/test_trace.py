@@ -4,7 +4,8 @@ Exercises the recorder and the planner directly: record/replay round-trips
 on fresh inputs, the compile-time optimisation passes (attention-core
 splitting, constant folding, cross-step CSE), view/arena interaction, and
 the refusal paths (unsupported ops, runtime-derived parameters, untraced
-values, input-signature mismatches).
+values, input-signature mismatches), and weight binding: a program traced
+with named weights replays any weight set of the same shapes.
 """
 
 import numpy as np
@@ -153,6 +154,60 @@ def test_replay_validates_input_signature():
         program.run({"a": np.ones((3, 2))})
     with pytest.raises(TraceUnsupported, match="traced as"):
         program.run({"a": np.ones((2, 3), dtype=np.float32)})
+
+
+def _record_with_weights(fn, weights, **inputs):
+    with trace(weights) as tracer:
+        bound = {name: tracer.add_input(name, array)
+                 for name, array in inputs.items()}
+        with no_grad():
+            out = fn(**{name: Tensor(array, dtype=array.dtype)
+                        for name, array in bound.items()})
+        graph = tracer.finish([out])
+    return compile_graph(graph), out.data
+
+
+def test_bound_weights_replay_any_weight_set():
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    table = np.linspace(0.0, 1.0, 4)
+
+    def fn(a):
+        # ``tanh(w) @ table`` reads only a weight and a capture: it folds
+        # into the prefold schedule that bind() reruns per weight set.
+        return a @ w + tanh(w) @ Tensor(table, dtype=table.dtype)
+
+    a = rng.normal(size=(3, 4))
+    program, traced = _record_with_weights(fn, {"w": w.data}, a=a)
+    assert program.stats["weights"] == 1
+    assert program.stats["prefold_ops"] >= 2
+    assert np.array_equal(program.run({"a": a}, program.bind({"w": w.data}))[0],
+                          traced)
+
+    other = rng.normal(size=(4, 4))
+    with no_grad():
+        expected = (Tensor(a) @ Tensor(other)
+                    + tanh(Tensor(other)) @ Tensor(table)).data
+    assert np.array_equal(program.run({"a": a}, program.bind({"w": other}))[0],
+                          expected)
+    with pytest.raises(TraceUnsupported, match="not bound"):
+        program.run({"a": a})
+    with pytest.raises(TraceUnsupported, match="traced as"):
+        program.bind({"w": np.ones((4, 3))})
+
+
+def test_undeclared_trainable_tensor_fails_a_weighted_trace():
+    w = Tensor(np.eye(3), requires_grad=True)
+    # Without a weights mapping the tensor is baked like any capture ...
+    program, traced = _record(lambda a: a @ w, a=np.ones((2, 3)))
+    assert np.array_equal(program.run({"a": np.ones((2, 3))})[0], traced)
+    # ... with one, a trainable tensor outside it refuses the trace.
+    with trace({}) as tracer:
+        a = tracer.add_input("a", np.ones((2, 3)))
+        with no_grad():
+            out = Tensor(a, dtype=a.dtype) @ w
+        graph = tracer.finish([out])
+    assert "bound as a weight" in graph.failed
 
 
 def test_stats_shape():

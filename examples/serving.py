@@ -153,7 +153,6 @@ def main():
         newest = np.array2string(update.new_median[-1][:4], precision=2)
         print(f"  tick {update.tick:2d}: imputed {missing} missing sensors, "
               f"median[:4] = {newest}")
-    print(f"\nstream: {stream.emissions} emissions")
 
     # 5. The HTTP gateway: the same service behind real sockets.
     asyncio.run(gateway_demo(registry, requests))

@@ -22,10 +22,16 @@ Endpoints
     result is ready instead of polling.
 ``POST /v1/stream``
     Open a streaming session over a published model; returns the session id.
+    Opening reads the model's node count and window length from its
+    published manifest and loads no model.
 ``POST /v1/stream/<session>/tick``
     Push one ``(node,)`` observation vector into the session.  Returns the
     emitted :class:`~repro.serving.StreamingUpdate` (``"emitted": true``)
-    or ``{"emitted": false}`` between emissions.
+    or ``{"emitted": false}`` between emissions.  An emission is one
+    ordinary :class:`~repro.serving.ImputationRequest`, seeded from the
+    session's stream and submitted to the service: ticks are micro-batched
+    (two sessions' ticks share one flush), admitted, retried and pooled like
+    every other request, and admission errors map through the same table.
 ``DELETE /v1/stream/<session>``
     Close a streaming session.
 ``GET /v1/healthz`` / ``GET /v1/stats``
@@ -228,7 +234,22 @@ def _json_to_floats(value, *, what="array"):
         return float(item)
     if not isinstance(value, list):
         raise GatewayError(400, "bad_request", f"{what} must be a JSON array")
-    return np.asarray(convert(value), dtype=np.float64)
+    try:
+        return np.asarray(convert(value), dtype=np.float64)
+    except ValueError:
+        raise GatewayError(400, "bad_request", f"{what} must be a rectangular array")
+
+
+def _dtype_tag(tag, what):
+    """The numeric dtype a JSON ``<name>_dtype`` tag names."""
+    try:
+        dtype = np.dtype(tag)
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.kind not in "biuf":
+        raise GatewayError(400, "bad_request",
+                           f"'{what}_dtype' must name a numeric dtype, got {tag!r}")
+    return dtype
 
 
 def encode_array_payload(arrays, meta, codec):
@@ -285,7 +306,8 @@ def decode_array_payload(content_type, body):
             continue
         dtype = document.get(f"{key}_dtype")
         if dtype is not None:
-            decoded[key] = _json_to_floats(value, what=key).astype(np.dtype(dtype))
+            decoded[key] = _json_to_floats(value, what=key).astype(
+                _dtype_tag(dtype, key))
         else:
             decoded[key] = value
     return decoded
@@ -324,20 +346,31 @@ def _meta_scalar(value, *, what, kind=int, required=False, default=None):
     raise AssertionError(f"unknown scalar kind {kind!r}")
 
 
-def _request_arrays(decoded):
-    """Extract and validate ``values`` / ``observed_mask`` from a payload."""
+def _request_arrays(decoded, mask_field="observed_mask"):
+    """Extract and validate ``values`` and its mask from a payload (the
+    ``/v1/impute`` body, or a stream tick whose mask field is ``mask``)."""
     values = decoded.get("values")
     if values is None:
         raise GatewayError(400, "bad_request", "missing required field 'values'")
-    values = np.asarray(values, dtype=np.float64)
-    mask = decoded.get("observed_mask")
+    if not isinstance(values, np.ndarray):
+        values = _json_to_floats(values, what="'values'")     # untagged JSON
+    elif values.dtype.kind not in "biuf":
+        raise GatewayError(400, "bad_request", "'values' must be numeric")
+    values = values.astype(np.float64, copy=False)
+    mask = decoded.get(mask_field)
     if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype != np.bool_:
-            mask = mask.astype(bool)
+        try:
+            mask = np.asarray(mask)
+        except ValueError:
+            raise GatewayError(400, "bad_request",
+                               f"'{mask_field}' must be a rectangular array")
+        if mask.dtype.kind not in "biuf":
+            raise GatewayError(400, "bad_request",
+                               f"'{mask_field}' must hold booleans or numbers")
+        mask = mask.astype(bool, copy=False)
         if mask.shape != values.shape:
             raise GatewayError(400, "bad_request",
-                               "'observed_mask' must have the same shape as 'values'")
+                               f"'{mask_field}' must have the same shape as 'values'")
     return values, mask
 
 
@@ -445,14 +478,36 @@ class _StreamSession:
     lock: object                    # asyncio.Lock — ticks are ordered
 
 
+class _ServiceBackend:
+    """The backend a gateway stream session sees: the service itself.
+
+    ``impute_arrays`` submits one seeded request for the pinned model spec
+    and blocks on its ticket, so the gateway never holds or runs a model.
+    """
+
+    def __init__(self, service, resolved):
+        self.service = service
+        self.spec = resolved.spec
+        self.window_length = service.registry.window_length(resolved)
+
+    def impute_arrays(self, values, observed_mask=None, *, num_samples=1,
+                      rng=None):
+        return self.service.submit(ImputationRequest(
+            model=self.spec, values=values, observed_mask=observed_mask,
+            num_samples=num_samples, seed=rng)).result()
+
+
 class Gateway:
     """Protocol front end over one :class:`~repro.serving.ImputationService`.
 
     The class is socket-free: :meth:`handle` maps an :class:`HTTPRequest` to
     an :class:`HTTPResponse`, and the asyncio server (or the in-process test
     client) is a framing shell around it.  Blocking service calls (waiting on
-    a ticket, stopping the service) run in the default thread-pool executor so
-    the event loop never stalls on model inference.
+    a ticket, a stream tick waiting on its emission, stopping the service)
+    run in the default thread-pool executor so the event loop never stalls on
+    model inference.  The gateway itself never holds or runs a model: every
+    inference, stream ticks included, is an
+    :class:`~repro.serving.ImputationRequest` through the service.
 
     Parameters
     ----------
@@ -674,9 +729,9 @@ class Gateway:
             raise GatewayError(400, "bad_request",
                                f"'num_nodes' is {num_nodes}, but {resolved.spec} "
                                f"was trained on {expected} nodes")
-        backend = self.service.registry.backend(resolved)
         try:
-            imputer = StreamingImputer(backend, num_nodes,
+            imputer = StreamingImputer(_ServiceBackend(self.service, resolved),
+                                       num_nodes,
                                        num_samples=num_samples,
                                        emit_stride=emit_stride,
                                        min_history=min_history, seed=seed)
@@ -696,21 +751,14 @@ class Gateway:
             raise GatewayError(404, "not_found",
                                f"unknown streaming session '{session_id}'")
         decoded = decode_array_payload(request.content_type, request.body)
-        values = decoded.get("values")
-        if values is None:
-            raise GatewayError(400, "bad_request", "missing required field 'values'")
-        values = np.asarray(values, dtype=np.float64)
+        values, mask = _request_arrays(decoded, mask_field="mask")
         if values.ndim != 1:
             raise GatewayError(400, "bad_request",
                                "'values' must be a (node,) vector per tick")
-        mask = decoded.get("mask")
-        if mask is not None:
-            mask = np.asarray(mask).astype(bool)
-            if mask.shape != values.shape:
-                raise GatewayError(400, "bad_request",
-                                   "'mask' must have the same shape as 'values'")
         loop = asyncio.get_running_loop()
         async with session.lock:                        # ticks are ordered
+            # push blocks on the emission's ticket off-loop; the service's
+            # flush thread (or a pool worker) runs the model.
             try:
                 update = await loop.run_in_executor(
                     None, functools.partial(session.imputer.push, values, mask))

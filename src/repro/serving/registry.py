@@ -86,7 +86,7 @@ class ModelRegistry:
         self.max_loaded = int(max_loaded)
         self._lock = threading.RLock()
         self._loaded = OrderedDict()      # (name, version) -> model
-        self._num_nodes = {}              # (name, version) -> manifest num_nodes
+        self._shapes = {}                 # (name, version) -> (num_nodes, window_length)
         self._generation = 0
         self._subscribers = []
         self.hits = 0
@@ -142,7 +142,7 @@ class ModelRegistry:
         # generation so path-keyed worker caches revalidate.
         with self._lock:
             self._loaded.pop((name, version), None)
-            self._num_nodes.pop((name, version), None)
+            self._shapes.pop((name, version), None)
             self._generation += 1
             generation = self._generation
             subscribers = list(self._subscribers)
@@ -216,7 +216,15 @@ class ModelRegistry:
             return model
 
     def num_nodes(self, spec):
-        """The node count a spec's model was trained on.
+        """The node count a spec's model was trained on (see :meth:`_shape`)."""
+        return self._shape(spec)[0]
+
+    def window_length(self, spec):
+        """The window length a spec's model was trained on (see :meth:`_shape`)."""
+        return self._shape(spec)[1]
+
+    def _shape(self, spec):
+        """``(num_nodes, window_length)`` of a spec's model.
 
         Read from the published manifest — no model load, so a service
         whose models live in pool workers can check it too — and cached
@@ -225,12 +233,14 @@ class ModelRegistry:
         resolved = spec if isinstance(spec, ResolvedModel) else self.resolve(spec)
         key = (resolved.name, resolved.version)
         with self._lock:
-            count = self._num_nodes.get(key)
-        if count is None:
-            count = int(_read_manifest(resolved.path)["num_nodes"])
+            shape = self._shapes.get(key)
+        if shape is None:
+            manifest = _read_manifest(resolved.path)
+            shape = (int(manifest["num_nodes"]),
+                     int(manifest["config"]["window_length"]))
             with self._lock:
-                self._num_nodes[key] = count
-        return count
+                self._shapes[key] = shape
+        return shape
 
     def backend(self, spec):
         """The stateless imputation backend of a spec's model (LRU-backed)."""

@@ -8,9 +8,8 @@ imputation is the valuable one.  :class:`StreamingImputer` closes that gap:
 * observations are ingested one ``(node,)`` vector per tick into a
   :class:`~repro.data.windows.SlidingWindowBuffer` (NaN = missing),
 * every ``emit_stride`` ticks the current window is imputed through the
-  stateless :class:`~repro.inference.DiffusionBackend` /
-  :class:`~repro.inference.WindowedBackend` raw-array path (cold starts are
-  fine — windows shorter than the model's trained length are mask-padded),
+  backend's raw-array path (cold starts are fine — windows shorter than the
+  model's trained length are mask-padded),
 * the emitted :class:`StreamingUpdate` carries the full imputed window plus
   the *incremental* slice — the ticks imputed for the first time since the
   previous emission.
@@ -18,11 +17,20 @@ imputation is the valuable one.  :class:`StreamingImputer` closes that gap:
 Each imputation builds the window's conditional information once, whatever
 ``num_samples`` is.
 
-The session draws all diffusion noise from one private RNG stream
-(``seed``), so a replayed stream reproduces its imputations exactly.  (The
-guarantee is specific to the diffusion backends: stochastic *windowed*
-models — VAE, rGAIN — sample from their model-owned stream, which the
-backend interface does not control.)
+The backend is anything exposing ``window_length`` and ``impute_arrays``: a
+model's :class:`~repro.inference.DiffusionBackend` /
+:class:`~repro.inference.WindowedBackend` in process, or — behind the HTTP
+gateway — a view of :class:`~repro.serving.ImputationService` that turns each
+emission into one seeded :class:`~repro.serving.ImputationRequest`, so stream
+ticks are micro-batched, admitted and pooled like every other request.
+
+The session owns one private RNG stream (``seed``) and draws one integer
+seed from it per emission; the emission imputes with that seed alone.  Each
+emission is therefore self-contained: it is bit-identical whether it runs
+in process, on a worker pool or as a retried batch, and a replayed stream
+reproduces its imputations exactly.  (The guarantee is specific to the
+diffusion backends: stochastic *windowed* models — VAE, rGAIN — sample from
+their model-owned stream, which the backend interface does not control.)
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ class StreamingImputer:
     ----------
     backend:
         A stateless imputation backend (``model.backend()``), or anything
-        exposing ``impute_arrays`` / ``window_length``.
+        exposing ``impute_arrays`` / ``window_length`` (the gateway passes a
+        view of its service).
     num_nodes:
         Number of sensors in the stream.
     num_samples:
@@ -90,7 +99,8 @@ class StreamingImputer:
         served from a mask-padded short window; raise it to wait for a fuller
         window).
     seed:
-        Seed of the session's private RNG stream.
+        Seed of the session's private RNG stream, which yields one integer
+        seed per emission.
     """
 
     def __init__(self, backend, num_nodes, *, num_samples=1, emit_stride=1,
@@ -109,7 +119,6 @@ class StreamingImputer:
         self.buffer = SlidingWindowBuffer(window_length, num_nodes)
         self._rng = np.random.default_rng(seed)
         self._last_emitted_tick = -1    # absolute index of the newest emitted tick
-        self.emissions = 0
 
     @property
     def tick(self):
@@ -143,8 +152,9 @@ class StreamingImputer:
             )
         values, mask = self.buffer.window()
         start = self.buffer.start
+        seed = int(self._rng.integers(2**63))
         raw = self.backend.impute_arrays(
-            values, mask, num_samples=self.num_samples, rng=self._rng,
+            values, mask, num_samples=self.num_samples, rng=seed,
         )
 
         new_ticks = self.tick - self._last_emitted_tick
@@ -159,6 +169,5 @@ class StreamingImputer:
             condition_cached=False,
         )
         self._last_emitted_tick = self.tick
-        self.emissions += 1
         return update
 

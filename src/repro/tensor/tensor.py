@@ -32,10 +32,11 @@ __all__ = [
 # Both interpreter-wide switches have a *thread-local* override layer: the
 # process-wide value is what ``set_default_dtype`` writes, while ``dtype_scope``
 # and ``no_grad`` only ever touch the calling thread's view.  The serving
-# service's flush thread and the gateway's executor threads run inference
-# concurrently, and a scope entered by one request must not change the
-# numerics (dtype casts) or the graph policy of a request running on another
-# thread — that isolation is part of the micro-batching bit-identity contract.
+# service's flush thread can run inference while other threads train, impute
+# directly or drive a flush themselves (``serve``, ``flush``, a ``result``
+# call with no flush worker), and a scope entered by one request must not
+# change the numerics (dtype casts) or the graph policy of a request running
+# on another thread — that isolation is part of the micro-batching bit-identity contract.
 _STATE = threading.local()
 
 _GRAD_ENABLED_DEFAULT = True

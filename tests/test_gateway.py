@@ -528,6 +528,113 @@ class TestStreamingEndpoints:
         assert "num_samples" in response.json()["message"]
         assert gateway.metrics.gauge("gateway.streams.open").value == 0
 
+    def _ticks(self, dataset, count):
+        values, mask = _test_arrays(dataset, length=count)
+        return [json.dumps({"values": [None if v != v else v for v in
+                                       np.where(mask[t], values[t], np.nan)]}
+                           ).encode()
+                for t in range(count)]
+
+    def test_ticks_are_coalesced_service_requests(self, gateway_registry,
+                                                  tiny_traffic_dataset):
+        """Every emission is one service request: two sessions ticking in
+        step move ``service.requests.served`` by exactly the emitted ticks,
+        and each pair shares one flush (a batch of two is the only flush
+        trigger with a 60 s delay).  Opening a session loads no model."""
+        registry = ModelRegistry(gateway_registry.root)
+        service = ImputationService(registry, max_batch_requests=2,
+                                    max_delay_seconds=60.0)
+        client = InProcessClient(Gateway(service))
+        rounds = 3
+        ticks = self._ticks(tiny_traffic_dataset, rounds)
+        try:
+            async def go():
+                sessions = []
+                for seed in (1, 2):
+                    opened = await self._open(client, seed=seed)
+                    sessions.append(opened.json()["session"])
+                assert registry.loaded == [] and registry.misses == 0
+                before = service.metrics_snapshot()
+                emitted = 0
+                for body in ticks:
+                    responses = await asyncio.gather(*(
+                        client.request("POST", f"/v1/stream/{session}/tick",
+                                       body=body)
+                        for session in sessions))
+                    assert [r.status for r in responses] == [200, 200]
+                    emitted += sum(r.json()["emitted"] for r in responses)
+                after = service.metrics_snapshot()
+                return emitted, before, after
+
+            emitted, before, after = run(go())
+        finally:
+            service.stop()
+
+        def moved(name):
+            return after[name] - before[name]
+
+        assert emitted == 2 * rounds
+        assert moved("service.requests.served") == emitted
+        assert moved("service.batches") == rounds
+        assert moved("service.requests.coalesced") == emitted
+
+    def test_tick_on_open_circuit_is_503(self, gateway_registry,
+                                         tiny_traffic_dataset):
+        service = ImputationService(
+            gateway_registry,
+            circuit_policy=CircuitBreakerPolicy(failure_threshold=1))
+        client = InProcessClient(Gateway(service))
+        first, second = self._ticks(tiny_traffic_dataset, 2)
+        try:
+            async def go():
+                opened = await self._open(client)
+                tick_path = f"/v1/stream/{opened.json()['session']}/tick"
+                with faults.active([{"point": "service.flush", "hits": [1]}]):
+                    failed = await client.request("POST", tick_path, body=first)
+                return failed, await client.request("POST", tick_path,
+                                                    body=second)
+
+            failed, rejected = run(go())
+        finally:
+            service.stop()
+        assert failed.status == 500                     # trips the breaker
+        assert failed.json()["error"] == "serving_error"
+        assert rejected.status == 503
+        assert rejected.json()["error"] == "circuit_open"
+        assert int(rejected.headers["Retry-After"]) >= 1
+
+
+class TestMalformedArrays:
+    """Array content a client got wrong is a ``400`` at decode, never a
+    ``500`` from deep inside numpy."""
+
+    TICK_NODES = [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("route, document", [
+        ("tick", {"values": [1, 2, 3, 4, 5, "x"]}),
+        ("tick", {"values": {"a": 1}}),
+        ("tick", {"values": TICK_NODES, "values_dtype": "bogus"}),
+        ("tick", {"values": TICK_NODES, "mask": [[True], [True, False]]}),
+        ("impute", {"model": "traffic", "values": [[1.0, "x"]]}),
+        ("impute", {"model": "traffic", "values": [[1.0, 2.0]],
+                    "values_dtype": "bogus"}),
+        ("impute", {"model": "traffic", "values": [[1.0, 2.0], [3.0]]}),
+    ])
+    def test_bad_array_content_is_400(self, client, route, document):
+        async def go():
+            if route == "impute":
+                return await client.request("POST", "/v1/impute",
+                                            body=json.dumps(document).encode())
+            opened = await client.request(
+                "POST", "/v1/stream", body=b'{"model":"traffic","num_nodes":6}')
+            session = opened.json()["session"]
+            return await client.request("POST", f"/v1/stream/{session}/tick",
+                                        body=json.dumps(document).encode())
+
+        response = run(go())
+        assert response.status == 400, response.json()
+        assert response.json()["error"] == "bad_request"
+
 
 # ----------------------------------------------------------------------
 # Graceful drain

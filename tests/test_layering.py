@@ -4,6 +4,8 @@
 must stay importable on its own: standard library only, no other ``repro``
 module.  ``repro.inference`` sits below ``repro.serving`` and must not
 import it at module level (that is the cycle the leaf exists to break).
+The HTTP gateway never runs a model: every inference it serves, stream ticks
+included, goes through ``ImputationService``.
 """
 
 import ast
@@ -91,3 +93,42 @@ def test_relative_imports_resolve_against_the_package():
     assert "repro.serving" in names and "repro.serving.faults" in names
     assert "repro.inference.engine" in names
     assert "repro.serving.pool" not in names
+
+
+_MODEL_CALLS = {"backend", "load", "impute_arrays"}
+
+
+def _model_calls(tree):
+    """``(line, name)`` of every call in ``tree`` to a function or method
+    named in :data:`_MODEL_CALLS` (``np.load``, which decodes an NPZ
+    request body, is not a model load)."""
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            if isinstance(func.value, ast.Name) and func.value.id == "np":
+                continue
+            name = func.attr
+        else:
+            name = func.id if isinstance(func, ast.Name) else None
+        if name in _MODEL_CALLS:
+            hits.append((node.lineno, name))
+    return hits
+
+
+def test_gateway_never_loads_or_runs_a_model():
+    path = SRC / "repro" / "serving" / "gateway.py"
+    assert _model_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_model_call_check_sees_method_and_function_calls():
+    tree = ast.parse("registry.backend(spec)\n"
+                     "self.service.registry.load(spec)\n"
+                     "impute_arrays(values)\n"
+                     "np.load(body)\n"
+                     "def impute_arrays(self):\n"
+                     "    return service.submit(request)\n")
+    assert _model_calls(tree) == [(1, "backend"), (2, "load"),
+                                  (3, "impute_arrays")]

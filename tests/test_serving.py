@@ -31,12 +31,14 @@ from repro import (
     ModelRegistry,
     PriSTI,
     PriSTIConfig,
+    RetryPolicy,
     StreamingImputer,
     WorkerPool,
 )
 from repro.baselines import BRITSImputer
 from repro.data import SlidingWindowBuffer
-from repro.serving import PoolStopped, RegistryError
+from repro.serving import PoolStopped, RegistryError, faults
+from repro.serving.faults import InjectedFault
 from repro.serving.gateway import Gateway, InProcessClient, decode_array_payload
 from serial_reference import impute_serial
 
@@ -702,10 +704,11 @@ class TestStreamingOverGateway:
         mask = observed & ~evaluation
         return [np.where(mask[t], values[t], np.nan) for t in range(count)]
 
-    def _replay_over_http(self, registry, ticks, **session_options):
+    def _replay_over_http(self, registry, ticks, service=None,
+                          **session_options):
         """Open a gateway streaming session and push every tick over HTTP;
         returns the decoded per-tick payloads."""
-        service = ImputationService(registry)
+        service = service or ImputationService(registry)
         gateway = Gateway(service)
         client = InProcessClient(gateway)
         try:
@@ -773,3 +776,42 @@ class TestStreamingOverGateway:
             assert over_http["new_median"].shape == reference.new_median.shape
             assert np.array_equal(over_http["samples"], reference.samples)
             assert np.array_equal(over_http["new_median"], reference.new_median)
+
+    def _assert_same_session(self, registry, ticks, service):
+        """A gateway session over ``service`` equals a direct in-process
+        session tick for tick, bit for bit."""
+        backend = registry.backend(registry.resolve("traffic"))
+        direct = StreamingImputer(backend, num_nodes=6, num_samples=2, seed=5)
+        direct_updates = [direct.push(tick) for tick in ticks]
+        http_updates = self._replay_over_http(registry, ticks, service,
+                                              num_samples=2, seed=5)
+        for reference, over_http in zip(direct_updates, http_updates, strict=True):
+            for name in ("median", "samples", "new_median"):
+                assert over_http[name].dtype == getattr(reference, name).dtype
+                assert np.array_equal(over_http[name], getattr(reference, name))
+
+    def test_pooled_session_bit_identical_to_direct(self, registry,
+                                                    tiny_traffic_dataset):
+        """Ticks run on a process pool: each emission carries an integer
+        seed, so the child draws the same noise as the in-process session
+        (a live session Generator would be pickled, consumed in the child
+        and never advance in the gateway)."""
+        ticks = self._ticks(tiny_traffic_dataset, count=4)
+        pool = WorkerPool(2)
+        try:
+            service = ImputationService(registry, executor=pool)
+            self._assert_same_session(registry, ticks, service)
+            assert service.metrics_snapshot()["service.requests.served"] == 4
+        finally:
+            pool.stop()
+
+    def test_retried_session_bit_identical_to_direct(self, registry,
+                                                     tiny_traffic_dataset):
+        ticks = self._ticks(tiny_traffic_dataset, count=4)
+        service = ImputationService(
+            registry,
+            retry_policy=RetryPolicy(max_attempts=3, base_delay_seconds=0.001,
+                                     retry_on=(InjectedFault,)))
+        with faults.active([{"point": "service.flush", "hits": [1]}]):
+            self._assert_same_session(registry, ticks, service)
+        assert service.metrics_snapshot()["service.retries"] == 1

@@ -79,7 +79,7 @@ def main():
     model = PriSTI(config).fit(dataset, verbose=True)
 
     root = tempfile.mkdtemp(prefix="repro-registry-")
-    registry = ModelRegistry(root, max_loaded=2)
+    registry = ModelRegistry(root)
     published = registry.publish(model, "traffic")
     print(f"\npublished {published.spec} -> {published.path}")
 

@@ -39,36 +39,41 @@ request alone.
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..telemetry import PROCESS_METRICS
+
 __all__ = ["RawImputation", "ImputationBackend", "DiffusionBackend",
            "WindowedBackend", "RequestJob", "load_backend", "BackendCache",
-           "process_backend"]
+           "process_backend", "resident_backends"]
+
+_HITS = PROCESS_METRICS.counter("registry.cache.hits")
+_MISSES = PROCESS_METRICS.counter("registry.cache.misses")
+_EVICTIONS = PROCESS_METRICS.counter("registry.cache.evictions")
 
 
 def load_backend(artifact_path):
     """Rehydrate a stateless backend from a :mod:`repro.io` artifact on disk.
 
-    This is the worker-side hook of the serving
-    :class:`~repro.serving.pool.WorkerPool`: a pool worker's child process
-    is handed nothing but the artifact *path* of the resolved model and
-    rebuilds its own private backend from it, so no live network objects
-    ever cross the process boundary.  The loaded
-    model is a faithful copy of the published one (the artifact round-trip is
-    bit-exact, see ``tests/test_persistence.py``), which is what keeps
-    pool-served responses bit-identical to the in-process serve-alone path.
+    The loader behind :class:`BackendCache`: a pool child is handed nothing
+    but the artifact *path* of the resolved model and rebuilds its own
+    private backend from it, so no live network objects ever cross the
+    process boundary; an inline flush loads the same way.  The artifact
+    round-trip is bit-exact (``tests/test_persistence.py``), which keeps
+    pool-served responses bit-identical to the serve-alone path.
     """
     from ..io import load_model
     # Imported lazily: repro.serving imports this module, so a top-level
     # import of repro.serving.faults here would be circular.
     from ..serving import faults
 
-    # Injection point: worker-side rehydration failing (artifact unreadable
-    # from the worker's process, version pulled mid-flight).
+    # Injection point: rehydration failing on a cache miss (artifact
+    # unreadable, version pulled mid-flight), in a pool child or inline.
     faults.inject("backend.load")
     return load_model(artifact_path).backend()
 
@@ -92,16 +97,16 @@ def _artifact_signature(artifact_path):
 
 
 class BackendCache:
-    """A small per-worker LRU of rehydrated backends keyed by artifact path.
+    """A small LRU of rehydrated backends keyed by artifact path.
 
-    Every pool worker's child process owns one (``_PROCESS_BACKENDS``):
-    repeated batches for the same model reuse the worker's resident copy
-    (keeping its shard "hot"), while colder models are evicted and
-    transparently re-loaded on the next request.  Unlike the
-    :class:`~repro.serving.ModelRegistry` LRU this cache is **not** shared —
-    one instance per worker means one model instance per worker, so
-    concurrent workers never run inference through the same mutable network
-    object.
+    Each process serves from one (``_PROCESS_BACKENDS``, behind
+    :func:`process_backend`): a pool child for its batches, the parent for
+    inline flushes and :meth:`repro.serving.ModelRegistry.backend`, from
+    several threads — hence the lock.  Colder models are evicted and
+    transparently re-loaded on the next request.  Lookups count
+    ``registry.cache.hits`` / ``.misses`` / ``.evictions`` in
+    :data:`repro.telemetry.PROCESS_METRICS`, which a worker pool folds from
+    its children into the parent.
 
     Staleness is generation-gated.  A registry ``publish`` may overwrite an
     existing version *path* in place, so a path-keyed cache can silently
@@ -111,20 +116,18 @@ class BackendCache:
     * generation unchanged since the entry was cached → pure LRU hit, **no
       filesystem access** (the steady-state request path);
     * generation bumped (or unknown) → one cheap ``stat`` probe of the
-      artifact files; the backend is re-loaded only when the on-disk
-      signature actually changed (``stale_reloads``), otherwise the entry is
-      revalidated against the new generation and stays resident.
+      artifact files (``stat_probes``); the backend is re-loaded only when
+      the on-disk signature actually changed (``stale_reloads``), otherwise
+      the entry is revalidated against the new generation and stays resident.
     """
 
     def __init__(self, max_loaded=4):
         if max_loaded < 1:
             raise ValueError("max_loaded must be a positive integer")
         self.max_loaded = int(max_loaded)
+        self._lock = threading.Lock()
         # artifact path -> [backend, generation, on-disk signature]
         self._backends = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.stat_probes = 0
         self.stale_reloads = 0
 
@@ -136,58 +139,60 @@ class BackendCache:
         unknown, which degrades to a stat probe per call — still correct,
         just not free.
         """
-        entry = self._backends.get(artifact_path)
-        if entry is not None:
-            backend, cached_generation, cached_signature = entry
-            if generation is not None and generation == cached_generation:
-                self._backends.move_to_end(artifact_path)
-                self.hits += 1
-                return backend
-            self.stat_probes += 1
-            if _artifact_signature(artifact_path) == cached_signature:
-                # Same bytes on disk — revalidate against the new generation
-                # so the next steady-state call skips the probe too.
-                entry[1] = generation
-                self._backends.move_to_end(artifact_path)
-                self.hits += 1
-                return backend
-            self.stale_reloads += 1
-            del self._backends[artifact_path]
-        self.misses += 1
-        # Snapshot the signature *before* loading: if a republish lands
-        # mid-load we cache the older signature and the next probe reloads,
-        # instead of pinning fresh stat data to a half-superseded backend.
-        signature = _artifact_signature(artifact_path)
-        backend = load_backend(artifact_path)
-        self._backends[artifact_path] = [backend, generation, signature]
-        while len(self._backends) > self.max_loaded:
-            self._backends.popitem(last=False)
-            self.evictions += 1
-        return backend
-
-    def stats(self):
-        """Cache counters (hits / misses / evictions / staleness probes)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "resident": len(self._backends),
-                "stat_probes": self.stat_probes,
-                "stale_reloads": self.stale_reloads}
+        with self._lock:
+            entry = self._backends.get(artifact_path)
+            if entry is not None:
+                backend, cached_generation, cached_signature = entry
+                if generation is not None and generation == cached_generation:
+                    self._backends.move_to_end(artifact_path)
+                    _HITS.inc()
+                    return backend
+                self.stat_probes += 1
+                if _artifact_signature(artifact_path) == cached_signature:
+                    # Same bytes on disk — revalidate against the new
+                    # generation so the next steady-state call skips the
+                    # probe too.
+                    entry[1] = generation
+                    self._backends.move_to_end(artifact_path)
+                    _HITS.inc()
+                    return backend
+                self.stale_reloads += 1
+                del self._backends[artifact_path]
+            _MISSES.inc()
+            # Snapshot the signature *before* loading: if a republish lands
+            # mid-load we cache the older signature and the next probe
+            # reloads, instead of pinning fresh stat data to a
+            # half-superseded backend.
+            signature = _artifact_signature(artifact_path)
+            backend = load_backend(artifact_path)
+            self._backends[artifact_path] = [backend, generation, signature]
+            while len(self._backends) > self.max_loaded:
+                self._backends.popitem(last=False)
+                _EVICTIONS.inc()
+            return backend
 
 
-#: Process-global cache used by pool worker *processes*: each worker process
-#: is single-threaded, so one cache per process == one cache per worker.
+#: The process's one backend cache.  A pool worker's child process is
+#: single-threaded, so there it is exactly the worker's LRU; in the parent it
+#: backs inline batches and ``ModelRegistry.backend``.
 _PROCESS_BACKENDS = BackendCache(max_loaded=4)
 
 
 def process_backend(artifact_path, generation=None):
     """The calling process's resident backend for ``artifact_path``.
 
-    Entry point of the process-pool workers (see
-    :func:`repro.serving.pool._process_worker_main`): rehydration happens at
-    most once per (process, artifact) thanks to the process-global
-    :class:`BackendCache`.  ``generation`` rides in from the parent's control
-    message so steady-state batches skip the artifact stat probe entirely.
+    The one model lookup of the serving stack, called by a pool child's
+    batch loop and by the service's inline flush: rehydration happens at
+    most once per (process, artifact).  ``generation`` is the registry's
+    publish counter, so steady-state batches skip the artifact stat probe.
     """
     return _PROCESS_BACKENDS.get(artifact_path, generation=generation)
+
+
+def resident_backends():
+    """How many backends this process's cache holds."""
+    with _PROCESS_BACKENDS._lock:
+        return len(_PROCESS_BACKENDS._backends)
 
 
 @dataclass

@@ -17,14 +17,19 @@ per-sample and per-window serialisation by
 
 ``inference_batch_size`` (surfaced as
 :attr:`repro.core.config.PriSTIConfig.inference_batch_size`) bounds the peak
-memory: ``None`` packs one window's ``num_samples`` per chunk — the safe
-default — while larger values let chunks span window boundaries for more
-hardware utilisation.  Note the bound carries a ``num_diffusion_steps``
-multiplier for *ancestral* sampling: every step's noise is pre-drawn, a
-``chunk × (num_steps - 1) × node × window`` buffer in the model dtype
+memory; larger values let chunks span window boundaries for more hardware
+utilisation.  ``None`` means different things on the two entry points:
+:meth:`InferenceEngine.impute_segment` (``model.impute``) packs one window's
+``num_samples`` per chunk, while :meth:`InferenceEngine.sample_plans` (the
+serving path) packs *every* same-shape item of a micro-batch into one chunk,
+so under ``None`` a serving chunk grows with the batch.  Note the bound
+carries a ``num_diffusion_steps`` multiplier for *ancestral* sampling: every
+step's noise is pre-drawn, a ``chunk × (num_steps - 1) × node × window``
+buffer in the model dtype
 (:meth:`repro.diffusion.GaussianDiffusion._prepare_noise`).  Large step
-counts with many samples per chunk should lower ``inference_batch_size``
-accordingly; deterministic DDIM (``eta=0``) draws no step noise at all.
+counts with many samples per chunk should set or lower
+``inference_batch_size`` accordingly; deterministic DDIM (``eta=0``) draws
+no step noise at all.
 
 Chunking and the RNG stream
 ---------------------------
@@ -98,8 +103,9 @@ class InferenceEngine:
         ``"epsilon"`` (network predicts the added noise) or ``"x0_residual"``
         (network predicts the clean target as a residual on the condition).
     inference_batch_size:
-        Maximum ``(window, sample)`` items per network call; ``None`` batches
-        one window's samples at a time.
+        Maximum ``(window, sample)`` items per network call; ``None``
+        batches one window's samples at a time in :meth:`impute_segment` and
+        each whole same-shape group in :meth:`sample_plans`.
     ddim_steps:
         If set (an int ≥ 1), use strided DDIM sampling with this many
         inference steps; ``None`` runs full ancestral (DDPM) sampling.

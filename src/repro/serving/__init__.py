@@ -6,13 +6,15 @@ production-facing counterpart built on the stateless
 :mod:`repro.inference.backend` layer:
 
 :class:`ModelRegistry`
-    ``name@version`` → :mod:`repro.io` artifacts, with an LRU of loaded
-    models so one process can route traffic across many published models.
+    ``name@version`` → :mod:`repro.io` artifacts.  It holds no loaded
+    model: every process resolves models through its one backend cache
+    (:func:`repro.inference.backend.process_backend`).
 :class:`ImputationService`
     A request queue plus a dynamic micro-batcher: concurrent requests for
     the same model coalesce into shared inference-engine chunks
-    (size- and deadline-triggered flush), while per-request RNG streams keep
-    every response bit-identical to the request served alone.
+    (size- and deadline-triggered flush), while a noise seed per request
+    keeps every response bit-identical to the request served alone.  An
+    inline flush runs exactly what a pool child runs.
 :class:`WorkerPool`
     Parallel batch execution behind the service: shard-aware routing by
     model spec, work stealing, admission control
@@ -32,9 +34,10 @@ production-facing counterpart built on the stateless
     the leaf module :mod:`repro.telemetry`: every layer registers its
     counters/gauges/histograms under dotted stable names
     (``service.queue.depth``, ``pool.steals``, ``transport.bytes_staged``),
-    the compile caches count ``compiled.cache.hits`` and friends in the
-    process-wide :data:`~repro.telemetry.PROCESS_METRICS`, worker and child
-    counters fold into the parent through :class:`WorkerCounterMerge`, and
+    the backend and compile caches count ``registry.cache.hits``,
+    ``compiled.cache.hits`` and friends in the process-wide
+    :data:`~repro.telemetry.PROCESS_METRICS`, worker and child counters
+    fold into the parent through :class:`WorkerCounterMerge`, and
     one flat :meth:`~ImputationService.metrics_snapshot` covers the whole
     stack with a mode-independent key set.
 :mod:`repro.serving.faults` / :mod:`repro.serving.resilience`

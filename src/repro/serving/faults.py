@@ -80,8 +80,8 @@ class InjectedFault(ServingError):
 #: :func:`install` validates every rule against this table so a typo in a
 #: fault plan fails loudly instead of silently never firing.
 INJECTION_POINTS = {
-    "registry.load": "ModelRegistry.load: artifact read on an LRU miss fails",
-    "backend.load": "load_backend: worker-side model rehydration fails",
+    "backend.load": "load_backend: model rehydration on a backend-cache "
+                    "miss fails (pool child or inline flush)",
     "pool.worker_crash": "WorkerPool: worker dies mid-batch (WorkerCrashed)",
     "pool.worker_stall": "WorkerPool: slow worker — stall before executing",
     "transport.stage": "ShmArena.stage: staging a batch into the arena fails",
@@ -91,7 +91,8 @@ INJECTION_POINTS = {
                             "the arena must rebuild, not leak",
     "compile.trace": "CompiledStepCache: tracing a reverse-diffusion chunk "
                      "fails before recording (eager fallback must serve it)",
-    "service.flush": "ImputationService: batch execution fails at flush",
+    "service.flush": "ImputationService: an inline batch fails after it "
+                     "ran (its noise already drawn)",
     "service.queue_stall": "ImputationService: stall before flushing queues",
     "gateway.connection_drop": "Gateway wire: drop the connection pre-response",
     "gateway.truncated_body": "Gateway wire: truncate the response body",

@@ -11,11 +11,9 @@ holds the GIL, so sibling threads of one process would run one at a time;
 separate processes are what let workers compute in parallel.  Request and
 response tensors live in a per-worker shm arena and cross the process
 boundary as ``(segment, offset, shape, dtype)`` descriptors; the persistent
-pipe carries only those small control records plus each request's RNG
-``Generator`` (pickled with its exact state, which is what keeps a
-pool-served response bit-identical to the same request served in-process).
-Children are started with the ``spawn`` method (``fork`` is unsafe in a
-multi-threaded parent).  Models are rehydrated child-side at most once per
+pipe carries only those small control records plus each request's noise
+seed.  Children are started with the ``spawn`` method (``fork`` is unsafe in
+a multi-threaded parent).  Models are rehydrated child-side at most once per
 (process, artifact, registry generation) — and usually *before* the first
 request, via warm pre-fork (:meth:`WorkerPool.watch` /
 :meth:`WorkerPool.prewarm`).
@@ -25,7 +23,7 @@ Scheduling
 * **Shard-aware routing** — every batch carries its resolved ``name@version``
   spec; ``crc32(spec) % num_workers`` assigns it a *home shard*, so one
   model's traffic keeps hitting the same worker and that worker's
-  loaded-model LRU stays hot.
+  backend cache stays hot.
 * **Work stealing** — an idle worker whose own queue is empty takes the
   newest batch from the longest backed-up sibling queue (the oldest batch
   stays put for its home worker, which has the model resident).  Stealing
@@ -51,10 +49,11 @@ Scheduling
 
 Bit-identity
 ------------
-The pool never changes what is computed, only where: batches are executed by
-:func:`execute_batch` exactly as the service's inline path executes them, each
-request samples from its own RNG stream, and each child process holds its
-own model instances, so concurrent batches cannot perturb each other.  The
+The pool never changes what is computed, only where: a child runs
+:func:`execute_batch` over :func:`~repro.inference.backend.process_backend`
+exactly as the service's inline path does, each request samples from a
+stream built from its own seed, and each child process holds its own model
+instances, so concurrent batches cannot perturb each other.  The
 shm transport moves bytes, not maths: staging writes the backend's own
 idempotent request normalisation into the arena, and responses are copied
 out verbatim.  ``tests/test_pool.py`` pins pooled == serve-alone in float32
@@ -123,9 +122,9 @@ class RequestPayload:
     """The picklable execution inputs of one queued request.
 
     This is the wire format between the service and the pool workers: raw
-    arrays plus the request's private RNG stream (``numpy.random.Generator``
-    pickles with its exact state, which is what keeps process-pool responses
-    bit-identical to in-process ones).  The arrays never actually cross the
+    arrays plus the seed of the request's noise stream, from which
+    :func:`execute_batch` builds a fresh ``Generator`` on every attempt (so
+    a retry replays by construction).  The arrays never actually cross the
     pipe — they are staged into the worker's shm arena and only their
     descriptors travel (see :mod:`repro.serving.transport`).
     """
@@ -133,7 +132,7 @@ class RequestPayload:
     values: np.ndarray
     observed_mask: np.ndarray | None
     num_samples: int
-    rng: np.random.Generator | None
+    seed: np.random.SeedSequence
     stride: int | None
 
 
@@ -146,8 +145,8 @@ def execute_batch(backend, payloads):
 
     * backends with the request-plan protocol (the diffusion family) are
       **coalesced**: every payload is planned, all items run through one
-      engine pass (each item drawing from its payload's own RNG stream), and
-      the samples are reassembled per payload;
+      engine pass (each item drawing from a stream built here from its
+      payload's seed), and the samples are reassembled per payload;
     * other backends (the windowed baselines) execute per payload.
     """
     if hasattr(backend, "plan_request"):
@@ -155,7 +154,7 @@ def execute_batch(backend, payloads):
             backend.plan_request(
                 payload.values, payload.observed_mask,
                 num_samples=payload.num_samples,
-                rng=payload.rng, stride=payload.stride,
+                rng=np.random.default_rng(payload.seed), stride=payload.stride,
             )
             for payload in payloads
         ]
@@ -227,8 +226,8 @@ class _SplitJoin:
 
     Part results are kept in dispatch order, so the joined ``raws`` list is
     indistinguishable from the unsplit batch's; the first part error wins
-    (the service's retry path restores every payload's RNG state before
-    re-dispatching, so a partially executed split is safe to retry).
+    (payloads carry seeds, not live streams, so a partially executed split
+    is safe to retry).
     """
 
     def __init__(self, task, num_parts):
@@ -283,7 +282,7 @@ class _WorkerProcess:
         self.control_bytes_received = 0
         self.batches_run = 0
         # The child's cumulative PROCESS_METRICS counters as of its last
-        # batch reply (its compile counters), for the pool to delta-fold.
+        # batch reply, for the pool to delta-fold.
         self.process_totals = {}
         self.process = ctx.Process(target=_process_worker_main,
                                    args=(child_conn, max_loaded),
@@ -426,8 +425,9 @@ def _process_worker_main(conn, max_loaded=4):
                     reply(("error", error))
                 else:
                     # The reply piggybacks this child's cumulative
-                    # process-wide (compile) counters; the parent folds the
-                    # delta into its own so telemetry covers process workers.
+                    # process-wide (model-cache and compile) counters; the
+                    # parent folds the delta into its own so telemetry
+                    # covers process workers.
                     reply(("ok", PROCESS_METRICS.snapshot()))
                 attachments.trim()
             elif kind == "warm":
@@ -459,8 +459,8 @@ class WorkerPool:
         Admission-control bound on queued (not yet executing) requests across
         all shards; ``dispatch`` beyond it raises :class:`ServiceOverloaded`.
     max_loaded_per_worker:
-        Capacity of each worker child's rehydrated-model LRU (the
-        process-global cache in :mod:`repro.inference.backend`).
+        Capacity of each worker child's backend cache (the process-global
+        cache in :mod:`repro.inference.backend`).
     steal:
         Allow idle workers to take batches from backed-up sibling shards.
     split:
@@ -508,8 +508,8 @@ class WorkerPool:
                            fn=lambda: self._live_arena_stat("transport.slots.live"))
         # Worker->parent counter merges, one per destination registry:
         # worker threads' loop-local totals and each child's transport totals
-        # land on this pool's registry, each child's piggybacked compile
-        # counters on this process's PROCESS_METRICS.
+        # land on this pool's registry, each child's piggybacked model-cache
+        # and compile counters on this process's PROCESS_METRICS.
         self._merge = WorkerCounterMerge(self.metrics.fold)
         self._process_merge = WorkerCounterMerge(PROCESS_METRICS.fold)
         # Per-worker views the flat schema sums over: batches executed and

@@ -1,4 +1,4 @@
-"""Versioned model registry resolving ``name@version`` to loaded models.
+"""Versioned model registry resolving ``name@version`` to artifacts.
 
 A registry root is a plain directory tree of :mod:`repro.io` artifacts::
 
@@ -6,11 +6,12 @@ A registry root is a plain directory tree of :mod:`repro.io` artifacts::
     <root>/<name>/<version>/arrays.npz
 
 ``publish`` writes a trained model into the tree (auto-incrementing the
-version when none is given); ``load`` resolves a spec — ``"aqi@2"`` pins a
-version, ``"aqi"`` means the latest — and restores the model through
-:func:`repro.io.load_model`, keeping an LRU of loaded models so a serving
-process can route traffic across many named models without re-reading
-artifacts from disk on every request.
+version when none is given); ``resolve`` pins a spec — ``"aqi@2"`` names a
+version, ``"aqi"`` means the latest — to its artifact path.  The registry
+holds no loaded model: ``backend`` hands out the calling process's resident
+backend from :func:`repro.inference.backend.process_backend`, the one model
+cache a pool child and an inline service flush both use, and ``load`` is a
+plain uncached :func:`repro.io.load_model`.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from __future__ import annotations
 import os
 import re
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..inference.backend import process_backend
 from ..io import load_model, save_model
 from ..io.artifacts import _read_manifest
-from . import faults
 
 __all__ = ["ModelRegistry", "RegistryError", "ResolvedModel"]
 
@@ -60,38 +60,25 @@ def _version_order(version):
 
 
 class ModelRegistry:
-    """Resolve ``name@version`` specs to models with an LRU of loaded ones.
+    """Resolve ``name@version`` specs to published artifacts.
 
     Parameters
     ----------
     root:
         Directory holding the artifact tree (created on first ``publish``).
-    max_loaded:
-        Capacity of the loaded-model LRU.  A serving process typically keeps
-        a handful of hot models resident; colder models are evicted and
-        transparently re-loaded from their artifacts on the next request.
 
-    The LRU (and its counters) are guarded by a lock, so concurrent serving
-    threads — the service's inline path, its background flush worker and any
-    direct callers — can share one registry.  The *models* handed out are
-    still shared objects; workers that run inference concurrently should hold
-    their own instances (see
-    :class:`repro.inference.backend.BackendCache`).
+    Publish bookkeeping (the generation, the subscribers, the cached
+    manifest shapes) is guarded by a lock, so concurrent serving threads —
+    the service's inline path, its background flush worker and any direct
+    callers — can share one registry.
     """
 
-    def __init__(self, root, *, max_loaded=4):
-        if max_loaded < 1:
-            raise ValueError("max_loaded must be a positive integer")
+    def __init__(self, root):
         self.root = os.fspath(root)
-        self.max_loaded = int(max_loaded)
-        self._lock = threading.RLock()
-        self._loaded = OrderedDict()      # (name, version) -> model
+        self._lock = threading.Lock()
         self._shapes = {}                 # (name, version) -> (num_nodes, window_length)
         self._generation = 0
         self._subscribers = []
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @property
     def generation(self):
@@ -137,11 +124,10 @@ class ModelRegistry:
             self._check_component(version, "version")
         path = os.path.join(self.root, name, version)
         save_model(model, path)
-        # The artifact on disk is the source of truth; drop any stale
-        # resident copy of this exact version and bump the publish
-        # generation so path-keyed worker caches revalidate.
+        # The artifact on disk is the source of truth; drop this version's
+        # cached shape and bump the publish generation so path-keyed backend
+        # caches revalidate.
         with self._lock:
-            self._loaded.pop((name, version), None)
             self._shapes.pop((name, version), None)
             self._generation += 1
             generation = self._generation
@@ -194,26 +180,13 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
+    def _resolved(self, spec):
+        return spec if isinstance(spec, ResolvedModel) else self.resolve(spec)
+
     def load(self, spec):
-        """Load the model a spec resolves to, through the LRU (thread-safe)."""
-        resolved = spec if isinstance(spec, ResolvedModel) else self.resolve(spec)
-        key = (resolved.name, resolved.version)
-        with self._lock:
-            model = self._loaded.get(key)
-            if model is not None:
-                self._loaded.move_to_end(key)
-                self.hits += 1
-                return model
-            self.misses += 1
-            # Injection point: an artifact read failing on an LRU miss (disk
-            # gone, tree truncated mid-publish).  Cache hits are unaffected.
-            faults.inject("registry.load")
-            model = load_model(resolved.path)
-            self._loaded[key] = model
-            while len(self._loaded) > self.max_loaded:
-                self._loaded.popitem(last=False)
-                self.evictions += 1
-            return model
+        """A fresh model restored from the artifact a spec resolves to
+        (uncached: serving goes through :meth:`backend`)."""
+        return load_model(self._resolved(spec).path)
 
     def num_nodes(self, spec):
         """The node count a spec's model was trained on (see :meth:`_shape`)."""
@@ -230,7 +203,7 @@ class ModelRegistry:
         whose models live in pool workers can check it too — and cached
         per version until that version is re-published.
         """
-        resolved = spec if isinstance(spec, ResolvedModel) else self.resolve(spec)
+        resolved = self._resolved(spec)
         key = (resolved.name, resolved.version)
         with self._lock:
             shape = self._shapes.get(key)
@@ -243,26 +216,11 @@ class ModelRegistry:
         return shape
 
     def backend(self, spec):
-        """The stateless imputation backend of a spec's model (LRU-backed)."""
-        return self.load(spec).backend()
-
-    @property
-    def loaded(self):
-        """Specs currently resident, least- to most-recently used."""
-        with self._lock:
-            return [f"{name}@{version}" for name, version in self._loaded]
-
-    def register_metrics(self, metrics):
-        """Expose the LRU counters as ``registry.*`` metrics on ``metrics``.
-
-        Callback gauges over the live counters — this registry stays the
-        single source of truth; the snapshot just reads through it.
-        """
-        metrics.gauge("registry.cache.hits", fn=lambda: self.hits)
-        metrics.gauge("registry.cache.misses", fn=lambda: self.misses)
-        metrics.gauge("registry.cache.evictions", fn=lambda: self.evictions)
-        metrics.gauge("registry.models.resident", fn=lambda: len(self.loaded))
-        return metrics
+        """The stateless imputation backend of a spec's model: this
+        process's resident copy from
+        :func:`~repro.inference.backend.process_backend`, revalidated
+        against this registry's publish generation."""
+        return process_backend(self._resolved(spec).path, self.generation)
 
     @staticmethod
     def _check_component(value, what):

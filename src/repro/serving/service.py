@@ -16,11 +16,12 @@ Batching semantics
   request has waited ``max_delay_seconds`` (deadline trigger — enforced by
   :meth:`ImputationService.poll`, the optional background worker, or the
   next blocking ``result()`` call, whichever comes first).
-* Every request samples from its **own RNG stream** (its ``seed``, or a
-  stream spawned from the service seed at submission): the response is
-  bit-identical whatever the request was batched with — micro-batching is
-  invisible except in latency/throughput.  ``tests/test_serving.py`` pins
-  this against :meth:`ImputationService.serve` (the serve-alone reference).
+* Every request samples from its **own RNG stream**, fixed at submission as
+  a ``numpy.random.SeedSequence`` (its ``seed``, or one spawned from the
+  service seed) and built afresh on every execution attempt: the response
+  is bit-identical whatever the request was batched with, inline, pooled or
+  retried.  ``tests/test_serving.py`` pins this against
+  :meth:`ImputationService.serve` (the serve-alone reference).
 * Heterogeneous window lengths are fine: the engine groups work items by
   shape and chunks within groups (``InferenceEngine.sample_plans``).
 * Models without the plan protocol (the windowed baselines) are served
@@ -30,7 +31,9 @@ Batching semantics
 Execution semantics
 -------------------
 * Without an ``executor`` every flushed batch executes inline on the calling
-  thread (serialised by one lock), exactly as before.
+  thread (serialised by one lock), running what a pool child runs:
+  :func:`~repro.serving.pool.execute_batch` over this process's resident
+  backend (:func:`~repro.inference.backend.process_backend`).
 * With ``executor=WorkerPool(...)`` flushed batches are **dispatched** to the
   pool's shard queues instead: ``flush``/``poll`` return once the batches are
   queued, tickets resolve when a worker finishes, and consistent
@@ -46,24 +49,25 @@ Telemetry
 ---------
 :meth:`ImputationService.metrics_snapshot` is the one counter surface: a
 flat ``{dotted-name: number}`` dict covering the ``service.*`` counters
-registered here, the ``registry.*`` LRU (read-through gauges), the
-process-wide ``compiled.*`` counters of
-:data:`repro.telemetry.PROCESS_METRICS` (which, behind a worker pool, also
-carry the compiles its children ran), the executor's ``pool.*`` /
-``transport.*`` names (zero-filled when the service runs inline, so the key
-set never depends on the executor mode) and, once a gateway fronts the
-service, its ``gateway.*`` names.  See :mod:`repro.telemetry`.
+registered here, the process-wide ``registry.cache.*`` and ``compiled.*``
+counters of :data:`repro.telemetry.PROCESS_METRICS` (which, behind a worker
+pool, also carry the model loads and compiles its children ran), the
+``registry.models.resident`` gauge over this process's backend cache, the
+executor's ``pool.*`` / ``transport.*`` names (zero-filled when the service
+runs inline, so the key set never depends on the executor mode) and, once a
+gateway fronts the service, its ``gateway.*`` names.  See
+:mod:`repro.telemetry`.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..inference.backend import resident_backends
 from ..metrics import imputation_metrics
 from ..telemetry import PROCESS_METRICS, MetricsRegistry
 from . import faults
@@ -108,8 +112,10 @@ class ImputationRequest:
     num_samples:
         Posterior samples to draw.
     seed:
-        Seed of the request's private RNG stream.  ``None`` lets the service
-        spawn a stream from its own seed sequence at submission time.
+        Seed of the request's private RNG stream: anything
+        ``numpy.random.SeedSequence`` accepts (a non-negative int or a
+        sequence of them).  ``None`` lets the service spawn one from its own
+        seed sequence at submission time.
     stride:
         Sliding-window stride for requests longer than the model window.
     deadline:
@@ -199,7 +205,7 @@ class PendingImputation:
 class _QueuedRequest:
     request: ImputationRequest
     ticket: PendingImputation
-    rng: np.random.Generator
+    seed: np.random.SeedSequence
     enqueued_at: float
     deadline: float
 
@@ -225,8 +231,8 @@ class ImputationService:
         :class:`~repro.serving.pool.ServiceOverloaded`.
     retry_policy:
         Optional :class:`~repro.serving.resilience.RetryPolicy` — failed
-        batches are re-executed with each request's RNG stream restored to
-        its pre-attempt state, so a retried response is bit-identical to a
+        batches are re-executed, every attempt drawing a fresh stream from
+        each request's seed, so a retried response is bit-identical to a
         first-try one.  ``None`` (default) keeps the fail-fast behaviour.
     circuit_policy:
         Optional :class:`~repro.serving.resilience.CircuitBreakerPolicy` —
@@ -267,8 +273,8 @@ class ImputationService:
         self._seeds = np.random.SeedSequence(seed)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        # Serialises model execution: the registry LRU and the networks are
-        # not re-entrant, and CPU inference gains nothing from overlap.
+        # Serialises model execution: the networks are not re-entrant, and
+        # CPU inference gains nothing from overlap.
         self._serve_lock = threading.Lock()
         self._queues = {}              # (name, version) -> [_QueuedRequest]
         self._resolved = {}            # (name, version) -> ResolvedModel
@@ -277,24 +283,23 @@ class ImputationService:
         self._stop_worker = False
         # Resilience state: per-model breakers, an EWMA of observed batch
         # execution time (feeds deadline admission), and a dedicated jitter
-        # RNG for retry backoff (never the request streams — those must stay
-        # untouched between attempts for bit-identical replays).
+        # RNG for retry backoff (never a request's stream).
         self._breakers = {}            # (name, version) -> CircuitBreaker
         self._batch_ewma = {}          # (name, version) -> seconds
         self._retry_lock = threading.Lock()
         self._retry_rng = np.random.default_rng(
             np.random.SeedSequence([int(seed) if np.isscalar(seed) else 0, 0x7e7]))
         # Instrumentation: every serving counter lives in the typed registry
-        # under its dotted stable name.  The registry LRU registers itself as
-        # read-through gauges; metrics_snapshot() adds the executor's and the
-        # process-wide registries, so one snapshot covers the whole stack.
+        # under its dotted stable name; metrics_snapshot() adds the
+        # executor's and the process-wide registries, so one snapshot covers
+        # the whole stack.
         self.metrics = MetricsRegistry()
         self.metrics.declare(SERVICE_METRIC_SCHEMA)
         self.metrics.gauge("service.queue.depth", fn=self.pending)
         self.metrics.gauge("service.requests.inflight",
                            fn=lambda: self._inflight_requests)
         self.metrics.gauge("service.circuits.open", fn=self._open_circuits)
-        registry.register_metrics(self.metrics)
+        self.metrics.gauge("registry.models.resident", fn=resident_backends)
 
     # ------------------------------------------------------------------
     # Client surface
@@ -321,17 +326,17 @@ class ImputationService:
                     f"(max_queue_depth={self.max_queue_depth})"
                 )
         resolved = self.registry.resolve(request.model)
-        self._check_nodes(resolved, request)
+        self._check_request(resolved, request)
         admission_error, degradable = self._admission_error(resolved, request)
         if admission_error is not None:
             if degradable and self.fallback is not None:
                 return self._serve_degraded(resolved, request)
             raise admission_error
         key = (resolved.name, resolved.version)
-        rng = self._request_rng(request)
+        seed = self._request_seed(request)
         ticket = PendingImputation(self, key)
         now = self.clock()
-        entry = _QueuedRequest(request=request, ticket=ticket, rng=rng,
+        entry = _QueuedRequest(request=request, ticket=ticket, seed=seed,
                                enqueued_at=now,
                                deadline=now + self.max_delay_seconds)
         size_triggered = False
@@ -353,16 +358,16 @@ class ImputationService:
         if not isinstance(request, ImputationRequest):
             raise TypeError("serve expects an ImputationRequest")
         resolved = self.registry.resolve(request.model)
-        self._check_nodes(resolved, request)
+        self._check_request(resolved, request)
         admission_error, degradable = self._admission_error(resolved, request)
         if admission_error is not None:
             if degradable and self.fallback is not None:
                 return self._serve_degraded(resolved, request).result()
             raise admission_error
-        rng = self._request_rng(request)
+        seed = self._request_seed(request)
         ticket = PendingImputation(self, (resolved.name, resolved.version))
         now = self.clock()
-        entry = _QueuedRequest(request=request, ticket=ticket, rng=rng,
+        entry = _QueuedRequest(request=request, ticket=ticket, seed=seed,
                                enqueued_at=now, deadline=now)
         self._process_batch(resolved, [entry])
         return ticket.result()
@@ -406,14 +411,15 @@ class ImputationService:
         with self._lock:
             return sum(len(queue) for queue in self._queues.values())
 
-    def _request_rng(self, request):
-        """The request's private noise stream: its seed, else a stream
-        spawned from the service seed sequence (one per call, so unseeded
-        requests are independent of each other and of batching)."""
+    def _request_seed(self, request):
+        """The request's private noise seed: its own, else one spawned from
+        the service seed sequence (one per call, so unseeded requests are
+        independent of each other and of batching).  Built here so a bad
+        seed fails at admission, not inside a batch."""
         if request.seed is not None:
-            return np.random.default_rng(request.seed)
+            return np.random.SeedSequence(request.seed)
         with self._lock:
-            return np.random.default_rng(self._seeds.spawn(1)[0])
+            return self._seeds.spawn(1)[0]
 
     # ------------------------------------------------------------------
     # Resilience: admission, breakers, degraded mode
@@ -435,15 +441,24 @@ class ImputationService:
         with self._lock:
             return self._batch_ewma.get(key, 0.0)
 
-    def _check_nodes(self, resolved, request):
-        """Refuse a request whose node count is not the model's: in a
-        micro-batch it would fail every request it shares the flush with."""
+    def _check_request(self, resolved, request):
+        """Refuse a request the model cannot run — a node count, sample count
+        or stride it would reject: in a micro-batch it would fail every
+        request it shares the flush with, and count against the model's
+        circuit.  Shapes come from the manifest, so no model is loaded."""
         values = np.asarray(request.values)
         expected = self.registry.num_nodes(resolved)
         if values.ndim != 2 or values.shape[1] != expected:
             raise ValueError(
                 f"request values are {values.shape}, but {resolved.spec} "
                 f"expects (time, {expected}) — one column per node")
+        if int(request.num_samples) < 1:
+            raise ValueError("num_samples must be a positive integer")
+        window = self.registry.window_length(resolved)
+        # A zero or unset stride means the window length (see plan_request).
+        if request.stride and not 1 <= request.stride <= window:
+            raise ValueError(f"stride must be in [1, window_length={window}] "
+                             f"(got {request.stride})")
 
     def _admission_error(self, resolved, request):
         """Admission-control verdict for a request: ``(error, degradable)``.
@@ -665,7 +680,7 @@ class ImputationService:
             values=entry.request.values,
             observed_mask=entry.request.observed_mask,
             num_samples=entry.request.num_samples,
-            rng=entry.rng,
+            seed=entry.seed,
             stride=entry.request.stride,
         )
 
@@ -683,32 +698,30 @@ class ImputationService:
     def _process_batch(self, resolved, entries):
         """Serve one model's micro-batch inline; tickets absorb any failure.
 
-        With a :class:`~repro.serving.resilience.RetryPolicy`, a failed
-        attempt restores every request's RNG stream to its pre-attempt state
-        and re-executes — a replay draws the exact noise a first-try
-        execution would, so retried responses stay bit-identical.
+        This runs exactly what a pool child runs for the batch.  With a
+        :class:`~repro.serving.resilience.RetryPolicy`, a failed attempt
+        re-executes the same payloads — each attempt draws fresh streams from
+        the request seeds, so retried responses stay bit-identical.
         """
         started = self.clock()
         key = (resolved.name, resolved.version)
         payloads = [self._payload(entry) for entry in entries]
-        states = (_rng_states(payloads)
-                  if self.retry_policy is not None else None)
         self._track(len(entries))
         attempts = 0
         while True:
             attempts += 1
             try:
                 with self._serve_lock:
-                    # Injection point: the flush itself failing (inside the
-                    # try, so the tickets resolve with the error).
+                    raws = execute_batch(self.registry.backend(resolved),
+                                         payloads)
+                    # Injection point: the flush failing after the batch ran
+                    # (its noise drawn), inside the try so the tickets
+                    # resolve with the error — a retry must replay exactly.
                     faults.inject("service.flush")
-                    backend = self.registry.backend(resolved)
-                    raws = execute_batch(backend, payloads)
                 break
             except Exception as error:
                 if (self.retry_policy is not None
                         and self.retry_policy.should_retry(error, attempts)):
-                    _restore_rng_states(payloads, states)
                     self._backoff_sleep(attempts)
                     continue
                 self._record_failure(key, error)
@@ -724,14 +737,12 @@ class ImputationService:
         dispatch-time
         rejection (pool overloaded or stopped) resolves the tickets here and
         re-raises so the flusher sees it.  With a retry policy, a retryable
-        worker failure (e.g. a crashed worker) re-dispatches the batch with
-        restored RNG streams instead of failing the tickets.
+        worker failure (e.g. a crashed worker) re-dispatches the same seeded
+        payloads instead of failing the tickets.
         """
         started = self.clock()
         key = (resolved.name, resolved.version)
         payloads = [self._payload(entry) for entry in entries]
-        states = (_rng_states(payloads)
-                  if self.retry_policy is not None else None)
         attempts = [0]
 
         def on_done(raws):
@@ -744,7 +755,6 @@ class ImputationService:
             # (overloaded/stopped) — that rejection then fails the tickets.
             if (self.retry_policy is not None
                     and self.retry_policy.should_retry(error, attempts[0])):
-                _restore_rng_states(payloads, states)
                 self._backoff_sleep(attempts[0])
                 try:
                     dispatch()
@@ -825,17 +835,3 @@ class ImputationService:
         resolved = self.registry.resolve(model)
         return (resolved.name, resolved.version)
 
-
-def _rng_states(payloads):
-    """Snapshot every payload's RNG stream state (pre-attempt), so a retry
-    can replay the batch bit-identically: the inline execution path draws
-    from ``payload.rng`` in place."""
-    return [copy.deepcopy(payload.rng.bit_generator.state)
-            if payload.rng is not None else None
-            for payload in payloads]
-
-
-def _restore_rng_states(payloads, states):
-    for payload, state in zip(payloads, states):
-        if state is not None:
-            payload.rng.bit_generator.state = copy.deepcopy(state)

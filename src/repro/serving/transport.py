@@ -17,9 +17,9 @@ tensors **in place** through numpy views: no tensor byte is ever pickled.
 
 **Control plane** — the persistent worker pipe carries only small
 :class:`PayloadDescriptor` records: ``(segment name, offset, shape, dtype)``
-per tensor plus the request's ``num_samples``/``stride`` and its private RNG
-``Generator`` (a few hundred bytes, pickled with its exact state — which is
-what keeps process-served responses bit-identical to in-process ones).
+per tensor plus the request's ``num_samples``/``stride`` and its noise seed
+(a ``numpy.random.SeedSequence``; the child builds the ``Generator`` from
+it, exactly as an inline flush does).
 
 Lifecycle invariants (pinned by ``tests/test_pool_transport.py``):
 
@@ -119,8 +119,8 @@ class PayloadDescriptor:
 
     ``values``/``observed_mask`` point at the staged request tensors;
     ``median``/``samples`` point at the parent-pre-allocated response slots
-    the worker writes into.  Only this record (plus the small RNG state)
-    crosses the pipe.
+    the worker writes into.  Only this record (seed included) crosses the
+    pipe.
     """
 
     values: TensorDescriptor
@@ -129,7 +129,7 @@ class PayloadDescriptor:
     samples: TensorDescriptor
     num_samples: int
     stride: int | None
-    rng: object          # np.random.Generator | None — pickled with exact state
+    seed: np.random.SeedSequence
 
 
 class _Segment:
@@ -309,7 +309,7 @@ class ShmArena:
                             samples=tensors["samples"],
                             num_samples=num_samples,
                             stride=payload.stride,
-                            rng=payload.rng,
+                            seed=payload.seed,
                         ),
                         values=values,
                         observed_mask=mask,
@@ -529,7 +529,7 @@ def decode_batch(descriptors, attachments):
             values=attachments.view(descriptor.values),
             observed_mask=attachments.view(descriptor.observed_mask),
             num_samples=descriptor.num_samples,
-            rng=descriptor.rng,
+            seed=descriptor.seed,
             stride=descriptor.stride,
         ))
         response_views.append((attachments.view(descriptor.median),

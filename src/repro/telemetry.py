@@ -11,7 +11,8 @@ Every layer of the stack reports into a typed :class:`MetricsRegistry` of
   ``pool.batches.crashed``, ``pool.warm.seconds``);
 * ``transport.*`` — the shared-memory data plane of process workers
   (``transport.bytes_staged``, ``transport.segments.active``);
-* ``registry.*`` — the loaded-model LRU (``registry.cache.hits``);
+* ``registry.*`` — the process model cache, parent and pool children
+  (``registry.cache.hits``);
 * ``compiled.*`` — trace-and-replay compilation (``compiled.cache.hits``);
 * ``gateway.*`` — the HTTP protocol layer (``gateway.requests``).
 
@@ -21,11 +22,14 @@ cycle.  (It is not :mod:`repro.metrics`, which holds the paper's
 MAE / CRPS evaluation code.)
 
 Families whose instruments are not owned by one serving object live in
-:data:`PROCESS_METRICS`, the process-wide registry — today only the
-``compiled.*`` counters every :class:`~repro.inference.CompiledStepCache`
-in the process increments.  ``ImputationService.metrics_snapshot()`` merges
-it, and a worker pool folds each child process's ``PROCESS_METRICS``
-counters into the parent's through a :class:`WorkerCounterMerge`.
+:data:`PROCESS_METRICS`, the process-wide registry: the
+``registry.cache.*`` counters of the process's one
+:class:`~repro.inference.backend.BackendCache` and the ``compiled.*``
+counters every :class:`~repro.inference.CompiledStepCache` in the process
+increments.  ``ImputationService.metrics_snapshot()`` merges it, and a
+worker pool folds each child process's ``PROCESS_METRICS`` counters into
+the parent's through a :class:`WorkerCounterMerge` — so it holds counters
+only (a gauge would be summed across processes).
 
 The flat snapshot is the only counter surface: ``service.metrics_snapshot()``
 in-process and the ``"metrics"`` section of the gateway's ``/v1/stats``.
@@ -259,8 +263,9 @@ class WorkerCounterMerge:
 
     A worker pool keeps one per destination registry: worker threads fold
     their local batch/crash totals and the shm-transport totals of their
-    arena and pipe into the pool's registry, and the ``compiled.*`` counters
-    each child piggybacks on its batch replies fold into the parent's
+    arena and pipe into the pool's registry, and the ``registry.cache.*`` /
+    ``compiled.*`` counters each child piggybacks on its batch replies fold
+    into the parent's
     :data:`PROCESS_METRICS`.  The merge remembers
     the last snapshot per ``source`` (any hashable — a worker slot, a child
     process handle) and applies only the positive delta, so:
@@ -306,7 +311,8 @@ class WorkerCounterMerge:
             return list(self._seen)
 
 
-#: The process-wide registry: instrument families owned by no single serving
-#: object (the ``compiled.*`` counters of every compile cache in this
-#: process, plus whatever a worker pool folds in from its children).
+#: The process-wide registry: counter families owned by no single serving
+#: object (``registry.cache.*`` of the backend cache and ``compiled.*`` of
+#: every compile cache in this process, plus whatever a worker pool folds in
+#: from its children).  Counters only: children's snapshots fold as deltas.
 PROCESS_METRICS = MetricsRegistry()

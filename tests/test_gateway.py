@@ -57,6 +57,7 @@ from repro.serving.gateway import (
     encode_response_body,
     submit_and_fetch,
 )
+from repro.serving import service as service_module
 from repro.serving.service import ImputationResponse
 
 FIXTURES = Path(__file__).parent / "fixtures" / "gateway"
@@ -339,13 +340,16 @@ class TestProtocol:
         assert response.status == 500 or response.status == 400
         assert response.json()["error"] in ("internal", "bad_request")
 
-    def test_model_rejection_maps_to_400_at_result(self, client):
-        """A request that clears boundary validation but fails in the model
-        (a stride wider than the model window) reports 400 through the
-        result endpoint, and the errored ticket is retained so retries see
-        the same failure."""
-        request = ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0,
-                                    stride=99)
+    def test_model_rejection_maps_to_400_at_result(self, client, monkeypatch):
+        """A request that clears boundary validation and admission but fails
+        in the model (a ``ValueError`` out of the batch) reports 400 through
+        the result endpoint, and the errored ticket is retained so retries
+        see the same failure."""
+        def rejecting_batch(backend, payloads):
+            raise ValueError("the model rejected this request")
+
+        monkeypatch.setattr(service_module, "execute_batch", rejecting_batch)
+        request = ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0)
 
         async def go():
             body = encode_impute_request(request)
@@ -359,6 +363,16 @@ class TestProtocol:
         first, second = run(go())
         assert first.status == 400 and second.status == 400
         assert first.json()["error"] == "bad_request"
+
+    def test_stride_wider_than_window_is_400_at_submit(self, client):
+        """The window length comes from the published manifest: a stride
+        past it is refused before a ticket is issued."""
+        request = ImputationRequest("traffic", np.zeros((24, 6)), None, seed=0,
+                                    stride=13)
+        response = run(client.request("POST", "/v1/impute",
+                                      body=encode_impute_request(request)))
+        assert response.status == 400
+        assert "stride" in response.json()["message"]
 
     def test_wrong_node_count_is_400_at_submit(self, client):
         """A node count the published model was not trained on is refused
@@ -549,12 +563,14 @@ class TestStreamingEndpoints:
         ticks = self._ticks(tiny_traffic_dataset, rounds)
         try:
             async def go():
+                opening = service.metrics_snapshot()
                 sessions = []
                 for seed in (1, 2):
                     opened = await self._open(client, seed=seed)
                     sessions.append(opened.json()["session"])
-                assert registry.loaded == [] and registry.misses == 0
                 before = service.metrics_snapshot()
+                for name in ("registry.cache.hits", "registry.cache.misses"):
+                    assert before[name] == opening[name]   # no model lookup
                 emitted = 0
                 for body in ticks:
                     responses = await asyncio.gather(*(

@@ -5,7 +5,8 @@ must stay importable on its own: standard library only, no other ``repro``
 module.  ``repro.inference`` sits below ``repro.serving`` and must not
 import it at module level (that is the cycle the leaf exists to break).
 The HTTP gateway never runs a model: every inference it serves, stream ticks
-included, goes through ``ImputationService``.
+included, goes through ``ImputationService``.  And no module keeps an import
+it does not use (a stdlib ``ast`` check, so it runs without a linter).
 """
 
 import ast
@@ -132,3 +133,75 @@ def test_model_call_check_sees_method_and_function_calls():
                      "    return service.submit(request)\n")
     assert _model_calls(tree) == [(1, "backend"), (2, "load"),
                                   (3, "impute_arrays")]
+
+
+def _imported_names(tree):
+    """``{bound name: line}`` of ``tree``'s module-level imports (function
+    and class bodies are skipped; ``__future__`` and star imports bind
+    nothing to check)."""
+    names = {}
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+        else:
+            pending.extend(child for child in ast.iter_child_nodes(node)
+                           if isinstance(child, ast.stmt))
+    return names
+
+
+def _unused_imports(tree):
+    """Module-level imports ``tree`` never references nor lists in
+    ``__all__``, as ``(line, name)`` pairs."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AugAssign)
+                   else [])
+        if any(isinstance(target, ast.Name) and target.id == "__all__"
+               for target in targets):
+            used.update(item.value for item in ast.walk(node.value)
+                        if isinstance(item, ast.Constant))
+    return sorted((line, name) for name, line in _imported_names(tree).items()
+                  if name not in used)
+
+
+def test_no_unused_module_level_imports():
+    files = [path for path in sorted((SRC / "repro").rglob("*.py"))
+             if path.name != "__init__.py"]
+    assert len(files) > 50
+    offenders = {}
+    for path in files:
+        unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if unused:
+            offenders[str(path.relative_to(SRC))] = unused
+    assert offenders == {}
+
+
+def test_unused_import_check_sees_every_binding_form():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import copy\n"
+                     "import os.path\n"
+                     "import numpy as np\n"
+                     "from .pool import execute_batch, RequestPayload\n"
+                     "from . import faults as fault_points\n"
+                     "try:\n"
+                     "    import json\n"
+                     "except ImportError:\n"
+                     "    json = None\n"
+                     "__all__ = ['RequestPayload']\n"
+                     "def run():\n"
+                     "    import time\n"
+                     "    return os.getcwd(), execute_batch\n")
+    assert _unused_imports(tree) == [(2, "copy"), (4, "np"),
+                                     (6, "fault_points")]

@@ -35,6 +35,7 @@ from repro.serving import (
     WorkerCrashed,
     faults,
 )
+from repro.telemetry import PROCESS_METRICS
 from repro.tensor import dtype_scope, get_default_dtype, is_grad_enabled, no_grad
 
 
@@ -56,7 +57,7 @@ def trained_models(tiny_traffic_dataset):
 
 @pytest.fixture()
 def registry(tmp_path, trained_models):
-    registry = ModelRegistry(tmp_path / "models", max_loaded=4)
+    registry = ModelRegistry(tmp_path / "models")
     registry.publish(trained_models["f64"], "traffic")
     registry.publish(trained_models["f32"], "traffic32")
     return registry
@@ -76,7 +77,7 @@ def _requests(dataset, model="traffic", count=4, length=10, num_samples=2):
 def _dummy_task(spec, execute, num_requests=1, on_done=None, on_error=None):
     """A synthetic BatchTask for scheduling tests (no trained model needed)."""
     payloads = [RequestPayload(values=None, observed_mask=None, num_samples=1,
-                               rng=None, stride=None)
+                               seed=None, stride=None)
                 for _ in range(num_requests)]
     return BatchTask(spec=spec, artifact_path="<none>", payloads=payloads,
                      on_done=on_done or (lambda raws: None),
@@ -437,18 +438,32 @@ class TestThreadLocalTensorState:
         assert is_grad_enabled()
 
 
+def _cache_counts():
+    """The process-wide ``registry.cache.*`` counters (compare deltas)."""
+    snapshot = PROCESS_METRICS.snapshot()
+    return {name: snapshot[f"registry.cache.{name}"]
+            for name in ("hits", "misses", "evictions")}
+
+
+def _delta(before, after):
+    return {name: after[name] - before[name] for name in before}
+
+
 class TestSharedCaches:
     def test_registry_lru_is_thread_safe(self, registry):
+        """Threads sharing the process backend cache through
+        ``registry.backend`` count every lookup exactly once."""
         specs = ["traffic", "traffic32", "traffic@1"]
         errors = []
 
         def hammer(spec):
             try:
                 for _ in range(20):
-                    registry.load(spec)
+                    registry.backend(spec)
             except Exception as error:   # pragma: no cover - the assertion
                 errors.append(error)
 
+        before = _cache_counts()
         threads = [threading.Thread(target=hammer, args=(spec,))
                    for spec in specs for _ in range(2)]
         for thread in threads:
@@ -456,19 +471,23 @@ class TestSharedCaches:
         for thread in threads:
             thread.join()
         assert not errors
-        assert registry.hits + registry.misses == 120
-        assert len(registry.loaded) <= registry.max_loaded
+        counts = _delta(before, _cache_counts())
+        assert counts["hits"] + counts["misses"] == 120
+        # Two artifacts, each loaded once: the lock makes a racing miss wait
+        # for the load instead of loading the same artifact twice.
+        assert counts["misses"] == 2
 
     def test_backend_cache_lru(self, registry):
         cache = BackendCache(max_loaded=1)
         first = registry.resolve("traffic")
         second = registry.resolve("traffic32")
+        before = _cache_counts()
         a = cache.get(first.path)
         assert cache.get(first.path) is a
         cache.get(second.path)
-        assert cache.stats() == {"hits": 1, "misses": 2, "evictions": 1,
-                                 "resident": 1, "stat_probes": 1,
-                                 "stale_reloads": 0}
+        assert _delta(before, _cache_counts()) == {"hits": 1, "misses": 2,
+                                                   "evictions": 1}
+        assert (cache.stat_probes, cache.stale_reloads) == (1, 0)
         assert cache.get(first.path) is not a    # reloaded after eviction
 
     def test_backend_cache_generation_skips_stat_probe(self, registry):
@@ -476,14 +495,13 @@ class TestSharedCaches:
         resolved = registry.resolve("traffic")
         a = cache.get(resolved.path, generation=3)
         assert cache.get(resolved.path, generation=3) is a
-        assert cache.stats()["stat_probes"] == 0   # generation match: no stat
+        assert cache.stat_probes == 0              # generation match: no stat
         # A generation bump probes the artifact once, sees unchanged bytes,
         # and revalidates the resident entry instead of reloading.
         assert cache.get(resolved.path, generation=4) is a
-        stats = cache.stats()
-        assert stats["stat_probes"] == 1 and stats["stale_reloads"] == 0
+        assert cache.stat_probes == 1 and cache.stale_reloads == 0
         assert cache.get(resolved.path, generation=4) is a
-        assert cache.stats()["stat_probes"] == 1
+        assert cache.stat_probes == 1
 
     def test_worker_lru_holds_exactly_max_loaded_per_worker(self, registry):
         """A child keeps at most ``max_loaded_per_worker`` models, as the

@@ -48,7 +48,7 @@ def trained_model(tiny_traffic_dataset):
 
 @pytest.fixture()
 def registry(tmp_path, trained_model):
-    registry = ModelRegistry(tmp_path / "models", max_loaded=4)
+    registry = ModelRegistry(tmp_path / "models")
     registry.publish(trained_model, "traffic")
     return registry
 
@@ -77,7 +77,8 @@ def _payloads(count=2, time_steps=6, nodes=3, num_samples=2):
         RequestPayload(values=rng.normal(size=(time_steps, nodes)),
                        observed_mask=rng.random((time_steps, nodes)) > 0.3,
                        num_samples=num_samples,
-                       rng=np.random.default_rng(100 + index), stride=None)
+                       seed=np.random.SeedSequence(100 + index),
+                       stride=None)
         for index in range(count)
     ]
 

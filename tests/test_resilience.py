@@ -68,7 +68,7 @@ def trained_model(tiny_traffic_dataset):
 
 @pytest.fixture()
 def registry(tmp_path, trained_model):
-    registry = ModelRegistry(tmp_path / "models", max_loaded=4)
+    registry = ModelRegistry(tmp_path / "models")
     registry.publish(trained_model, "traffic")
     return registry
 
@@ -111,16 +111,16 @@ class TestFaultInjector:
                     faults.inject("service.flush")
 
     def test_after_window_with_count(self):
-        rules = [{"point": "registry.load", "after": 2, "count": 2}]
+        rules = [{"point": "backend.load", "after": 2, "count": 2}]
         with faults.active(rules) as injector:
             fired = 0
             for _ in range(6):
                 try:
-                    faults.inject("registry.load")
+                    faults.inject("backend.load")
                 except InjectedFault:
                     fired += 1
             assert fired == 2                       # invocations 3 and 4 only
-            assert injector.fired_by_point["registry.load"] == 2
+            assert injector.fired_by_point["backend.load"] == 2
 
     def test_probability_is_seed_deterministic(self):
         def outcomes(seed):
@@ -162,7 +162,7 @@ class TestFaultInjector:
     def test_active_scoping_restores_previous(self):
         outer = faults.install([{"point": "service.flush", "hits": [99]}])
         try:
-            with faults.active([{"point": "registry.load", "hits": [1]}]):
+            with faults.active([{"point": "backend.load", "hits": [1]}]):
                 assert faults.current() is not outer
             assert faults.current() is outer
         finally:
@@ -608,13 +608,15 @@ class TestEveryTicketResolves:
             assert np.array_equal(response.median, clean.median)
             assert response.degraded is False
 
-    def test_registry_load_fault_is_typed_and_counts_toward_breaker(
+    def test_inline_load_fault_counts_toward_breaker(
             self, registry, tiny_traffic_dataset):
+        """An inline flush loads through the process backend cache, so a
+        failed load there fails the batch and counts toward the breaker."""
         service = ImputationService(
             registry,
             circuit_policy=CircuitBreakerPolicy(failure_threshold=1))
         request = _requests(tiny_traffic_dataset, count=1)[0]
-        with faults.active([{"point": "registry.load", "hits": [1]}]):
+        with faults.active([{"point": "backend.load", "hits": [1]}]):
             ticket = service.submit(request)
             with pytest.raises(InjectedFault):
                 service.flush()

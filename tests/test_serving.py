@@ -6,7 +6,7 @@ Covers the four layers of the refactor:
   the **wrapper equivalence** acceptance criterion: ``impute(dataset,
   segment)`` through the backend is bit-identical to the pre-refactor code
   path, in float32 and float64),
-* the ``name@version`` :class:`~repro.serving.ModelRegistry` with its LRU,
+* the ``name@version`` :class:`~repro.serving.ModelRegistry`,
 * the :class:`~repro.serving.ImputationService` micro-batcher (the
   **bit-identical to served-alone** acceptance criterion, size/deadline
   triggers, error propagation, heterogeneous windows, worker thread), and
@@ -59,7 +59,7 @@ def trained_pristi(tiny_traffic_dataset):
 
 @pytest.fixture()
 def registry(tmp_path, trained_pristi):
-    registry = ModelRegistry(tmp_path / "models", max_loaded=2)
+    registry = ModelRegistry(tmp_path / "models")
     registry.publish(trained_pristi, "traffic")
     return registry
 
@@ -246,18 +246,6 @@ class TestModelRegistry:
                                                 num_samples=2, rng=9)
         assert np.array_equal(ours.samples, theirs.samples)
 
-    def test_lru_hits_and_evictions(self, registry, trained_pristi):
-        registry.publish(trained_pristi, "traffic")             # @2
-        registry.publish(trained_pristi, "aqi")                 # second name
-        first = registry.load("traffic@1")
-        assert registry.load("traffic@1") is first              # LRU hit
-        registry.load("traffic@2")                              # fills capacity (2)
-        registry.load("aqi")                                    # evicts traffic@1
-        assert registry.evictions == 1
-        assert "traffic@1" not in registry.loaded
-        reloaded = registry.load("traffic@1")                   # transparent reload
-        assert reloaded is not first
-
     def test_unknown_specs_rejected(self, registry):
         with pytest.raises(RegistryError, match="no model named"):
             registry.resolve("nope")
@@ -379,10 +367,10 @@ class TestImputationService:
 
     def test_malformed_request_error_reaches_ticket(self, registry):
         service = ImputationService(registry, max_batch_requests=100)
-        # A stride wider than the model window passes admission and fails
+        # A mask whose shape is not the values' passes admission and fails
         # in the model.
-        bad = ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0,
-                                stride=99)
+        bad = ImputationRequest("traffic", np.zeros((12, 6)),
+                                np.ones((12, 5), dtype=bool), seed=0)
         ticket = service.submit(bad)
         with pytest.raises(Exception):
             service.flush()
@@ -398,9 +386,9 @@ class TestImputationService:
         registry.publish(trained_pristi, "second")
         service = ImputationService(registry, max_batch_requests=100)
         values, mask = _test_arrays(tiny_traffic_dataset)
-        bad = service.submit(            # stride > window: this batch fails
-            ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0,
-                              stride=99))
+        bad = service.submit(            # mask shape mismatch: batch fails
+            ImputationRequest("traffic", np.zeros((12, 6)),
+                              np.ones((12, 5), dtype=bool), seed=0))
         good = service.submit(
             ImputationRequest("second", values, mask, num_samples=2, seed=1))
         with pytest.raises(Exception):
@@ -434,6 +422,37 @@ class TestImputationService:
         assert np.array_equal(good.result().median, alone.median)
         assert service.circuits()["traffic@1"] == {
             "state": "closed", "consecutive_failures": 0, "opened_total": 0}
+
+    def test_bad_stride_or_sample_count_refused_at_admission(
+            self, registry, tiny_traffic_dataset):
+        """A stride wider than the model window (read from the manifest) or
+        a sample count below one is refused at submit: it never joins — and
+        fails — a healthy request's micro-batch, and never opens the model's
+        circuit."""
+        service = ImputationService(
+            registry, max_batch_requests=100,
+            circuit_policy=CircuitBreakerPolicy(failure_threshold=1))
+        values, mask = _test_arrays(tiny_traffic_dataset, length=24)
+        good_request = ImputationRequest("traffic", values, mask,
+                                         num_samples=2, seed=1)
+        good = service.submit(good_request)
+        for bad in (ImputationRequest("traffic", values, mask, seed=2,
+                                      stride=13),
+                    ImputationRequest("traffic", values, mask, seed=3,
+                                      num_samples=0)):
+            with pytest.raises(ValueError, match="stride|num_samples"):
+                service.submit(bad)
+            with pytest.raises(ValueError, match="stride|num_samples"):
+                service.serve(bad)
+        with pytest.raises(ValueError):
+            service.submit(ImputationRequest("traffic", values, mask, seed=-1))
+        assert service.flush() == 1
+        alone = service.serve(good_request)
+        assert np.array_equal(good.result().samples, alone.samples)
+        assert service.circuits()["traffic@1"]["state"] == "closed"
+        # A stride up to the window is still served.
+        service.serve(ImputationRequest("traffic", values, mask, seed=4,
+                                        stride=12))
 
     def test_invalid_num_samples_rejected_clearly(self, trained_pristi,
                                                   tiny_traffic_dataset):

@@ -25,6 +25,7 @@ from repro import (
     WorkerPool,
 )
 from repro.serving import Gateway, InProcessClient
+from repro.inference.backend import resident_backends
 from repro.serving.pool import executor_metric_schema
 from repro.telemetry import MetricsRegistry, WorkerCounterMerge
 
@@ -234,7 +235,7 @@ def trained_model(tiny_traffic_dataset):
 
 @pytest.fixture()
 def registry(tmp_path, trained_model):
-    registry = ModelRegistry(tmp_path / "models", max_loaded=4)
+    registry = ModelRegistry(tmp_path / "models")
     registry.publish(trained_model, "traffic")
     return registry
 
@@ -335,7 +336,7 @@ class TestStackSnapshots:
             for request in requests:                     # queued, not flushed
                 service.submit(request)
             snapshot = service.metrics_snapshot()
-            assert snapshot["registry.models.resident"] == len(registry.loaded) >= 1
+            assert snapshot["registry.models.resident"] == resident_backends() >= 1
             assert snapshot["pool.workers"] == pool.num_workers == 1
             assert snapshot["service.queue.depth"] == service.pending() == 3
             # The primary segment stays mapped for the worker's lifetime.
@@ -396,6 +397,28 @@ class TestStackSnapshots:
 
         assert delta("compiled.cache.misses") == 2
         assert delta("compiled.fallbacks") == 0
+
+    def test_child_model_loads_reach_stats(self, registry,
+                                           tiny_traffic_dataset):
+        """A pool child resolves models through its own process backend
+        cache, and its ``registry.cache.*`` counters fold into the parent's:
+        ``/v1/stats`` counts the child's cold load and its next hit once
+        each, with no parent-side load at all."""
+        pool = WorkerPool(num_workers=1, mode="process")
+        service = ImputationService(registry, max_batch_requests=64,
+                                    executor=pool)
+        before = TestStableStatsSchema._stats_via_gateway(service)["metrics"]
+        with pool:
+            for request in _requests(tiny_traffic_dataset, count=2):
+                _serve(service, [request])           # cold load, then a hit
+            after = TestStableStatsSchema._stats_via_gateway(service)["metrics"]
+            service.stop()
+
+        def delta(name):
+            return after[name] - before[name]
+
+        assert delta("registry.cache.misses") == 1
+        assert delta("registry.cache.hits") == 1
 
 
 class TestStableStatsSchema:

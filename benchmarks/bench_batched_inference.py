@@ -55,7 +55,7 @@ import numpy as np
 from repro import PriSTI, PriSTIConfig
 from repro.data import metr_la_like
 from repro.experiments import get_profile
-from repro.inference import InferenceEngine
+from repro.inference.backend import window_starts
 
 NUM_SAMPLES = 8
 MIN_SPEEDUP = 2.0          # re-baselined in PR 2, see module docstring
@@ -138,8 +138,7 @@ def _latency_repeats():
 
 def _window_count(dataset):
     test_length = dataset.segment("test")[0].shape[0]
-    return len(InferenceEngine.window_starts(
-        test_length, WINDOW_LENGTH, WINDOW_LENGTH))
+    return len(window_starts(test_length, WINDOW_LENGTH, WINDOW_LENGTH))
 
 
 def _percentiles_ms(pass_seconds, windows):

@@ -106,13 +106,13 @@ class PriSTIConfig:
     compiled_cache_size: int = 8
     #: Maximum number of ``(window, sample)`` items packed into one network
     #: call by the batched inference engine; larger values let chunks span
-    #: window boundaries.  ``None`` means one window's ``num_samples`` per
-    #: call on the dataset-segment path (``model.impute``), but *no* bound
-    #: on the serving path: a micro-batch packs all its same-shape items into
-    #: one call.  Peak memory for ancestral sampling scales with
-    #: ``items per call * num_diffusion_steps * nodes * window_length`` (the
-    #: pre-drawn per-step noise buffer), so set this when raising the step
-    #: count or the serving batch size.  See :mod:`repro.inference.engine`.
+    #: window boundaries.  ``None`` means no bound: a served micro-batch
+    #: packs all its same-shape items into one call.  ``model.impute``
+    #: (``DiffusionBackend.impute_segment``) reads ``None`` as one window's
+    #: ``num_samples`` per call.  Peak memory for ancestral sampling scales
+    #: with ``items per call * num_diffusion_steps * nodes * window_length``
+    #: (the pre-drawn per-step noise buffer), so set this when raising the
+    #: step count or the serving batch size.  See :mod:`repro.inference.engine`.
     inference_batch_size: int | None = None
 
     # Ablation switches (Table VI variants)

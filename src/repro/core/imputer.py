@@ -267,8 +267,9 @@ class ConditionalDiffusionImputer(PersistableModel):
         data) is imputed, observed entries are passed through.
 
         This is a thin wrapper over the stateless
-        :class:`~repro.inference.DiffusionBackend` (see :meth:`backend`):
-        sampling runs through the shared
+        :class:`~repro.inference.DiffusionBackend` (see :meth:`backend`),
+        which runs the recipe a served request runs (segments shorter than
+        the window are padded and cropped): sampling runs through the shared
         :class:`~repro.inference.InferenceEngine`, which packs ``(window,
         sample)`` pairs into chunks of ``config.inference_batch_size`` and
         calls the network once per diffusion step per chunk

@@ -1,17 +1,17 @@
 """Batched reverse-diffusion inference shared by the diffusion imputers.
 
-:class:`InferenceEngine` owns the reverse-diffusion loop, the chunking of
-work items (uniform segment windows or heterogeneous :class:`RequestPlan`
-traffic), the per-window condition cache and the strided-window overlap
-averaging used by :meth:`repro.core.imputer.ConditionalDiffusionImputer.impute`.
-See :mod:`repro.inference.engine` for the batching contract and
+:class:`InferenceEngine` owns the reverse-diffusion loop and samples
+:class:`RequestPlan` items in shape-grouped chunks.  See
+:mod:`repro.inference.engine` for the batching contract and
 :mod:`repro.inference.compiled` for trace-and-replay of that loop.
 
 :mod:`repro.inference.backend` layers the stateless request-oriented
 backends on top: :class:`DiffusionBackend` / :class:`WindowedBackend` impute
-raw ``(values, observed_mask)`` arrays of arbitrary length (scaling,
-conditioning and engine dispatch inside) and expose the plan/assemble
-protocol the serving micro-batcher coalesces.
+``(values, observed_mask)`` arrays of arbitrary length.
+:class:`DiffusionBackend` owns the window plan (window starts, the
+per-window condition cache, strided-window overlap averaging) and runs every
+diffusion imputation — ``model.impute``, raw arrays and the serving
+micro-batcher — as plan → one engine pass → assemble.
 """
 
 from .backend import (

@@ -13,21 +13,25 @@ and nothing else.
 Two concrete backends mirror the two trainable families:
 
 :class:`DiffusionBackend`
-    PriSTI / CSDI.  Exposes the dataset-segment path (``impute_segment``, the
-    thin wrapper behind ``model.impute`` — bit-identical to the pre-backend
-    code), the raw-array path (``impute_arrays``) and the request-plan
-    protocol (``plan_request`` / ``assemble``) the
-    :class:`~repro.serving.ImputationService` micro-batcher uses to coalesce
-    concurrent requests into shared engine chunks.  Requests shorter than the
-    model's trained window are zero-padded on the time axis (masked out, so
-    the pad never conditions the model) and cropped after sampling; longer
-    requests run the familiar strided sliding-window plan with overlap
+    PriSTI / CSDI, and the only module that knows window geometry
+    (:func:`window_starts`).  Every diffusion imputation runs one recipe:
+    ``plan_request`` cuts a series into windows and builds each window's
+    condition once, :meth:`DiffusionBackend.sample_jobs` draws every job's
+    items in one :meth:`~repro.inference.engine.InferenceEngine.sample_plans`
+    pass, and ``assemble`` overlap-averages them back.  ``impute_segment``
+    (behind ``model.impute``) and ``impute_arrays`` are that recipe for one
+    job; the :class:`~repro.serving.ImputationService` micro-batcher runs it
+    for a whole batch (:func:`repro.serving.pool.execute_batch`).  Series
+    shorter than the model's trained window are zero-padded on the time axis
+    (masked out, so the pad never conditions the model) and cropped after
+    sampling; longer ones run the strided sliding-window plan with overlap
     averaging.
 
 :class:`WindowedBackend`
-    The windowed neural baselines (BRITS, GRIN, rGAIN, VAE).  Same raw-array
-    surface over the subclass's ``reconstruct`` forward; no diffusion engine,
-    so no plan protocol — the service serves these per-request.
+    The windowed neural baselines (BRITS, GRIN, rGAIN, VAE).  Same
+    surface over the subclass's ``reconstruct`` forward, on the same window
+    starts; no diffusion engine, so no plan protocol — the service serves
+    these per-request.
 
 Backends are deliberately stateless with respect to requests: per-request RNG
 streams ride on the plans themselves (see
@@ -49,12 +53,37 @@ import numpy as np
 from ..telemetry import PROCESS_METRICS
 
 __all__ = ["RawImputation", "ImputationBackend", "DiffusionBackend",
-           "WindowedBackend", "RequestJob", "load_backend", "BackendCache",
-           "process_backend", "resident_backends"]
+           "WindowedBackend", "RequestJob", "window_starts", "load_backend",
+           "BackendCache", "process_backend", "resident_backends"]
 
 _HITS = PROCESS_METRICS.counter("registry.cache.hits")
 _MISSES = PROCESS_METRICS.counter("registry.cache.misses")
 _EVICTIONS = PROCESS_METRICS.counter("registry.cache.evictions")
+
+
+def window_starts(length, window_length, stride):
+    """Start offsets of the sliding windows covering ``[0, length)``.
+
+    Every time index is covered by at least one window (the property tests
+    in ``tests/test_property_based.py`` pin this for all combinations):
+    consecutive starts are ``stride`` apart and a final flush-right window is
+    appended when the stride pattern would stop short of the end.  A stride
+    larger than the window would leave uncovered gaps between windows, so it
+    is rejected.
+    """
+    if length < window_length:
+        raise ValueError(
+            f"segment of length {length} is shorter than the window {window_length}"
+        )
+    if not 1 <= stride <= window_length:
+        raise ValueError(
+            f"stride must be in [1, window_length={window_length}] to cover "
+            f"every index (got {stride})"
+        )
+    starts = list(range(0, length - window_length + 1, stride))
+    if starts[-1] != length - window_length:
+        starts.append(length - window_length)
+    return starts
 
 
 def load_backend(artifact_path):
@@ -309,20 +338,21 @@ class DiffusionBackend(ImputationBackend):
     # Dataset-segment path (the thin wrapper behind model.impute)
     # ------------------------------------------------------------------
     def impute_segment(self, values, input_mask, *, num_samples, stride=None):
-        """Impute a full dataset segment — bit-identical to the pre-backend
-        ``ConditionalDiffusionImputer.impute`` body (same engine call, same
-        unscale / pass-through / median tail)."""
-        stride = stride or self.window_length
-        with self.eval_mode():
-            samples_scaled = self.engine.impute_segment(
-                self.scaler.transform(values), input_mask,
-                window_length=self.window_length, stride=stride,
-                num_samples=num_samples, build_condition=self.build_condition,
-            )
-        return self._finalize(samples_scaled, values, input_mask)
+        """Impute a full dataset segment (the body of ``model.impute``): the
+        serving recipe for one job, on the diffusion object's shared noise
+        stream (``rng=None``).
+
+        Chunks hold ``inference_batch_size`` items; ``None`` here means one
+        window's ``num_samples`` per chunk (a served micro-batch packs each
+        whole same-shape group into one chunk instead).
+        """
+        job = self.plan_request(values, input_mask, num_samples=num_samples,
+                                stride=stride)
+        chunk_size = self.engine.inference_batch_size or job.num_samples
+        return self.sample_jobs([job], chunk_size=chunk_size)[0]
 
     # ------------------------------------------------------------------
-    # Request-plan protocol (used by the serving micro-batcher)
+    # Request-plan protocol (every diffusion imputation runs through it)
     # ------------------------------------------------------------------
     def plan_request(self, values, observed_mask=None, *, num_samples=1,
                      rng=None, stride=None):
@@ -369,7 +399,7 @@ class DiffusionBackend(ImputationBackend):
         scaled = np.asarray(scaled, dtype=dtype)
         stride = stride or window
         windows = []
-        for start in self.engine.window_starts(padded_length, window, stride):
+        for start in window_starts(padded_length, window, stride):
             stop = start + window
             window_values = scaled[start:stop].T[None]
             window_mask = mask[start:stop].T[None].astype(dtype)
@@ -391,9 +421,8 @@ class DiffusionBackend(ImputationBackend):
         """Reassemble engine samples for one job into a :class:`RawImputation`.
 
         ``item_samples`` is aligned with ``job.items`` (window-major).  The
-        overlap-averaging accumulation order matches the segment path, then
-        padding is cropped and the standard unscale / pass-through / median
-        tail runs.
+        samples are overlap-averaged in window order, padding is cropped and
+        the standard unscale / pass-through / median tail runs.
         """
         num_samples = job.num_samples
         length, num_nodes = job.values.shape
@@ -411,23 +440,38 @@ class DiffusionBackend(ImputationBackend):
         samples_scaled = (sums / counts[None])[:, :length, :]
         return self._finalize(samples_scaled, job.values, job.observed_mask)
 
+    def sample_jobs(self, jobs, chunk_size=None):
+        """Sample planned jobs in one engine pass; one :class:`RawImputation`
+        per job.
+
+        Every job's items run through a single
+        :meth:`~repro.inference.engine.InferenceEngine.sample_plans` call
+        (``chunk_size`` as there), then each job is assembled from its own
+        slice.  A job's items keep their window-major order and draw from the
+        job's own stream, so a job sampled with others gets the bits it gets
+        alone.
+        """
+        items = [item for job in jobs for item in job.items]
+        with self.eval_mode():
+            flat = self.engine.sample_plans(items, chunk_size=chunk_size)
+        raws, offset = [], 0
+        for job in jobs:
+            raws.append(self.assemble(job, flat[offset:offset + len(job.items)]))
+            offset += len(job.items)
+        return raws
+
     # ------------------------------------------------------------------
     # Raw-array path
     # ------------------------------------------------------------------
     def impute_arrays(self, values, observed_mask=None, *, num_samples=1,
                       rng=None, stride=None):
-        """Impute a raw ``(time, node)`` request end to end.
-
-        This is exactly ``plan_request`` → engine → ``assemble``; the serving
-        micro-batcher runs the same three stages with the middle one shared
-        across coalesced requests, which is why a batched response is
-        bit-identical to this serve-alone path.
-        """
+        """Impute a raw ``(time, node)`` request end to end: one job through
+        :meth:`sample_jobs`, the recipe a served micro-batch runs for all
+        its requests, which is why a batched response is bit-identical to
+        this serve-alone path."""
         job = self.plan_request(values, observed_mask, num_samples=num_samples,
                                 rng=rng, stride=stride)
-        with self.eval_mode():
-            item_samples = self.engine.sample_plans(job.items)
-        return self.assemble(job, item_samples)
+        return self.sample_jobs([job])[0]
 
 
 class WindowedBackend(ImputationBackend):
@@ -438,19 +482,13 @@ class WindowedBackend(ImputationBackend):
         self.sample_window = sample_window
 
     def _predict_windows(self, values, input_mask, num_samples):
-        """Reconstruct a full segment window-by-window, averaging overlaps —
-        verbatim the historical ``WindowedNeuralImputer._predict_windows``."""
+        """Reconstruct a segment of at least one window, window by window
+        (non-overlapping :func:`window_starts`), averaging overlaps."""
         length, num_nodes = values.shape
         window = self.window_length
-        starts = list(range(0, length - window + 1, window))
-        if starts and starts[-1] != length - window:
-            starts.append(length - window)
-        if not starts:
-            starts = [0]
-
         sums = np.zeros((num_samples, length, num_nodes))
         counts = np.zeros((length, num_nodes))
-        for start in starts:
+        for start in window_starts(length, window, window):
             stop = start + window
             scaled = self.scaler.transform(values[start:stop]).T[None]
             mask = input_mask[start:stop].T[None]
@@ -462,36 +500,34 @@ class WindowedBackend(ImputationBackend):
         return sums / counts[None]
 
     def impute_segment(self, values, input_mask, *, num_samples=1):
-        """Impute a full dataset segment — bit-identical to the pre-backend
-        ``WindowedNeuralImputer.impute`` body."""
+        """Impute a ``(time, node)`` segment of any length ≥ 1 (the body of
+        ``model.impute``).
+
+        Segments shorter than the trained window are mask-padded to it and
+        cropped after reconstruction — some windowed decoders (the VAE
+        family) emit a fixed window length, so short inputs cannot be fed
+        through directly.
+        """
+        length = values.shape[0]
+        pad = max(self.window_length - length, 0)
         with self.eval_mode():
-            samples_scaled = self._predict_windows(values, input_mask, num_samples)
-        return self._finalize(samples_scaled, values, input_mask)
+            samples_scaled = self._predict_windows(
+                np.pad(values, ((0, pad), (0, 0))),
+                np.pad(input_mask, ((0, pad), (0, 0))), num_samples)
+        return self._finalize(samples_scaled[:, :length, :], values, input_mask)
 
     def impute_arrays(self, values, observed_mask=None, *, num_samples=1,
                       rng=None, stride=None):
         """Impute a raw ``(time, node)`` request of any length ≥ 1.
 
-        Requests shorter than the trained window are mask-padded to it and
-        cropped after reconstruction — some windowed decoders (the VAE
-        family) emit a fixed window length, so short inputs cannot be fed
-        through directly.  ``rng`` / ``stride`` are accepted for interface
-        parity with :class:`DiffusionBackend` and ignored: windowed
-        reconstruction has no engine-side noise to control — stochastic
-        windowed models (VAE, rGAIN) draw from their *model-owned* stream,
-        so replayable streams are a diffusion-backend guarantee only.
+        ``rng`` / ``stride`` are accepted for interface parity with
+        :class:`DiffusionBackend` and ignored: windowed reconstruction has no
+        engine-side noise to control — stochastic windowed models (VAE,
+        rGAIN) draw from their *model-owned* stream, so replayable streams
+        are a diffusion-backend guarantee only.
         """
         values, observed_mask = self._check_request(values, observed_mask)
         num_samples = int(num_samples)
         if num_samples < 1:
             raise ValueError("num_samples must be a positive integer")
-        length = values.shape[0]
-        window = self.window_length
-        if length >= window:
-            return self.impute_segment(values, observed_mask, num_samples=num_samples)
-        padded_values = np.pad(values, ((0, window - length), (0, 0)))
-        padded_mask = np.pad(observed_mask, ((0, window - length), (0, 0)))
-        with self.eval_mode():
-            samples_scaled = self._predict_windows(padded_values, padded_mask,
-                                                   num_samples)
-        return self._finalize(samples_scaled[:, :length, :], values, observed_mask)
+        return self.impute_segment(values, observed_mask, num_samples=num_samples)

@@ -2,27 +2,25 @@
 
 The reverse-diffusion loop dominates the inference cost of the diffusion
 imputers (Fig. 9 of the paper): every posterior sample of every window needs
-one network call per diffusion step.  :class:`InferenceEngine` removes the
-per-sample and per-window serialisation by
+one network call per diffusion step.  :class:`InferenceEngine` is a sampler
+of :class:`RequestPlan` items — one ``(window, sample)`` pair each, with its
+conditional information already built — that removes the per-sample and
+per-window serialisation by packing same-shape items into chunks of at most
+``chunk_size`` and running the reverse process for a whole chunk with **one
+network call per diffusion step** (:meth:`InferenceEngine._reverse_loop`, the
+one reverse-process implementation in the package).
 
-* packing the flat ``(window, sample)`` product into chunks of at most
-  ``inference_batch_size`` items and running the reverse process for a whole
-  chunk with **one network call per diffusion step**
-  (:meth:`InferenceEngine._reverse_loop`, the one reverse-process
-  implementation in the package),
-* computing the conditional information **once per window** and reusing it for
-  every posterior sample of that window (condition caching), and
-* overlap-averaging the per-window samples back onto the full segment when
-  windows are strided with ``stride < window_length``.
+The engine knows no window geometry: cutting a series into windows,
+building each window's condition once, and overlap-averaging the samples
+back onto the series live in :class:`repro.inference.backend.DiffusionBackend`,
+which runs every diffusion imputation (``model.impute``, raw arrays, service
+micro-batches and stream ticks) as plan → one :meth:`sample_plans` pass →
+assemble.
 
 ``inference_batch_size`` (surfaced as
-:attr:`repro.core.config.PriSTIConfig.inference_batch_size`) bounds the peak
-memory; larger values let chunks span window boundaries for more hardware
-utilisation.  ``None`` means different things on the two entry points:
-:meth:`InferenceEngine.impute_segment` (``model.impute``) packs one window's
-``num_samples`` per chunk, while :meth:`InferenceEngine.sample_plans` (the
-serving path) packs *every* same-shape item of a micro-batch into one chunk,
-so under ``None`` a serving chunk grows with the batch.  Note the bound
+:attr:`repro.core.config.PriSTIConfig.inference_batch_size`) is the default
+``chunk_size``; ``None`` packs each whole same-shape group of a
+:meth:`InferenceEngine.sample_plans` call into one chunk.  Note the bound
 carries a ``num_diffusion_steps`` multiplier for *ancestral* sampling: every
 step's noise is pre-drawn, a ``chunk × (num_steps - 1) × node × window``
 buffer in the model dtype
@@ -64,9 +62,8 @@ class RequestPlan:
     to :meth:`InferenceEngine.sample_plans` may come from different requests
     with different window lengths (heterogeneous serving traffic); ``rng``
     optionally pins the plan to its own noise stream so the drawn sample is
-    independent of whatever else shares the batch.  The segment path
-    (:meth:`InferenceEngine.impute_segment`) leaves ``rng`` unset and consumes
-    the diffusion object's shared stream.
+    independent of whatever else shares the batch; plans without one (the
+    ``model.impute`` path) consume the diffusion object's shared stream.
     """
 
     start: int
@@ -103,9 +100,9 @@ class InferenceEngine:
         ``"epsilon"`` (network predicts the added noise) or ``"x0_residual"``
         (network predicts the clean target as a residual on the condition).
     inference_batch_size:
-        Maximum ``(window, sample)`` items per network call; ``None``
-        batches one window's samples at a time in :meth:`impute_segment` and
-        each whole same-shape group in :meth:`sample_plans`.
+        Default ``chunk_size`` of :meth:`sample_plans`, the most items per
+        network call; ``None`` packs each whole same-shape group into one
+        chunk.
     ddim_steps:
         If set (an int ≥ 1), use strided DDIM sampling with this many
         inference steps; ``None`` runs full ancestral (DDPM) sampling.
@@ -148,48 +145,6 @@ class InferenceEngine:
         # object's dtype so float32 models sample in float32 end to end.
         self.dtype = np.dtype(dtype) if dtype is not None \
             else getattr(diffusion, "dtype", np.dtype(np.float64))
-
-    # ------------------------------------------------------------------
-    # Window planning
-    # ------------------------------------------------------------------
-    @staticmethod
-    def window_starts(length, window_length, stride):
-        """Start offsets of the sliding windows covering ``[0, length)``.
-
-        Every time index is covered by at least one window (the property
-        tests in ``tests/test_property_based.py`` pin this for all
-        combinations): consecutive starts are ``stride`` apart and a final
-        flush-right window is appended when the stride pattern would stop
-        short of the end.  A stride larger than the window would leave
-        uncovered gaps between windows, so it is rejected.
-        """
-        if length < window_length:
-            raise ValueError(
-                f"segment of length {length} is shorter than the window {window_length}"
-            )
-        if not 1 <= stride <= window_length:
-            raise ValueError(
-                f"stride must be in [1, window_length={window_length}] to cover "
-                f"every index (got {stride})"
-            )
-        starts = list(range(0, length - window_length + 1, stride))
-        if starts[-1] != length - window_length:
-            starts.append(length - window_length)
-        return starts
-
-    def _plan_windows(self, values, input_mask, window_length, stride, build_condition):
-        """Slice the segment into windows, computing each condition once."""
-        windows = []
-        for start in self.window_starts(values.shape[0], window_length, stride):
-            stop = start + window_length
-            window_values = values[start:stop].T[None]                    # (1, N, L)
-            window_mask = input_mask[start:stop].T[None].astype(self.dtype)
-            condition = np.asarray(
-                build_condition(window_values * window_mask, window_mask),
-                dtype=self.dtype,
-            )
-            windows.append(RequestPlan(start, window_values, window_mask, condition))
-        return windows
 
     # ------------------------------------------------------------------
     # Sampling
@@ -308,7 +263,7 @@ class InferenceEngine:
         conditional_mask = np.concatenate([plan.mask for plan in plans], axis=0)
         rngs = [plan.rng for plan in plans]
         if all(rng is None for rng in rngs):
-            rngs = None                     # shared diffusion stream (segment path)
+            rngs = None                     # shared diffusion stream (model.impute)
         elif any(rng is None for rng in rngs):
             raise ValueError(
                 "cannot mix plans with and without per-request RNG streams in one batch"
@@ -322,8 +277,8 @@ class InferenceEngine:
     def sample_plans(self, plans, chunk_size=None):
         """Draw one posterior sample per plan; heterogeneous plans allowed.
 
-        The request-oriented entry point: ``plans`` may mix window lengths
-        (and node counts) from different requests.  Plans are grouped by item
+        The engine's one entry point: ``plans`` may mix window lengths (and
+        node counts) from different requests.  Plans are grouped by item
         shape — preserving submission order within each group, so a plan's
         draws from its own ``rng`` never depend on what it was batched with —
         and each group is packed into chunks of at most ``chunk_size``
@@ -345,55 +300,3 @@ class InferenceEngine:
                 for item, index in enumerate(chunk):
                     samples[index] = chunk_samples[item]
         return samples
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def impute_segment(self, values, input_mask, *, window_length, stride=None,
-                       num_samples=1, build_condition):
-        """Sample imputations for a whole (already scaled) segment.
-
-        Parameters
-        ----------
-        values:
-            ``(length, node)`` observations in the model's scaled domain.
-        input_mask:
-            ``(length, node)`` binary mask of model-visible entries.
-        window_length, stride:
-            Sliding-window geometry; ``stride`` defaults to ``window_length``
-            (non-overlapping).  With ``stride < window_length`` overlapping
-            windows are averaged per sample index.
-        num_samples:
-            Posterior samples per window.
-        build_condition:
-            Callable ``(values, mask) -> condition`` over ``(1, node, window)``
-            arrays; invoked exactly once per window.
-
-        Returns
-        -------
-        ndarray of shape ``(num_samples, length, node)`` — overlap-averaged
-        posterior samples, still in the scaled domain.
-        """
-        values = np.asarray(values, dtype=self.dtype)
-        length, num_nodes = values.shape
-        stride = stride or window_length
-        windows = self._plan_windows(values, input_mask, window_length, stride, build_condition)
-
-        # Flat (window, sample) product in window-major order — the order a
-        # per-window, per-sample loop visits, which fixes the RNG stream.  All
-        # plans share one window shape, so sample_plans degenerates to the
-        # uniform chunking the segment path always used.
-        flat = self.sample_plans([plan for plan in windows for _ in range(num_samples)],
-                                 chunk_size=self.inference_batch_size or num_samples)
-
-        # Overlap averaging: accumulate in window order, then divide by the
-        # coverage.
-        sums = np.zeros((num_samples, length, num_nodes))
-        counts = np.zeros((length, num_nodes))
-        for w, plan in enumerate(windows):
-            stop = plan.start + window_length
-            window_block = np.stack(flat[w * num_samples:(w + 1) * num_samples])
-            sums[:, plan.start:stop, :] += window_block.transpose(0, 2, 1)
-            counts[plan.start:stop, :] += 1.0
-        counts = np.maximum(counts, 1.0)
-        return sums / counts[None]

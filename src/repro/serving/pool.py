@@ -144,28 +144,21 @@ def execute_batch(backend, payloads):
     for identical payloads:
 
     * backends with the request-plan protocol (the diffusion family) are
-      **coalesced**: every payload is planned, all items run through one
-      engine pass (each item drawing from a stream built here from its
-      payload's seed), and the samples are reassembled per payload;
+      **coalesced**: every payload is planned (its items drawing from a
+      stream built here from its seed) and
+      :meth:`~repro.inference.DiffusionBackend.sample_jobs` runs all of them
+      in one engine pass;
     * other backends (the windowed baselines) execute per payload.
     """
     if hasattr(backend, "plan_request"):
-        jobs = [
+        return backend.sample_jobs([
             backend.plan_request(
                 payload.values, payload.observed_mask,
                 num_samples=payload.num_samples,
                 rng=np.random.default_rng(payload.seed), stride=payload.stride,
             )
             for payload in payloads
-        ]
-        items = [item for job in jobs for item in job.items]
-        with backend.eval_mode():
-            flat = backend.engine.sample_plans(items)
-        raws, offset = [], 0
-        for job in jobs:
-            raws.append(backend.assemble(job, flat[offset:offset + len(job.items)]))
-            offset += len(job.items)
-        return raws
+        ])
     return [
         backend.impute_arrays(payload.values, payload.observed_mask,
                               num_samples=payload.num_samples)

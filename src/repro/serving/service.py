@@ -23,7 +23,8 @@ Batching semantics
   retried.  ``tests/test_serving.py`` pins this against
   :meth:`ImputationService.serve` (the serve-alone reference).
 * Heterogeneous window lengths are fine: the engine groups work items by
-  shape and chunks within groups (``InferenceEngine.sample_plans``).
+  shape and chunks within groups (``DiffusionBackend.sample_jobs`` →
+  ``InferenceEngine.sample_plans``).
 * Models without the plan protocol (the windowed baselines) are served
   per-request through the same queue — correctness first, coalescing where
   the backend supports it.
@@ -442,16 +443,23 @@ class ImputationService:
             return self._batch_ewma.get(key, 0.0)
 
     def _check_request(self, resolved, request):
-        """Refuse a request the model cannot run — a node count, sample count
-        or stride it would reject: in a micro-batch it would fail every
-        request it shares the flush with, and count against the model's
-        circuit.  Shapes come from the manifest, so no model is loaded."""
+        """Refuse a request the model cannot run — a shape, sample count or
+        stride it would reject: in a micro-batch it would fail every request
+        it shares the flush with, and count against the model's circuit.
+        Shapes come from the manifest, so no model is loaded."""
         values = np.asarray(request.values)
         expected = self.registry.num_nodes(resolved)
         if values.ndim != 2 or values.shape[1] != expected:
             raise ValueError(
                 f"request values are {values.shape}, but {resolved.spec} "
                 f"expects (time, {expected}) — one column per node")
+        if values.shape[0] < 1:
+            raise ValueError("request must contain at least one time step")
+        if (request.observed_mask is not None
+                and np.shape(request.observed_mask) != values.shape):
+            raise ValueError(
+                f"observed_mask is {np.shape(request.observed_mask)}, but "
+                f"values are {values.shape}")
         if int(request.num_samples) < 1:
             raise ValueError("num_samples must be a positive integer")
         window = self.registry.window_length(resolved)
@@ -834,4 +842,3 @@ class ImputationService:
             return (model.name, model.version)
         resolved = self.registry.resolve(model)
         return (resolved.name, resolved.version)
-

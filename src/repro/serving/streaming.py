@@ -170,4 +170,3 @@ class StreamingImputer:
         )
         self._last_emitted_tick = self.tick
         return update
-

@@ -23,6 +23,8 @@ compilation on or off.
 
 import numpy as np
 
+from repro.inference.backend import window_starts
+
 
 def sample_serial(diffusion, shape, noise_fn, num_samples, *, ddim_steps=None,
                   eta=0.0, rngs=None):
@@ -76,18 +78,18 @@ def _noise_from_prediction(engine, x_t, prediction, condition, step):
 
 def impute_segment_serial(engine, values, input_mask, *, window_length, stride=None,
                           num_samples=1, build_condition):
-    """Serial counterpart of ``InferenceEngine.impute_segment``.
+    """Serial counterpart of ``DiffusionBackend.impute_segment``'s sampling.
 
     Windows are visited in order and each window's samples are drawn one at
     a time through ``engine.predict`` on raw ndarrays; the per-window samples
-    are overlap-averaged exactly as the engine does.
+    are overlap-averaged exactly as the backend does.
     """
     values = np.asarray(values, dtype=engine.dtype)
     length, num_nodes = values.shape
     stride = stride or window_length
     sums = np.zeros((num_samples, length, num_nodes))
     counts = np.zeros((length, num_nodes))
-    for start in engine.window_starts(length, window_length, stride):
+    for start in window_starts(length, window_length, stride):
         stop = start + window_length
         window_values = values[start:stop].T[None]                    # (1, N, L)
         window_mask = input_mask[start:stop].T[None].astype(engine.dtype)

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro import InferenceEngine
+from repro.data import StandardScaler
 from repro.diffusion import GaussianDiffusion, quadratic_schedule
-from repro.inference import CompiledSampler, CompiledStepCache
+from repro.inference import CompiledSampler, CompiledStepCache, DiffusionBackend
 from repro.serving import faults
 from repro.tensor import leaky_relu, set_default_dtype, tanh
 
@@ -49,12 +50,18 @@ def _engine(*, predict=_tensor_predict, cache=None, seed=0, num_steps=6,
 
 def _impute(engine, *, length=16, nodes=3, window_length=8, num_samples=4,
             stride=None):
+    """The samples at the unobserved entries of a segment imputed through a
+    backend whose scaler leaves values unchanged (observed entries are
+    passed through, so they would hide any difference)."""
     values = np.linspace(-1.0, 1.0, length * nodes).reshape(length, nodes)
-    mask = np.ones((length, nodes), dtype=bool)
-    return engine.impute_segment(
-        values, mask, window_length=window_length, stride=stride,
-        num_samples=num_samples,
-        build_condition=lambda v, m: np.asarray(v, dtype=np.float64))
+    mask = np.arange(length * nodes).reshape(length, nodes) % 3 != 0
+    backend = DiffusionBackend(
+        engine=engine, scaler=StandardScaler().fit(np.array([-1.0, 1.0])),
+        build_condition=lambda v, m: np.asarray(v, dtype=np.float64),
+        window_length=window_length)
+    raw = backend.impute_segment(values, mask, num_samples=num_samples,
+                                 stride=stride)
+    return raw.samples[:, ~mask]
 
 
 @pytest.mark.parametrize("sampler_kwargs", [

@@ -1,9 +1,10 @@
-"""Tests for the batched reverse-diffusion inference engine.
+"""Tests for batched reverse-diffusion imputation.
 
-Covers the engine's three responsibilities — ``(window, sample)`` chunking,
-per-window condition caching, and strided-window overlap averaging — plus the
-equivalence contract between the engine and the plain-numpy serial reference
-in ``tests/serial_reference.py`` (per window, per sample, batch-1 network
+Covers ``(window, sample)`` chunking in the engine and the two window-plan
+duties of :class:`~repro.inference.DiffusionBackend` — per-window condition
+caching and strided-window overlap averaging — plus the equivalence contract
+between ``model.impute`` and the plain-numpy serial reference in
+``tests/serial_reference.py`` (per window, per sample, batch-1 network
 calls).
 """
 
@@ -12,7 +13,10 @@ import pytest
 
 from repro import InferenceEngine, PriSTI, PriSTIConfig
 from repro.baselines import CSDIImputer
+from repro.data import DatasetSplit, SpatioTemporalDataset, StandardScaler
 from repro.diffusion import GaussianDiffusion, quadratic_schedule
+from repro.inference import DiffusionBackend
+from repro.inference.backend import window_starts
 from serial_reference import impute_segment_serial, impute_serial
 
 
@@ -33,6 +37,14 @@ def _reseeded_serial(model, dataset, seed=99, **kwargs):
     """The serial reference under the same seed as :func:`_reseeded_impute`."""
     model.diffusion.rng = np.random.default_rng(seed)
     return impute_serial(model, dataset, segment="test", **kwargs)
+
+
+def _identity_backend(engine, window_length, build_condition):
+    """A backend over ``engine`` whose scaler leaves values unchanged."""
+    scaler = StandardScaler().fit(np.array([-1.0, 1.0]))    # mean 0, std 1
+    return DiffusionBackend(engine=engine, scaler=scaler,
+                            build_condition=build_condition,
+                            window_length=window_length)
 
 
 # ----------------------------------------------------------------------
@@ -60,24 +72,27 @@ class TestEngineMechanics:
 
         values = np.arange(40.0).reshape(20, 2)
         mask = np.ones((20, 2), dtype=bool)
-        samples = engine.impute_segment(values, mask, window_length=8, stride=4,
-                                        num_samples=5, build_condition=build_condition)
-        starts = engine.window_starts(20, 8, 4)          # [0, 4, 8, 12]
-        assert samples.shape == (5, 20, 2)
+        raw = _identity_backend(engine, 8, build_condition).impute_segment(
+            values, mask, num_samples=5, stride=4)
+        starts = window_starts(20, 8, 4)                 # [0, 4, 8, 12]
+        assert raw.samples.shape == (5, 20, 2)
         # One call per window — never per (window, sample) pair.
         assert len(calls) == len(starts) == 4
         assert all(shape == (1, 2, 8) for shape in calls)
 
     def test_chunk_size_does_not_change_results(self):
         values = np.linspace(-1, 1, 36).reshape(18, 2)
-        mask = np.ones((18, 2), dtype=bool)
+        # Observed entries are passed through, so only the unobserved ones
+        # show the sampled values.
+        mask = np.arange(36).reshape(18, 2) % 3 != 0
         def build(v, m):
             return np.asarray(v, dtype=np.float64)
         reference = None
         for batch_size in (1, 2, 3, 7, 64, None):
             engine = self._engine(inference_batch_size=batch_size)
-            result = engine.impute_segment(values, mask, window_length=6, stride=3,
-                                           num_samples=3, build_condition=build)
+            raw = _identity_backend(engine, 6, build).impute_segment(
+                values, mask, num_samples=3, stride=3)
+            result = raw.samples[:, ~mask]
             if reference is None:
                 reference = result
             else:
@@ -92,20 +107,13 @@ class TestEngineMechanics:
 
         engine = InferenceEngine(diffusion, predict)
         values = np.zeros((10, 1))
-        mask = np.ones((10, 1), dtype=bool)
-        samples = engine.impute_segment(values, mask, window_length=6, stride=2,
-                                        num_samples=2, build_condition=lambda v, m: v)
+        mask = np.zeros((10, 1), dtype=bool)      # every entry sampled
+        raw = _identity_backend(engine, 6, lambda v, m: v).impute_segment(
+            values, mask, num_samples=2, stride=2)
         # starts = [0, 2, 4]: coverage 1..3 windows per time step; averaging
         # must keep the output finite and shaped like the segment.
-        assert samples.shape == (2, 10, 1)
-        assert np.all(np.isfinite(samples))
-
-    def test_short_segment_rejected(self):
-        engine = self._engine()
-        with pytest.raises(ValueError, match="shorter than the window"):
-            engine.impute_segment(np.zeros((4, 2)), np.ones((4, 2), dtype=bool),
-                                  window_length=8, num_samples=1,
-                                  build_condition=lambda v, m: v)
+        assert raw.samples.shape == (2, 10, 1)
+        assert np.all(np.isfinite(raw.samples))
 
     def test_cache_dict_passed_on_batched_path_only(self):
         diffusion = GaussianDiffusion(quadratic_schedule(5), rng=np.random.default_rng(0))
@@ -117,16 +125,17 @@ class TestEngineMechanics:
 
         engine = InferenceEngine(diffusion, predict)
         values, mask = np.zeros((8, 2)), np.ones((8, 2), dtype=bool)
-        engine.impute_segment(values, mask, window_length=8, num_samples=2,
-                              build_condition=lambda v, m: v)
+        _identity_backend(engine, 8, lambda v, m: v).impute_segment(
+            values, mask, num_samples=2)
         assert all(isinstance(cache, dict) for cache in seen)
         # One chunk: the same scratch dict is reused across its steps.
         assert len({id(cache) for cache in seen}) == 1
 
         # Batch-1 chunks still get one scratch dict per chunk.
         seen.clear()
-        InferenceEngine(diffusion, predict, inference_batch_size=1).impute_segment(
-            values, mask, window_length=8, num_samples=2, build_condition=lambda v, m: v)
+        engine = InferenceEngine(diffusion, predict, inference_batch_size=1)
+        _identity_backend(engine, 8, lambda v, m: v).impute_segment(
+            values, mask, num_samples=2)
         assert all(isinstance(cache, dict) for cache in seen)
         assert len({id(cache) for cache in seen}) == 2
 
@@ -203,6 +212,28 @@ class TestBatchedImputeEquivalence:
         visible = observed & ~evaluation
         assert np.allclose(result.median[visible], values[visible])
         assert np.allclose(result.samples[:, visible], values[visible][None])
+
+    def test_short_segment_padded_and_cropped(self, trained_models,
+                                              tiny_traffic_dataset):
+        """A segment shorter than the window is mask-padded and cropped, as
+        a served request is: same bits as ``impute_arrays`` on its arrays."""
+        data = tiny_traffic_dataset
+        split = DatasetSplit(data.split.train, data.split.valid,
+                             slice(data.num_steps - 5, data.num_steps))
+        short = SpatioTemporalDataset(data.values, data.observed_mask,
+                                      data.eval_mask, data.network,
+                                      data.steps_per_day, split=split)
+        model = trained_models["epsilon"]
+        result = _reseeded_impute(model, short, num_samples=2)
+        values, observed, evaluation = short.segment("test")
+        assert result.median.shape == values.shape == (5, data.num_nodes)
+        assert result.samples.shape == (2, 5, data.num_nodes)
+        assert np.all(np.isfinite(result.samples))
+        model.diffusion.rng = np.random.default_rng(99)
+        raw = model.backend().impute_arrays(values, observed & ~evaluation,
+                                            num_samples=2)
+        assert np.array_equal(result.samples, raw.samples)
+        assert np.array_equal(result.median, raw.median)
 
     def test_csdi_shares_engine(self, tiny_traffic_dataset):
         model = CSDIImputer(_fast_config())

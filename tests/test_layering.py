@@ -5,17 +5,22 @@ must stay importable on its own: standard library only, no other ``repro``
 module.  ``repro.inference`` sits below ``repro.serving`` and must not
 import it at module level (that is the cycle the leaf exists to break).
 The HTTP gateway never runs a model: every inference it serves, stream ticks
-included, goes through ``ImputationService``.  And no module keeps an import
-it does not use (a stdlib ``ast`` check, so it runs without a linter).
+included, goes through ``ImputationService``.  ``inference/backend.py`` is the
+one module that knows window geometry and drives the engine; the engine only
+samples plans.  And no module keeps an import it does not use, ends a line
+in whitespace, ends without exactly one newline or compiles with a warning
+(stdlib checks, so they run without a linter).
 """
 
 import ast
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Imports ``repro.telemetry`` in a fresh interpreter.  The package root
 # ``repro/__init__.py`` re-exports the whole library, so it is replaced by a
@@ -205,3 +210,100 @@ def test_unused_import_check_sees_every_binding_form():
                      "    return os.getcwd(), execute_batch\n")
     assert _unused_imports(tree) == [(2, "copy"), (4, "np"),
                                      (6, "fault_points")]
+
+
+def _method_calls(tree, name):
+    """Lines of every call in ``tree`` to a method called ``name``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name]
+
+
+def test_only_the_backend_drives_the_engine():
+    callers = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        lines = _method_calls(ast.parse(path.read_text(encoding="utf-8")),
+                              "sample_plans")
+        if lines:
+            callers[path.relative_to(SRC / "repro").as_posix()] = lines
+    assert list(callers) == ["inference/backend.py"]
+
+
+_GEOMETRY_WORDS = ("window", "segment", "stride")
+
+
+def _window_geometry(tree):
+    """``(line, name)`` of every function, method or parameter defined in
+    ``tree`` whose name speaks of windows, segments or strides."""
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        names = [node.name] + [arg.arg for arg in args.posonlyargs + args.args
+                               + args.kwonlyargs]
+        hits.extend((node.lineno, name) for name in names
+                    if any(word in name for word in _GEOMETRY_WORDS))
+    return sorted(hits)
+
+
+def test_engine_defines_no_window_geometry():
+    path = SRC / "repro" / "inference" / "engine.py"
+    assert _window_geometry(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_window_geometry_check_sees_methods_and_parameters():
+    tree = ast.parse("class Engine:\n"
+                     "    def impute_segment(self, values, *, window_length,\n"
+                     "                       stride=None):\n"
+                     "        return values\n"
+                     "    def sample_plans(self, plans, chunk_size=None):\n"
+                     "        return plans\n"
+                     "def window_starts(length, step):\n"
+                     "    return [0]\n")
+    assert _window_geometry(tree) == [(2, "impute_segment"), (2, "stride"),
+                                      (2, "window_length"),
+                                      (7, "window_starts")]
+
+
+def _format_problems(text, name="<text>"):
+    """What the blocking ``ruff format --check`` step (or a compile with
+    warnings as errors) refuses in one file: ``(line, problem)`` pairs for
+    trailing whitespace, a final newline missing or doubled, and source that
+    compiles with a warning (an invalid escape sequence, say)."""
+    problems = [(number, "trailing whitespace")
+                for number, line in enumerate(text.split("\n"), 1)
+                if line != line.rstrip()]
+    if text and (not text.endswith("\n") or text.endswith("\n\n")):
+        problems.append((text.count("\n") + 1, "not one newline at end of file"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            compile(text, name, "exec", dont_inherit=True)
+        except SyntaxError as error:
+            problems.append((error.lineno, error.msg))
+    return problems
+
+
+def test_python_files_are_format_clean():
+    files = [path for folder in ("src", "tests", "benchmarks", "examples")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(files) > 100
+    offenders = {}
+    for path in files:
+        problems = _format_problems(path.read_text(encoding="utf-8"), str(path))
+        if problems:
+            offenders[str(path.relative_to(ROOT))] = problems
+    assert offenders == {}
+
+
+def test_format_check_sees_each_form():
+    assert _format_problems("x = 1\n") == []
+    assert _format_problems("") == []
+    assert _format_problems("x = 1 \ny = 2\t\n") == [
+        (1, "trailing whitespace"), (2, "trailing whitespace")]
+    assert _format_problems("x = 1") == [(1, "not one newline at end of file")]
+    assert _format_problems("x = 1\n\n") == [
+        (3, "not one newline at end of file")]
+    assert _format_problems('x = 1\npattern = "\\d+"\n') == [
+        (2, "invalid escape sequence '\\d'")]

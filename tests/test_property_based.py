@@ -11,6 +11,7 @@ from repro.data.missing import inject_block_missing, inject_point_missing
 from repro.data.scalers import StandardScaler
 from repro.diffusion import GaussianDiffusion, make_schedule, quadratic_schedule
 from repro.inference import InferenceEngine, RequestPlan
+from repro.inference.backend import window_starts
 from repro.metrics import crps_from_samples, masked_mae, masked_mse
 from repro.tensor import Tensor, softmax
 from serial_reference import sample_serial
@@ -224,22 +225,20 @@ class TestWindowStartsProperties:
     @given(st.integers(1, 120), st.integers(1, 40), st.integers(1, 50))
     def test_every_index_covered(self, length, window_length, stride):
         """Every time index of [0, length) falls inside ≥ 1 planned window,
-        no window leaves [0, length), and the coverage counts the engine
+        no window leaves [0, length), and the coverage counts the backend
         accumulates during overlap averaging match an index-wise recount —
         for all (length, window_length, stride) combinations."""
-        from repro.inference import InferenceEngine
-
         if length < window_length:
             with pytest.raises(ValueError, match="shorter than the window"):
-                InferenceEngine.window_starts(length, window_length, stride)
+                window_starts(length, window_length, stride)
             return
         if stride > window_length:
             # A stride beyond the window would leave uncovered gaps; the
             # planner refuses instead of silently averaging zeros there.
             with pytest.raises(ValueError, match="stride"):
-                InferenceEngine.window_starts(length, window_length, stride)
+                window_starts(length, window_length, stride)
             return
-        starts = InferenceEngine.window_starts(length, window_length, stride)
+        starts = window_starts(length, window_length, stride)
 
         # Well-formed plan: sorted unique starts, in bounds, first at 0.
         assert starts == sorted(set(starts))
@@ -260,11 +259,9 @@ class TestWindowStartsProperties:
         """The plan always ends with the window [length - W, length) — the
         tail-window edge case: when the stride pattern overshoots, one extra
         flush-right window is appended rather than dropping the tail."""
-        from repro.inference import InferenceEngine
-
         if length < window_length or stride > window_length:
             return
-        starts = InferenceEngine.window_starts(length, window_length, stride)
+        starts = window_starts(length, window_length, stride)
         assert starts[-1] == length - window_length
         regular = list(range(0, length - window_length + 1, stride))
         if regular and regular[-1] == length - window_length:

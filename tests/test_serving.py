@@ -4,8 +4,8 @@ Covers the four layers of the refactor:
 
 * the stateless backends (raw-array imputation, short-request padding, and
   the **wrapper equivalence** acceptance criterion: ``impute(dataset,
-  segment)`` through the backend is bit-identical to the pre-refactor code
-  path, in float32 and float64),
+  segment)`` through the backend is bit-identical to the plain-numpy serial
+  reference, in float32 and float64),
 * the ``name@version`` :class:`~repro.serving.ModelRegistry`,
 * the :class:`~repro.serving.ImputationService` micro-batcher (the
   **bit-identical to served-alone** acceptance criterion, size/deadline
@@ -38,6 +38,7 @@ from repro import (
 from repro.baselines import BRITSImputer
 from repro.data import SlidingWindowBuffer
 from repro.serving import PoolStopped, RegistryError, faults
+from repro.serving import service as service_module
 from repro.serving.faults import InjectedFault
 from repro.serving.gateway import Gateway, InProcessClient, decode_array_payload
 from serial_reference import impute_serial
@@ -71,49 +72,31 @@ def _test_arrays(dataset, start=0, length=12):
 
 
 # ----------------------------------------------------------------------
-# Wrapper equivalence: impute(dataset, segment) == pre-refactor path
+# Wrapper equivalence: impute(dataset, segment) == serial reference
 # ----------------------------------------------------------------------
-def _legacy_impute(model, dataset, segment="test", num_samples=3, stride=None):
-    """The pre-backend ``ConditionalDiffusionImputer.impute`` body, inlined
-    verbatim: any numeric drift in the refactored wrapper shows up as a
-    bitwise mismatch against this reference."""
-    values, observed_mask, eval_mask = dataset.segment(segment)
-    input_mask = observed_mask & ~eval_mask
-    window = model.config.window_length
-    stride = stride or window
-    engine = model.inference_engine()
-
-    model.network.eval()
-    samples_scaled = engine.impute_segment(
-        model.scaler.transform(values), input_mask,
-        window_length=window, stride=stride, num_samples=num_samples,
-        build_condition=model.build_condition,
-    )
-    samples = model.scaler.inverse_transform(samples_scaled)
-    samples = np.where(input_mask[None], values[None], samples)
-    median = np.median(samples, axis=0)
-    model.network.train()
-    return median, samples
-
-
 class TestWrapperEquivalence:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("stride", [None, 5])
     def test_impute_bit_identical_to_pre_refactor(self, tiny_traffic_dataset,
                                                   dtype, stride):
+        """``impute(dataset, segment)`` through the backend matches the
+        plain-numpy serial reference bit for bit, in float32 and float64,
+        with and without overlapping windows, both with the default
+        (whole-job) chunks and with batch-1 chunks."""
         model = PriSTI(_fast_config(dtype=dtype))
         model.fit(tiny_traffic_dataset)
 
         model.diffusion.rng = np.random.default_rng(123)
-        reference_median, reference_samples = _legacy_impute(
-            model, tiny_traffic_dataset, num_samples=3, stride=stride)
+        reference = impute_serial(model, tiny_traffic_dataset, num_samples=3,
+                                  stride=stride)
 
-        model.diffusion.rng = np.random.default_rng(123)
-        result = model.impute(tiny_traffic_dataset, segment="test",
-                              num_samples=3, stride=stride)
-
-        assert np.array_equal(result.samples, reference_samples)
-        assert np.array_equal(result.median, reference_median)
+        for batch_size in (None, 1):
+            model.config.inference_batch_size = batch_size
+            model.diffusion.rng = np.random.default_rng(123)
+            result = model.impute(tiny_traffic_dataset, segment="test",
+                                  num_samples=3, stride=stride)
+            assert np.array_equal(result.samples, reference.samples)
+            assert np.array_equal(result.median, reference.median)
 
     def test_serial_fallback_also_bit_identical(self, trained_pristi,
                                                 tiny_traffic_dataset):
@@ -365,12 +348,15 @@ class TestImputationService:
         with pytest.raises(RegistryError):
             service.submit(ImputationRequest("missing", values, mask))
 
-    def test_malformed_request_error_reaches_ticket(self, registry):
+    def test_malformed_request_error_reaches_ticket(self, registry,
+                                                    monkeypatch):
+        def rejecting_batch(backend, payloads):
+            raise ValueError("the model rejected this request")
+
+        # A request that clears admission and fails in the model.
+        monkeypatch.setattr(service_module, "execute_batch", rejecting_batch)
         service = ImputationService(registry, max_batch_requests=100)
-        # A mask whose shape is not the values' passes admission and fails
-        # in the model.
-        bad = ImputationRequest("traffic", np.zeros((12, 6)),
-                                np.ones((12, 5), dtype=bool), seed=0)
+        bad = ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0)
         ticket = service.submit(bad)
         with pytest.raises(Exception):
             service.flush()
@@ -379,16 +365,25 @@ class TestImputationService:
 
     def test_one_failing_batch_does_not_strand_others(self, registry,
                                                       trained_pristi,
-                                                      tiny_traffic_dataset):
+                                                      tiny_traffic_dataset,
+                                                      monkeypatch):
         """A flush covering several models must serve the healthy queues even
         when an earlier batch raises — their entries are already popped, so
         skipping them would hang their tickets forever."""
+        execute_batch = service_module.execute_batch
+
+        def rejecting_all_zero_requests(backend, payloads):
+            if not any(payload.values.any() for payload in payloads):
+                raise ValueError("the model rejected this request")
+            return execute_batch(backend, payloads)
+
+        monkeypatch.setattr(service_module, "execute_batch",
+                            rejecting_all_zero_requests)
         registry.publish(trained_pristi, "second")
         service = ImputationService(registry, max_batch_requests=100)
         values, mask = _test_arrays(tiny_traffic_dataset)
-        bad = service.submit(            # mask shape mismatch: batch fails
-            ImputationRequest("traffic", np.zeros((12, 6)),
-                              np.ones((12, 5), dtype=bool), seed=0))
+        bad = service.submit(            # all-zero request: batch fails
+            ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0))
         good = service.submit(
             ImputationRequest("second", values, mask, num_samples=2, seed=1))
         with pytest.raises(Exception):
@@ -425,10 +420,11 @@ class TestImputationService:
 
     def test_bad_stride_or_sample_count_refused_at_admission(
             self, registry, tiny_traffic_dataset):
-        """A stride wider than the model window (read from the manifest) or
-        a sample count below one is refused at submit: it never joins — and
-        fails — a healthy request's micro-batch, and never opens the model's
-        circuit."""
+        """A stride wider than the model window (read from the manifest), a
+        sample count below one, a mask not shaped like the values or a
+        request with no time steps is refused at submit: it never joins —
+        and fails — a healthy request's micro-batch, and never opens the
+        model's circuit."""
         service = ImputationService(
             registry, max_batch_requests=100,
             circuit_policy=CircuitBreakerPolicy(failure_threshold=1))
@@ -439,10 +435,13 @@ class TestImputationService:
         for bad in (ImputationRequest("traffic", values, mask, seed=2,
                                       stride=13),
                     ImputationRequest("traffic", values, mask, seed=3,
-                                      num_samples=0)):
-            with pytest.raises(ValueError, match="stride|num_samples"):
+                                      num_samples=0),
+                    ImputationRequest("traffic", values, mask[:, :5], seed=5),
+                    ImputationRequest("traffic", values[:0], mask[:0], seed=6)):
+            refused = "stride|num_samples|observed_mask|time step"
+            with pytest.raises(ValueError, match=refused):
                 service.submit(bad)
-            with pytest.raises(ValueError, match="stride|num_samples"):
+            with pytest.raises(ValueError, match=refused):
                 service.serve(bad)
         with pytest.raises(ValueError):
             service.submit(ImputationRequest("traffic", values, mask, seed=-1))

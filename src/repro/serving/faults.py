@@ -87,8 +87,9 @@ INJECTION_POINTS = {
     "transport.stage": "ShmArena.stage: staging a batch into the arena fails",
     "transport.shm_attach": "Worker side: attaching a shared-memory segment "
                             "by name fails (TransportError)",
-    "transport.shm_detach": "ShmArena release: freeing staged slots fails — "
-                            "the arena must rebuild, not leak",
+    "transport.shm_detach": "ShmArena release: releasing a staged batch "
+                            "fails — the arena must unlink every segment "
+                            "and rebuild, not leak",
     "compile.trace": "CompiledStepCache: tracing a reverse-diffusion chunk "
                      "fails before recording (eager fallback must serve it)",
     "service.flush": "ImputationService: an inline batch fails after it "

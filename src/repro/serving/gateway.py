@@ -102,7 +102,6 @@ import io
 import itertools
 import json
 import signal
-import time
 import zipfile
 from dataclasses import dataclass, field
 
@@ -467,7 +466,7 @@ class _Ticket:
     """One submitted request's server-side record."""
 
     pending: object                 # PendingImputation
-    submitted_at: float
+    reported: bool = False          # its failure reached a caller
 
 
 @dataclass
@@ -517,18 +516,17 @@ class Gateway:
         inference inline on the event loop) and owns its drain.
     max_tickets:
         Bound on unfetched tickets; submits past it are shed with ``429``.
-    clock:
-        Injectable time source (tests pin latency bookkeeping with it).
+        A ticket whose failure has been fetched once still answers retries,
+        but gives its place up to a new submit when the store is full.
     """
 
-    def __init__(self, service, *, max_tickets=4096, clock=time.monotonic):
+    def __init__(self, service, *, max_tickets=4096):
         if not isinstance(service, ImputationService):
             raise TypeError("gateway requires an ImputationService")
         if max_tickets < 1:
             raise ValueError("max_tickets must be a positive integer")
         self.service = service
         self.max_tickets = int(max_tickets)
-        self.clock = clock
         self.draining = False
         self._tickets = {}          # ticket id -> _Ticket
         self._streams = {}          # session id -> _StreamSession
@@ -540,8 +538,8 @@ class Gateway:
         # executor.
         self.metrics = service.metrics
         self.metrics.declare(GATEWAY_METRIC_SCHEMA)
-        self.metrics.gauge("gateway.tickets.unfetched",
-                           fn=lambda: len(self._tickets))
+        self.metrics.gauge("gateway.tickets.unfetched", fn=lambda: sum(
+            not ticket.reported for ticket in self._tickets.values()))
         self.metrics.gauge("gateway.streams.open", fn=lambda: len(self._streams))
         self.metrics.gauge("gateway.draining", fn=lambda: int(self.draining))
         service.start()
@@ -667,6 +665,13 @@ class Gateway:
         imputation = decode_impute_request(request.content_type, request.body)
         imputation.deadline = self._deadline_of(request)
         if len(self._tickets) >= self.max_tickets:
+            # Reported failures stay fetchable only while the store has
+            # room: drop them (oldest first) before refusing the submit.
+            reported = [key for key, ticket in self._tickets.items()
+                        if ticket.reported]
+            for key in reported[:len(self._tickets) - self.max_tickets + 1]:
+                del self._tickets[key]
+        if len(self._tickets) >= self.max_tickets:
             self.metrics.counter("gateway.rejections.overload").inc()
             return self._respond(429, _error_body(
                 429, "overloaded",
@@ -684,8 +689,7 @@ class Gateway:
             return self._respond(200, encode_response_body(response, request.accept),
                                  content_type=request.accept)
         ticket_id = f"t{next(self._ticket_ids):08d}"
-        self._tickets[ticket_id] = _Ticket(pending=pending,
-                                           submitted_at=self.clock())
+        self._tickets[ticket_id] = _Ticket(pending=pending)
         self.metrics.counter("gateway.tickets.issued").inc()
         return self._json_response(
             202, {"ticket": ticket_id, "status": "queued"},
@@ -699,9 +703,14 @@ class Gateway:
         timeout = self._timeout_of(request, None)
         if not ticket.pending.done and timeout is None:
             return self._json_response(202, {"ticket": ticket_id, "status": "pending"})
-        response = await self._await_pending(ticket.pending, timeout or 60.0)
-        # One-shot fetch: the record is dropped only on success, so an errored
-        # ticket keeps reporting its failure to retries.
+        try:
+            response = await self._await_pending(ticket.pending, timeout or 60.0)
+        except Exception:
+            # An errored ticket keeps reporting its failure to retries, but
+            # no longer holds a place in the store (see _handle_impute).
+            ticket.reported = ticket.pending.failed
+            raise
+        # One-shot fetch: the record is dropped on success.
         del self._tickets[ticket_id]
         self.metrics.counter("gateway.tickets.fetched").inc()
         return self._respond(200, encode_response_body(response, request.accept),

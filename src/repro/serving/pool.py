@@ -45,7 +45,7 @@ Scheduling
   ``stop(drain=False)`` fails queued batches with :class:`PoolStopped` and
   only lets in-flight ones finish.  Both paths destroy every worker arena —
   zero shared-memory segments survive a stopped pool, and a crashed worker's
-  arena is torn down with it (staged slots are reclaimed, never leaked).
+  arena is torn down with it (a staged batch is reclaimed, never leaked).
 
 Bit-identity
 ------------
@@ -75,7 +75,7 @@ from ..inference.backend import process_backend
 from ..telemetry import PROCESS_METRICS, MetricsRegistry, WorkerCounterMerge
 from . import faults
 from .errors import PoolStopped, ServiceOverloaded, TransportError, WorkerCrashed
-from .transport import TRANSPORT_METRIC_SCHEMA, ShmArena
+from .transport import TRANSPORT_METRIC_SCHEMA, SegmentAttachments, ShmArena, decode_batch
 
 __all__ = ["WorkerPool", "ServiceOverloaded", "PoolStopped", "WorkerCrashed",
            "TransportError", "RequestPayload", "BatchTask", "execute_batch",
@@ -259,7 +259,7 @@ class _WorkerProcess:
 
     The owning worker thread drives the child strictly serially: stage the
     batch into the arena, send the descriptors, wait for the completion
-    control message, copy the responses out, release the slots.  Control
+    control message, copy the responses out, release the batch.  Control
     messages cross as explicit pickled byte blobs (``send_bytes``) so the
     transport cost is measurable — ``transport.control.bytes_*`` count every
     byte that actually crosses the pipe.
@@ -323,11 +323,12 @@ class _WorkerProcess:
     def run(self, task):
         """Execute ``task`` in the child over the shm transport.
 
-        Staging is per-attempt: a retry re-enters here and stages fresh
-        slots, and the ``finally`` releases this attempt's slots exactly
-        once whatever happens (child reply, child death, staging fault) —
-        release after a crash-path ``arena.destroy()`` is a no-op, so
-        nothing double-frees and nothing leaks.
+        Staging is per-attempt: a retry re-enters here and stages the batch
+        again, and the ``finally`` releases this attempt exactly once
+        whatever happens (child reply, child death, staging fault), so the
+        arena is free for the next batch — release after a crash-path
+        ``arena.destroy()`` is a no-op, so nothing double-frees and nothing
+        leaks.
         """
         staged = self.arena.stage(task.payloads)
         try:
@@ -373,11 +374,24 @@ class _WorkerProcess:
         self.arena.destroy()
 
 
+def _write_responses(artifact_path, generation, descriptors, attachments):
+    """Decode one batch, execute it and write its responses in place.
+
+    Every arena view lives in this frame only, so none outlives the batch:
+    the next batch may name another segment, and a mapping cannot close
+    while views of it are alive.
+    """
+    payloads, response_views = decode_batch(descriptors, attachments)
+    raws = execute_batch(process_backend(artifact_path, generation), payloads)
+    for raw, (median_view, samples_view) in zip(raws, response_views):
+        median_view[...] = raw.median
+        samples_view[...] = raw.samples
+
+
 def _process_worker_main(conn, max_loaded=4):
     """Child-process loop: attach segments, decode descriptors, execute,
     write responses in place, reply with a small status message."""
     from ..inference.backend import _PROCESS_BACKENDS
-    from .transport import SegmentAttachments, decode_batch
 
     # One single-threaded, freshly spawned child per worker, so the
     # process-global cache is the worker's LRU: its capacity is exactly the
@@ -403,17 +417,8 @@ def _process_worker_main(conn, max_loaded=4):
             if kind == "batch":
                 _, artifact_path, generation, descriptors = message
                 try:
-                    payloads, response_views = decode_batch(descriptors,
-                                                            attachments)
-                    raws = execute_batch(
-                        process_backend(artifact_path, generation), payloads)
-                    for raw, (median_view, samples_view) in zip(raws,
-                                                                response_views):
-                        median_view[...] = raw.median
-                        samples_view[...] = raw.samples
-                    # Drop every arena view before trimming — a mapped
-                    # segment cannot close while views are exported.
-                    del payloads, response_views, raws
+                    _write_responses(artifact_path, generation, descriptors,
+                                     attachments)
                 except BaseException as error:  # noqa: BLE001 - forwarded
                     reply(("error", error))
                 else:
@@ -422,7 +427,6 @@ def _process_worker_main(conn, max_loaded=4):
                     # parent folds the delta into its own so telemetry
                     # covers process workers.
                     reply(("ok", PROCESS_METRICS.snapshot()))
-                attachments.trim()
             elif kind == "warm":
                 _, artifact_path, generation = message
                 started = time.perf_counter()

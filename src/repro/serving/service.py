@@ -183,6 +183,10 @@ class PendingImputation:
     def done(self):
         return self._event.is_set()
 
+    @property
+    def failed(self):
+        return self._event.is_set() and self._error is not None
+
     def _resolve(self, response, error=None):
         self._response = response
         self._error = error
@@ -596,8 +600,10 @@ class ImputationService:
         With an executor the final flush *dispatches* the stragglers; the
         call then blocks until **this service's** in-flight requests have all
         resolved, so every ticket issued before ``stop`` is resolved when it
-        returns.  (The pool itself keeps running — it may back other
-        services — stop it separately.)
+        returns.  A batch error does not escape, since its tickets carry
+        it; a flush that fails before it serves anything does.
+        (The pool itself keeps running — it may back other services — stop
+        it separately.)
         """
         with self._cond:
             worker, self._worker = self._worker, None
@@ -605,9 +611,16 @@ class ImputationService:
             self._cond.notify_all()
         if worker is not None:
             worker.join()
-        self.flush()
-        with self._cond:
-            self._cond.wait_for(lambda: self._inflight_requests == 0)
+        try:
+            self.flush()
+        except Exception:
+            # A failed batch's tickets carry its error; only a flush that
+            # failed before it popped the queues leaves requests behind.
+            if self.pending():
+                raise
+        finally:
+            with self._cond:
+                self._cond.wait_for(lambda: self._inflight_requests == 0)
 
     def __enter__(self):
         return self.start()

@@ -1,18 +1,13 @@
 """Zero-copy shared-memory transport for the pool's worker processes.
 
-Before this module, worker processes received every batch as a pickle:
-request arrays, masks and RNG streams serialised over a ``Pipe()``, and the
-full :class:`~repro.inference.backend.RawImputation` results pickled back.
-That puts every tensor byte through pickle twice per hop and scales the
-per-batch cost with payload size.  The shm transport splits the channel
-into two planes:
+The channel between a worker thread and its child process has two planes:
 
-**Data plane** — a per-worker :class:`ShmArena` of
-``multiprocessing.shared_memory`` segments.  The parent *stages* each
-request's tensors (float64 values, bool observed mask) into arena slots and
-pre-allocates the response slots (the output shapes — ``(time, node)`` median
-and ``(num_samples, time, node)`` samples, always float64 — are known from
-the request alone).  The child maps the same segments and reads/writes the
+**Data plane** — a per-worker :class:`ShmArena` over
+``multiprocessing.shared_memory``.  The parent *stages* each request's
+tensors (float64 values, bool observed mask) into the arena and reserves the
+response tensors (the output shapes — ``(time, node)`` median and
+``(num_samples, time, node)`` samples, always float64 — are known from the
+request alone).  The child maps the same segment and reads/writes the
 tensors **in place** through numpy views: no tensor byte is ever pickled.
 
 **Control plane** — the persistent worker pipe carries only small
@@ -23,18 +18,23 @@ it, exactly as an inline flush does).
 
 Lifecycle invariants (pinned by ``tests/test_pool_transport.py``):
 
-* **Slots are reference-counted.**  ``stage()`` returns a
-  :class:`StagedBatch` holding one reference per slot; ``release()`` is
-  idempotent, so the retry path can re-stage a batch without double-freeing
-  the previous attempt's slots.
+* **One live batch.**  The owning worker thread stages a batch, round-trips
+  it, copies the responses out and releases it before it stages the next,
+  so every ``stage()`` lays its batch out from offset 0 of one segment; a
+  second ``stage()`` while a batch is live raises :class:`TransportError`.
+  ``release()`` is idempotent, so the retry path can re-stage a batch
+  without double-releasing the previous attempt.
+* **One standing segment.**  Batches that fit share one segment of
+  ``DEFAULT_SEGMENT_BYTES``, created on first use and reused batch after
+  batch.  A larger batch gets a segment of its own, unlinked on release.
 * **Segments are provably unlinked.**  Clean drain, ``stop(drain=False)``
   and worker crashes all funnel through ``release()``/``destroy()``; the
   arena's counters expose ``transport.segments.created ==
   transport.segments.unlinked`` so tests and the chaos gate can assert zero
   leaked segments by name.
-* **A failed detach never leaks.**  If releasing a slot fails (the
+* **A failed detach never leaks.**  If a release fails (the
   ``transport.shm_detach`` injection point models this), the arena rebuilds:
-  every live segment is unlinked and the allocator starts fresh.
+  every segment is unlinked and the next batch starts on a fresh one.
 
 Injection points (see :mod:`repro.serving.faults`): ``transport.stage``
 (parent-side staging fails before anything crosses the channel),
@@ -83,13 +83,16 @@ TRANSPORT_METRIC_SCHEMA = {
     "transport.slots.live": "gauge",
 }
 
-#: Slot alignment — cache-line sized so staged tensors never share a line.
+#: Tensor alignment — cache-line sized so staged tensors never share a line.
 _ALIGN = 64
 
-#: Default size of one arena segment.  Segments are sparse files in /dev/shm
-#: (pages commit on first touch), so a generous default costs address space,
-#: not memory; batches that do not fit get a dedicated overflow segment.
+#: Size of a worker's standing segment.  Segments are sparse files in
+#: /dev/shm (pages commit on first touch), so a generous size costs address
+#: space, not memory; batches that do not fit get a segment of their own.
 DEFAULT_SEGMENT_BYTES = 8 << 20
+
+#: Tensors of one staged request, in layout order.
+_FIELDS = ("values", "observed_mask", "median", "samples")
 
 
 def _align(nbytes):
@@ -118,9 +121,8 @@ class PayloadDescriptor:
     """The control-plane record of one staged request.
 
     ``values``/``observed_mask`` point at the staged request tensors;
-    ``median``/``samples`` point at the parent-pre-allocated response slots
-    the worker writes into.  Only this record (seed included) crosses the
-    pipe.
+    ``median``/``samples`` point at the response tensors the worker writes
+    into.  Only this record (seed included) crosses the pipe.
     """
 
     values: TensorDescriptor
@@ -132,79 +134,40 @@ class PayloadDescriptor:
     seed: np.random.SeedSequence
 
 
-class _Segment:
-    """One shared-memory segment plus a first-fit free-list allocator."""
-
-    def __init__(self, name, size):
-        self.shm = shared_memory.SharedMemory(create=True, name=name, size=size)
-        self.name = self.shm.name
-        self.size = size
-        self._free = [(0, size)]            # sorted, coalesced (offset, size)
-        self.live_slots = 0
-
-    def allocate(self, nbytes):
-        """First-fit allocation of an aligned slot; ``None`` when full."""
-        need = _align(nbytes)
-        for index, (offset, size) in enumerate(self._free):
-            if size >= need:
-                if size == need:
-                    del self._free[index]
-                else:
-                    self._free[index] = (offset + need, size - need)
-                self.live_slots += 1
-                return offset, need
-        return None
-
-    def free(self, offset, size):
-        """Return a slot to the free list, coalescing neighbours."""
-        self._free.append((offset, size))
-        self._free.sort()
-        merged = []
-        for start, length in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == start:
-                merged[-1] = (merged[-1][0], merged[-1][1] + length)
-            else:
-                merged.append((start, length))
-        self._free = merged
-        self.live_slots -= 1
-
-    @property
-    def empty(self):
-        return self.live_slots == 0
-
-    def view(self, offset, shape, dtype):
-        return np.ndarray(shape, dtype=dtype, buffer=self.shm.buf, offset=offset)
-
-    def unlink(self):
-        try:
-            self.shm.close()
-        except BufferError:       # pragma: no cover - exported views still live
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
 def _segment_name():
     """A unique, portably short shm name (macOS caps names at 31 chars)."""
     return f"rp{os.getpid():x}-{secrets.token_hex(6)}"
 
 
-class ShmArena:
-    """Parent-side shared-memory arena: segments, slots and refcounts.
+def _unlink(shm):
+    try:
+        shm.close()
+    except BufferError:           # pragma: no cover - exported views still live
+        pass
+    try:
+        shm.unlink()
+    except FileNotFoundError:     # pragma: no cover - already gone
+        pass
 
-    One arena per worker process.  The owning worker thread drives its child
-    strictly serially, so at most one batch is staged at a time — but the
-    allocator is still fully locked because metrics snapshots and
+
+def _view(shm, descriptor):
+    return np.ndarray(descriptor.shape, dtype=np.dtype(descriptor.dtype),
+                      buffer=shm.buf, offset=descriptor.offset)
+
+
+class ShmArena:
+    """Parent-side staging segment of one worker.
+
+    One arena per worker process, holding at most one live batch (see the
+    module docstring).  The lock is there because metrics snapshots and
     ``destroy()`` (pool stop / crash cleanup) come from other threads.
     """
 
-    def __init__(self, *, segment_bytes=DEFAULT_SEGMENT_BYTES):
-        self.segment_bytes = int(segment_bytes)
+    def __init__(self):
         self._lock = threading.Lock()
-        self._segments = {}            # name -> _Segment
-        self._primary = None           # name of the keep-alive segment
+        self._standing = None          # SharedMemory reused batch after batch
+        self._oversize = None          # the live batch's own segment, if any
+        self._live = None              # the live StagedBatch
         self._destroyed = False
         # Cumulative counters (survive into WorkerPool totals on retire).
         self.segments_created = 0
@@ -213,48 +176,20 @@ class ShmArena:
         self.bytes_staged = 0
         self.rebuilds = 0
 
-    # ------------------------------------------------------------------
-    # Allocation
-    # ------------------------------------------------------------------
-    def _new_segment_locked(self, min_bytes):
-        size = max(self.segment_bytes, _align(min_bytes))
-        segment = _Segment(_segment_name(), size)
-        self._segments[segment.name] = segment
+    def _create_locked(self, size):
+        shm = shared_memory.SharedMemory(create=True, name=_segment_name(), size=size)
         self.segments_created += 1
-        if self._primary is None:
-            self._primary = segment.name
-        return segment
+        return shm
 
-    def _allocate_locked(self, nbytes):
-        for segment in self._segments.values():
-            slot = segment.allocate(nbytes)
-            if slot is not None:
-                return segment, slot[0], slot[1]
-        segment = self._new_segment_locked(nbytes)
-        offset, size = segment.allocate(nbytes)
-        return segment, offset, size
+    def _segments_locked(self):
+        return [shm for shm in (self._standing, self._oversize)
+                if shm is not None]
 
-    def _free_locked(self, name, offset, size):
-        segment = self._segments.get(name)
-        if segment is None:
-            return
-        segment.free(offset, size)
-        # Overflow segments retire as soon as they drain; the primary stays
-        # mapped for the worker's lifetime so steady-state batches never churn
-        # segment creation.
-        if segment.empty and name != self._primary:
-            segment.unlink()
-            del self._segments[name]
+    def _unlink_all_locked(self):
+        for shm in self._segments_locked():
+            _unlink(shm)
             self.segments_unlinked += 1
-
-    def _rebuild_locked(self):
-        """Unlink every live segment and start fresh (failed-detach path)."""
-        for segment in self._segments.values():
-            segment.unlink()
-            self.segments_unlinked += 1
-        self._segments = {}
-        self._primary = None
-        self.rebuilds += 1
+        self._standing = self._oversize = self._live = None
 
     # ------------------------------------------------------------------
     # Staging
@@ -268,87 +203,87 @@ class ShmArena:
         zeroed, mask ANDed with finiteness) — normalisation is idempotent, so
         the worker-side backend reproduces the same bits, and the parent
         keeps the normalised arrays for the response echo without a copy-out.
+        Every payload is normalised before any shared memory is touched, so
+        a bad payload fails the batch with nothing staged.
         """
         faults.inject("transport.stage", error=TransportError)
-        entries = []
-        slots = []
+        layout = []     # (payload, values, mask, {field: (offset, shape, dtype)})
+        end = 0
         total = 0
-        try:
-            with self._lock:
-                if self._destroyed:
-                    raise TransportError("arena already destroyed")
-                for payload in payloads:
-                    values, mask = ImputationBackend._check_request(
-                        payload.values, payload.observed_mask)
-                    num_samples = int(payload.num_samples)
-                    time_steps, nodes = values.shape
-                    tensors = {}
-                    plan = (
-                        ("values", values.shape, np.float64, values),
-                        ("observed_mask", mask.shape, np.bool_, mask),
-                        ("median", (time_steps, nodes), np.float64, None),
-                        ("samples", (num_samples, time_steps, nodes),
-                         np.float64, None),
-                    )
-                    for field, shape, dtype, source in plan:
-                        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-                        segment, offset, size = self._allocate_locked(nbytes)
-                        slots.append((segment.name, offset, size))
-                        if source is not None:
-                            segment.view(offset, shape, dtype)[...] = source
-                        tensors[field] = TensorDescriptor(
-                            segment=segment.name, offset=offset,
-                            shape=tuple(int(dim) for dim in shape),
-                            dtype=np.dtype(dtype).str)
-                        total += nbytes
-                    entries.append(_StagedEntry(
-                        descriptor=PayloadDescriptor(
-                            values=tensors["values"],
-                            observed_mask=tensors["observed_mask"],
-                            median=tensors["median"],
-                            samples=tensors["samples"],
-                            num_samples=num_samples,
-                            stride=payload.stride,
-                            seed=payload.seed,
-                        ),
-                        values=values,
-                        observed_mask=mask,
-                    ))
-                self.batches_staged += 1
-                self.bytes_staged += total
-        except Exception:
-            # A partially staged batch must not leak its slots.
-            with self._lock:
-                if not self._destroyed:
-                    for name, offset, size in slots:
-                        self._free_locked(name, offset, size)
-            raise
-        return StagedBatch(self, entries, slots, total)
-
-    def _release(self, slots):
+        for payload in payloads:
+            values, mask = ImputationBackend._check_request(
+                payload.values, payload.observed_mask)
+            time_steps, nodes = values.shape
+            shapes = (
+                (values.shape, np.float64),
+                (mask.shape, np.bool_),
+                ((time_steps, nodes), np.float64),
+                ((int(payload.num_samples), time_steps, nodes), np.float64),
+            )
+            fields = {}
+            for field, (shape, dtype) in zip(_FIELDS, shapes):
+                nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+                fields[field] = (end, tuple(int(dim) for dim in shape),
+                                 np.dtype(dtype).str)
+                end += _align(nbytes)
+                total += nbytes
+            layout.append((payload, values, mask, fields))
         with self._lock:
             if self._destroyed:
-                return
+                raise TransportError("arena already destroyed")
+            if self._live is not None:
+                raise TransportError("a staged batch is still live; release "
+                                     "it before staging the next")
+            if end > DEFAULT_SEGMENT_BYTES:
+                shm = self._oversize = self._create_locked(end)
+            else:
+                if self._standing is None:
+                    self._standing = self._create_locked(DEFAULT_SEGMENT_BYTES)
+                shm = self._standing
+            entries = []
+            for payload, values, mask, fields in layout:
+                tensors = {field: TensorDescriptor(shm.name, *fields[field])
+                           for field in _FIELDS}
+                _view(shm, tensors["values"])[...] = values
+                _view(shm, tensors["observed_mask"])[...] = mask
+                entries.append(_StagedEntry(
+                    descriptor=PayloadDescriptor(
+                        num_samples=int(payload.num_samples),
+                        stride=payload.stride, seed=payload.seed, **tensors),
+                    values=values,
+                    observed_mask=mask,
+                ))
+            self._live = StagedBatch(self, entries, total)
+            self.batches_staged += 1
+            self.bytes_staged += total
+            return self._live
+
+    def _release(self, batch):
+        with self._lock:
+            if self._live is not batch:
+                return                 # released already, or arena torn down
+            self._live = None
             try:
                 faults.inject("transport.shm_detach")
             except Exception:
                 # A failed detach must never leak a segment: drop everything
-                # and start over (the worker is serial, so no other batch
-                # holds live slots right now).
-                self._rebuild_locked()
+                # and start over on a fresh standing segment.
+                self._unlink_all_locked()
+                self.rebuilds += 1
                 return
-            for name, offset, size in slots:
-                self._free_locked(name, offset, size)
+            if self._oversize is not None:
+                _unlink(self._oversize)
+                self._oversize = None
+                self.segments_unlinked += 1
 
     def view(self, descriptor):
         """Parent-side view of a staged tensor (response read path)."""
         with self._lock:
-            segment = self._segments.get(descriptor.segment)
-            if segment is None:
-                raise TransportError(
-                    f"segment '{descriptor.segment}' is no longer mapped")
-            return segment.view(descriptor.offset, descriptor.shape,
-                                np.dtype(descriptor.dtype))
+            for shm in self._segments_locked():
+                if shm.name == descriptor.segment:
+                    return _view(shm, descriptor)
+        raise TransportError(
+            f"segment '{descriptor.segment}' is no longer mapped")
 
     # ------------------------------------------------------------------
     # Lifecycle / observability
@@ -357,24 +292,20 @@ class ShmArena:
         """Unlink every segment (worker retirement or crash cleanup);
         idempotent, and all later ``release()`` calls become no-ops."""
         with self._lock:
-            if self._destroyed:
-                return
-            self._destroyed = True
-            for segment in self._segments.values():
-                segment.unlink()
-                self.segments_unlinked += 1
-            self._segments = {}
-            self._primary = None
+            if not self._destroyed:
+                self._destroyed = True
+                self._unlink_all_locked()
 
     def stats(self):
         """This arena's counters and gauges under their ``transport.*`` names."""
         with self._lock:
+            live = self._live
             return {
                 "transport.segments.created": self.segments_created,
                 "transport.segments.unlinked": self.segments_unlinked,
-                "transport.segments.active": len(self._segments),
-                "transport.slots.live": sum(segment.live_slots
-                                            for segment in self._segments.values()),
+                "transport.segments.active": len(self._segments_locked()),
+                "transport.slots.live": (len(_FIELDS) * len(live._entries)
+                                         if live is not None else 0),
                 "transport.batches.staged": self.batches_staged,
                 "transport.bytes_staged": self.bytes_staged,
                 "transport.rebuilds": self.rebuilds,
@@ -384,7 +315,7 @@ class ShmArena:
         """Names of the currently mapped segments (leak tests attach-probe
         these after stop to prove they are gone)."""
         with self._lock:
-            return sorted(self._segments)
+            return sorted(shm.name for shm in self._segments_locked())
 
 
 @dataclass
@@ -395,15 +326,12 @@ class _StagedEntry:
 
 
 class StagedBatch:
-    """One staged batch: descriptors out, responses in, slots refcounted."""
+    """One staged batch: descriptors out, responses in."""
 
-    def __init__(self, arena, entries, slots, nbytes):
+    def __init__(self, arena, entries, nbytes):
         self._arena = arena
         self._entries = entries
-        self._slots = slots
         self.nbytes = nbytes
-        self._released = False
-        self._lock = threading.Lock()
 
     def descriptors(self):
         """The control-plane records to send to the worker."""
@@ -413,9 +341,9 @@ class StagedBatch:
         """Copy the worker-written response tensors out of the arena and
         assemble per-payload :class:`RawImputation` results.
 
-        The copy is what lets the slots be freed (and reused by the next
-        batch) while the responses live on in tickets; the echo arrays come
-        from the parent-side normalised copies, not the arena.
+        The copy is what lets the segment be reused by the next batch while
+        the responses live on in tickets; the echo arrays come from the
+        parent-side normalised copies, not the arena.
         """
         raws = []
         for entry in self._entries:
@@ -428,13 +356,9 @@ class StagedBatch:
         return raws
 
     def release(self):
-        """Drop this batch's slot references (idempotent — the retry path
+        """Free the arena for the next batch (idempotent — the retry path
         re-stages a fresh batch instead of re-using this one)."""
-        with self._lock:
-            if self._released:
-                return
-            self._released = True
-        self._arena._release(self._slots)
+        self._arena._release(self)
 
 
 # ----------------------------------------------------------------------
@@ -468,48 +392,31 @@ def _attach_untracked(name):
 
 
 class SegmentAttachments:
-    """Worker-side cache of attached segments, keyed by name.
+    """Worker-side mapping of the segment the current batch names.
 
-    Attach-once: steady-state batches reuse the mapping.  ``trim()`` runs
-    *between* batches (never while views are live — closing a segment with
-    exported views raises ``BufferError``) and drops the least recently used
-    mappings beyond ``max_attached``; segments the parent has retired linger
-    harmlessly until then (an unlinked segment's memory is freed once the
-    last mapping closes).
+    One mapping: steady-state batches all name the worker's standing
+    segment and reuse it.  A batch that names another segment (an oversize
+    batch, or a rebuilt arena) closes the old mapping and attaches the new
+    one; the previous batch's views must be gone by then.  A segment the
+    parent has unlinked is freed once its last mapping closes.
     """
 
-    def __init__(self, max_attached=8):
-        from collections import OrderedDict
-
-        self.max_attached = int(max_attached)
-        self._attached = OrderedDict()      # name -> SharedMemory
+    def __init__(self):
+        self._shm = None
 
     def view(self, descriptor):
-        shm = self._attached.get(descriptor.segment)
-        if shm is None:
-            shm = _attach_untracked(descriptor.segment)
-            self._attached[descriptor.segment] = shm
-        else:
-            self._attached.move_to_end(descriptor.segment)
-        return np.ndarray(descriptor.shape, dtype=np.dtype(descriptor.dtype),
-                          buffer=shm.buf, offset=descriptor.offset)
-
-    def trim(self):
-        while len(self._attached) > self.max_attached:
-            _, shm = self._attached.popitem(last=False)
-            try:
-                shm.close()
-            except BufferError:    # pragma: no cover - a view is still alive
-                self._attached[shm.name] = shm
-                return
+        if self._shm is None or self._shm.name != descriptor.segment:
+            self.close()
+            self._shm = _attach_untracked(descriptor.segment)
+        return _view(self._shm, descriptor)
 
     def close(self):
-        for shm in self._attached.values():
+        if self._shm is not None:
             try:
-                shm.close()
-            except BufferError:    # pragma: no cover - exiting anyway
+                self._shm.close()
+            except BufferError:    # pragma: no cover - a view is still alive
                 pass
-        self._attached.clear()
+            self._shm = None
 
 
 def decode_batch(descriptors, attachments):

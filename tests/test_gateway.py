@@ -435,6 +435,45 @@ class TestProtocol:
         first, second = run(go())
         assert first.status == 202 and second.status == 429
 
+    def test_reported_failures_give_up_their_ticket_slots(
+            self, service, tiny_traffic_dataset, monkeypatch):
+        """A failed ticket fetched once keeps answering retries, but a full
+        ticket store drops it (oldest first) instead of refusing a submit,
+        and it is not counted as unfetched."""
+        def rejecting_batch(backend, payloads):
+            raise ValueError("the model rejected this request")
+
+        monkeypatch.setattr(service_module, "execute_batch", rejecting_batch)
+        client = InProcessClient(Gateway(service, max_tickets=2))
+        failing = encode_impute_request(
+            ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0))
+
+        async def go():
+            failed = []
+            for _ in range(2):
+                submitted = await client.request("POST", "/v1/impute",
+                                                 body=failing)
+                assert submitted.status == 202
+                ticket = submitted.json()["ticket"]
+                fetched = await client.request(
+                    "GET", f"/v1/result/{ticket}?timeout=30")
+                assert fetched.status == 400
+                failed.append(ticket)
+            unfetched = service.metrics_snapshot()["gateway.tickets.unfetched"]
+            healthy = await client.request(
+                "POST", "/v1/impute",
+                body=encode_impute_request(_request(tiny_traffic_dataset)))
+            oldest = await client.request("GET", f"/v1/result/{failed[0]}")
+            newest = await client.request(
+                "GET", f"/v1/result/{failed[1]}?timeout=30")
+            return unfetched, healthy, oldest, newest
+
+        unfetched, healthy, oldest, newest = run(go())
+        assert healthy.status == 202
+        assert unfetched == 0
+        assert oldest.status == 404            # dropped to make room
+        assert newest.status == 400            # still reports its failure
+
     def test_stats_counters_move(self, client, gateway, tiny_traffic_dataset):
         async def go():
             request = _request(tiny_traffic_dataset)
@@ -1125,6 +1164,39 @@ class TestRealSocket:
         statuses, refused = run(self._over_socket(gateway, scenario))
         assert statuses == [200] * 4
         assert refused == 503
+
+    def test_shutdown_completes_after_a_failed_queued_batch(
+            self, gateway_registry, monkeypatch):
+        """A queued request whose batch fails during the drain must not
+        abort the shutdown: the listener closes and stops serving."""
+        def rejecting_batch(backend, payloads):
+            raise ValueError("the model rejected this request")
+
+        monkeypatch.setattr(service_module, "execute_batch", rejecting_batch)
+        service = ImputationService(gateway_registry, max_batch_requests=100,
+                                    max_delay_seconds=60.0)
+        gateway = Gateway(service)
+        body = encode_impute_request(
+            ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0))
+
+        async def go():
+            server = await GatewayServer(gateway).start()
+            client = GatewayClient(server.host, server.port)
+            try:
+                submitted = await client.request("POST", "/v1/impute",
+                                                 body=body)
+                assert submitted.status == 202
+                assert service.pending() == 1
+                await server.shutdown()
+            finally:
+                await client.close()
+            with pytest.raises(OSError):
+                await asyncio.open_connection(server.host, server.port)
+            return server
+
+        server = run(go())
+        assert server._server is None and not gateway._streams
+        assert service.pending() == 0
 
 
 # ----------------------------------------------------------------------

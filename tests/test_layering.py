@@ -9,7 +9,9 @@ included, goes through ``ImputationService``.  ``inference/backend.py`` is the
 one module that knows window geometry and drives the engine; the engine only
 samples plans.  And no module keeps an import it does not use, ends a line
 in whitespace, ends without exactly one newline or compiles with a warning
-(stdlib checks, so they run without a linter).
+(stdlib checks, so they run without a linter).  The benchmark's tracer
+(``perfbench/tracing.py``) finds every serving name it wraps and puts each
+original back on uninstall.
 """
 
 import ast
@@ -307,3 +309,24 @@ def test_format_check_sees_each_form():
         (3, "not one newline at end of file")]
     assert _format_problems('x = 1\npattern = "\\d+"\n') == [
         (2, "invalid escape sequence '\\d'")]
+
+
+def test_perfbench_tracer_installs_and_uninstalls_cleanly(monkeypatch):
+    """The benchmark's tracer wraps serving names by lookup
+    (``ShmArena.stage``, ``StagedBatch.read_responses``, ``_process_batch``,
+    ...): installing it fails on a renamed one, and uninstalling it puts
+    every original object back."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    tracer = tracing.install()
+    patches = list(tracer._patches)
+    tracer.uninstall()
+    assert tracer._patches == []
+    wrapped = {(owner.__name__, attr) for owner, attr, _ in patches}
+    assert {("ShmArena", "stage"), ("StagedBatch", "read_responses"),
+            ("ImputationService", "_process_batch"),
+            ("_WorkerProcess", "run")} <= wrapped
+    for owner, attr, original in patches:
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"

@@ -2,9 +2,10 @@
 
 Two tiers:
 
-* **Arena units** — slot allocation/refcounting, idempotent release,
-  overflow-segment retirement, partial-staging cleanup, the rebuild-on-
-  failed-detach path, and a full in-process descriptor round trip.
+* **Arena units** — one live batch laid out from offset 0 of a standing
+  segment, idempotent release, oversize-segment retirement, staging that
+  fails before touching shared memory, the rebuild-on-failed-detach path,
+  the child's one mapping, and a full in-process descriptor round trip.
 * **Pool lifecycle** — the zero-leak invariant over real process workers:
   every shared-memory segment a pool ever created is provably unlinked
   after clean drain, hard stop (``drain=False``), a seeded fault storm
@@ -31,6 +32,7 @@ from repro import (
 from repro.serving import PoolStopped, TransportError, faults
 from repro.serving.errors import ServingError
 from repro.serving.pool import RequestPayload
+from repro.serving import transport
 from repro.serving.transport import SegmentAttachments, ShmArena, decode_batch
 
 
@@ -123,19 +125,28 @@ class TestShmArena:
         with pytest.raises(TransportError):
             arena.stage(_payloads(count=1))    # a destroyed arena stays dead
 
-    def test_overflow_segments_retire_on_release(self):
-        # Segments far smaller than one batch force per-batch overflow
-        # segments; they must unlink as soon as their slots drain while the
-        # primary stays mapped for reuse.
-        arena = ShmArena(segment_bytes=4096)
+    def test_overflow_segments_retire_on_release(self, monkeypatch):
+        # A standing segment far smaller than one batch forces an oversize
+        # segment for that batch; it must unlink on release while the
+        # standing segment stays mapped for reuse.
+        monkeypatch.setattr(transport, "DEFAULT_SEGMENT_BYTES", 4096)
+        arena = ShmArena()
+        arena.stage(_payloads(count=1, time_steps=2, nodes=2)).release()
+        standing = arena.segment_names()
+        assert len(standing) == 1
         staged = arena.stage(_payloads(count=2, time_steps=32, nodes=8,
                                        num_samples=4))
-        created = arena.stats()["transport.segments.created"]
-        assert created > 1
+        oversize = {descriptor.values.segment
+                    for descriptor in staged.descriptors()}
+        assert len(oversize) == 1 and oversize.isdisjoint(standing)
+        assert staged.descriptors()[0].values.offset == 0
+        assert arena.stats()["transport.segments.created"] == 2
         staged.release()
         stats = arena.stats()
-        assert stats["transport.segments.active"] == 1   # only the primary
-        assert stats["transport.segments.unlinked"] == created - 1
+        assert arena.segment_names() == standing   # exactly the standing one
+        assert stats["transport.segments.active"] == 1
+        assert stats["transport.segments.unlinked"] == 1
+        _assert_names_unlinked(oversize)
         arena.destroy()
         _assert_zero_leak(arena.stats())
 
@@ -145,7 +156,34 @@ class TestShmArena:
         bad[1].values = np.zeros((2, 3, 4))            # not a (time, node) array
         with pytest.raises(ValueError):
             arena.stage(bad)
-        assert arena.stats()["transport.slots.live"] == 0        # payload 0 reclaimed
+        stats = arena.stats()
+        assert stats["transport.slots.live"] == 0
+        # Every payload is normalised before any segment is touched.
+        assert stats["transport.segments.created"] == 0
+        arena.stage(_payloads(count=1)).release()      # the arena still works
+        arena.destroy()
+        _assert_zero_leak(arena.stats())
+
+    def test_second_live_stage_raises(self):
+        """One live batch per arena: staging again before the release is
+        refused, and the live batch is untouched by the refusal."""
+        arena = ShmArena()
+        staged = arena.stage(_payloads(count=2))
+        with pytest.raises(TransportError):
+            arena.stage(_payloads(count=1))
+        stats = arena.stats()
+        assert stats["transport.slots.live"] == 8
+        assert stats["transport.batches.staged"] == 1
+        staged.release()
+        again = arena.stage(_payloads(count=1))
+        # Every batch is laid out from offset 0 of the one standing segment.
+        assert again.descriptors()[0].values.offset == 0
+        assert (again.descriptors()[0].values.segment
+                == staged.descriptors()[0].values.segment)
+        assert arena.stats()["transport.segments.created"] == 1
+        staged.release()                               # stale: a no-op
+        assert arena.stats()["transport.slots.live"] == 4
+        again.release()
         arena.destroy()
         _assert_zero_leak(arena.stats())
 
@@ -213,6 +251,28 @@ class TestShmArena:
         assert np.array_equal(raws[0].median, marker)
         _assert_zero_leak(arena.stats())
 
+    def test_attachments_keep_one_mapping(self):
+        """The child maps one segment at a time: a view of another arena's
+        segment closes the first mapping before attaching the second."""
+        first_arena, second_arena = ShmArena(), ShmArena()
+        first = first_arena.stage(_payloads(count=1))
+        second = second_arena.stage(_payloads(count=1))
+        attachments = SegmentAttachments()
+        try:
+            view = attachments.view(first.descriptors()[0].values)
+            assert np.array_equal(view, first.read_responses()[0].values)
+            mapping = attachments._shm
+            del view
+            attachments.view(second.descriptors()[0].values)
+            assert mapping.buf is None                 # the first is closed
+            assert attachments._shm.name == second.descriptors()[0].values.segment
+        finally:
+            attachments.close()
+        for arena, staged in ((first_arena, first), (second_arena, second)):
+            staged.release()
+            arena.destroy()
+            _assert_zero_leak(arena.stats())
+
 
 # ----------------------------------------------------------------------
 # Pool lifecycle: the zero-leak invariant
@@ -230,12 +290,19 @@ class TestPoolTransportLifecycle:
                                                tiny_traffic_dataset):
         pool = WorkerPool(num_workers=2, mode="process")
         with pool:
-            tickets = self._serve(registry, tiny_traffic_dataset, pool)
-            for ticket in tickets:
-                ticket.result(timeout=120)
+            for _ in range(3):
+                tickets = self._serve(registry, tiny_traffic_dataset, pool)
+                for ticket in tickets:
+                    ticket.result(timeout=120)
             live = [name for process in pool._processes if process is not None
                     for name in process.arena.segment_names()]
             assert live                       # the transport really ran on shm
+            # Several batches on one worker share its one standing segment.
+            arenas = [process.arena.stats() for process in pool._processes
+                      if process is not None]
+            assert max(stats["transport.batches.staged"] for stats in arenas) >= 2
+            for stats in arenas:
+                assert stats["transport.segments.created"] == 1
         transport = pool.metrics_snapshot()
         assert transport["transport.batches.staged"] > 0
         assert transport["transport.bytes_staged"] > 0

@@ -393,6 +393,37 @@ class TestImputationService:
         with pytest.raises(Exception):
             bad.result()
 
+    def test_stop_does_not_reraise_a_batch_error(self, registry, monkeypatch):
+        """``stop()`` serves what is still queued and returns: a failed
+        batch's error belongs to its tickets, not to the caller of stop."""
+        def rejecting_batch(backend, payloads):
+            raise ValueError("the model rejected this request")
+
+        monkeypatch.setattr(service_module, "execute_batch", rejecting_batch)
+        service = ImputationService(registry, max_batch_requests=100,
+                                    max_delay_seconds=60.0).start()
+        ticket = service.submit(
+            ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0))
+        assert not ticket.done                 # queued behind the 60 s delay
+        service.stop()
+        assert ticket.done and ticket.failed
+        with pytest.raises(ValueError, match="rejected"):
+            ticket.result()
+
+    def test_stop_reraises_a_flush_that_served_nothing(self, registry):
+        """A flush that fails before it pops a queue leaves the request
+        queued, so ``stop()`` raises instead of returning over it."""
+        service = ImputationService(registry, max_batch_requests=100,
+                                    max_delay_seconds=60.0).start()
+        ticket = service.submit(
+            ImputationRequest("traffic", np.zeros((12, 6)), None, seed=0))
+        with faults.active([{"point": "service.queue_stall", "hits": [1]}]):
+            with pytest.raises(InjectedFault):
+                service.stop()
+        assert not ticket.done and service.pending() == 1
+        service.flush()
+        assert ticket.result().median.shape == (12, 6)
+
     def test_wrong_node_count_refused_at_admission(self, registry,
                                                    tiny_traffic_dataset):
         """A request whose node count is not the published model's is

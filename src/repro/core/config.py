@@ -101,18 +101,23 @@ class PriSTIConfig:
     #: cache in the process, binding its own weights to the shared programs,
     #: so new weights of a published architecture replay without a trace.
     #: Each entry holds a buffer arena sized like one chunk's intermediates,
-    #: so serving mixes of many shapes may want a larger cache, memory-tight
-    #: deployments a smaller one.
+    #: and compiled chunks hold at most 16 items, so one item shape (one
+    #: window geometry) needs at most 16 entries.  Serving mixes of many
+    #: shapes may want a larger cache, memory-tight deployments a smaller
+    #: one.
     compiled_cache_size: int = 8
-    #: Maximum number of ``(window, sample)`` items packed into one network
-    #: call by the batched inference engine; larger values let chunks span
-    #: window boundaries.  ``None`` means no bound: a served micro-batch
-    #: packs all its same-shape items into one call.  ``model.impute``
-    #: (``DiffusionBackend.impute_segment``) reads ``None`` as one window's
-    #: ``num_samples`` per call.  Peak memory for ancestral sampling scales
-    #: with ``items per call * num_diffusion_steps * nodes * window_length``
-    #: (the pre-drawn per-step noise buffer), so set this when raising the
-    #: step count or the serving batch size.  See :mod:`repro.inference.engine`.
+    #: Maximum number of ``(window, sample)`` items the batched inference
+    #: engine groups into one chunk, whose noise it draws at once; larger
+    #: values let chunks span window boundaries.  ``None`` means no bound: a
+    #: served micro-batch packs all its same-shape items into one chunk.
+    #: ``model.impute`` (``DiffusionBackend.impute_segment``) reads ``None``
+    #: as one window's ``num_samples`` per chunk.  The eager loop runs a
+    #: chunk in one network call per step; compiled replay caps a chunk at
+    #: 16 items, whatever this is set to.  Peak
+    #: memory for ancestral sampling scales with ``items per chunk *
+    #: num_diffusion_steps * nodes * window_length`` (the pre-drawn per-step
+    #: noise buffer), so set this when raising the step count or the serving
+    #: batch size.  See :mod:`repro.inference.engine`.
     inference_batch_size: int | None = None
 
     # Ablation switches (Table VI variants)

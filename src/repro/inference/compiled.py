@@ -2,11 +2,14 @@
 
 The eager engine pays per-op Python overhead on every diffusion step of every
 chunk — graph-node construction, fresh intermediate allocations, attribute
-dispatch.  The *computation* of a chunk is fully determined by its signature
-``(num_items, item shape, dtype, parameterization, step sequence)``, so this
-module records it once with :mod:`repro.tensor.trace` and replays it as a
-flat kernel schedule over a pre-planned buffer arena.  It owns no sampling
-algorithm: the recorded loop is
+dispatch.  The engine's chunk groups ``(window, sample)`` items and draws
+their noise; with compilation on, the engine caps a chunk at
+:data:`MAX_CHUNK_ITEMS` (16) items, so a program and its buffer arena never
+grow with ``inference_batch_size``.  The computation of a chunk is fully
+determined by its signature ``(num_items, item shape, dtype,
+parameterization, step sequence)``, so this module records it once with
+:mod:`repro.tensor.trace` and replays it as a flat kernel schedule over a
+pre-planned buffer arena.  It owns no sampling algorithm: the recorded loop is
 :meth:`~repro.inference.engine.InferenceEngine._reverse_loop`, the same
 Tensor-op loop the engine runs eagerly, run here under a
 :class:`~repro.tensor.trace.Tracer`.
@@ -27,15 +30,17 @@ Tensor-op loop the engine runs eagerly, run here under a
   ``(model, signature)``, not a trace.  The first chunk of a signature
   traces, plans and validates (one replay on the trace inputs must
   reproduce the traced execution bit-for-bit); later chunks replay with
-  zero graph construction.  Anything the tracer cannot capture — an op
-  without a replay kernel, data-dependent parameters, an injected
-  ``compile.trace`` fault — negative-caches a :data:`FALLBACK` sentinel so
-  the signature never re-pays the trace cost.
+  zero graph construction.  A chunk that misses while another thread traces
+  its signature runs the eager loop instead of tracing it again.  Anything
+  the tracer cannot capture — an op without a replay kernel,
+  data-dependent parameters, an injected ``compile.trace`` fault —
+  negative-caches a :data:`FALLBACK` sentinel so the signature never
+  re-pays the trace cost.
 * :func:`sample_chunk_compiled` serves one chunk whose noise the engine has
   already drawn.  Every path that is not a replay — compilation disabled, a
-  negative-cached signature, a failed replay, a failed trace — runs the
-  eager loop on those same draws, so fallback never changes results or the
-  RNG stream.
+  negative-cached signature, a failed replay, a failed trace, a concurrent
+  miss — runs the eager loop on the same draws, so fallback never changes
+  results or the RNG stream.
 
 ``REPRO_COMPILE=0`` (or ``false`` / ``off``) disables compilation process-wide;
 ``PriSTIConfig.compile_inference`` disables it per model.  Every cache in the
@@ -60,6 +65,7 @@ from ..tensor.trace import TraceUnsupported, compile_graph, trace
 
 __all__ = [
     "FALLBACK",
+    "MAX_CHUNK_ITEMS",
     "NO_WEIGHTS",
     "CompiledSampler",
     "CompiledStepCache",
@@ -74,6 +80,9 @@ ENV_COMPILE = "REPRO_COMPILE"
 
 #: Negative-cache sentinel: this signature was tried and cannot compile.
 FALLBACK = object()
+
+#: The most items the engine puts in a chunk that replays a compiled program.
+MAX_CHUNK_ITEMS = 16
 
 
 def compile_enabled():
@@ -155,7 +164,10 @@ class CompiledStepCache:
     those models hand out, so serving traffic — where a fresh backend is
     constructed per batch, and a rollout loads new weights — still replays
     programs traced earlier.  ``FALLBACK`` entries negative-cache
-    signatures that cannot compile.  Thread-safe.
+    signatures that cannot compile.  Keys being traced are tracked so that
+    concurrent misses of one key trace it once (:meth:`claim`).
+    Thread-safe; its counters are the ``compiled.*`` counters in
+    :data:`~repro.telemetry.PROCESS_METRICS`.
     """
 
     def __init__(self, capacity=8):
@@ -165,10 +177,7 @@ class CompiledStepCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.fallbacks = 0
-        self.evictions = 0
+        self._tracing = set()
 
     def __len__(self):
         with self._lock:
@@ -178,17 +187,27 @@ class CompiledStepCache:
         """Return the entry for ``key`` (sampler, ``FALLBACK`` or ``None``)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
+            if entry is not None:
                 self._entries.move_to_end(key)
-                if entry is not FALLBACK:
-                    self.hits += 1
         if entry is None:
             _MISSES.inc()
         elif entry is not FALLBACK:
             _HITS.inc()
         return entry
+
+    def claim(self, key):
+        """Whether the caller may trace ``key``: true for one caller at a
+        time until it calls :meth:`release`, false while another caller
+        holds the claim or once ``key`` is stored."""
+        with self._lock:
+            if key in self._entries or key in self._tracing:
+                return False
+            self._tracing.add(key)
+            return True
+
+    def release(self, key):
+        with self._lock:
+            self._tracing.discard(key)
 
     def store(self, key, entry):
         evicted = 0
@@ -197,37 +216,12 @@ class CompiledStepCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
                 evicted += 1
         if evicted:
             _EVICTIONS.inc(evicted)
         if entry is not FALLBACK:
             _PROGRAMS.inc()
         return entry
-
-    def count_fallback(self):
-        """One chunk was served by the eager path after a compile decision."""
-        with self._lock:
-            self.fallbacks += 1
-        _FALLBACKS.inc()
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self):
-        with self._lock:
-            compiled = sum(1 for e in self._entries.values() if e is not FALLBACK)
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "compiled_entries": compiled,
-                "fallback_entries": len(self._entries) - compiled,
-                "hits": self.hits,
-                "misses": self.misses,
-                "fallbacks": self.fallbacks,
-                "evictions": self.evictions,
-            }
 
 
 # The process-level program store: one cache per architecture fingerprint.
@@ -305,7 +299,8 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     the ``(num_items,) + item_shape`` samples: a replay of the signature's
     compiled program bound to ``engine.weights``, the validated traced
     execution on a miss, or the eager loop on the same draws for every other
-    path.
+    path (compilation disabled, a negative-cached signature, a failed replay
+    or trace, a miss on a key another thread is tracing).
     """
     def eager():
         return engine._reverse_loop(start, step_noise, condition,
@@ -319,14 +314,16 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     inputs = _replay_inputs(start, step_noise, condition, conditional_mask)
     entry = cache.lookup(key)
     if entry is FALLBACK:
-        cache.count_fallback()
+        _FALLBACKS.inc()
         return eager()
     if entry is not None:
         try:
             return entry.run(inputs, weights)
         except Exception:
-            cache.count_fallback()
+            _FALLBACKS.inc()
             return eager()
+    if not cache.claim(key):
+        return eager()
 
     # Cache miss: trace this execution, plan it, validate the replay.
     try:
@@ -341,7 +338,10 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
                 "validation replay diverged from the traced execution")
     except Exception:
         cache.store(key, FALLBACK)
-        cache.count_fallback()
+        _FALLBACKS.inc()
         return eager()
-    cache.store(key, sampler)
-    return result.data
+    else:
+        cache.store(key, sampler)
+        return result.data
+    finally:
+        cache.release(key)

@@ -17,6 +17,12 @@ which runs every diffusion imputation (``model.impute``, raw arrays, service
 micro-batches and stream ticks) as plan → one :meth:`sample_plans` pass →
 assemble.
 
+A chunk groups items and draws their noise.  The eager loop runs a whole
+chunk at once; with compilation on, chunks hold at most
+:data:`~repro.inference.compiled.MAX_CHUNK_ITEMS` (16) items, each replayed
+by :func:`~repro.inference.compiled.sample_chunk_compiled`, so compiled
+programs and their arenas never grow with ``inference_batch_size``.
+
 ``inference_batch_size`` (surfaced as
 :attr:`repro.core.config.PriSTIConfig.inference_batch_size`) is the default
 ``chunk_size``; ``None`` packs each whole same-shape group of a
@@ -48,7 +54,7 @@ from numbers import Integral
 import numpy as np
 
 from ..tensor import Tensor, no_grad
-from .compiled import NO_WEIGHTS, sample_chunk_compiled
+from .compiled import MAX_CHUNK_ITEMS, NO_WEIGHTS, compile_enabled, sample_chunk_compiled
 
 __all__ = ["InferenceEngine", "RequestPlan"]
 
@@ -101,8 +107,8 @@ class InferenceEngine:
         (network predicts the clean target as a residual on the condition).
     inference_batch_size:
         Default ``chunk_size`` of :meth:`sample_plans`, the most items per
-        network call; ``None`` packs each whole same-shape group into one
-        chunk.
+        chunk; ``None`` packs each whole same-shape group into one chunk.
+        Compiled replay caps a chunk at 16 items whatever this says.
     ddim_steps:
         If set (an int ≥ 1), use strided DDIM sampling with this many
         inference steps; ``None`` runs full ancestral (DDPM) sampling.
@@ -282,7 +288,9 @@ class InferenceEngine:
         shape — preserving submission order within each group, so a plan's
         draws from its own ``rng`` never depend on what it was batched with —
         and each group is packed into chunks of at most ``chunk_size``
-        (default ``inference_batch_size``; ``None`` = one chunk per group).
+        (default ``inference_batch_size``; ``None`` = one chunk per group),
+        and of at most ``MAX_CHUNK_ITEMS`` when chunks replay compiled
+        programs.  Chunking never changes a drawn bit.
 
         Returns a list of ``(node, window)`` samples aligned with ``plans``.
         """
@@ -294,6 +302,8 @@ class InferenceEngine:
             groups.setdefault(plan.item_shape, []).append(index)
         for indices in groups.values():
             size = chunk_size or len(indices)
+            if self.compiled_cache is not None and compile_enabled():
+                size = min(size, MAX_CHUNK_ITEMS)
             for begin in range(0, len(indices), size):
                 chunk = indices[begin:begin + size]
                 chunk_samples = self._sample_chunk([plans[i] for i in chunk])

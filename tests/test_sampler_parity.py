@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro import PriSTI, PriSTIConfig
+from repro.inference.compiled import FALLBACK
+from repro.telemetry import PROCESS_METRICS
 from serial_reference import impute_serial
 
 SAMPLERS = {
@@ -20,6 +22,12 @@ SAMPLERS = {
     "ddim": (4, 0.0),
     "ddim-eta": (4, 0.5),
 }
+
+
+def _compile_counts():
+    return {name: PROCESS_METRICS.counter(name).value
+            for name in ("compiled.cache.hits", "compiled.cache.misses",
+                         "compiled.fallbacks")}
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +54,7 @@ def test_impute_matches_serial_reference(trained_models, tiny_traffic_dataset,
     monkeypatch.setattr(config, "compile_inference", compiled)
 
     cache = model.compiled_step_cache()
-    before = cache.stats() if compiled else None
+    before = _compile_counts()
     model.diffusion.rng = np.random.default_rng(31)
     result = model.impute(tiny_traffic_dataset, segment="test", num_samples=3, stride=5)
     model.diffusion.rng = np.random.default_rng(31)
@@ -57,9 +65,11 @@ def test_impute_matches_serial_reference(trained_models, tiny_traffic_dataset,
     if compiled:
         # Parity must come from compiled programs, not from the fallback:
         # every chunk of this impute was a cache hit or a validated trace.
-        after = cache.stats()
-        assert after["hits"] + after["misses"] > before["hits"] + before["misses"]
-        assert after["fallbacks"] == before["fallbacks"] == 0
-        assert after["fallback_entries"] == 0
+        delta = {name: value - before[name]
+                 for name, value in _compile_counts().items()}
+        assert delta["compiled.cache.hits"] + delta["compiled.cache.misses"] > 0
+        assert delta["compiled.fallbacks"] == 0
+        # No signature of this model is negative-cached.
+        assert FALLBACK not in cache._entries.values()
     else:
         assert cache is None

@@ -17,13 +17,15 @@ engine's one reverse loop with one item per network call, the same per-item
 network calls as the per-window, per-sample sampler it replaced (that
 sampler was retired from the package, and its samples are bit-identical to
 these).  Batch-1 chunks still reuse the per-chunk conditioning across the
-diffusion steps, which the retired sampler recomputed every call, so the
-ratio is lower than before.  On a shared 2-core x86 host (OpenBLAS 0.3.31)
-best-of-``TIMING_REPEATS`` ratios measured 1.9–2.3x in float64 and 2.4–2.8x
-in float32 over four runs, where the retired sampler measured 3.8x and 4.0x
-single-pass.  Single passes on that host spread from 1.7x to 2.6x, which is
-why each side reports its best of several interleaved passes; the 2x floor
-now has little headroom on small shared hosts.
+diffusion steps, which the retired sampler recomputed every call.  The
+batched side's 16-item chunks hold two windows of 8 samples, and the
+network computes the prior and its attention maps once per window, where a
+batch-1 chunk computes them once per sample.  On a shared 2-core x86 host
+(NumPy 2.4, OpenBLAS 0.3.31) best-of-``TIMING_REPEATS`` ratios measured
+3.9–4.7x in float64 and 6.2–8.0x in float32 over three runs (1.9–2.3x and
+2.4–2.8x before the per-window prior).  Single passes spread widely on
+such hosts, which is why each side reports its best of several
+interleaved passes.
 
 Results are written to ``benchmarks/results/batched_inference.json`` so the
 speedup can be tracked across commits.  Since PR 2 the payload also carries a
@@ -41,7 +43,11 @@ speedup stays comparable across commits; the JIT win is reported separately.
 The compiled floor is 1.5x for DDPM cells; DDIM-8 cells carry a 1.2x floor
 because the planner's cross-step CSE (the prior-derived attention maps are
 computed once per chunk instead of once per step) amortises over 8 steps
-instead of 20.  Run directly
+instead of 20.  The per-window prior narrowed these ratios: the eager loop
+recomputes the attention maps every step, now on one row per window, so it
+gained more than the replay.  On the host above, three runs measured
+1.7–1.9x (float64) and 1.5–2.0x (float32) for DDPM and 1.5–1.9x for DDIM;
+the float32 DDPM cell sits close to its floor.  Run directly
 (``PYTHONPATH=src python benchmarks/bench_batched_inference.py``) or through
 pytest (``pytest benchmarks/bench_batched_inference.py``).
 """

@@ -364,13 +364,18 @@ class ConditionalDiffusionImputer(PersistableModel):
             self._weights = WeightSet(self.network)
         return self._weights
 
-    def _predict_raw(self, noisy_target, condition, steps, conditional_mask, cache=None):
+    def _predict_raw(self, noisy_target, condition, steps, conditional_mask, cache=None,
+                     samples_per_plan=1):
         """Gradient-free network forward used by the inference engine.
 
         ``cache`` is the engine's per-chunk scratch dict: the step-independent
         conditioning tensors (auxiliary encodings and the prior ``H^pri``) are
         computed on the first diffusion step of a chunk and reused for the
-        rest.  ``None`` recomputes them per call.
+        rest.  ``None`` recomputes them per call.  The batch is windows of
+        ``samples_per_plan`` items, so the conditioning is computed from
+        every ``samples_per_plan``-th condition row (a view, one row per
+        window).  CSDI's network has no prior and uses the noisy stream for
+        its attention maps, so ``samples_per_plan`` changes no work there.
         """
         with no_grad():
             conditioning = None
@@ -378,12 +383,12 @@ class ConditionalDiffusionImputer(PersistableModel):
                 conditioning = cache.get("conditioning")
                 if conditioning is None:
                     conditioning = self.network.prepare_conditioning(
-                        condition, noisy_target.shape[0]
+                        condition[::samples_per_plan], noisy_target.shape[0]
                     )
                     cache["conditioning"] = conditioning
             return self.network(
                 noisy_target, condition, steps, conditional_mask=conditional_mask,
-                conditioning=conditioning,
+                conditioning=conditioning, samples_per_plan=samples_per_plan,
             ).data
 
     # ------------------------------------------------------------------

@@ -113,23 +113,27 @@ class PriSTINetwork(Module):
         depend only on the condition and the batch size — not on the noisy
         target ``x_t`` or the diffusion step — so during reverse-diffusion
         sampling they can be computed once per window batch and reused for
-        every diffusion step.  Returns a dict accepted by :meth:`forward`'s
-        ``conditioning`` parameter; it is only valid while ``condition`` and
-        the batch size stay unchanged.
+        every diffusion step.  ``condition`` holds one row per *window*
+        (``W`` rows); the batch holds ``batch_size`` items, ``B/W``
+        consecutive samples per window.  The prior has ``W`` rows, the
+        auxiliary encodings ``B``.  Returns a dict accepted by
+        :meth:`forward`'s ``conditioning`` parameter; it is only valid while
+        ``condition`` and the batch size stay unchanged.
         """
         condition = condition if isinstance(condition, Tensor) \
             else Tensor(condition, dtype=self.dtype)
-        condition_channel = condition.expand_dims(-1)             # (B, N, L, 1)
-        auxiliary = self.auxiliary(batch_size)
+        condition_channel = condition.expand_dims(-1)             # (W, N, L, 1)
+        auxiliary = self.auxiliary(batch_size)                    # (B, N, L, d)
         if self.conditional_feature is not None:
             prior_hidden = self.condition_projection(condition_channel).relu()
-            prior = self.conditional_feature(prior_hidden + auxiliary)
+            prior = self.conditional_feature(
+                prior_hidden + auxiliary[:condition.shape[0]])    # (W, N, L, d)
         else:
             prior = None
         return {"auxiliary": auxiliary, "prior": prior}
 
     def forward(self, noisy_target, condition, steps, conditional_mask=None,
-                conditioning=None):
+                conditioning=None, samples_per_plan=1):
         """Predict the network output (noise or clean-target residual).
 
         Parameters
@@ -150,6 +154,12 @@ class PriSTINetwork(Module):
             Optional precomputed output of :meth:`prepare_conditioning` for
             this ``condition`` / batch size; skips recomputing the auxiliary
             encodings and the prior ``H^pri`` on every diffusion step.
+        samples_per_plan:
+            ``S``: the batch is ``batch / S`` windows (engine plans) of
+            ``S`` consecutive items that share one condition row.  The prior
+            and the attention maps it conditions are computed once per window
+            and broadcast over its samples; the result has the same bits as
+            ``S = 1``.
 
         Returns
         -------
@@ -171,7 +181,8 @@ class PriSTINetwork(Module):
         mask_channel = mask_tensor.expand_dims(-1)                # (B, N, L, 1)
 
         if conditioning is None:
-            conditioning = self.prepare_conditioning(condition, batch_size)
+            conditioning = self.prepare_conditioning(
+                condition[::samples_per_plan], batch_size)
         auxiliary = conditioning["auxiliary"]
         prior = conditioning["prior"]
 

@@ -6,8 +6,11 @@ dispatch.  The engine's chunk groups ``(window, sample)`` items and draws
 their noise; with compilation on, the engine caps a chunk at
 :data:`MAX_CHUNK_ITEMS` (16) items, so a program and its buffer arena never
 grow with ``inference_batch_size``.  The computation of a chunk is fully
-determined by its signature ``(num_items, item shape, dtype,
-parameterization, step sequence)``, so this module records it once with
+determined by its signature ``(num_items, samples_per_plan, item shape,
+dtype, parameterization, step sequence)`` — ``samples_per_plan`` because
+the network computes the condition-only work once per plan, so 16 items in
+two plans of 8 samples trace a different program from 16 one-sample plans
+— so this module records it once with
 :mod:`repro.tensor.trace` and replays it as a flat kernel schedule over a
 pre-planned buffer arena.  It owns no sampling algorithm: the recorded loop is
 :meth:`~repro.inference.engine.InferenceEngine._reverse_loop`, the same
@@ -255,7 +258,7 @@ def clear_program_store():
 # ---------------------------------------------------------------------------
 
 
-def _chunk_key(engine, num_items, item_shape):
+def _chunk_key(engine, num_items, samples_per_plan, item_shape):
     """Cache key: everything that determines the traced computation.
 
     The default dtype participates because leaf construction inside the
@@ -266,7 +269,7 @@ def _chunk_key(engine, num_items, item_shape):
         fingerprint = ("ddpm", engine.diffusion.num_steps)
     else:
         fingerprint = ("ddim", tuple(engine._step_sequence()), float(engine.ddim_eta))
-    return (num_items, tuple(item_shape), str(engine.dtype),
+    return (num_items, samples_per_plan, tuple(item_shape), str(engine.dtype),
             engine.parameterization, fingerprint, str(get_default_dtype()))
 
 
@@ -291,11 +294,13 @@ def _bit_identical(a, b):
             and np.array_equal(a, b, equal_nan=True))
 
 
-def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask):
+def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask,
+                          samples_per_plan=1):
     """Serve one chunk from ``engine.compiled_cache``, tracing on a miss.
 
     ``start`` / ``step_noise`` are the chunk's already-drawn noise (see
-    :meth:`~repro.inference.engine.InferenceEngine._draw_noise`).  Returns
+    :meth:`~repro.inference.engine.InferenceEngine._draw_noise`), and runs
+    of ``samples_per_plan`` consecutive items share one condition.  Returns
     the ``(num_items,) + item_shape`` samples: a replay of the signature's
     compiled program bound to ``engine.weights``, the validated traced
     execution on a miss, or the eager loop on the same draws for every other
@@ -303,14 +308,14 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     or trace, a miss on a key another thread is tracing).
     """
     def eager():
-        return engine._reverse_loop(start, step_noise, condition,
-                                    conditional_mask).data
+        return engine._reverse_loop(start, step_noise, condition, conditional_mask,
+                                    samples_per_plan=samples_per_plan).data
 
     if not compile_enabled():
         return eager()
     cache = engine.compiled_cache
     weights = engine.weights
-    key = _chunk_key(engine, start.shape[0], start.shape[1:])
+    key = _chunk_key(engine, start.shape[0], samples_per_plan, start.shape[1:])
     inputs = _replay_inputs(start, step_noise, condition, conditional_mask)
     entry = cache.lookup(key)
     if entry is FALLBACK:
@@ -330,7 +335,8 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
         _inject_trace_fault()
         with trace(weights.arrays()) as tracer:
             result = engine._reverse_loop(start, step_noise, condition,
-                                          conditional_mask, tracer=tracer)
+                                          conditional_mask, tracer=tracer,
+                                          samples_per_plan=samples_per_plan)
             graph = tracer.finish([result])
         sampler = CompiledSampler(compile_graph(graph))
         if not _bit_identical(sampler.run(inputs, weights), result.data):

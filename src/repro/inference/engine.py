@@ -23,6 +23,18 @@ chunk at once; with compilation on, chunks hold at most
 by :func:`~repro.inference.compiled.sample_chunk_compiled`, so compiled
 programs and their arenas never grow with ``inference_batch_size``.
 
+Chunks hold whole plans.  A plan's ``S`` posterior samples arrive as a run
+of ``S`` consecutive references to the one :class:`RequestPlan` (the
+window-major order :meth:`~repro.inference.backend.DiffusionBackend.plan_request`
+emits), and they share its conditional information.  Plans are grouped by
+``(item shape, S)``; a chunk of at most ``cap`` items holds ``⌊cap/S⌋``
+whole runs when ``S ≤ cap``, and when ``S > cap`` each run is cut into
+one-plan chunks of ``cap`` items plus a remainder.  The predictor is told
+the chunk's ``samples_per_plan``, so the network computes what depends on
+the condition alone — PriSTI's prior ``H^pri`` and its attention maps —
+once per plan (``B/S`` rows of a ``B``-item chunk) instead of once per
+item.
+
 ``inference_batch_size`` (surfaced as
 :attr:`repro.core.config.PriSTIConfig.inference_batch_size`) is the default
 ``chunk_size``; ``None`` packs each whole same-shape group of a
@@ -49,6 +61,7 @@ off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from numbers import Integral
 
 import numpy as np
@@ -101,7 +114,9 @@ class InferenceEngine:
         trace the network), ``steps`` is an int array.  ``cache`` is a
         mutable per-chunk dict the predictor may use to memoise
         step-independent work (condition and batch size are constant within
-        a chunk).
+        a chunk).  The keyword ``samples_per_plan`` is ``S``: the chunk's
+        ``B`` items are ``B/S`` plans of ``S`` consecutive items each, and
+        the items of one plan share their condition.
     parameterization:
         ``"epsilon"`` (network predicts the added noise) or ``"x0_residual"``
         (network predicts the clean target as a residual on the condition).
@@ -181,11 +196,12 @@ class InferenceEngine:
         return (x_t - sqrt_ab * x0_estimate) / sqrt_1mab
 
     def _reverse_loop(self, start, step_noise, condition, conditional_mask,
-                      tracer=None):
+                      *, samples_per_plan=1, tracer=None):
         """Run one chunk's full reverse process (Algorithm 2) in Tensor ops.
 
         ``start`` is the ``(num_items,) + item_shape`` noise at step T-1 and
-        ``step_noise`` the pre-drawn per-step noise (see :meth:`_draw_noise`).
+        ``step_noise`` the pre-drawn per-step noise (see :meth:`_draw_noise`);
+        runs of ``samples_per_plan`` consecutive items share one condition.
         Ancestral sampling applies Eq. (3); with ``ddim_steps`` set the
         strided DDIM update runs instead.  With ``tracer`` set the loop is
         recorded for :mod:`repro.inference.compiled` (inputs registered
@@ -219,7 +235,8 @@ class InferenceEngine:
             def predicted_noise(x, step):
                 steps = np.full(num_items, step, dtype=int)
                 prediction = self.predict(x * target_t, cond_t, steps, mask_t,
-                                          cache=cache)
+                                          cache=cache,
+                                          samples_per_plan=samples_per_plan)
                 prediction = Tensor(prediction, dtype=prediction.dtype)
                 if tracer is not None:
                     # A predictor that computes outside the trace (raw numpy)
@@ -252,16 +269,17 @@ class InferenceEngine:
                         x = mean + sigmas[step] * noise_t[:, position]
         return x
 
-    def _sample_chunk(self, plans):
+    def _sample_chunk(self, plans, samples_per_plan=1):
         """Draw one posterior sample for each ``(window, sample)`` item.
 
         All items share the diffusion trajectory (they start at step T-1
         together), so a chunk costs one network call per diffusion step
         regardless of its size.  Every plan in a chunk must have the same
-        item shape; per-plan RNG streams are honoured when set (all plans of
-        a chunk must agree on whether they carry one).  The noise is drawn
-        first; the chunk then replays a compiled program when the model has a
-        compile cache (:func:`~repro.inference.compiled.sample_chunk_compiled`)
+        item shape, and ``plans`` are whole runs of ``samples_per_plan``
+        references to one plan; per-plan RNG streams are honoured when set
+        (all plans of a chunk must agree on whether they carry one).  The
+        noise is drawn first; the chunk then replays a compiled program when
+        the model has a compile cache (:func:`~repro.inference.compiled.sample_chunk_compiled`)
         and runs :meth:`_reverse_loop` eagerly otherwise.  Returns
         ``(len(plans), node, window)``.
         """
@@ -277,20 +295,23 @@ class InferenceEngine:
         start, step_noise = self._draw_noise(len(plans), plans[0].item_shape, rngs)
         if self.compiled_cache is not None:
             return sample_chunk_compiled(self, start, step_noise, condition,
-                                         conditional_mask)
-        return self._reverse_loop(start, step_noise, condition, conditional_mask).data
+                                         conditional_mask, samples_per_plan)
+        return self._reverse_loop(start, step_noise, condition, conditional_mask,
+                                  samples_per_plan=samples_per_plan).data
 
     def sample_plans(self, plans, chunk_size=None):
         """Draw one posterior sample per plan; heterogeneous plans allowed.
 
         The engine's one entry point: ``plans`` may mix window lengths (and
-        node counts) from different requests.  Plans are grouped by item
-        shape — preserving submission order within each group, so a plan's
-        draws from its own ``rng`` never depend on what it was batched with —
-        and each group is packed into chunks of at most ``chunk_size``
-        (default ``inference_batch_size``; ``None`` = one chunk per group),
-        and of at most ``MAX_CHUNK_ITEMS`` when chunks replay compiled
-        programs.  Chunking never changes a drawn bit.
+        node counts) from different requests.  A plan's samples are a run of
+        ``S`` consecutive references to it.  Plans are grouped by ``(item
+        shape, S)`` — preserving submission order within each group, so a
+        plan's draws from its own ``rng`` never depend on what it was
+        batched with — and each group is cut into chunks of whole runs (see
+        the module docstring) of at most ``chunk_size`` items (default
+        ``inference_batch_size``; ``None`` = one chunk per group), and of at
+        most ``MAX_CHUNK_ITEMS`` when chunks replay compiled programs.
+        Chunking never changes a drawn bit.
 
         Returns a list of ``(node, window)`` samples aligned with ``plans``.
         """
@@ -298,15 +319,31 @@ class InferenceEngine:
             chunk_size = self.inference_batch_size
         samples = [None] * len(plans)
         groups = {}
-        for index, plan in enumerate(plans):
-            groups.setdefault(plan.item_shape, []).append(index)
-        for indices in groups.values():
-            size = chunk_size or len(indices)
+        for _, run in groupby(range(len(plans)), key=lambda index: id(plans[index])):
+            run = list(run)
+            groups.setdefault((plans[run[0]].item_shape, len(run)), []).append(run[0])
+        for (_, run), starts in groups.items():
+            size = chunk_size or len(starts) * run
             if self.compiled_cache is not None and compile_enabled():
                 size = min(size, MAX_CHUNK_ITEMS)
-            for begin in range(0, len(indices), size):
-                chunk = indices[begin:begin + size]
-                chunk_samples = self._sample_chunk([plans[i] for i in chunk])
+            for chunk, per_plan in _plan_chunks(starts, run, size):
+                chunk_samples = self._sample_chunk([plans[i] for i in chunk],
+                                                   per_plan)
                 for item, index in enumerate(chunk):
                     samples[index] = chunk_samples[item]
         return samples
+
+
+def _plan_chunks(starts, run, size):
+    """Cut runs of ``run`` items (first indices ``starts``) into chunks of
+    at most ``size`` items; yields ``(indices, samples_per_plan)``.
+
+    A chunk holds ``⌊size/run⌋`` whole runs; a run longer than ``size`` is
+    cut into one-plan chunks of ``size`` items and a remainder.
+    """
+    per_chunk, piece = max(size // run, 1), min(run, size)
+    for begin in range(0, len(starts), per_chunk):
+        for offset in range(0, run, piece):
+            stop = min(offset + piece, run)
+            yield ([start + item for start in starts[begin:begin + per_chunk]
+                    for item in range(offset, stop)], stop - offset)

@@ -9,7 +9,10 @@ Three flavours are provided, mirroring the paper:
 * Prior-conditioned attention (Eq. 7–8) — obtained by calling the same module
   with different ``query``/``key`` and ``value`` sources: the attention
   weights are computed from the conditional feature ``H^pri`` while the values
-  carry the noisy input ``H^in``.
+  carry the noisy input ``H^in``.  The prior may have one row per *window*
+  while the values have one row per (window, sample) item: the ``W`` maps are
+  broadcast over each window's ``B/W`` consecutive samples
+  (:func:`_window_attention`), with the same bits as ``B`` per-item maps.
 * :class:`VirtualNodeAttention` (Eq. 9) — spatial attention whose keys and
   values are first projected from ``N`` physical nodes onto ``k`` virtual
   nodes, reducing the cost of the similarity computation from ``O(N^2 d)`` to
@@ -43,6 +46,23 @@ def _merge_heads(x):
     return x.reshape(*batch, seq, heads * head_dim)
 
 
+def _window_attention(queries, keys, values, scale):
+    """``attention_core`` with Q/K of ``W`` windows against the values of
+    ``B`` items, ``B/W`` consecutive items per window.
+
+    Q/K gain a unit sample axis and the values are viewed as ``(W, B/W,
+    ...)``, so each window's map is computed once and broadcast over its
+    samples.  Every map and matmul slice is the one the per-item form
+    computes, so the bits do not depend on ``W``; ``W = B`` is ordinary
+    attention.
+    """
+    windows = queries.shape[0]
+    grouped = values.reshape(windows, values.shape[0] // windows, *values.shape[1:])
+    context = attention_core(queries.expand_dims(1), keys.expand_dims(1), grouped,
+                             scale=scale)
+    return context.reshape(values.shape[0], *context.shape[2:])
+
+
 class MultiHeadAttention(Module):
     """Dot-product multi-head attention over the ``-2`` axis.
 
@@ -53,7 +73,8 @@ class MultiHeadAttention(Module):
     The ``query_source`` / ``key_source`` may differ from the ``value`` input,
     which implements the prior-conditioned attention of Eq. (7)–(8): the
     attention map A is computed from the conditional feature while values are
-    taken from the noisy representation.
+    taken from the noisy representation.  The sources may have one leading
+    row per window and ``value`` one per item (see :func:`_window_attention`).
     """
 
     def __init__(self, d_model, num_heads, rng=None):
@@ -96,8 +117,8 @@ class MultiHeadAttention(Module):
         key_source = query_source if key_source is None else key_source
         queries, keys = self._project_qk(query_source, key_source)
         values = _split_heads(self.value_proj(value), self.num_heads)
-        context = attention_core(queries, keys, values,
-                                 scale=1.0 / np.sqrt(self.head_dim))
+        context = _window_attention(queries, keys, values,
+                                    scale=1.0 / np.sqrt(self.head_dim))
         return self.out_proj(_merge_heads(context))
 
 
@@ -146,6 +167,6 @@ class VirtualNodeAttention(Module):
         keys = _split_heads(self.key_proj(pooled_keys), self.num_heads)
         values = _split_heads(self.value_proj(pooled_values), self.num_heads)
 
-        context = attention_core(queries, keys, values,
-                                 scale=1.0 / np.sqrt(self.head_dim))
+        context = _window_attention(queries, keys, values,
+                                    scale=1.0 / np.sqrt(self.head_dim))
         return self.out_proj(_merge_heads(context))

@@ -23,7 +23,7 @@ import contextlib
 import numpy as np
 
 from .tensor import Tensor, as_tensor, _unbroadcast
-from .trace import trace_barrier, trace_runtime_guard
+from .trace import row_max, row_mean, trace_barrier, trace_runtime_guard
 
 __all__ = [
     "add_n",
@@ -234,7 +234,7 @@ def softmax(x, axis=-1):
     x = as_tensor(x)
     if not _FUSION_ENABLED[0]:
         return _softmax_reference(x, axis=axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - row_max(x.data, axis)
     out_data = np.exp(shifted)
     out_data /= out_data.sum(axis=axis, keepdims=True)
 
@@ -350,9 +350,11 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         return normalised * gamma + beta
 
     data = x.data
-    mean = data.mean(axis=-1, keepdims=True)
+    # Mean and variance by contraction (see repro.tensor.trace.row_mean);
+    # the replay kernel runs the same expression.
+    mean = row_mean(data)
     centered = data - mean
-    variance = np.mean(centered * centered, axis=-1, keepdims=True)
+    variance = row_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(variance + eps)
     x_hat = centered * inv_std
     out_data = x_hat * gamma.data + beta.data
@@ -393,7 +395,7 @@ def attention_core(queries, keys, values, scale=1.0):
     scale = queries.data.dtype.type(scale)
     scores = queries.data @ np.swapaxes(keys.data, -1, -2)
     scores *= scale
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= row_max(scores)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     out_data = weights @ values.data

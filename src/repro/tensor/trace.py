@@ -34,10 +34,13 @@ input buffers change — so this module records it once and replays it flat:
   traced weights bind through the same call.  ``run`` rebinds the inputs
   and executes the schedule — zero graph construction, zero Tensor
   wrappers, intermediates written in place via ``out=``.  What still
-  allocates per replay: the output copies, the temporaries of the other
-  fused kernels (softmax, silu, attention), the kernels that skip the arena
-  (pow, where, stack, astype) and fancy ``getitem``, which copies while
-  planned as a view.
+  allocates per replay: the output copies; the temporaries of the other
+  fused kernels — softmax's shifted input, silu's sigmoid — and the per-row
+  max and sum columns of every softmax and attention map (:func:`row_max`); the kernels that skip the
+  arena (pow, where, stack, astype); and fancy ``getitem``, which copies
+  while planned as a view.  The in-place layer norm takes its mean and
+  variance columns from the arena (:func:`row_mean` writes into them); its
+  allocating form, for an input that is not C-ordered, does not.
 
 Bit-identity is the contract: every kernel replicates the *exact* numpy
 expression of the eager op (same ufuncs, same operand order, same scalar
@@ -73,6 +76,8 @@ __all__ = [
     "active_trace",
     "trace_barrier",
     "trace_runtime_guard",
+    "row_max",
+    "row_mean",
 ]
 
 
@@ -109,6 +114,56 @@ def trace_runtime_guard(array):
     tracer = active_trace()
     if tracer is not None and id(array) in tracer._runtime_ids:
         tracer.fail("op parameter derived from runtime data")
+
+
+# ---------------------------------------------------------------------------
+# Reductions shared by the fused ops and their replay kernels
+# ---------------------------------------------------------------------------
+# numpy reduces a short trailing axis row by row, with per-row overhead: a
+# 16-wide mean costs about three times a length-16 contraction, and a max
+# over the key axis of an attention map several times an elementwise
+# ``np.maximum`` chain.  The fused eager ops in ``repro.tensor.ops`` and the
+# kernels below call these helpers, so eager and replay run one expression.
+
+
+def row_max(a, axis=-1):
+    """``a.max(axis, keepdims=True)`` as an ``np.maximum`` chain along ``axis``.
+
+    Max is exact, so the chain equals numpy's reduction except, possibly,
+    for the sign of a zero maximum and the payload of a NaN; a softmax's
+    subtract-then-exp maps both to the same bits.
+    """
+    parts = np.moveaxis(a, axis, 0)
+    out = parts[0].copy()
+    for part in parts[1:]:
+        np.maximum(out, part, out=out)
+    return np.expand_dims(out, axis)
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_column(size, dtype):
+    column = np.full((size, 1), 1.0 / size, dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
+def row_mean(a, out=None):
+    """``a.mean(axis=-1, keepdims=True)`` as a matmul with a ``(C, 1)``
+    column of ``1/C`` (ulp-level from numpy's pairwise sum).
+
+    The matmul runs per stacked ``(M, C)`` slice, so a row's result never
+    depends on how many rows share the call; a 1-D or 2-D ``a``, whose
+    ``M`` would be the batch, is contracted one row at a time (see
+    ``repro.nn.Linear.forward``).  ``out`` is a C-ordered
+    ``a.shape[:-1] + (1,)`` buffer.
+    """
+    column = _mean_column(a.shape[-1], a.dtype)
+    if a.ndim >= 3:
+        return np.matmul(a, column, out=out)
+    rows = a.reshape(-1, 1, a.shape[-1])
+    result = np.matmul(rows, column,
+                       out=None if out is None else out.reshape(-1, 1, 1))
+    return result.reshape(a.shape[:-1] + (1,)) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +345,7 @@ def _k_maximum(out, p, a, b):
 
 def _k_softmax(out, p, a):
     axis = p["axis"]
-    shifted = a - a.max(axis=axis, keepdims=True)
+    shifted = a - row_max(a, axis)
     if out is None:
         out = np.exp(shifted)
     else:
@@ -332,9 +387,9 @@ def _k_layer_norm(out, p, a, gamma, beta, scratch=None):
     # The in-place form keeps eager's reduction order only when ``a - mean``
     # is laid out like ``a``: a C-ordered ``a`` (the scratch is C-ordered).
     if out is None or scratch is None or not a.flags.c_contiguous:
-        mean = a.mean(axis=-1, keepdims=True)
+        mean = row_mean(a)
         centered = a - mean
-        variance = np.mean(centered * centered, axis=-1, keepdims=True)
+        variance = row_mean(centered * centered)
         inv_std = 1.0 / np.sqrt(variance + p["eps"])
         x_hat = centered * inv_std
         if out is None:
@@ -345,10 +400,10 @@ def _k_layer_norm(out, p, a, gamma, beta, scratch=None):
     # one scratch buffer, the mean/variance/inv_std column in the other and
     # ``centered * centered`` in the output slot.
     centered, column = scratch
-    np.mean(a, axis=-1, keepdims=True, out=column)
+    row_mean(a, out=column)
     np.subtract(a, column, out=centered)
     np.multiply(centered, centered, out=out)
-    np.mean(out, axis=-1, keepdims=True, out=column)
+    row_mean(out, out=column)
     np.add(column, p["eps"], out=column)
     np.sqrt(column, out=column)
     np.true_divide(1.0, column, out=column)
@@ -369,7 +424,7 @@ def _layer_norm_scratch(ins, out):
 def _k_attention_core(out, p, q, k, v):
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= p["scale"]
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= row_max(scores)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights @ v if out is None else np.matmul(weights, v, out=out)
@@ -384,7 +439,7 @@ def _k_attention_weights(out, p, q, k):
     kt = np.swapaxes(k, -1, -2)
     scores = q @ kt if out is None else np.matmul(q, kt, out=out)
     scores *= p["scale"]
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= row_max(scores)
     weights = np.exp(scores) if out is None else np.exp(scores, out=scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights

@@ -58,17 +58,20 @@ def _since(before):
 # The engine hands every predictor Tensor operands, eager and traced alike.
 
 
-def _tensor_predict(x_t, condition, steps, conditional_mask, cache=None):
+def _tensor_predict(x_t, condition, steps, conditional_mask, cache=None,
+                    samples_per_plan=1):
     """A deterministic Tensor-op predictor (replayable)."""
     return (tanh(x_t) * 0.25 + condition * 0.125).data
 
 
-def _numpy_predict(x_t, condition, steps, conditional_mask, cache=None):
+def _numpy_predict(x_t, condition, steps, conditional_mask, cache=None,
+                   samples_per_plan=1):
     """Computes outside the trace: the tracer must refuse to bake this."""
     return np.tanh(x_t.data) * 0.25 + condition.data * 0.125
 
 
-def _barrier_predict(x_t, condition, steps, conditional_mask, cache=None):
+def _barrier_predict(x_t, condition, steps, conditional_mask, cache=None,
+                     samples_per_plan=1):
     """Routes through ``leaky_relu``, whose data-dependent constant raises a
     trace barrier — the unsupported-op fallback path."""
     return leaky_relu(tanh(x_t) * 0.25 + condition * 0.125, negative_slope=1.0).data

@@ -98,13 +98,15 @@ class TestForwardProcess:
 
 def _oracle_predict(diffusion, x0):
     """Engine predictor returning the exact noise that maps ``x_t`` to ``x0``."""
-    def predict(x_t, condition, steps, conditional_mask, cache=None):
+    def predict(x_t, condition, steps, conditional_mask, cache=None,
+                samples_per_plan=1):
         alpha_bar = diffusion.schedule.alpha_bars[steps[0]]
         return (x_t.data - np.sqrt(alpha_bar) * x0) / np.sqrt(1 - alpha_bar)
     return predict
 
 
-def _zero_predict(x_t, condition, steps, conditional_mask, cache=None):
+def _zero_predict(x_t, condition, steps, conditional_mask, cache=None,
+                  samples_per_plan=1):
     return np.zeros_like(x_t.data)
 
 
@@ -272,7 +274,8 @@ class TestBatchedSamplers:
         diffusion = GaussianDiffusion(quadratic_schedule(9), rng=np.random.default_rng(0))
         seen_shapes = []
 
-        def predict(x_t, condition, steps, conditional_mask, cache=None):
+        def predict(x_t, condition, steps, conditional_mask, cache=None,
+                    samples_per_plan=1):
             seen_shapes.append(x_t.shape)
             assert len(steps) == x_t.shape[0]
             return np.zeros_like(x_t.data)

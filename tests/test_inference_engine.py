@@ -55,7 +55,8 @@ class TestEngineMechanics:
         diffusion = GaussianDiffusion(quadratic_schedule(num_steps),
                                       rng=np.random.default_rng(0))
 
-        def predict(x_t, condition, steps, conditional_mask, cache=None):
+        def predict(x_t, condition, steps, conditional_mask, cache=None,
+                    samples_per_plan=1):
             assert x_t.shape == condition.shape == conditional_mask.shape
             assert len(steps) == x_t.shape[0]
             return np.zeros_like(x_t.data)
@@ -102,7 +103,8 @@ class TestEngineMechanics:
         """Uneven window coverage must still yield a finite full-segment result."""
         diffusion = GaussianDiffusion(quadratic_schedule(4), rng=np.random.default_rng(0))
 
-        def predict(x_t, condition, steps, conditional_mask, cache=None):
+        def predict(x_t, condition, steps, conditional_mask, cache=None,
+                    samples_per_plan=1):
             return np.zeros_like(x_t.data)
 
         engine = InferenceEngine(diffusion, predict)
@@ -119,7 +121,8 @@ class TestEngineMechanics:
         diffusion = GaussianDiffusion(quadratic_schedule(5), rng=np.random.default_rng(0))
         seen = []
 
-        def predict(x_t, condition, steps, conditional_mask, cache=None):
+        def predict(x_t, condition, steps, conditional_mask, cache=None,
+                    samples_per_plan=1):
             seen.append(cache)
             return np.zeros(x_t.shape)
 

@@ -204,7 +204,8 @@ class TestDiffusionProcessProperties:
             alpha_bar = serial_diff.schedule.alpha_bars[step]
             return (x_t - np.sqrt(alpha_bar) * x0) / np.sqrt(1 - alpha_bar)
 
-        def predict(x_t, condition, steps, conditional_mask, cache=None):
+        def predict(x_t, condition, steps, conditional_mask, cache=None,
+                    samples_per_plan=1):
             return noise_fn(x_t.data, steps[0])
 
         serial_diff = GaussianDiffusion(make_schedule("quadratic", num_steps),

@@ -198,7 +198,6 @@ def _run_chaos(service, pool, requests, plan):
             "crashed_batches": snapshot["pool.batches.crashed"],
             "dead_workers": snapshot["pool.workers.dead"],
             "dispatched_batches": snapshot["pool.batches.dispatched"],
-            "stolen_batches": snapshot["pool.steals"],
         },
         "service_counters": {
             "retries": snapshot["service.retries"],

@@ -1,9 +1,10 @@
 """Worker-pool scaling: serving throughput vs worker count (1 / 2 / 4).
 
 The :class:`~repro.serving.WorkerPool` fans flushed micro-batches out across
-N worker processes with shard-aware routing, so traffic spread over several
-published models executes in parallel.  This benchmark publishes one trained
-model under ``NUM_SHARDS`` names, warm pre-forks every pool
+N worker processes that take the oldest batch from one shared queue, so
+traffic spread over several published models executes in parallel.  This
+benchmark publishes one trained model under ``NUM_SHARDS`` names
+(``shard0``, ``shard1``, ...), warm pre-forks every pool
 (``pool.prewarm`` pushes each published artifact onto every worker before
 the first request), fires the same seeded request burst at pools of 1, 2
 and 4 workers, and records for every cell the

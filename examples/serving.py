@@ -16,10 +16,10 @@ take:
    streams keep every response bit-identical to the request served alone,
 3. scale the service horizontally with a :class:`~repro.serving.WorkerPool`:
    flushed micro-batches fan out across worker processes (spawned children
-   that exchange tensors over shared memory) with shard-aware routing
-   (one model's traffic sticks to one worker, keeping its model cache hot),
-   admission control sheds load past ``max_queue_depth``, and the pooled
-   responses stay bit-identical to serve-alone,
+   that exchange tensors over shared memory); idle workers take the oldest
+   batch from one shared queue, admission control sheds load past
+   ``max_queue_depth``, and the pooled responses stay bit-identical to
+   serve-alone,
 4. open a :class:`~repro.serving.StreamingImputer` session and feed it a
    live tick stream (NaN = sensor dropout), printing incremental
    imputations as they are emitted,
@@ -115,11 +115,11 @@ def main():
     print("response[0] == same request served alone: bit-identical")
     print(f"service metrics: {_family(service.metrics_snapshot(), 'service.')}")
 
-    # 3. Scale out: the same burst through a worker pool.  Shard-aware
-    # routing pins each model's batches to a home worker (publish a second
-    # name so there is traffic for two shards), work stealing rebalances
-    # backed-up shards, and admission control rejects load past
-    # max_queue_depth with ServiceOverloaded instead of queueing forever.
+    # 3. Scale out: the same burst through a worker pool.  Batches of both
+    # models (publish a second name for mixed traffic) wait in one FIFO and
+    # the next idle worker takes the oldest, whatever model it names;
+    # admission control rejects load past max_queue_depth with
+    # ServiceOverloaded instead of queueing forever.
     registry.publish(model, "traffic-canary")
     pool = WorkerPool(num_workers=2, max_queue_depth=256)
     pooled_service = ImputationService(registry, max_batch_requests=8,

@@ -16,8 +16,8 @@ production-facing counterpart built on the stateless
     keeps every response bit-identical to the request served alone.  An
     inline flush runs exactly what a pool child runs.
 :class:`WorkerPool`
-    Parallel batch execution behind the service: shard-aware routing by
-    model spec, work stealing, admission control
+    Parallel batch execution behind the service: one FIFO batch queue
+    that idle workers take from, admission control
     (:class:`ServiceOverloaded`) and one child process per worker that
     rehydrates models from the artifact tree and exchanges tensors over
     shared memory.
@@ -33,7 +33,7 @@ production-facing counterpart built on the stateless
     The typed observability spine under all of the above, re-exported from
     the leaf module :mod:`repro.telemetry`: every layer registers its
     counters/gauges/histograms under dotted stable names
-    (``service.queue.depth``, ``pool.steals``, ``transport.bytes_staged``),
+    (``service.queue.depth``, ``pool.splits``, ``transport.bytes_staged``),
     the backend and compile caches count ``registry.cache.hits``,
     ``compiled.cache.hits`` and friends in the process-wide
     :data:`~repro.telemetry.PROCESS_METRICS`, worker and child counters

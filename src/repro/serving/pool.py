@@ -1,4 +1,4 @@
-"""Parallel worker-pool execution with shard-aware routing.
+"""Parallel worker-pool execution from one shared batch queue.
 
 :class:`WorkerPool` is the horizontal-scale substrate behind
 :class:`~repro.serving.ImputationService`: flushed micro-batches are fanned
@@ -20,25 +20,25 @@ request, via warm pre-fork (:meth:`WorkerPool.watch` /
 
 Scheduling
 ----------
-* **Shard-aware routing** — every batch carries its resolved ``name@version``
-  spec; ``crc32(spec) % num_workers`` assigns it a *home shard*, so one
-  model's traffic keeps hitting the same worker and that worker's
-  backend cache stays hot.
-* **Work stealing** — an idle worker whose own queue is empty takes the
-  newest batch from the longest backed-up sibling queue (the oldest batch
-  stays put for its home worker, which has the model resident).  Stealing
-  costs the thief a cold model load but bounds the tail latency of a hot
-  shard; disable with ``steal=False`` to pin shards strictly.
+* **One queue** — dispatched batches wait in one FIFO, and the next idle
+  worker takes the oldest one, whatever model it names.  Warm pre-fork
+  keeps every published model resident on every worker, so no worker is a
+  better home for a batch than another.
+* **Per-worker warm-ups** — a warm-up must load the model into *its*
+  worker's child, so each worker has its own warm-up deque and takes from
+  it before the shared queue.
 * **Batch splitting** — when a multi-request batch arrives while the pool is
-  otherwise idle (no backlog, siblings parked), it is split across the idle
-  workers that already have the model resident (warm pre-fork makes that all
-  of them) and rejoined on completion, so ``num_workers`` workers help even
-  at low request concurrency.  Safe because each request samples from its
-  own RNG stream and per-request bits are independent of batch composition
-  (the serve-alone == batched invariant); disable with ``split=False``.
+  otherwise idle (no backlog, siblings parked), it is split into one part
+  per idle worker that already has the model resident (warm pre-fork makes
+  that all of them); the parts go on the queue and are rejoined on
+  completion, so ``num_workers`` workers help even at low request
+  concurrency.  The residency gate means an unwarmed pool never cold-loads
+  a model just to split.  Safe because each request samples from its own
+  RNG stream and per-request bits are independent of batch composition
+  (the serve-alone == batched invariant).
 * **Admission control** — ``max_queue_depth`` bounds the number of queued
-  (not yet executing) *requests* across all shards; dispatching beyond it
-  raises :class:`ServiceOverloaded` so callers shed load instead of queueing
+  (not yet executing) *requests*; dispatching beyond it raises
+  :class:`ServiceOverloaded` so callers shed load instead of queueing
   unboundedly.
 * **Drain-on-stop** — ``stop(drain=True)`` (the default, also the context
   manager exit) completes every queued batch before the workers exit;
@@ -65,9 +65,8 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +94,6 @@ POOL_METRIC_SCHEMA = {
     "pool.batches.crashed": "counter",
     "pool.batches.queued": "gauge",
     "pool.batches.inflight": "gauge",
-    "pool.steals": "counter",
     "pool.splits": "counter",
     "pool.requests.rejected": "counter",
     "pool.backlog": "gauge",
@@ -168,7 +166,7 @@ def execute_batch(backend, payloads):
 
 @dataclass
 class BatchTask:
-    """One dispatched micro-batch: routing key, inputs and completion hooks.
+    """One dispatched micro-batch: model, inputs and completion hooks.
 
     ``on_done(raws)`` / ``on_error(exc)`` run on the parent-side worker
     *thread* (the child only computes), so the dispatcher keeps ticket
@@ -177,18 +175,17 @@ class BatchTask:
     caches so steady-state batches skip the artifact staleness probe.
     ``execute`` is a test hook: when set, the worker thread calls
     ``execute(worker_id)`` itself instead of handing the batch to its child,
-    which lets the scheduling tests drive routing, stealing, overload and
-    crash handling without trained models.
+    which lets the scheduling tests drive queueing, overload and crash
+    handling without trained models.
     """
 
-    spec: str                       # resolved "name@version" — the shard key
+    spec: str                       # resolved "name@version"
     artifact_path: str
     payloads: list
     on_done: object                 # callable(list[RawImputation]) -> None
     on_error: object                # callable(Exception) -> None
     execute: object = None          # callable(worker_id) -> raws  (tests only)
     generation: int | None = None   # registry publish counter at dispatch
-    stolen: bool = field(default=False, init=False)
 
     @property
     def num_requests(self):
@@ -199,19 +196,14 @@ class BatchTask:
 class _WarmupTask:
     """A queued warm pre-load: rehydrate one artifact on one worker.
 
-    Queued on *every* worker by :meth:`WorkerPool.prewarm` right after a
-    registry publish, so the model is resident in the child-process cache
-    before its first request arrives.  Never stolen — each worker
-    must warm its own cache — and invisible to admission control.
+    Queued on *every* worker's own warm-up deque by
+    :meth:`WorkerPool.prewarm` right after a registry publish, so the model
+    is resident in the child-process cache before its first request
+    arrives.  Invisible to admission control.
     """
 
     artifact_path: str
     generation: int | None = None
-
-    num_requests = 0
-
-    def on_error(self, error):
-        """Discarded by ``stop(drain=False)`` — nothing to resolve."""
 
 
 class _SplitJoin:
@@ -444,29 +436,24 @@ def _process_worker_main(conn, max_loaded=4):
 
 
 class WorkerPool:
-    """N-worker executor with shard routing, stealing and admission control.
+    """N-worker executor over one FIFO batch queue, with admission control.
 
     Parameters
     ----------
     num_workers:
-        Worker (and shard) count.
+        Worker count.
     mode:
         Only ``"process"`` is accepted; thread mode was removed.
     max_queue_depth:
-        Admission-control bound on queued (not yet executing) requests across
-        all shards; ``dispatch`` beyond it raises :class:`ServiceOverloaded`.
+        Admission-control bound on queued (not yet executing) requests;
+        ``dispatch`` beyond it raises :class:`ServiceOverloaded`.
     max_loaded_per_worker:
         Capacity of each worker child's backend cache (the process-global
         cache in :mod:`repro.inference.backend`).
-    steal:
-        Allow idle workers to take batches from backed-up sibling shards.
-    split:
-        Allow an idle pool to split one multi-request batch across idle
-        workers (bit-identical by the batch-composition invariant).
     """
 
     def __init__(self, num_workers=2, *, mode="process", max_queue_depth=256,
-                 max_loaded_per_worker=4, steal=True, split=True):
+                 max_loaded_per_worker=4):
         if num_workers < 1:
             raise ValueError("num_workers must be a positive integer")
         if mode != "process":
@@ -479,16 +466,14 @@ class WorkerPool:
         self.num_workers = int(num_workers)
         self.max_queue_depth = int(max_queue_depth)
         self.max_loaded_per_worker = int(max_loaded_per_worker)
-        self.steal = bool(steal)
-        self.split = bool(split)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._queues = [deque() for _ in range(self.num_workers)]
+        self._batches = deque()
+        self._warmups = [deque() for _ in range(self.num_workers)]
         self._in_flight = [None] * self.num_workers
         self._threads = []
         self._started = False
         self._stopping = False
-        self._drain = True
         # Instrumentation: every scheduling/transport counter lives in the
         # typed registry under its dotted stable name (metrics_snapshot()).
         self.metrics = MetricsRegistry()
@@ -503,10 +488,10 @@ class WorkerPool:
                            fn=lambda: self._live_arena_stat("transport.segments.active"))
         self.metrics.gauge("transport.slots.live",
                            fn=lambda: self._live_arena_stat("transport.slots.live"))
-        # Worker->parent counter merges, one per destination registry:
-        # worker threads' loop-local totals and each child's transport totals
-        # land on this pool's registry, each child's piggybacked model-cache
-        # and compile counters on this process's PROCESS_METRICS.
+        # Child->parent counter merges, one per destination registry: each
+        # child's transport totals land on this pool's registry, its
+        # piggybacked model-cache and compile counters on this process's
+        # PROCESS_METRICS.
         self._merge = WorkerCounterMerge(self.metrics.fold)
         self._process_merge = WorkerCounterMerge(PROCESS_METRICS.fold)
         # Per-worker views the flat schema sums over: batches executed and
@@ -551,7 +536,7 @@ class WorkerPool:
 
     def _queued_batches(self):
         with self._lock:
-            return sum(len(queue) for queue in self._queues)
+            return len(self._batches)
 
     def _inflight_batches(self):
         with self._lock:
@@ -572,12 +557,8 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Dispatch surface
     # ------------------------------------------------------------------
-    def shard_of(self, spec):
-        """The home worker index of a model spec (stable across runs)."""
-        return zlib.crc32(str(spec).encode("utf-8")) % self.num_workers
-
     def dispatch(self, task):
-        """Queue a :class:`BatchTask` on its home shard.
+        """Queue a :class:`BatchTask` behind every batch dispatched before it.
 
         Raises :class:`ServiceOverloaded` when the queued-request total would
         exceed ``max_queue_depth`` (the task's completion hooks are *not*
@@ -585,7 +566,7 @@ class WorkerPool:
         :class:`PoolStopped` after :meth:`stop`.
 
         A multi-request batch arriving at an otherwise idle pool is split
-        across the idle workers (and rejoined transparently) so low-
+        into one part per idle worker (and rejoined transparently) so low-
         concurrency traffic still uses the whole pool.
         """
         if not isinstance(task, BatchTask):
@@ -608,18 +589,18 @@ class WorkerPool:
                 )
             parts = self._split_locked(task, backlog)
             if parts is None:
-                self._queues[self.shard_of(task.spec)].append(task)
+                self._batches.append(task)
             else:
                 self.metrics.counter("pool.splits").inc()
-                for wid, part in parts:
-                    self._queues[wid].append(part)
+                self._batches.extend(parts)
             self.metrics.counter("pool.batches.dispatched").inc()
             self.metrics.gauge("pool.backlog.max").set_max(
                 backlog + task.num_requests)
             self._cond.notify_all()
 
     def _split_locked(self, task, backlog):
-        """Split ``task`` across idle workers, or ``None`` to route whole.
+        """Split ``task`` into one part per idle worker, or ``None`` to queue
+        it whole.
 
         Only real multi-request batches split, only when nothing is queued
         (a backed-up pool already has parallelism) and at least two idle
@@ -628,30 +609,29 @@ class WorkerPool:
         that is every worker).  Requests stay in order; each part is a
         normal :class:`BatchTask` whose hooks feed a :class:`_SplitJoin`.
         """
-        if (not self.split or task.execute is not None
-                or task.num_requests < 2 or backlog > 0):
+        if task.execute is not None or task.num_requests < 2 or backlog > 0:
             return None
-        idle = [wid for wid in range(self.num_workers)
-                if self._in_flight[wid] is None and not self._queues[wid]
-                and task.artifact_path in self._resident[wid]]
-        if len(idle) < 2:
+        idle = sum(1 for wid in range(self.num_workers)
+                   if self._in_flight[wid] is None and not self._warmups[wid]
+                   and task.artifact_path in self._resident[wid])
+        if idle < 2:
             return None
-        num_parts = min(len(idle), task.num_requests)
+        num_parts = min(idle, task.num_requests)
         bounds = np.linspace(0, task.num_requests, num_parts + 1).astype(int)
         join = _SplitJoin(task, num_parts)
         parts = []
         for index in range(num_parts):
             on_done, on_error = join.hooks(index)
-            parts.append((idle[index], BatchTask(
+            parts.append(BatchTask(
                 spec=task.spec, artifact_path=task.artifact_path,
                 payloads=task.payloads[bounds[index]:bounds[index + 1]],
                 on_done=on_done, on_error=on_error,
                 generation=task.generation,
-            )))
+            ))
         return parts
 
     def backlog(self):
-        """Queued (not yet executing) requests across all shards."""
+        """Queued (not yet executing) requests."""
         with self._lock:
             return self._backlog_locked()
 
@@ -659,7 +639,8 @@ class WorkerPool:
         """Block until no batch is queued or executing; ``True`` on success."""
         with self._cond:
             return self._cond.wait_for(
-                lambda: all(not queue for queue in self._queues)
+                lambda: not self._batches
+                and all(not warmups for warmups in self._warmups)
                 and all(task is None for task in self._in_flight),
                 timeout=timeout,
             )
@@ -679,9 +660,8 @@ class WorkerPool:
             if self._stopping:
                 return 0
             self._start_locked()
-            for wid in range(self.num_workers):
-                self._queues[wid].append(
-                    _WarmupTask(artifact_path, generation))
+            for warmups in self._warmups:
+                warmups.append(_WarmupTask(artifact_path, generation))
             self._cond.notify_all()
         return self.num_workers
 
@@ -712,7 +692,6 @@ class WorkerPool:
         if self._started:
             return
         self._started = True
-        self._drain = True
         # Fresh worker threads spawn fresh children: forget residency.
         self._resident = [set() for _ in range(self.num_workers)]
         self._threads = [
@@ -738,11 +717,11 @@ class WorkerPool:
                 self._stopping = True
                 return self
             self._stopping = True
-            self._drain = bool(drain)
             if not drain:
-                for queue in self._queues:
-                    discarded.extend(queue)
-                    queue.clear()
+                discarded.extend(self._batches)
+                self._batches.clear()
+                for warmups in self._warmups:
+                    warmups.clear()
             self._cond.notify_all()
         for task in discarded:
             task.on_error(PoolStopped("worker pool stopped before this batch ran"))
@@ -764,23 +743,16 @@ class WorkerPool:
     # Worker internals
     # ------------------------------------------------------------------
     def _backlog_locked(self):
-        return sum(task.num_requests for queue in self._queues for task in queue)
+        return sum(task.num_requests for task in self._batches)
 
     def _take_locked(self, wid):
-        """Next task for worker ``wid``: its own queue first, else steal the
-        newest *batch* from the longest sibling queue (warm-up tasks are
-        never stolen — each worker warms its own cache)."""
-        if self._queues[wid]:
-            return self._queues[wid].popleft(), False
-        if self.steal:
-            stealable = [other for other in range(self.num_workers)
-                         if self._queues[other]
-                         and isinstance(self._queues[other][-1], BatchTask)]
-            if stealable:
-                longest = max(stealable,
-                              key=lambda other: len(self._queues[other]))
-                return self._queues[longest].pop(), True
-        return None, False
+        """Next task for worker ``wid``: its own warm-ups first (each worker
+        warms its own cache), then the oldest queued batch; ``None`` when
+        both are empty."""
+        for queue in (self._warmups[wid], self._batches):
+            if queue:
+                return queue.popleft()
+        return None
 
     def _ensure_process(self, wid, process):
         """The worker's live child process, spawning one if needed."""
@@ -851,32 +823,19 @@ class WorkerPool:
 
     def _worker_loop(self, wid):
         process = None
-        # This loop's cumulative worker-side totals, delta-folded into the
-        # registry through the same merge the child counters use — one
-        # worker->parent path.  The source object is unique
-        # per loop run, so a restarted pool's fresh workers start from zero
-        # without ever subtracting history.
-        source = object()
-        local = {"pool.batches.executed": 0, "pool.batches.crashed": 0}
         try:
             while True:
                 with self._cond:
-                    task = None
+                    # Take before checking for stop: a draining stop has
+                    # left the queue as it was, and ``stop(drain=False)``
+                    # has already emptied it.
+                    task = self._take_locked(wid)
                     while task is None:
-                        task, stolen = self._take_locked(wid)
-                        if task is not None:
-                            break
                         if self._stopping:
-                            drained = (not self._drain
-                                       or all(not queue for queue in self._queues))
-                            if drained:
-                                return
+                            return
                         self._cond.wait(timeout=0.1)
+                        task = self._take_locked(wid)
                     self._in_flight[wid] = task
-                    if isinstance(task, BatchTask):
-                        task.stolen = stolen
-                        if stolen:
-                            self.metrics.counter("pool.steals").inc()
                 if isinstance(task, _WarmupTask):
                     try:
                         process = self._run_warmup(wid, task, process)
@@ -914,10 +873,9 @@ class WorkerPool:
                     # (SystemExit, KeyboardInterrupt) re-raise after the
                     # tickets are resolved and still take the worker down.
                     if isinstance(error, WorkerCrashed):
-                        # Fold before on_error: callers observe the crash
+                        # Count before on_error: callers observe the crash
                         # counter the moment their ticket resolves.
-                        local["pool.batches.crashed"] += 1
-                        self._merge.fold(source, local)
+                        self.metrics.counter("pool.batches.crashed").inc()
                     task.on_error(error)
                     if not isinstance(error, Exception):
                         raise
@@ -930,10 +888,8 @@ class WorkerPool:
                     with self._cond:
                         self._in_flight[wid] = None
                         self.executed_batches[wid] += 1
+                        self.metrics.counter("pool.batches.executed").inc()
                         self._cond.notify_all()
-                    local["pool.batches.executed"] += 1
-                    self._merge.fold(source, local)
                     self._fold_process(process)
         finally:
-            self._merge.retire(source, local)
             self._retire_process(wid, process)

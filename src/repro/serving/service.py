@@ -36,11 +36,10 @@ Execution semantics
   :func:`~repro.serving.pool.execute_batch` over this process's resident
   backend (:func:`~repro.inference.backend.process_backend`).
 * With ``executor=WorkerPool(...)`` flushed batches are **dispatched** to the
-  pool's shard queues instead: ``flush``/``poll`` return once the batches are
-  queued, tickets resolve when a worker finishes, and consistent
-  spec-to-shard routing keeps each worker's model cache hot (see
-  :mod:`repro.serving.pool`).  ``response.batch_seconds`` then includes any
-  time the batch waited in its shard queue.
+  pool's one FIFO queue instead: ``flush``/``poll`` return once the batches
+  are queued, and tickets resolve when the idle worker that took the batch
+  finishes (see :mod:`repro.serving.pool`).  ``response.batch_seconds``
+  then includes any time the batch waited in the pool queue.
 * ``max_queue_depth`` adds service-level backpressure: a ``submit`` that
   would push the number of waiting requests (service queues + pool backlog)
   past the bound raises :class:`~repro.serving.pool.ServiceOverloaded`
@@ -752,12 +751,11 @@ class ImputationService:
         self._complete(resolved, entries, raws, started)
 
     def _dispatch_batch(self, resolved, entries):
-        """Hand one model's micro-batch to the executor's shard queue.
+        """Hand one model's micro-batch to the executor's queue.
 
         The completion hooks run on the pool's parent-side worker thread; a
-        dispatch-time
-        rejection (pool overloaded or stopped) resolves the tickets here and
-        re-raises so the flusher sees it.  With a retry policy, a retryable
+        dispatch-time rejection (pool overloaded or stopped) resolves the
+        tickets here and re-raises so the flusher sees it.  With a retry policy, a retryable
         worker failure (e.g. a crashed worker) re-dispatches the same seeded
         payloads instead of failing the tickets.
         """

@@ -7,7 +7,7 @@ Every layer of the stack reports into a typed :class:`MetricsRegistry` of
 * ``service.*`` — admission, batching and resilience counters of the
   micro-batching service (``service.requests.served``,
   ``service.queue.depth``, ``service.retries``);
-* ``pool.*`` — worker-pool scheduling (``pool.steals``,
+* ``pool.*`` — worker-pool scheduling (``pool.splits``,
   ``pool.batches.crashed``, ``pool.warm.seconds``);
 * ``transport.*`` — the shared-memory data plane of process workers
   (``transport.bytes_staged``, ``transport.segments.active``);
@@ -39,15 +39,15 @@ Design rules
 * **Names are the schema.**  A scraper never branches on executor mode:
   :meth:`MetricsRegistry.declare` pre-registers every name with a zero
   value, so a snapshot always carries the full key set — an inline service
-  reports ``pool.steals == 0`` instead of omitting the key.
+  reports ``pool.splits == 0`` instead of omitting the key.
 * **Counters are monotonic, gauges are instantaneous.**  A :class:`Gauge`
   may wrap a callback so queue depths and LRU occupancy are read live at
   snapshot time instead of being pushed on every transition.
 * **Snapshots are flat.**  ``MetricsRegistry.snapshot()`` returns
   ``{dotted-name: number}`` with histogram instruments expanded to
   ``<name>.count`` / ``.sum`` / ``.min`` / ``.max``.
-* **Worker merges are delta-folds.**  A worker thread or child process
-  reports *cumulative* totals; :class:`WorkerCounterMerge` remembers the
+* **Worker merges are delta-folds.**  A pool child process reports
+  *cumulative* totals; :class:`WorkerCounterMerge` remembers the
   last snapshot per source and folds only the delta, so repeated folds are
   idempotent and a respawned worker (fresh source, counters back at zero)
   never subtracts history.
@@ -261,21 +261,19 @@ class MetricsRegistry:
 class WorkerCounterMerge:
     """Fold per-source *cumulative* counter snapshots into parent sinks.
 
-    A worker pool keeps one per destination registry: worker threads fold
-    their local batch/crash totals and the shm-transport totals of their
-    arena and pipe into the pool's registry, and the ``registry.cache.*`` /
-    ``compiled.*`` counters each child piggybacks on its batch replies fold
-    into the parent's
-    :data:`PROCESS_METRICS`.  The merge remembers
-    the last snapshot per ``source`` (any hashable — a worker slot, a child
-    process handle) and applies only the positive delta, so:
+    A worker pool keeps one per destination registry: the shm-transport
+    totals of each child's arena and pipe fold into the pool's registry,
+    and the ``registry.cache.*`` / ``compiled.*`` counters each child
+    piggybacks on its batch replies fold into the parent's
+    :data:`PROCESS_METRICS`.  (The pool's own batch and crash counts run in
+    parent-side worker threads and are plain counter increments.)  The
+    merge remembers the last snapshot per ``source`` (any hashable — a
+    child process handle) and applies only the positive delta, so:
 
     * folding the same cumulative snapshot twice is a no-op,
-    * a respawned worker registers as a *new* source whose counters start
+    * a respawned child registers as a *new* source whose counters start
       from zero — history is never subtracted, and
-    * :meth:`retire` folds a final snapshot and forgets the source, which is
-      exactly the crash path (the dead child's last observed totals still
-      land in the parent).
+    * :meth:`retire` folds a final snapshot and forgets the source.
     """
 
     def __init__(self, sink):

@@ -1,7 +1,8 @@
 """Tests for the parallel worker pool behind the serving stack.
 
-Covers the scheduling core (shard-aware routing, work stealing, admission
-control, drain-on-stop), the failure contract (a batch error — including a
+Covers the scheduling core (one FIFO batch queue, per-worker warm-ups,
+admission control, drain-on-stop and its race with dispatch), the failure
+contract (a batch error — including a
 worker *process* dying mid-batch — resolves every affected ticket with the
 error and never wedges the pool), and the bit-identity acceptance criterion:
 pool-served responses equal ``service.serve`` alone in float32 and float64.
@@ -12,6 +13,7 @@ no child.
 
 import multiprocessing
 import shutil
+import sys
 import threading
 import time
 
@@ -86,30 +88,10 @@ def _dummy_task(spec, execute, num_requests=1, on_done=None, on_error=None):
 
 
 class TestScheduling:
-    def test_shard_routing_is_consistent_and_total(self):
-        pool = WorkerPool(num_workers=4)
-        specs = [f"model-{i}@1" for i in range(32)]
-        first = [pool.shard_of(spec) for spec in specs]
-        assert first == [pool.shard_of(spec) for spec in specs]
-        assert set(first) <= set(range(4))
-        # The same spec never migrates between pool instances of equal size.
-        assert first == [WorkerPool(num_workers=4).shard_of(s) for s in specs]
-
-    def test_same_spec_lands_on_home_worker(self):
-        pool = WorkerPool(num_workers=3, steal=False)
-        done = threading.Event()
-        executed_by = []
-        with pool:
-            for index in range(4):
-                pool.dispatch(_dummy_task(
-                    "hot@1", execute=lambda wid: executed_by.append(wid)))
-            assert pool.wait_idle(timeout=5.0)
-            done.set()
-        home = pool.shard_of("hot@1")
-        assert executed_by == [home] * 4
-
-    def test_idle_worker_steals_from_backed_up_shard(self):
-        pool = WorkerPool(num_workers=2, steal=True)
+    def test_busy_worker_does_not_hold_back_batches(self):
+        """While worker A is busy, batches dispatched after it run on idle
+        worker B, whatever model each one names."""
+        pool = WorkerPool(num_workers=2)
         release = threading.Event()
         holder = {}
         executed_by = {}
@@ -117,48 +99,84 @@ class TestScheduling:
         def blocking(wid):
             holder["wid"] = wid
             release.wait(timeout=10.0)
-            return None
 
         with pool:
             pool.dispatch(_dummy_task("hot@1", execute=blocking))
             deadline = time.monotonic() + 5.0
             while "wid" not in holder and time.monotonic() < deadline:
                 time.sleep(0.01)
-            # Back up the *holder's* shard with two more batches (pick a spec
-            # that routes to whichever worker holds the blocker).
-            spec = next(f"model-{i}@1" for i in range(64)
-                        if pool.shard_of(f"model-{i}@1") == holder["wid"])
-            for name in ("b1", "b2"):
+            specs = ["hot@1"] + [f"model-{index}@1" for index in range(7)]
+            for spec in specs:
                 pool.dispatch(_dummy_task(
                     spec,
-                    execute=lambda wid, name=name: executed_by.__setitem__(name, wid)))
-            # The sibling worker must take them over while the holder is busy.
+                    execute=lambda wid, spec=spec: executed_by.__setitem__(spec, wid)))
+            # Every one of them must run while the holder is still busy.
             deadline = time.monotonic() + 5.0
-            while len(executed_by) < 2 and time.monotonic() < deadline:
+            while len(executed_by) < len(specs) and time.monotonic() < deadline:
                 time.sleep(0.01)
+            ran_while_busy = dict(executed_by)
             release.set()
             assert pool.wait_idle(timeout=5.0)
-        assert set(executed_by) == {"b1", "b2"}
-        assert all(wid != holder["wid"] for wid in executed_by.values())
-        assert pool.metrics_snapshot()["pool.steals"] >= 2
+        assert set(ran_while_busy) == set(specs)
+        assert all(wid != holder["wid"] for wid in ran_while_busy.values())
 
-    def test_steal_disabled_pins_shards(self):
-        pool = WorkerPool(num_workers=2, steal=False)
+    def test_one_busy_worker_runs_queued_batches_in_dispatch_order(self):
+        pool = WorkerPool(num_workers=1)
         release = threading.Event()
-        executed_by = []
-        home = pool.shard_of("hot@1")
+        order = []
         with pool:
             pool.dispatch(_dummy_task(
-                "hot@1", execute=lambda wid: (release.wait(10.0), None)[1]))
-            time.sleep(0.05)
-            pool.dispatch(_dummy_task(
-                "hot@1", execute=lambda wid: executed_by.append(wid)))
-            time.sleep(0.1)          # the sibling must NOT have taken it
-            assert executed_by == []
+                "a@1", execute=lambda wid: (release.wait(10.0), None)[1]))
+            time.sleep(0.05)         # the worker holds the blocker
+            for index in range(6):
+                pool.dispatch(_dummy_task(
+                    f"model-{index % 2}@1",
+                    execute=lambda wid, i=index: order.append(i)))
             release.set()
             assert pool.wait_idle(timeout=5.0)
-        assert executed_by == [home]
-        assert pool.metrics_snapshot()["pool.steals"] == 0
+        assert order == list(range(6))
+
+    def test_prewarm_runs_one_warmup_on_each_worker(self, registry):
+        """Each worker warms its own cache: with worker A busy, idle worker
+        B runs only its own warm-up, and A's waits for A."""
+        pool = WorkerPool(num_workers=2)
+        run_warmup = pool._run_warmup
+        warmed_by = []
+
+        def recording_warmup(wid, task, process):
+            warmed_by.append(wid)
+            return run_warmup(wid, task, process)
+
+        pool._run_warmup = recording_warmup
+        release = threading.Event()
+        holder = {}
+
+        def blocking(wid):
+            holder["wid"] = wid
+            release.wait(timeout=60.0)
+
+        with pool:
+            pool.dispatch(_dummy_task("hot@1", execute=blocking))
+            deadline = time.monotonic() + 5.0
+            while "wid" not in holder and time.monotonic() < deadline:
+                time.sleep(0.01)
+            resolved = registry.resolve("traffic")
+            assert pool.prewarm(resolved.path,
+                                generation=registry.generation) == 2
+            deadline = time.monotonic() + 120.0
+            while (pool.metrics_snapshot()["pool.warm.models"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(0.3)          # room for B to take a warm-up not its own
+            warmed_while_busy = list(warmed_by)
+            release.set()
+            assert pool.wait_idle(timeout=120.0)
+            snapshot = pool.metrics_snapshot()
+        idle = 1 - holder["wid"]
+        assert warmed_while_busy == [idle]
+        assert sorted(warmed_by) == [0, 1]
+        assert snapshot["pool.warm.models"] == 2
+        assert snapshot["pool.warm.failures"] == 0
 
 
 class TestAdmissionControl:
@@ -251,6 +269,70 @@ class TestStopSemantics:
         assert [type(error) for error in errors] == [PoolStopped] * 3
         assert "in-flight" in completed and 0 not in completed
 
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_dispatch_racing_stop_resolves_every_accepted_task(self, drain):
+        """Four dispatcher threads race ``stop()`` on three workers: every
+        accepted task fires exactly one hook (``on_done`` when draining), a
+        rejected dispatch raises ``PoolStopped`` and fires none, and the
+        backlog returns to zero."""
+        pool = WorkerPool(num_workers=3, max_queue_depth=100_000)
+        lock = threading.Lock()
+        hooks = {}                   # task id -> ["done" | error type name]
+        accepted, rejected = set(), set()
+        other_errors = []
+
+        def dispatcher(thread_id):
+            for index in range(2000):
+                task_id = (thread_id, index)
+                hooks[task_id] = []
+
+                def record(outcome, task_id=task_id):
+                    with lock:
+                        hooks[task_id].append(outcome)
+
+                try:
+                    pool.dispatch(_dummy_task(
+                        "a@1", execute=lambda wid: time.sleep(0.001),
+                        on_done=lambda raws, record=record: record("done"),
+                        on_error=lambda error, record=record: record(
+                            type(error).__name__)))
+                except PoolStopped:
+                    rejected.add(task_id)
+                    return
+                except Exception as error:   # pragma: no cover - asserted
+                    other_errors.append(error)
+                    return
+                accepted.add(task_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)          # interleave the threads finely
+        try:
+            pool.start()
+            threads = [threading.Thread(target=dispatcher, args=(thread_id,))
+                       for thread_id in range(4)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 5.0
+            while len(accepted) < 100 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            pool.stop(drain=drain)
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not other_errors
+        assert rejected                      # the race really happened
+        assert pool.backlog() == 0
+        for task_id in accepted:
+            assert len(hooks[task_id]) == 1, (task_id, hooks[task_id])
+            if drain:
+                assert hooks[task_id] == ["done"]
+            else:
+                assert hooks[task_id][0] in ("done", "PoolStopped")
+        for task_id in rejected:
+            assert hooks[task_id] == []
+
     def test_dispatch_after_stop_raises(self):
         pool = WorkerPool(num_workers=1)
         pool.start()
@@ -296,11 +378,11 @@ class TestFailureContract:
             assert probe
 
     def test_crash_storm_on_one_shard_does_not_livelock_peers(self):
-        """Repeated injected crashes on one hot shard: every affected task's
-        ticket resolves with ``WorkerCrashed``, stealing peers never wedge,
-        and no queue slots leak (backlog returns to zero)."""
+        """Repeated injected crashes on one hot model: every affected task's
+        ticket resolves with ``WorkerCrashed``, peers never wedge, and no
+        queue slots leak (backlog returns to zero)."""
         storm = 5
-        pool = WorkerPool(num_workers=2, steal=True)
+        pool = WorkerPool(num_workers=2)
         errors = []
         storm_done = threading.Event()
 
@@ -319,8 +401,7 @@ class TestFailureContract:
                 assert storm_done.wait(timeout=10.0)
             assert len(errors) == storm
             assert all(isinstance(error, WorkerCrashed) for error in errors)
-            # Both shards keep scheduling after the storm: tasks spread across
-            # every spec execute, including on the previously crashing shard.
+            # The pool keeps scheduling after the storm.
             executed = []
             for index in range(8):
                 pool.dispatch(_dummy_task(

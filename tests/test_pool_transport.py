@@ -536,9 +536,12 @@ class TestBatchSplitting:
             assert np.array_equal(reference.samples, response.samples)
             assert np.array_equal(reference.median, response.median)
 
-    def test_split_disabled_routes_whole_batch_to_home_shard(
-            self, registry, tiny_traffic_dataset):
-        pool = WorkerPool(num_workers=3, split=False, steal=False)
+    def test_unwarmed_pool_does_not_split(self, registry,
+                                          tiny_traffic_dataset):
+        """Splitting is residency-gated: on a pool with no model resident a
+        batch runs whole on one worker, so a split never buys parallel
+        cold model loads."""
+        pool = WorkerPool(num_workers=3)
         service = ImputationService(registry, max_batch_requests=64,
                                     executor=pool)
         requests = _requests(tiny_traffic_dataset, count=6)

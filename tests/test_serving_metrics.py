@@ -40,9 +40,9 @@ METRIC_NAMES = [
     "gateway.tickets.issued", "gateway.tickets.unfetched", "pool.backlog",
     "pool.backlog.max", "pool.batches.crashed", "pool.batches.dispatched",
     "pool.batches.executed", "pool.batches.inflight", "pool.batches.queued",
-    "pool.requests.rejected", "pool.splits", "pool.steals",
-    "pool.warm.failures", "pool.warm.models", "pool.warm.seconds",
-    "pool.workers", "pool.workers.dead", "registry.cache.evictions",
+    "pool.requests.rejected", "pool.splits", "pool.warm.failures",
+    "pool.warm.models", "pool.warm.seconds", "pool.workers",
+    "pool.workers.dead", "registry.cache.evictions",
     "registry.cache.hits", "registry.cache.misses", "registry.models.resident",
     "service.batch.max_requests", "service.batch.seconds.count",
     "service.batch.seconds.max", "service.batch.seconds.min",
@@ -77,7 +77,7 @@ LEGACY_KEYS = {
 # ----------------------------------------------------------------------
 class TestInstruments:
     def test_counter_is_monotonic(self):
-        counter = MetricsRegistry().counter("pool.steals")
+        counter = MetricsRegistry().counter("pool.splits")
         counter.inc()
         counter.inc(3)
         assert counter.value == 4
@@ -130,10 +130,11 @@ class TestInstruments:
 
     def test_fold_adds_only_positive_deltas(self):
         metrics = MetricsRegistry()
-        metrics.fold({"pool.steals": 2, "pool.splits": 0, "pool.noise": -3})
+        metrics.fold({"pool.splits": 2, "pool.batches.crashed": 0,
+                      "pool.noise": -3})
         snapshot = metrics.snapshot()
-        assert snapshot["pool.steals"] == 2
-        assert snapshot.get("pool.splits", 0) == 0
+        assert snapshot["pool.splits"] == 2
+        assert snapshot.get("pool.batches.crashed", 0) == 0
         assert snapshot.get("pool.noise", 0) == 0
 
 

@@ -49,8 +49,8 @@ Tensor-op loop the engine runs eagerly, run here under a
 ``PriSTIConfig.compile_inference`` disables it per model.  Every cache in the
 process increments the same ordinary ``compiled.*`` counters in
 :data:`repro.telemetry.PROCESS_METRICS`; a serving snapshot merges that
-registry, and process-pool children piggyback it on each batch reply for the
-parent to fold.
+registry, and each process-pool child sends what it gained since its last
+batch reply, for the parent to add to its own.
 """
 
 from __future__ import annotations

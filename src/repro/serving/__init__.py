@@ -36,8 +36,9 @@ production-facing counterpart built on the stateless
     (``service.queue.depth``, ``pool.splits``, ``transport.bytes_staged``),
     the backend and compile caches count ``registry.cache.hits``,
     ``compiled.cache.hits`` and friends in the process-wide
-    :data:`~repro.telemetry.PROCESS_METRICS`, worker and child counters
-    fold into the parent through :class:`WorkerCounterMerge`, and
+    :data:`~repro.telemetry.PROCESS_METRICS`, every counter is counted
+    once, where its event happens (a pool child's batch reply adds what
+    its ``PROCESS_METRICS`` gained with :meth:`MetricsRegistry.fold`), and
     one flat :meth:`~ImputationService.metrics_snapshot` covers the whole
     stack with a mode-independent key set.
 :mod:`repro.serving.faults` / :mod:`repro.serving.resilience`
@@ -76,7 +77,6 @@ from ..telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    WorkerCounterMerge,
 )
 from .pool import BatchTask, RequestPayload, WorkerPool
 from .registry import ModelRegistry, RegistryError, ResolvedModel
@@ -122,7 +122,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "WorkerCounterMerge",
     "faults",
     "StreamingImputer",
     "StreamingUpdate",

@@ -47,6 +47,18 @@ Scheduling
   zero shared-memory segments survive a stopped pool, and a crashed worker's
   arena is torn down with it (a staged batch is reclaimed, never leaked).
 
+Telemetry
+---------
+Every ``pool.*`` and ``transport.*`` counter is counted once, where its
+event happens, into the pool's :class:`~repro.telemetry.MetricsRegistry`:
+worker threads count dispatched, executed and crashed batches, each
+worker's arena counts segments and staged bytes, and its pipe counts
+control bytes and batches run.  A child's own process-wide counters
+(model cache, compiles) ride on each batch reply as the gain since its
+previous reply and are added to this process's
+:data:`~repro.telemetry.PROCESS_METRICS` before the batch's tickets
+resolve; a crashed child loses only the gain since its last reply.
+
 Bit-identity
 ------------
 The pool never changes what is computed, only where: a child runs
@@ -71,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..inference.backend import process_backend
-from ..telemetry import PROCESS_METRICS, MetricsRegistry, WorkerCounterMerge
+from ..telemetry import PROCESS_METRICS, MetricsRegistry
 from . import faults
 from .errors import PoolStopped, ServiceOverloaded, TransportError, WorkerCrashed
 from .transport import TRANSPORT_METRIC_SCHEMA, SegmentAttachments, ShmArena, decode_batch
@@ -179,7 +191,6 @@ class BatchTask:
     handling without trained models.
     """
 
-    spec: str                       # resolved "name@version"
     artifact_path: str
     payloads: list
     on_done: object                 # callable(list[RawImputation]) -> None
@@ -253,22 +264,20 @@ class _WorkerProcess:
     batch into the arena, send the descriptors, wait for the completion
     control message, copy the responses out, release the batch.  Control
     messages cross as explicit pickled byte blobs (``send_bytes``) so the
-    transport cost is measurable — ``transport.control.bytes_*`` count every
-    byte that actually crosses the pipe.
+    transport cost is measurable.  Every ``transport.*`` counter is counted
+    here, in the parent, into ``metrics`` (the pool's registry) as its event
+    happens: the arena counts segments and staged batches, the pipe counts
+    ``transport.control.bytes_*`` for every byte that actually crosses it,
+    and :meth:`run` counts ``transport.batches.run``.
     """
 
-    def __init__(self, name, *, max_loaded=4):
+    def __init__(self, name, metrics, *, max_loaded=4):
         import multiprocessing
 
         ctx = multiprocessing.get_context("spawn")
         self.conn, child_conn = ctx.Pipe()
-        self.arena = ShmArena()
-        self.control_bytes_sent = 0
-        self.control_bytes_received = 0
-        self.batches_run = 0
-        # The child's cumulative PROCESS_METRICS counters as of its last
-        # batch reply, for the pool to delta-fold.
-        self.process_totals = {}
+        self.metrics = metrics
+        self.arena = ShmArena(metrics)
         self.process = ctx.Process(target=_process_worker_main,
                                    args=(child_conn, max_loaded),
                                    name=name, daemon=True)
@@ -278,12 +287,12 @@ class _WorkerProcess:
 
     def _send(self, message):
         blob = pickle.dumps(message)
-        self.control_bytes_sent += len(blob)
+        self.metrics.counter("transport.control.bytes_sent").inc(len(blob))
         self.conn.send_bytes(blob)
 
     def _recv(self):
         blob = self.conn.recv_bytes()
-        self.control_bytes_received += len(blob)
+        self.metrics.counter("transport.control.bytes_received").inc(len(blob))
         return pickle.loads(blob)
 
     def _roundtrip(self, message):
@@ -321,32 +330,21 @@ class _WorkerProcess:
         arena is free for the next batch — release after a crash-path
         ``arena.destroy()`` is a no-op, so nothing double-frees and nothing
         leaks.
+
+        The child's reply carries what its ``PROCESS_METRICS`` counters
+        gained since its previous reply; they are added to this process's
+        before this returns, so they land before the batch's tickets
+        resolve.
         """
         staged = self.arena.stage(task.payloads)
         try:
-            snapshot = self._roundtrip(("batch", task.artifact_path,
-                                        task.generation,
-                                        staged.descriptors()))
-            if isinstance(snapshot, dict):
-                self.process_totals = snapshot
-            self.batches_run += 1
+            deltas = self._roundtrip(("batch", task.artifact_path,
+                                      task.generation, staged.descriptors()))
+            PROCESS_METRICS.fold(deltas)
+            self.metrics.counter("transport.batches.run").inc()
             return staged.read_responses()
         finally:
             staged.release()
-
-    def transport_totals(self):
-        """This worker's cumulative shm-transport counters by metric name.
-
-        The pool folds these (and :attr:`process_totals`) through its
-        :class:`~repro.telemetry.WorkerCounterMerge` instances after every
-        batch, at snapshot time and on retirement.
-        """
-        totals = {name: value for name, value in self.arena.stats().items()
-                  if TRANSPORT_METRIC_SCHEMA[name] == "counter"}
-        totals["transport.control.bytes_sent"] = self.control_bytes_sent
-        totals["transport.control.bytes_received"] = self.control_bytes_received
-        totals["transport.batches.run"] = self.batches_run
-        return totals
 
     def close(self, kill=False):
         try:
@@ -399,6 +397,7 @@ def _process_worker_main(conn, max_loaded=4):
                 f"{type(payload).__name__}: {payload} (original not picklable)"))))
 
     attachments = SegmentAttachments()
+    sent = {}                  # PROCESS_METRICS as of the last batch reply
     try:
         while True:
             try:
@@ -414,11 +413,15 @@ def _process_worker_main(conn, max_loaded=4):
                 except BaseException as error:  # noqa: BLE001 - forwarded
                     reply(("error", error))
                 else:
-                    # The reply piggybacks this child's cumulative
-                    # process-wide (model-cache and compile) counters; the
-                    # parent folds the delta into its own so telemetry
-                    # covers process workers.
-                    reply(("ok", PROCESS_METRICS.snapshot()))
+                    # The reply carries what this child's process-wide
+                    # (model-cache and compile) counters gained since its
+                    # last reply; the parent adds it to its own, so
+                    # telemetry covers process workers.
+                    counts = PROCESS_METRICS.snapshot()
+                    reply(("ok", {name: value - sent.get(name, 0)
+                                  for name, value in counts.items()
+                                  if value != sent.get(name, 0)}))
+                    sent = counts
             elif kind == "warm":
                 _, artifact_path, generation = message
                 started = time.perf_counter()
@@ -488,12 +491,6 @@ class WorkerPool:
                            fn=lambda: self._live_arena_stat("transport.segments.active"))
         self.metrics.gauge("transport.slots.live",
                            fn=lambda: self._live_arena_stat("transport.slots.live"))
-        # Child->parent counter merges, one per destination registry: each
-        # child's transport totals land on this pool's registry, its
-        # piggybacked model-cache and compile counters on this process's
-        # PROCESS_METRICS.
-        self._merge = WorkerCounterMerge(self.metrics.fold)
-        self._process_merge = WorkerCounterMerge(PROCESS_METRICS.fold)
         # Per-worker views the flat schema sums over: batches executed and
         # warm-load seconds (``pool.batches.executed`` / ``pool.warm.seconds``).
         self.executed_batches = [0] * self.num_workers
@@ -507,33 +504,13 @@ class WorkerPool:
         # a split never forces a cold model load.  Approximate on purpose: a
         # stale entry costs one reload, never correctness.
         self._resident = [set() for _ in range(self.num_workers)]
-        # Live child processes by worker id; retired children
-        # have already folded their final counters through the merge, so the
-        # registry covers the pool's whole lifetime.
+        # Live child processes by worker id (their arenas back the
+        # ``transport.segments.active`` / ``transport.slots.live`` gauges).
         self._processes = [None] * self.num_workers
 
     # ------------------------------------------------------------------
-    # Metrics plumbing (worker->parent merges)
+    # Metrics gauges
     # ------------------------------------------------------------------
-    def _fold_process(self, process):
-        """Delta-fold one child's cumulative counters into the parent."""
-        if process is not None:
-            self._merge.fold(process, process.transport_totals())
-            self._process_merge.fold(process, process.process_totals)
-
-    def _fold_live_processes(self):
-        """Fold every live child so a snapshot reflects in-progress work.
-
-        Retired children folded their final totals already; folding is
-        delta-idempotent, so live folds racing a retirement cannot double
-        count (the retired handle stays known to the merge).
-        """
-        with self._lock:
-            live = [process for process in self._processes
-                    if process is not None]
-        for process in live:
-            self._fold_process(process)
-
     def _queued_batches(self):
         with self._lock:
             return len(self._batches)
@@ -551,7 +528,6 @@ class WorkerPool:
 
     def metrics_snapshot(self):
         """Flat ``{dotted-name: value}`` snapshot of the executor metrics."""
-        self._fold_live_processes()
         return self.metrics.snapshot()
 
     # ------------------------------------------------------------------
@@ -623,7 +599,7 @@ class WorkerPool:
         for index in range(num_parts):
             on_done, on_error = join.hooks(index)
             parts.append(BatchTask(
-                spec=task.spec, artifact_path=task.artifact_path,
+                artifact_path=task.artifact_path,
                 payloads=task.payloads[bounds[index]:bounds[index + 1]],
                 on_done=on_done, on_error=on_error,
                 generation=task.generation,
@@ -757,7 +733,7 @@ class WorkerPool:
     def _ensure_process(self, wid, process):
         """The worker's live child process, spawning one if needed."""
         if process is None:
-            process = _WorkerProcess(f"{POOL_NAME}-proc-{wid}",
+            process = _WorkerProcess(f"{POOL_NAME}-proc-{wid}", self.metrics,
                                      max_loaded=self.max_loaded_per_worker)
             with self._lock:
                 self.dead_workers[wid] = False
@@ -765,16 +741,13 @@ class WorkerPool:
         return process
 
     def _retire_process(self, wid, process, *, crashed=False):
-        """Fold a child's final counters through the merge and drop it.
-        A crashed child is already closed (its arena destroyed) by
-        :meth:`_WorkerProcess.run`; a clean retirement closes it here.
-        The handle stays known to the merge (not ``retire()``-d) so a metrics
-        snapshot racing this retirement cannot re-fold the same totals."""
+        """Drop a worker's child.  A crashed child is already closed (its
+        arena destroyed) by :meth:`_WorkerProcess.run`; a clean retirement
+        closes it here."""
         if process is None:
             return
         if not crashed:
             process.close()
-        self._fold_process(process)
         with self._lock:
             self._processes[wid] = None
             self._resident[wid].clear()
@@ -861,8 +834,7 @@ class WorkerPool:
                         except WorkerCrashed:
                             # The child died mid-batch: its arena is already
                             # destroyed (so the staged slots cannot leak);
-                            # fold its counters and respawn lazily on the
-                            # next batch.
+                            # respawn lazily on the next batch.
                             self._retire_process(wid, process, crashed=True)
                             process = None
                             raise
@@ -890,6 +862,5 @@ class WorkerPool:
                         self.executed_batches[wid] += 1
                         self.metrics.counter("pool.batches.executed").inc()
                         self._cond.notify_all()
-                    self._fold_process(process)
         finally:
             self._retire_process(wid, process)

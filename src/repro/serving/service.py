@@ -568,8 +568,8 @@ class ImputationService:
 
         The key set is stable across executor modes: executor metrics are
         zero-filled when the service runs inline, live when a pool is
-        attached (folding its worker counters — and its children's compile
-        counters into the process-wide registry — first).  Never call this
+        attached (its children's model-cache and compile counters reach the
+        process-wide registry with each batch reply).  Never call this
         while holding the service or pool lock — gauge callbacks take them.
         """
         snapshot = zero_executor_snapshot()
@@ -786,7 +786,6 @@ class ImputationService:
         def dispatch():
             attempts[0] += 1
             self.executor.dispatch(BatchTask(
-                spec=resolved.spec,
                 artifact_path=resolved.path,
                 payloads=payloads,
                 on_done=on_done,

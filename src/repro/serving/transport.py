@@ -29,9 +29,10 @@ Lifecycle invariants (pinned by ``tests/test_pool_transport.py``):
   batch.  A larger batch gets a segment of its own, unlinked on release.
 * **Segments are provably unlinked.**  Clean drain, ``stop(drain=False)``
   and worker crashes all funnel through ``release()``/``destroy()``; the
-  arena's counters expose ``transport.segments.created ==
-  transport.segments.unlinked`` so tests and the chaos gate can assert zero
-  leaked segments by name.
+  arena counts ``transport.segments.created`` and
+  ``transport.segments.unlinked`` into its owner's registry as each segment
+  comes and goes, so tests and the chaos gate can assert zero leaked
+  segments by name.
 * **A failed detach never leaks.**  If a release fails (the
   ``transport.shm_detach`` injection point models this), the arena rebuilds:
   every segment is unlinked and the next batch starts on a fresh one.
@@ -67,9 +68,10 @@ __all__ = [
     "TRANSPORT_METRIC_SCHEMA",
 ]
 
-#: The ``transport.*`` section of the serving metric schema.  Counters are
-#: cumulative and fold worker->parent through the pool's WorkerCounterMerge;
-#: gauges are instantaneous reads of the live arenas.
+#: The ``transport.*`` section of the serving metric schema.  Every counter
+#: is counted once, in the parent, where its event happens: the arenas count
+#: segments, staged batches and bytes, and each worker's pipe counts control
+#: bytes and batches run.  The gauges are live reads of the arenas.
 TRANSPORT_METRIC_SCHEMA = {
     "transport.segments.created": "counter",
     "transport.segments.unlinked": "counter",
@@ -159,26 +161,24 @@ class ShmArena:
     """Parent-side staging segment of one worker.
 
     One arena per worker process, holding at most one live batch (see the
-    module docstring).  The lock is there because metrics snapshots and
-    ``destroy()`` (pool stop / crash cleanup) come from other threads.
+    module docstring).  Its ``transport.*`` counters go to ``metrics``, the
+    owner's :class:`~repro.telemetry.MetricsRegistry` (a pool shares its
+    own across its workers' arenas).  The lock is there because metrics
+    snapshots and ``destroy()`` (pool stop / crash cleanup) come from other
+    threads.
     """
 
-    def __init__(self):
+    def __init__(self, metrics):
+        self._metrics = metrics
         self._lock = threading.Lock()
         self._standing = None          # SharedMemory reused batch after batch
         self._oversize = None          # the live batch's own segment, if any
         self._live = None              # the live StagedBatch
         self._destroyed = False
-        # Cumulative counters (survive into WorkerPool totals on retire).
-        self.segments_created = 0
-        self.segments_unlinked = 0
-        self.batches_staged = 0
-        self.bytes_staged = 0
-        self.rebuilds = 0
 
     def _create_locked(self, size):
         shm = shared_memory.SharedMemory(create=True, name=_segment_name(), size=size)
-        self.segments_created += 1
+        self._metrics.counter("transport.segments.created").inc()
         return shm
 
     def _segments_locked(self):
@@ -188,7 +188,7 @@ class ShmArena:
     def _unlink_all_locked(self):
         for shm in self._segments_locked():
             _unlink(shm)
-            self.segments_unlinked += 1
+            self._metrics.counter("transport.segments.unlinked").inc()
         self._standing = self._oversize = self._live = None
 
     # ------------------------------------------------------------------
@@ -254,8 +254,8 @@ class ShmArena:
                     observed_mask=mask,
                 ))
             self._live = StagedBatch(self, entries, total)
-            self.batches_staged += 1
-            self.bytes_staged += total
+            self._metrics.counter("transport.batches.staged").inc()
+            self._metrics.counter("transport.bytes_staged").inc(total)
             return self._live
 
     def _release(self, batch):
@@ -269,12 +269,12 @@ class ShmArena:
                 # A failed detach must never leak a segment: drop everything
                 # and start over on a fresh standing segment.
                 self._unlink_all_locked()
-                self.rebuilds += 1
+                self._metrics.counter("transport.rebuilds").inc()
                 return
             if self._oversize is not None:
                 _unlink(self._oversize)
                 self._oversize = None
-                self.segments_unlinked += 1
+                self._metrics.counter("transport.segments.unlinked").inc()
 
     def view(self, descriptor):
         """Parent-side view of a staged tensor (response read path)."""
@@ -297,19 +297,23 @@ class ShmArena:
                 self._unlink_all_locked()
 
     def stats(self):
-        """This arena's counters and gauges under their ``transport.*`` names."""
+        """This arena's gauges plus its registry's ``transport.*`` counters
+        (shared by every arena of a pool, so pool-wide there).
+
+        Counters are read instrument by instrument, never through
+        ``metrics.snapshot()``: the pool's ``transport.segments.active``
+        gauge calls this method, so a snapshot here would recurse.
+        """
+        counters = {name: self._metrics.counter(name).value
+                    for name, kind in TRANSPORT_METRIC_SCHEMA.items()
+                    if kind == "counter"}
         with self._lock:
             live = self._live
-            return {
-                "transport.segments.created": self.segments_created,
-                "transport.segments.unlinked": self.segments_unlinked,
+            return dict(counters, **{
                 "transport.segments.active": len(self._segments_locked()),
                 "transport.slots.live": (len(_FIELDS) * len(live._entries)
                                          if live is not None else 0),
-                "transport.batches.staged": self.batches_staged,
-                "transport.bytes_staged": self.bytes_staged,
-                "transport.rebuilds": self.rebuilds,
-            }
+            })
 
     def segment_names(self):
         """Names of the currently mapped segments (leak tests attach-probe

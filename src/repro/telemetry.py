@@ -26,10 +26,11 @@ Families whose instruments are not owned by one serving object live in
 ``registry.cache.*`` counters of the process's one
 :class:`~repro.inference.backend.BackendCache` and the ``compiled.*``
 counters every :class:`~repro.inference.CompiledStepCache` in the process
-increments.  ``ImputationService.metrics_snapshot()`` merges it, and a
-worker pool folds each child process's ``PROCESS_METRICS`` counters into
-the parent's through a :class:`WorkerCounterMerge` — so it holds counters
-only (a gauge would be summed across processes).
+increments.  ``ImputationService.metrics_snapshot()`` merges it, and each
+pool child's batch reply carries what the child's ``PROCESS_METRICS`` gained
+since its last reply, which the parent adds with
+:meth:`MetricsRegistry.fold` — so it holds counters only (a gauge would be
+summed across processes).
 
 The flat snapshot is the only counter surface: ``service.metrics_snapshot()``
 in-process and the ``"metrics"`` section of the gateway's ``/v1/stats``.
@@ -46,15 +47,17 @@ Design rules
 * **Snapshots are flat.**  ``MetricsRegistry.snapshot()`` returns
   ``{dotted-name: number}`` with histogram instruments expanded to
   ``<name>.count`` / ``.sum`` / ``.min`` / ``.max``.
-* **Worker merges are delta-folds.**  A pool child process reports
-  *cumulative* totals; :class:`WorkerCounterMerge` remembers the
-  last snapshot per source and folds only the delta, so repeated folds are
-  idempotent and a respawned worker (fresh source, counters back at zero)
-  never subtracts history.
+* **Each counter counts once, where its event happens.**  A counter is
+  incremented by the code that sees the event, in the registry that
+  reports it: the pool's worker threads, control pipe and shm arenas count
+  into the pool's registry directly.  Only a pool child's
+  ``PROCESS_METRICS`` crosses a process boundary, as the *delta* since the
+  child's previous reply, added with :meth:`MetricsRegistry.fold`; a
+  respawned child starts from zero, so nothing is ever subtracted.
 
 ``tests/test_serving_metrics.py`` pins snapshot consistency under
 concurrent writers, the stable-schema invariant across inline and
-pool-backed services, and delta-folding across worker crash + respawn.
+pool-backed services, and exact counts across worker crash + respawn.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "WorkerCounterMerge",
     "PROCESS_METRICS",
 ]
 
@@ -249,68 +251,17 @@ class MetricsRegistry:
     def fold(self, deltas):
         """Add counter deltas (``{name: amount}``) into this registry.
 
-        The low-level half of the worker→parent merge: every named counter
+        How a pool child's batch reply joins the parent: every named counter
         grows by its delta.  Negative or zero deltas are ignored — a
-        cumulative snapshot can only move forward.
+        counter can only move forward.
         """
         for name, amount in deltas.items():
             if amount and amount > 0:
                 self.counter(name).inc(amount)
 
 
-class WorkerCounterMerge:
-    """Fold per-source *cumulative* counter snapshots into parent sinks.
-
-    A worker pool keeps one per destination registry: the shm-transport
-    totals of each child's arena and pipe fold into the pool's registry,
-    and the ``registry.cache.*`` / ``compiled.*`` counters each child
-    piggybacks on its batch replies fold into the parent's
-    :data:`PROCESS_METRICS`.  (The pool's own batch and crash counts run in
-    parent-side worker threads and are plain counter increments.)  The
-    merge remembers the last snapshot per ``source`` (any hashable — a
-    child process handle) and applies only the positive delta, so:
-
-    * folding the same cumulative snapshot twice is a no-op,
-    * a respawned child registers as a *new* source whose counters start
-      from zero — history is never subtracted, and
-    * :meth:`retire` folds a final snapshot and forgets the source.
-    """
-
-    def __init__(self, sink):
-        if not callable(sink):
-            raise TypeError("sink must be callable(deltas: dict)")
-        self._sink = sink
-        self._lock = threading.Lock()
-        self._seen = {}  # source -> {name: last cumulative}
-
-    def fold(self, source, cumulative):
-        """Fold ``cumulative`` totals from ``source``; returns the deltas."""
-        with self._lock:
-            seen = self._seen.setdefault(source, {})
-            deltas = {}
-            for name, value in cumulative.items():
-                delta = value - seen.get(name, 0)
-                if delta > 0:
-                    deltas[name] = delta
-                seen[name] = max(value, seen.get(name, 0))
-        if deltas:
-            self._sink(deltas)
-        return deltas
-
-    def retire(self, source, cumulative=None):
-        """Fold a final snapshot (if given) and forget ``source``."""
-        deltas = self.fold(source, cumulative) if cumulative else {}
-        with self._lock:
-            self._seen.pop(source, None)
-        return deltas
-
-    def sources(self):
-        with self._lock:
-            return list(self._seen)
-
-
 #: The process-wide registry: counter families owned by no single serving
 #: object (``registry.cache.*`` of the backend cache and ``compiled.*`` of
-#: every compile cache in this process, plus whatever a worker pool folds in
-#: from its children).  Counters only: children's snapshots fold as deltas.
+#: every compile cache in this process, plus what a worker pool's children
+#: report on their batch replies).  Counters only: children send deltas.
 PROCESS_METRICS = MetricsRegistry()

@@ -77,11 +77,14 @@ def _requests(dataset, model="traffic", count=4, length=10, num_samples=2):
 
 
 def _dummy_task(spec, execute, num_requests=1, on_done=None, on_error=None):
-    """A synthetic BatchTask for scheduling tests (no trained model needed)."""
+    """A synthetic BatchTask for scheduling tests (no trained model needed).
+
+    ``spec`` only labels the task at the call site; the pool never reads a
+    model name."""
     payloads = [RequestPayload(values=None, observed_mask=None, num_samples=1,
                                seed=None, stride=None)
                 for _ in range(num_requests)]
-    return BatchTask(spec=spec, artifact_path="<none>", payloads=payloads,
+    return BatchTask(artifact_path="<none>", payloads=payloads,
                      on_done=on_done or (lambda raws: None),
                      on_error=on_error or (lambda error: None),
                      execute=execute)

@@ -34,6 +34,7 @@ from repro.serving.errors import ServingError
 from repro.serving.pool import RequestPayload
 from repro.serving import transport
 from repro.serving.transport import SegmentAttachments, ShmArena, decode_batch
+from repro.telemetry import MetricsRegistry
 
 
 def _fast_config(**overrides):
@@ -105,7 +106,7 @@ def _assert_names_unlinked(names):
 # ----------------------------------------------------------------------
 class TestShmArena:
     def test_stage_release_refcounts_and_is_idempotent(self):
-        arena = ShmArena()
+        arena = ShmArena(MetricsRegistry())
         staged = arena.stage(_payloads(count=3))
         stats = arena.stats()
         # 4 tensors per payload: values, mask, median slot, samples slot.
@@ -130,7 +131,7 @@ class TestShmArena:
         # segment for that batch; it must unlink on release while the
         # standing segment stays mapped for reuse.
         monkeypatch.setattr(transport, "DEFAULT_SEGMENT_BYTES", 4096)
-        arena = ShmArena()
+        arena = ShmArena(MetricsRegistry())
         arena.stage(_payloads(count=1, time_steps=2, nodes=2)).release()
         standing = arena.segment_names()
         assert len(standing) == 1
@@ -151,7 +152,7 @@ class TestShmArena:
         _assert_zero_leak(arena.stats())
 
     def test_partial_staging_failure_frees_staged_slots(self):
-        arena = ShmArena()
+        arena = ShmArena(MetricsRegistry())
         bad = _payloads(count=2)
         bad[1].values = np.zeros((2, 3, 4))            # not a (time, node) array
         with pytest.raises(ValueError):
@@ -167,7 +168,7 @@ class TestShmArena:
     def test_second_live_stage_raises(self):
         """One live batch per arena: staging again before the release is
         refused, and the live batch is untouched by the refusal."""
-        arena = ShmArena()
+        arena = ShmArena(MetricsRegistry())
         staged = arena.stage(_payloads(count=2))
         with pytest.raises(TransportError):
             arena.stage(_payloads(count=1))
@@ -188,7 +189,7 @@ class TestShmArena:
         _assert_zero_leak(arena.stats())
 
     def test_stage_fault_fires_before_any_allocation(self):
-        arena = ShmArena()
+        arena = ShmArena(MetricsRegistry())
         with faults.active([{"point": "transport.stage", "hits": [1]}]):
             with pytest.raises(TransportError):
                 arena.stage(_payloads(count=1))
@@ -197,7 +198,7 @@ class TestShmArena:
         arena.destroy()
 
     def test_failed_detach_rebuilds_instead_of_leaking(self):
-        arena = ShmArena()
+        arena = ShmArena(MetricsRegistry())
         staged = arena.stage(_payloads(count=1))
         names = arena.segment_names()
         with faults.active([{"point": "transport.shm_detach", "hits": [1]}]):
@@ -217,7 +218,7 @@ class TestShmArena:
         """Stage → attach → decode → compute-in-place → read_responses, all
         in one process: the exact data path the worker pair runs, minus the
         pipe.  Bits must survive both directions."""
-        arena = ShmArena()
+        arena = ShmArena(MetricsRegistry())
         payloads = _payloads(count=2, time_steps=5, nodes=4, num_samples=3)
         staged = arena.stage(payloads)
         attachments = SegmentAttachments()
@@ -254,7 +255,7 @@ class TestShmArena:
     def test_attachments_keep_one_mapping(self):
         """The child maps one segment at a time: a view of another arena's
         segment closes the first mapping before attaching the second."""
-        first_arena, second_arena = ShmArena(), ShmArena()
+        first_arena, second_arena = ShmArena(MetricsRegistry()), ShmArena(MetricsRegistry())
         first = first_arena.stage(_payloads(count=1))
         second = second_arena.stage(_payloads(count=1))
         attachments = SegmentAttachments()
@@ -294,15 +295,16 @@ class TestPoolTransportLifecycle:
                 tickets = self._serve(registry, tiny_traffic_dataset, pool)
                 for ticket in tickets:
                     ticket.result(timeout=120)
-            live = [name for process in pool._processes if process is not None
+            workers = [process for process in pool._processes
+                       if process is not None]
+            live = [name for process in workers
                     for name in process.arena.segment_names()]
             assert live                       # the transport really ran on shm
-            # Several batches on one worker share its one standing segment.
-            arenas = [process.arena.stats() for process in pool._processes
-                      if process is not None]
-            assert max(stats["transport.batches.staged"] for stats in arenas) >= 2
-            for stats in arenas:
-                assert stats["transport.segments.created"] == 1
+            # Several batches on one worker share its one standing segment:
+            # one segment per live worker, more batches than workers.
+            during = pool.metrics_snapshot()
+            assert during["transport.segments.created"] == len(workers)
+            assert during["transport.batches.staged"] > len(workers)
         transport = pool.metrics_snapshot()
         assert transport["transport.batches.staged"] > 0
         assert transport["transport.bytes_staged"] > 0
@@ -311,9 +313,10 @@ class TestPoolTransportLifecycle:
 
     def test_child_compile_counters_fold_into_parent(self, registry,
                                                      tiny_traffic_dataset):
-        """Batch replies carry the child's cumulative compile counters and
-        the parent folds the deltas, so the ``compiled.*`` metrics of the
-        service snapshot cover inference in pool children."""
+        """Batch replies carry what the child's compile counters gained
+        since its last reply and the parent adds them, so the
+        ``compiled.*`` metrics of the service snapshot cover inference in
+        pool children."""
         pool = WorkerPool(num_workers=1, mode="process")
         service = ImputationService(registry, max_batch_requests=64,
                                     executor=pool)

@@ -1,10 +1,11 @@
 """Tests for the typed metrics registry and the stable observability schema.
 
 Covers the instrument semantics (monotonic counters, callback gauges,
-histogram expansion, declared zero-valued schemas), the one worker->parent
-counter merge (delta folds, idempotence, crash/respawn), snapshot
-consistency under concurrent writers, callback gauges reading their live
-sources, exact compile accounting across the process boundary, and the
+histogram expansion, declared zero-valued schemas, positive-only folds),
+snapshot consistency under concurrent writers, exact pool, transport and
+compile accounting across worker crash + respawn and the process boundary
+(each counter counted once, where its event happens), callback gauges
+reading their live sources, and the
 acceptance criterion that ``/v1/stats`` exposes one pinned key set whether
 the service runs inline or on a worker pool.
 """
@@ -27,7 +28,7 @@ from repro import (
 from repro.serving import Gateway, InProcessClient
 from repro.inference.backend import resident_backends
 from repro.serving.pool import executor_metric_schema
-from repro.telemetry import MetricsRegistry, WorkerCounterMerge
+from repro.telemetry import MetricsRegistry
 
 #: The flat snapshot's complete, sorted key set with a gateway attached —
 #: the one counter vocabulary.  Renaming or dropping a metric must show up
@@ -138,42 +139,6 @@ class TestInstruments:
         assert snapshot.get("pool.noise", 0) == 0
 
 
-class TestWorkerCounterMerge:
-    def test_folds_deltas_idempotently(self):
-        folded = []
-        merge = WorkerCounterMerge(folded.append)
-        source = object()
-        merge.fold(source, {"pool.batches.executed": 2})
-        merge.fold(source, {"pool.batches.executed": 2})   # no change
-        merge.fold(source, {"pool.batches.executed": 5})
-        total = sum(deltas.get("pool.batches.executed", 0) for deltas in folded)
-        assert total == 5
-
-    def test_respawned_source_never_subtracts(self):
-        """A fresh source (a respawned worker) restarts its cumulative map at
-        zero — lower absolute totals must fold as new deltas, not negatives."""
-        metrics = MetricsRegistry()
-        merge = WorkerCounterMerge(metrics.fold)
-        first = object()
-        merge.fold(first, {"transport.batches.run": 10})
-        respawned = object()
-        merge.fold(respawned, {"transport.batches.run": 3})
-        assert metrics.snapshot()["transport.batches.run"] == 13
-
-    def test_retire_folds_final_deltas_and_forgets(self):
-        metrics = MetricsRegistry()
-        merge = WorkerCounterMerge(metrics.fold)
-        source = object()
-        merge.fold(source, {"pool.batches.executed": 1})
-        merge.retire(source, {"pool.batches.executed": 4})
-        assert metrics.snapshot()["pool.batches.executed"] == 4
-        assert source not in merge.sources()
-
-    def test_sink_must_be_callable(self):
-        with pytest.raises(TypeError):
-            WorkerCounterMerge(None)
-
-
 class TestConcurrentSnapshots:
     def test_counter_total_exact_under_concurrent_writers(self):
         metrics = MetricsRegistry()
@@ -198,25 +163,6 @@ class TestConcurrentSnapshots:
         assert counter.value == per_thread * threads
         # Interim snapshots are monotone partial sums, never overshoots.
         assert all(0 <= value <= per_thread * threads for value in seen)
-
-    def test_merge_from_concurrent_sources_loses_nothing(self):
-        metrics = MetricsRegistry()
-        merge = WorkerCounterMerge(metrics.fold)
-        rounds, sources = 200, 6
-
-        def worker(source_id):
-            source = f"worker-{source_id}"
-            for step in range(1, rounds + 1):
-                merge.fold(source, {"pool.batches.executed": step})
-
-        workers = [threading.Thread(target=worker, args=(index,))
-                   for index in range(sources)]
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join()
-        assert (metrics.snapshot()["pool.batches.executed"]
-                == rounds * sources)
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +220,7 @@ class TestStackSnapshots:
         assert snapshot["pool.batches.executed"] == snapshot["pool.batches.dispatched"]
         assert snapshot["pool.batches.executed"] >= 3    # batch_size cap = 2
         assert snapshot["service.batch.seconds.count"] == snapshot["service.batches"]
-        # Worker-folded executed totals agree with the per-worker lists.
+        # Executed totals agree with the per-worker lists.
         assert snapshot["pool.batches.executed"] == sum(pool.executed_batches)
         # Nothing left queued or in flight after stop().
         assert snapshot["pool.batches.queued"] == 0
@@ -311,6 +257,30 @@ class TestStackSnapshots:
         assert snapshot["transport.batches.staged"] >= 2
         assert (snapshot["compiled.cache.misses"]
                 - before["compiled.cache.misses"]) >= 1
+
+    def test_pool_transport_accounting_is_exact(self, registry,
+                                                tiny_traffic_dataset):
+        """One worker, N single-request batches, then ``stop()``: every
+        pool and transport counter is counted once, where its event
+        happens, so each batch is staged, run and executed exactly once
+        and the worker's one standing segment is created and unlinked
+        once."""
+        pool = WorkerPool(num_workers=1, mode="process")
+        service = ImputationService(registry, max_batch_requests=64,
+                                    executor=pool)
+        requests = _requests(tiny_traffic_dataset, count=3)
+        with pool:
+            for request in requests:
+                _serve(service, [request])
+            service.stop()
+        snapshot = pool.metrics_snapshot()
+        assert (snapshot["transport.batches.run"]
+                == snapshot["transport.batches.staged"] == len(requests))
+        assert (snapshot["transport.segments.created"]
+                == snapshot["transport.segments.unlinked"] == 1)
+        assert snapshot["transport.control.bytes_sent"] > 0
+        assert snapshot["transport.control.bytes_received"] > 0
+        assert snapshot["pool.batches.executed"] == len(requests)
 
     def test_executor_schema_zero_filled_inline(self, registry,
                                                 tiny_traffic_dataset):

@@ -45,9 +45,12 @@ because the planner's cross-step CSE (the prior-derived attention maps are
 computed once per chunk instead of once per step) amortises over 8 steps
 instead of 20.  The per-window prior narrowed these ratios: the eager loop
 recomputes the attention maps every step, now on one row per window, so it
-gained more than the replay.  On the host above, three runs measured
-1.7–1.9x (float64) and 1.5–2.0x (float32) for DDPM and 1.5–1.9x for DDIM;
-the float32 DDPM cell sits close to its floor.  Run directly
+gained more than the replay; the static replay tape (every view taken at
+plan time, one pre-bound call per kernel) won some of it back.  On the
+host above, three runs measured 1.88–2.06x (float64) and 1.55–1.70x
+(float32) for DDPM and 1.53–1.97x for DDIM, against 1.80–1.81x and
+1.46–1.53x for DDPM before the tape; the float32 DDPM cell still sits
+close to its floor.  Run directly
 (``PYTHONPATH=src python benchmarks/bench_batched_inference.py``) or through
 pytest (``pytest benchmarks/bench_batched_inference.py``).
 """

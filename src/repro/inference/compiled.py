@@ -11,8 +11,8 @@ dtype, parameterization, step sequence)`` — ``samples_per_plan`` because
 the network computes the condition-only work once per plan, so 16 items in
 two plans of 8 samples trace a different program from 16 one-sample plans
 — so this module records it once with
-:mod:`repro.tensor.trace` and replays it as a flat kernel schedule over a
-pre-planned buffer arena.  It owns no sampling algorithm: the recorded loop is
+:mod:`repro.tensor.trace` and replays it as a static tape of pre-bound
+kernel calls over slots the program owns.  It owns no sampling algorithm: the recorded loop is
 :meth:`~repro.inference.engine.InferenceEngine._reverse_loop`, the same
 Tensor-op loop the engine runs eagerly, run here under a
 :class:`~repro.tensor.trace.Tracer`.
@@ -137,9 +137,9 @@ class CompiledSampler:
     """One compiled chunk program, its bindings and the lock serialising
     its replays.
 
-    The replay arena is shared mutable state, so concurrent replays of the
-    *same* signature are serialised here; different signatures (different
-    cache entries) replay concurrently.  A weight set seen for the first
+    The program's slots are shared mutable state, so concurrent replays of
+    the *same* signature are serialised here; different signatures
+    (different cache entries) replay concurrently.  A weight set seen for the first
     time is bound (the program's prefold runs on it) under the same lock.
     """
 
@@ -148,7 +148,7 @@ class CompiledSampler:
     def __init__(self, program):
         self.program = program
         self._lock = threading.Lock()
-        self._bindings = weakref.WeakKeyDictionary()   # WeightSet -> template
+        self._bindings = weakref.WeakKeyDictionary()   # WeightSet -> binding
 
     def run(self, inputs, weights):
         with self._lock:

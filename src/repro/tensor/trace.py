@@ -18,29 +18,40 @@ input buffers change — so this module records it once and replays it flat:
   as a constant.  A ``reshape`` whose eager result did not alias its input
   (merging heads after ``swapaxes``) records as ``reshape_copy``, a copy
   into an arena slot rather than a view.
-* :func:`compile_graph` plans the replay: constant folding splits off the
-  nodes that read no input — capture-only folds are baked into the
-  template, weight-reading folds (the step-embedding MLP, the adaptive
-  adjacency) become the *prefold* schedule — dead code is dropped, a
-  liveness pass assigns every intermediate a slot in a single pre-allocated
-  buffer arena (slots are reused the moment their last consumer has run),
-  and adjacent single-consumer elementwise ops are fused into one kernel
-  closure.  The fused single-node ops from ``repro.tensor.ops`` (softmax,
-  silu, gelu, layer_norm, attention_core, add_n) record as single nodes, so
-  the planner reuses those kernels directly; gelu and layer_norm borrow
-  their temporaries from the arena for the duration of the node.
+* :func:`compile_graph` plans the replay as a static tape: constant
+  folding splits off the nodes that read no input — capture-only folds
+  are baked into the program, weight-reading folds (the step-embedding
+  MLP, the adaptive adjacency) become the *prefold* schedule — dead code is
+  dropped, and every array a replay touches gets a slot the program owns:
+  one per graph input, one per weight and non-view prefold result the
+  replay reads, and the buffer-arena slots of the intermediates (a
+  liveness pass reuses an arena slot the moment its last consumer has
+  run).  Each slot is laid out like the value it holds was when traced, so
+  no operand of a replayed kernel changes its strides.  Every view op —
+  reshape, transpose, basic indexing, the views of weights in the prefold
+  — is evaluated once, at plan time, on its slot, and kept only if
+  ``np.shares_memory`` confirms it aliases its base; otherwise it is
+  planned as a copy into a slot.  Each remaining node becomes one
+  ``functools.partial(kernel, out, params, *operands)`` bound to its slots.
+  The fused single-node ops from ``repro.tensor.ops`` (softmax, silu, gelu,
+  layer_norm, attention_core, add_n) record as single nodes, so the planner
+  reuses those kernels directly; gelu and layer_norm borrow their
+  temporaries from the arena for the duration of the node.
 * :meth:`CompiledProgram.bind` runs the prefold schedule on one weight set
-  and returns the template :meth:`CompiledProgram.run` replays with; the
-  traced weights bind through the same call.  ``run`` rebinds the inputs
-  and executes the schedule — zero graph construction, zero Tensor
-  wrappers, intermediates written in place via ``out=``.  What still
-  allocates per replay: the output copies; the temporaries of the other
-  fused kernels — softmax's shifted input, silu's sigmoid — and the per-row
-  max and sum columns of every softmax and attention map (:func:`row_max`); the kernels that skip the
-  arena (pow, where, stack, astype); and fancy ``getitem``, which copies
-  while planned as a view.  The in-place layer norm takes its mean and
-  variance columns from the arena (:func:`row_mean` writes into them); its
-  allocating form, for an input that is not C-ordered, does not.
+  and returns the binding :meth:`CompiledProgram.run` replays with; the
+  traced weights bind through the same call.  ``run`` copies a binding
+  into the weight slots only when the program switches binding, copies the
+  inputs into their slots, calls each tape entry in order — zero graph
+  construction, zero Tensor wrappers, zero views built — and copies the
+  outputs.  Every kernel writes its slot: those without an ``out=`` form
+  (pow, where, stack, astype, fancy ``getitem``) compute their exact eager
+  result and ``np.copyto`` it there.  What still allocates per replay: the
+  output copies, those eager results, the temporaries of the other fused
+  kernels — softmax's shifted input, silu's sigmoid — and the per-row max
+  and sum columns of every softmax and attention map (:func:`row_max`).
+  The in-place layer norm takes its mean and variance columns from the
+  arena (:func:`row_mean` writes into them); its allocating form, for an
+  input that is not C-ordered, does not.
 
 Bit-identity is the contract: every kernel replicates the *exact* numpy
 expression of the eager op (same ufuncs, same operand order, same scalar
@@ -52,9 +63,9 @@ trainable tensor that is not one of the declared weights, an explicit
 the eager path, which already ran to completion (tracing never changes what
 the eager code computes).
 
-The replay arena is shared mutable state: :meth:`CompiledProgram.run` is
-not reentrant and callers (``repro.inference.compiled``) must serialise
-replays of one program across threads.
+The slots are shared mutable state: :meth:`CompiledProgram.run` is not
+reentrant and callers (``repro.inference.compiled``) must serialise replays
+of one program across threads.
 """
 
 from __future__ import annotations
@@ -170,21 +181,20 @@ def row_mean(a, out=None):
 # Kernel registry
 # ---------------------------------------------------------------------------
 # Each kernel replays one recorded op: ``fn(out, params, *input_arrays)``
-# returns the result array, writing into the arena slot ``out`` when one was
-# planned (``uses_out``).  ``view`` kernels return a numpy view of their
-# input (storage is aliased, never arena-allocated); ``elementwise`` flags
-# feed the chain-fusion pass.  Every kernel mirrors the eager forward
-# expression exactly — same ufuncs, same operand order — which is what makes
-# replay bit-identical.
+# writes the result into the slot ``out`` (``uses_out``), or, with ``out``
+# ``None`` (constant folding, the prefold), returns a fresh result.  A kernel
+# without an ``out=`` form only returns; the planner copies its result into
+# the slot (:func:`_write`).  ``view`` kernels return a numpy view of their
+# input, which the planner takes once, on the input's slot.  Every kernel
+# mirrors the eager forward expression exactly — same ufuncs, same operand
+# order — which is what makes replay bit-identical.
 
 
 class _Kernel:
-    __slots__ = ("fn", "elementwise", "view", "uses_out", "scratch")
+    __slots__ = ("fn", "view", "uses_out", "scratch")
 
-    def __init__(self, fn, elementwise=False, view=False, uses_out=False,
-                 scratch=None):
+    def __init__(self, fn, view=False, uses_out=False, scratch=None):
         self.fn = fn
-        self.elementwise = elementwise
         self.view = view
         self.uses_out = uses_out
         # ``scratch(input_values, out_value)`` lists the ``(shape, dtype)``
@@ -217,7 +227,7 @@ def _k_neg(out, p, a):
 def _k_pow(out, p, a):
     # ``a ** e`` (ndarray.__pow__) may take integer-exponent fast paths that
     # plain np.power(..., out=) is not guaranteed to share bit-for-bit, so
-    # this kernel replays the exact eager expression and skips the arena.
+    # this kernel replays the exact eager expression (copied into its slot).
     return a ** p["exponent"]
 
 
@@ -459,21 +469,21 @@ def _k_pad_time(out, p, a):
 
 
 _KERNELS = {
-    "add": _Kernel(_k_add, elementwise=True, uses_out=True),
-    "sub": _Kernel(_k_sub, elementwise=True, uses_out=True),
-    "mul": _Kernel(_k_mul, elementwise=True, uses_out=True),
-    "div": _Kernel(_k_div, elementwise=True, uses_out=True),
-    "neg": _Kernel(_k_neg, elementwise=True, uses_out=True),
-    "pow": _Kernel(_k_pow, elementwise=True),
+    "add": _Kernel(_k_add, uses_out=True),
+    "sub": _Kernel(_k_sub, uses_out=True),
+    "mul": _Kernel(_k_mul, uses_out=True),
+    "div": _Kernel(_k_div, uses_out=True),
+    "neg": _Kernel(_k_neg, uses_out=True),
+    "pow": _Kernel(_k_pow),
     "matmul": _Kernel(_k_matmul, uses_out=True),
-    "exp": _Kernel(_k_exp, elementwise=True, uses_out=True),
-    "log": _Kernel(_k_log, elementwise=True, uses_out=True),
-    "sqrt": _Kernel(_k_sqrt, elementwise=True, uses_out=True),
-    "abs": _Kernel(_k_abs, elementwise=True, uses_out=True),
-    "tanh": _Kernel(_k_tanh, elementwise=True, uses_out=True),
-    "sigmoid": _Kernel(_k_sigmoid, elementwise=True, uses_out=True),
-    "relu": _Kernel(_k_relu, elementwise=True, uses_out=True),
-    "clip": _Kernel(_k_clip, elementwise=True, uses_out=True),
+    "exp": _Kernel(_k_exp, uses_out=True),
+    "log": _Kernel(_k_log, uses_out=True),
+    "sqrt": _Kernel(_k_sqrt, uses_out=True),
+    "abs": _Kernel(_k_abs, uses_out=True),
+    "tanh": _Kernel(_k_tanh, uses_out=True),
+    "sigmoid": _Kernel(_k_sigmoid, uses_out=True),
+    "relu": _Kernel(_k_relu, uses_out=True),
+    "clip": _Kernel(_k_clip, uses_out=True),
     "sum": _Kernel(_k_sum, uses_out=True),
     "max": _Kernel(_k_max, uses_out=True),
     "copy": _Kernel(_k_copy, uses_out=True),
@@ -484,20 +494,20 @@ _KERNELS = {
     "expand_dims": _Kernel(_k_expand_dims, view=True),
     "squeeze": _Kernel(_k_squeeze, view=True),
     "broadcast_to": _Kernel(_k_broadcast_to, view=True),
-    # Basic getitem returns a view, fancy getitem a copy.  Both are planned
-    # as views, which is safe but not free for a fancy index: its copy is a
-    # fresh allocation outside the arena on every replay, and it keeps the
-    # input's storage live for as long as the copy is used.
+    # Basic getitem returns a view, which the planner takes once; fancy
+    # getitem returns a copy, which fails the planner's aliasing check and
+    # replays as its eager copy written into a slot.  Liveness still treats
+    # it as a view: the input's storage stays live while the copy is used,
+    # and the copy's slot is never reused.
     "getitem": _Kernel(_k_getitem, view=True),
     "add_n": _Kernel(_k_add_n, uses_out=True),
     "cat": _Kernel(_k_cat, uses_out=True),
     "stack": _Kernel(_k_stack),
-    "where": _Kernel(_k_where, elementwise=True),
-    "maximum": _Kernel(_k_maximum, elementwise=True, uses_out=True),
+    "where": _Kernel(_k_where),
+    "maximum": _Kernel(_k_maximum, uses_out=True),
     "softmax": _Kernel(_k_softmax, uses_out=True),
-    "silu": _Kernel(_k_silu, elementwise=True, uses_out=True),
-    "gelu": _Kernel(_k_gelu, elementwise=True, uses_out=True,
-                    scratch=_gelu_scratch),
+    "silu": _Kernel(_k_silu, uses_out=True),
+    "gelu": _Kernel(_k_gelu, uses_out=True, scratch=_gelu_scratch),
     "layer_norm": _Kernel(_k_layer_norm, uses_out=True,
                           scratch=_layer_norm_scratch),
     "attention_core": _Kernel(_k_attention_core, uses_out=True),
@@ -511,15 +521,33 @@ _KERNELS = {
 # ---------------------------------------------------------------------------
 
 
-class _Value:
-    __slots__ = ("vid", "kind", "name", "shape", "dtype", "array")
+def _layout(array):
+    """The axes of ``array`` from outermost to innermost in memory (numpy's
+    ``K`` order), or ``None`` for the C order."""
+    strides = array.strides
+    axes = tuple(sorted(range(array.ndim), key=lambda axis: -abs(strides[axis])))
+    return None if axes == tuple(range(array.ndim)) else axes
 
-    def __init__(self, vid, kind, shape, dtype, name=None, array=None):
+
+def _empty(shape, dtype, layout=None):
+    """``np.empty`` laid out in ``layout`` (see :func:`_layout`)."""
+    if layout is None:
+        return np.empty(shape, dtype=dtype)
+    buf = np.empty(tuple(shape[axis] for axis in layout), dtype=dtype)
+    return buf.transpose(np.argsort(layout))
+
+
+class _Value:
+    __slots__ = ("vid", "kind", "name", "shape", "dtype", "layout", "array")
+
+    def __init__(self, vid, kind, shape, dtype, name=None, array=None,
+                 layout=None):
         self.vid = vid
         self.kind = kind          # "input" | "weight" | "capture" | "op"
         self.name = name
         self.shape = shape
         self.dtype = dtype
+        self.layout = layout      # memory order when traced (:func:`_layout`)
         self.array = array        # captures only: the baked constant
 
 
@@ -581,7 +609,8 @@ class Tracer:
         self._input_arrays = {}
         self._weights_declared = weights is not None
         for name, array in (weights or {}).items():
-            vid = self._new_value("weight", array.shape, array.dtype, name=name)
+            vid = self._new_value("weight", array.shape, array.dtype, name=name,
+                                  layout=_layout(array))
             self.graph.weights[name] = vid
             # Weights count as runtime data: an op parameter or a ``where``
             # condition holding one would bake it, so the guards refuse it.
@@ -599,9 +628,10 @@ class Tracer:
         return False
 
     # -- value registration -------------------------------------------------
-    def _new_value(self, kind, shape, dtype, name=None, array=None):
+    def _new_value(self, kind, shape, dtype, name=None, array=None, layout=None):
         vid = len(self.graph.values)
-        self.graph.values.append(_Value(vid, kind, shape, dtype, name, array))
+        self.graph.values.append(_Value(vid, kind, shape, dtype, name, array,
+                                        layout))
         return vid
 
     def _register_array(self, array, vid, runtime):
@@ -624,7 +654,8 @@ class Tracer:
         array = np.asarray(array)
         if name in self._input_arrays:
             raise ValueError(f"duplicate trace input {name!r}")
-        vid = self._new_value("input", array.shape, array.dtype, name=name)
+        vid = self._new_value("input", array.shape, array.dtype, name=name,
+                              layout=_layout(array))
         self.graph.inputs[name] = vid
         self._input_arrays[name] = array
         self._register_array(array, vid, runtime=True)
@@ -673,7 +704,7 @@ class Tracer:
             return
         in_vids = tuple(self._resolve(t) for t in inputs)
         data = out.data
-        vid = self._new_value("op", data.shape, data.dtype)
+        vid = self._new_value("op", data.shape, data.dtype, layout=_layout(data))
         self.graph.nodes.append(_Node(op, params or {}, in_vids, vid))
         self._register_array(data, vid, runtime=True)
 
@@ -701,47 +732,52 @@ def trace(weights=None):
 # ---------------------------------------------------------------------------
 
 
-def _make_step(kernel_fn, out_vid, in_vids, params, out_buf, scratch):
-    if scratch is not None:
-        kernel_fn = functools.partial(kernel_fn, scratch=scratch)
-
-    def step(env):
-        env[out_vid] = kernel_fn(out_buf, params, *[env[v] for v in in_vids])
-
-    return step
+def _write(fn, out, params, *arrays):
+    """Replay a kernel without an ``out=`` form: its eager result, copied
+    into the slot."""
+    np.copyto(out, fn(None, params, *arrays))
 
 
-def _make_fused(substeps):
-    def step(env):
-        for substep in substeps:
-            substep(env)
+class _Binding:
+    """The arrays one weight set fills a program's weight slots with."""
 
-    return step
+    __slots__ = ("arrays", "__weakref__")
+
+    def __init__(self, arrays):
+        self.arrays = arrays
 
 
 class CompiledProgram:
-    """A planned, replayable schedule compiled from a :class:`TraceGraph`."""
+    """A planned, replayable tape compiled from a :class:`TraceGraph`.
 
-    def __init__(self, steps, template, input_specs, output_vids, stats,
-                 weight_specs, prefold, bind_scratch):
-        self._steps = steps
-        self._template = template
+    ``switches`` counts the replays that loaded a binding into the weight
+    slots (the first replay of a binding after another one ran).
+    """
+
+    def __init__(self, tape, input_specs, outputs, stats, weight_specs,
+                 prefold, bind_template, bound_vids, bound_slots):
+        self._tape = tape
         self._input_specs = input_specs
-        self._output_vids = output_vids
+        self._outputs = outputs
         self._weight_specs = weight_specs
         self._prefold = prefold
-        self._bind_scratch = bind_scratch
+        self._bind_template = bind_template
+        self._bound_vids = bound_vids
+        self._bound_slots = bound_slots
+        self._loaded = None       # weakref to the binding in the slots
+        self.switches = 0
         self.stats = stats
 
     def bind(self, weights):
-        """Bind a weight set; returns the template :meth:`run` replays with.
+        """Bind a weight set; returns the binding :meth:`run` replays with.
 
         ``weights`` maps names to arrays shaped like the traced ones.  The
-        prefold schedule runs once on them, so a bound template holds the
+        prefold schedule runs once on them, so a binding holds the
         weight-derived constants (and the weights themselves) of this one
-        weight set; nothing of it is kept by the program.
+        weight set; the program keeps a binding only while it is loaded in
+        the weight slots, and then only weakly.
         """
-        env = list(self._template)
+        env = list(self._bind_template)
         for name, (vid, shape, dtype) in self._weight_specs.items():
             array = weights.get(name)
             if array is None:
@@ -754,36 +790,41 @@ class CompiledProgram:
             env[vid] = array
         for fn, params, in_vids, out_vid in self._prefold:
             env[out_vid] = np.asarray(fn(None, params, *[env[v] for v in in_vids]))
-        for vid in self._bind_scratch:
-            env[vid] = None
-        return env
+        return _Binding([env[vid] for vid in self._bound_vids])
 
     def run(self, inputs, bound=None):
-        """Replay the schedule on fresh input arrays; returns output copies.
+        """Replay the tape on fresh input arrays; returns output copies.
 
-        ``bound`` is a template from :meth:`bind`; ``None`` binds no
-        weights, which serves programs traced without any.  Not reentrant:
-        intermediates live in a shared buffer arena, so concurrent replays
-        of the same program must be serialised by the caller.
+        ``bound`` is a binding from :meth:`bind`; ``None`` binds no weights,
+        which serves programs traced without any.  Not reentrant: the
+        program owns every array a replay touches, so concurrent replays of
+        the same program must be serialised by the caller.
         """
-        if set(inputs) != set(self._input_specs):
+        if inputs.keys() != self._input_specs.keys():
             raise TraceUnsupported(
                 f"replay inputs {sorted(inputs)} do not match the traced "
                 f"signature {sorted(self._input_specs)}"
             )
-        env = list(self.bind({}) if bound is None else bound)
         for name, array in inputs.items():
-            vid, shape, dtype = self._input_specs[name]
+            slot, shape, dtype = self._input_specs[name]
             if array.shape != shape or array.dtype != dtype:
                 raise TraceUnsupported(
                     f"input {name!r} is {array.dtype}{array.shape}, traced "
                     f"as {dtype}{shape}"
                 )
-            env[vid] = array
-        for step in self._steps:
-            step(env)
-        # The arena slots are reused on the next replay: hand back copies.
-        return [np.array(env[vid]) for vid in self._output_vids]
+            if slot is not None:
+                np.copyto(slot, array)
+        if bound is None:
+            bound = self.bind({})
+        if self._loaded is None or self._loaded() is not bound:
+            for slot, array in zip(self._bound_slots, bound.arrays):
+                np.copyto(slot, array)
+            self._loaded = weakref.ref(bound)
+            self.switches += 1
+        for call in self._tape:
+            call()
+        # The slots are rewritten on the next replay: hand back copies.
+        return [np.array(array) for array in self._outputs]
 
 
 def _freeze_param(value):
@@ -811,7 +852,7 @@ def compile_graph(graph):
     """Plan a :class:`TraceGraph` into a :class:`CompiledProgram`.
 
     Beyond scheduling, compilation runs three value-preserving optimisation
-    passes before the arena/fusion planner:
+    passes before the slot planner builds the tape:
 
     * **attention split** — each ``attention_core(q, k, v)`` node becomes
       ``attention_weights(q, k)`` + ``matmul(weights, v)`` (the exact same
@@ -819,7 +860,7 @@ def compile_graph(graph):
       own that the next pass can deduplicate;
     * **constant folding** — nodes whose inputs are all constants leave the
       replay schedule.  Those fed by captures only run once here and bake
-      their result into the template; those that read a weight (the
+      their result into the program; those that read a weight (the
       diffusion step-embedding MLP: a table row through the projection
       weights) form the prefold schedule :meth:`CompiledProgram.bind` runs
       once per weight set;
@@ -827,6 +868,14 @@ def compile_graph(graph):
       Reverse-diffusion traces recompute every prior-derived quantity (Q/K
       projections, attention maps, pooled keys) once per step; after CSE the
       replay computes each once per chunk.
+
+    ``stats`` is the work ledger, all read from shapes at plan time:
+    ``kernels`` tape entries, ``replay_calls`` numpy calls per warm replay
+    (input loads, tape entries, output copies), ``hoisted_views`` views
+    taken at plan time, ``slot_bytes`` every slot the program owns (inputs,
+    weights and prefold results, arena), of which ``arena_bytes`` are the
+    arena, and ``matmul_flops``, ``2·K`` per output element of each
+    replayed matmul and attention map.
 
     Raises :class:`TraceUnsupported` when the trace failed or recorded
     nothing replayable.
@@ -913,6 +962,85 @@ def compile_graph(graph):
             schedule.append(node)
     schedule.reverse()
 
+    # Prefold: only the weight folds the schedule (or the outputs) read,
+    # and what they read in turn.
+    used = set(outputs)
+    for node in schedule:
+        used.update(node.inputs)
+    needed = set(used)
+    prefold_nodes = []
+    for node in reversed(prefold):
+        if node.out in needed:
+            needed.update(node.inputs)
+            prefold_nodes.append(node)
+    prefold_nodes.reverse()
+
+    # ``array_of`` maps each value a replay reads to the array it reads:
+    # a constant, a slot, or a view of a slot taken here.  Only constants
+    # something reads are retained — folding and CSE orphan many captures,
+    # and keeping them would pin dead arrays for the lifetime of the program.
+    array_of = {}
+    constants = 0
+    constant_scalars = 0
+    for value in values:
+        array = value.array if value.kind == "capture" else baked.get(value.vid)
+        if array is not None and value.vid in needed:
+            array_of[value.vid] = array
+            constants += 1
+            if array.size == 1:
+                constant_scalars += 1
+
+    def _hoist(node):
+        """Take the view ``node`` makes of its input's array, unless numpy's
+        result does not alias it (and so would go stale); returns whether
+        it did."""
+        base = array_of[node.inputs[0]]
+        view = _KERNELS[node.op].fn(None, node.params, base)
+        if isinstance(view, np.ndarray) and np.shares_memory(view, base):
+            array_of[node.out] = view
+            return True
+        return False
+
+    # Weight slots: the weights and prefold results the replay reads, and
+    # the bases of the prefold views it reads.  A view of a weight slot is
+    # taken here; whatever else it reads is bound into a slot of its own.
+    materialise = {vid for vid in used if vid in weighted}
+    for node in reversed(prefold_nodes):
+        if node.out in materialise and _KERNELS[node.op].view:
+            materialise.add(node.inputs[0])
+    bound_vids = []
+    bound_slots = []
+    hoisted_views = 0
+
+    def _bind_slot(vid):
+        value = values[vid]
+        slot = _empty(value.shape, value.dtype, value.layout)
+        array_of[vid] = slot
+        bound_vids.append(vid)
+        bound_slots.append(slot)
+
+    for vid in graph.weights.values():
+        if vid in materialise:
+            _bind_slot(vid)
+    for node in prefold_nodes:
+        if node.out not in materialise:
+            continue
+        if _KERNELS[node.op].view and _hoist(node):
+            hoisted_views += 1
+        else:
+            _bind_slot(node.out)
+
+    input_specs = {}
+    input_slots = []
+    for name, vid in graph.inputs.items():
+        value = values[vid]
+        slot = None
+        if vid in used:
+            slot = _empty(value.shape, value.dtype, value.layout)
+            array_of[vid] = slot
+            input_slots.append(slot)
+        input_specs[name] = (slot, value.shape, value.dtype)
+
     # Storage roots: a view writes no buffer of its own — it aliases its
     # input's storage, which must stay live as long as the view is used.
     root = list(range(len(values)))
@@ -934,129 +1062,95 @@ def compile_graph(graph):
         if index < len(schedule):
             release_at.setdefault(index, []).append(storage)
 
-    consumer_counts = {}
-    for node in schedule:
-        for vin in node.inputs:
-            consumer_counts[vin] = consumer_counts.get(vin, 0) + 1
-    output_set = set(outputs)
-
-    # Arena assignment: exact (shape, dtype) slot reuse, freed only after
-    # the producing/consuming node has fully run — an output buffer is never
-    # one of the same node's dying inputs, which keeps kernels that read
-    # while writing (matmul, reductions) trivially safe.  A kernel's scratch
-    # buffers come from the same pool and go back to it right after the
-    # node, so they never alias the node's inputs or output.
+    # Arena assignment: exact (shape, dtype, layout) slot reuse, freed only
+    # after the producing/consuming node has fully run — an output buffer
+    # is never one of the same node's dying inputs, which keeps kernels that
+    # read while writing (matmul, reductions) trivially safe.  A kernel's
+    # scratch buffers come from the same pool and go back to it right after
+    # the node, so they never alias the node's inputs or output.  A view
+    # whose numpy result copies gets a slot of its own that is never freed
+    # (liveness counts it as a view of its input).
     pool = {}
     buffers = []
     buffer_of = {}
-    node_steps = []
+    tape = []
     reshape_copies = 0
+    matmul_flops = 0
 
-    def _take(shape, dtype):
-        free = pool.get((shape, dtype))
+    def _take(shape, dtype, layout=None):
+        free = pool.get((shape, dtype, layout))
         if free:
             return free.pop()
-        buf = np.empty(shape, dtype=dtype)
+        buf = _empty(shape, dtype, layout)
         buffers.append(buf)
         return buf
 
-    def _give(buf):
-        pool.setdefault((buf.shape, buf.dtype), []).append(buf)
+    def _give(buf, layout):
+        pool.setdefault((buf.shape, buf.dtype, layout), []).append(buf)
 
     for index, node in enumerate(schedule):
-        kernel = _KERNELS[node.op]
-        out_value = values[node.out]
-        out_buf = None
-        scratch = None
-        if kernel.uses_out and not kernel.view and out_value.kind == "op":
-            out_buf = _take(out_value.shape, out_value.dtype)
-            buffer_of[node.out] = out_buf
-            if node.op == "reshape_copy":
-                reshape_copies += 1
-            needs = kernel.scratch and kernel.scratch(
-                [values[vin] for vin in node.inputs], out_value)
-            if needs:
-                scratch = tuple(_take(shape, dtype) for shape, dtype in needs)
-                for buf in scratch:
-                    _give(buf)
-        node_steps.append(_make_step(kernel.fn, node.out, node.inputs,
-                                     node.params, out_buf, scratch))
-        for storage in release_at.get(index, ()):
-            buf = buffer_of.get(storage)
-            if buf is not None:
-                _give(buf)
-
-    # Chain fusion: collapse maximal runs of elementwise ops where each op
-    # is the sole consumer of its predecessor's result into one kernel
-    # closure, removing per-op dispatch from the replay loop.
-    steps = []
-    fused_chains = 0
-    fused_ops = 0
-    index = 0
-    while index < len(schedule):
-        run_end = index
-        while run_end + 1 < len(schedule):
-            prev, nxt = schedule[run_end], schedule[run_end + 1]
-            if (_KERNELS[prev.op].elementwise
-                    and _KERNELS[nxt.op].elementwise
-                    and prev.out in nxt.inputs
-                    and consumer_counts.get(prev.out, 0) == 1
-                    and prev.out not in output_set):
-                run_end += 1
-            else:
-                break
-        if run_end > index:
-            steps.append(_make_fused(node_steps[index:run_end + 1]))
-            fused_chains += 1
-            fused_ops += run_end + 1 - index
+        if _KERNELS[node.op].view and _hoist(node):
+            hoisted_views += 1
         else:
-            steps.append(node_steps[index])
-        index = run_end + 1
+            op = "reshape_copy" if node.op == "reshape" else node.op
+            kernel = _KERNELS[op]
+            out_value = values[node.out]
+            # A copying reshape writes through a C-ordered reshape of its slot.
+            layout = None if op == "reshape_copy" else out_value.layout
+            out = _take(out_value.shape, out_value.dtype, layout)
+            buffer_of[node.out] = (out, layout)
+            operands = [array_of[vin] for vin in node.inputs]
+            if op == "reshape_copy":
+                reshape_copies += 1
+            if op in ("matmul", "attention_weights"):
+                matmul_flops += 2 * values[node.inputs[0]].shape[-1] * int(
+                    np.prod(out_value.shape))
+            if not kernel.uses_out:
+                tape.append(functools.partial(_write, kernel.fn, out,
+                                              node.params, *operands))
+            else:
+                needs = kernel.scratch and kernel.scratch(
+                    [values[vin] for vin in node.inputs], out_value)
+                extra = {}
+                if needs:
+                    scratch = tuple(_take(shape, dtype) for shape, dtype in needs)
+                    for buf in scratch:
+                        _give(buf, None)
+                    extra["scratch"] = scratch
+                tape.append(functools.partial(kernel.fn, out, node.params,
+                                              *operands, **extra))
+            array_of[node.out] = out
+        for storage in release_at.get(index, ()):
+            entry = buffer_of.get(storage)
+            if entry is not None:
+                _give(*entry)
 
-    # Prefold: only the weight folds the schedule (or the outputs) read,
-    # and what they read in turn.
-    used = set(outputs)
-    for node in schedule:
-        used.update(node.inputs)
-    needed = set(used)
-    prefold_nodes = []
-    for node in reversed(prefold):
-        if node.out in needed:
-            needed.update(node.inputs)
-            prefold_nodes.append(node)
-    prefold_nodes.reverse()
-
-    # Template: only constants the schedule, the outputs or the prefold
-    # read are retained — folding and CSE orphan many captures, and keeping
-    # them would pin dead arrays for the lifetime of the program.
-    template = [None] * len(values)
-    constants = 0
-    constant_scalars = 0
-    for value in values:
-        array = value.array if value.kind == "capture" else baked.get(value.vid)
-        if array is not None and value.vid in needed:
-            template[value.vid] = array
-            constants += 1
-            if array.size == 1:
-                constant_scalars += 1
-
-    input_specs = {
-        values[vid].name: (vid, values[vid].shape, values[vid].dtype)
-        for vid in graph.inputs.values()
-    }
+    output_arrays = [array_of[vid] for vid in outputs]
     weight_specs = {
         name: (vid, values[vid].shape, values[vid].dtype)
         for name, vid in graph.weights.items() if vid in needed
     }
-    prefold_steps = [(_KERNELS[node.op].fn, node.params, node.inputs, node.out)
-                     for node in prefold_nodes]
-
+    # ``bind`` runs only the prefold nodes the bound slots need: a view the
+    # replay reads is already taken on its weight slot.
+    bind_needed = set(bound_vids)
+    prefold_steps = []
+    for node in reversed(prefold_nodes):
+        if node.out in bind_needed:
+            bind_needed.update(node.inputs)
+            prefold_steps.append((_KERNELS[node.op].fn, node.params,
+                                  node.inputs, node.out))
+    prefold_steps.reverse()
+    bind_template = [None] * len(values)
+    for vid in bind_needed:
+        if values[vid].kind == "capture" or vid in baked:
+            bind_template[vid] = array_of[vid]
+    arena_bytes = int(sum(buf.nbytes for buf in buffers))
     stats = {
         "ops_recorded": len(graph.nodes),
         "ops_scheduled": len(schedule),
-        "kernels": len(steps),
-        "fused_chains": fused_chains,
-        "fused_ops": fused_ops,
+        "kernels": len(tape),
+        "replay_calls": len(input_slots) + len(tape) + len(output_arrays),
+        "hoisted_views": hoisted_views,
         "attention_splits": attention_splits,
         "folded_ops": folded_ops,
         "prefold_ops": len(prefold_nodes),
@@ -1064,12 +1158,14 @@ def compile_graph(graph):
         "cse_ops": cse_ops,
         "reshape_copies": reshape_copies,
         "arena_buffers": len(buffers),
-        "arena_bytes": int(sum(buf.nbytes for buf in buffers)),
+        "arena_bytes": arena_bytes,
+        "slot_bytes": arena_bytes + int(sum(
+            slot.nbytes for slot in input_slots + bound_slots)),
+        "matmul_flops": matmul_flops,
         "values": len(values),
         "constants": constants,
         "constant_scalars": constant_scalars,
     }
-    # A bound template drops what only the prefold reads.
-    bind_scratch = sorted(needed - used)
-    return CompiledProgram(steps, template, input_specs, outputs, stats,
-                           weight_specs, prefold_steps, bind_scratch)
+    return CompiledProgram(tape, input_specs, output_arrays, stats,
+                           weight_specs, prefold_steps, bind_template,
+                           bound_vids, bound_slots)

@@ -213,8 +213,9 @@ def test_undeclared_trainable_tensor_fails_a_weighted_trace():
 def test_stats_shape():
     program, _ = _record(lambda a: tanh(a) * 2.0 + 1.0, a=np.ones(5))
     stats = program.stats
-    for key in ("ops_recorded", "ops_scheduled", "kernels", "fused_chains",
-                "fused_ops", "attention_splits", "folded_ops", "cse_ops",
-                "reshape_copies", "arena_buffers", "arena_bytes", "constants"):
+    for key in ("ops_recorded", "ops_scheduled", "kernels", "replay_calls",
+                "hoisted_views", "attention_splits", "folded_ops", "cse_ops",
+                "reshape_copies", "arena_buffers", "arena_bytes", "slot_bytes",
+                "matmul_flops", "constants"):
         assert key in stats
     assert stats["ops_recorded"] >= stats["ops_scheduled"]

@@ -62,7 +62,6 @@ from .ops import (
     split,
     where,
     maximum,
-    minimum,
     softmax,
     log_softmax,
     relu,
@@ -79,7 +78,6 @@ from .ops import (
     masked_mae_loss,
     binary_cross_entropy,
     pad_time,
-    fusion_enabled,
     fusion_disabled,
 )
 from .random import default_rng, randn, rand, randn_like, seed_everything
@@ -109,7 +107,6 @@ __all__ = [
     "split",
     "where",
     "maximum",
-    "minimum",
     "softmax",
     "log_softmax",
     "relu",
@@ -120,7 +117,6 @@ __all__ = [
     "leaky_relu",
     "layer_norm",
     "attention_core",
-    "fusion_enabled",
     "fusion_disabled",
     "mse_loss",
     "mae_loss",

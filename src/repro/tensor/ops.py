@@ -7,13 +7,17 @@ conventionally written in functional form (softmax, losses).
 Fused kernels
 -------------
 The hot-path operations — :func:`softmax`, :func:`silu`, :func:`gelu`,
-:func:`layer_norm`, :func:`add_n` and :func:`attention_core` — are implemented
-as *single* autograd nodes: one forward ndarray computation and one
+:func:`layer_norm`, :func:`add_n`, :func:`attention_core` and
+:func:`pad_time` — are *single* autograd nodes: one forward and one
 hand-derived backward closure, instead of a chain of elementary ``Tensor``
-ops each allocating its own output and gradient temporaries.  The chained
-reference implementations are kept (``fusion_disabled()`` switches every
-dispatching op to them) both as executable documentation and so tests can
-assert the fused and composed paths agree to machine precision.
+ops each allocating its own output and gradient temporaries.  The forward is
+the op's replay kernel from :mod:`repro.tensor.kernels` (its allocating
+form, or the forward helper that also returns what the backward reuses), so
+the eager op and a compiled replay run one spelling of the math; only the
+backward lives here.  The chained reference implementations are kept
+(``fusion_disabled()`` switches every dispatching op to them) both as
+executable documentation and so tests can assert the fused and composed
+paths agree to machine precision.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import contextlib
 
 import numpy as np
 
+from .kernels import (_k_add_n, _k_attention_weights, _k_pad_time, _k_softmax,
+                      gelu_forward, layer_norm_forward, silu_forward)
 from .tensor import Tensor, as_tensor, _unbroadcast
-from .trace import row_max, row_mean, trace_barrier, trace_runtime_guard
+from .trace import trace_barrier, trace_runtime_guard
 
 __all__ = [
     "add_n",
@@ -32,7 +38,6 @@ __all__ = [
     "split",
     "where",
     "maximum",
-    "minimum",
     "softmax",
     "log_softmax",
     "relu",
@@ -49,16 +54,10 @@ __all__ = [
     "masked_mae_loss",
     "binary_cross_entropy",
     "pad_time",
-    "fusion_enabled",
     "fusion_disabled",
 ]
 
 _FUSION_ENABLED = [True]
-
-
-def fusion_enabled():
-    """Whether the fused single-node kernels are active."""
-    return _FUSION_ENABLED[0]
 
 
 @contextlib.contextmanager
@@ -101,10 +100,7 @@ def add_n(tensors):
     if not _FUSION_ENABLED[0]:
         return _add_n_reference(tensors)
 
-    shape = np.broadcast_shapes(*(t.data.shape for t in tensors))
-    out_data = np.zeros(shape, dtype=np.result_type(*(t.data.dtype for t in tensors)))
-    for tensor in tensors:
-        out_data += tensor.data
+    out_data = _k_add_n(None, None, *(t.data for t in tensors))
 
     def backward(grad):
         grad = np.asarray(grad)
@@ -213,11 +209,6 @@ def maximum(x, y):
     return Tensor._from_op(out_data, (x, y), backward, "maximum")
 
 
-def minimum(x, y):
-    """Elementwise minimum."""
-    return -maximum(-as_tensor(x), -as_tensor(y))
-
-
 def _softmax_reference(x, axis=-1):
     """Composed softmax: max-shift, exp, normalise (four graph nodes)."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
@@ -234,9 +225,8 @@ def softmax(x, axis=-1):
     x = as_tensor(x)
     if not _FUSION_ENABLED[0]:
         return _softmax_reference(x, axis=axis)
-    shifted = x.data - row_max(x.data, axis)
-    out_data = np.exp(shifted)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    params = {"axis": axis}
+    out_data = _k_softmax(None, params, x.data)
 
     def backward(grad):
         if x.requires_grad:
@@ -244,8 +234,7 @@ def softmax(x, axis=-1):
             inner -= out_data * inner.sum(axis=axis, keepdims=True)
             x._accumulate(inner)
 
-    return Tensor._from_op(out_data, (x,), backward, "softmax",
-                            {"axis": axis})
+    return Tensor._from_op(out_data, (x,), backward, "softmax", params)
 
 
 def log_softmax(x, axis=-1):
@@ -282,12 +271,7 @@ def gelu(x):
     if not _FUSION_ENABLED[0]:
         return _gelu_reference(x)
     data = x.data
-    c = data.dtype.type(np.sqrt(2.0 / np.pi))
-    # Cube by multiplication: ``data ** 3`` goes through libm ``pow``, which
-    # is far slower and rounds differently from ``_gelu_reference``.  The
-    # replay kernel (``trace._k_gelu``) runs this exact ufunc sequence.
-    inner = np.tanh(c * (data + _GELU_COEFF * (data * data * data)))
-    out_data = 0.5 * data * (1.0 + inner)
+    out_data, inner, c = gelu_forward(data, _GELU_COEFF)
 
     def backward(grad):
         if x.requires_grad:
@@ -310,8 +294,7 @@ def silu(x):
     x = as_tensor(x)
     if not _FUSION_ENABLED[0]:
         return _silu_reference(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out_data = x.data * sig
+    out_data, sig = silu_forward(x.data)
 
     def backward(grad):
         if x.requires_grad:
@@ -349,15 +332,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         normalised = (x - mean) / (variance + eps).sqrt()
         return normalised * gamma + beta
 
-    data = x.data
-    # Mean and variance by contraction (see repro.tensor.trace.row_mean);
-    # the replay kernel runs the same expression.
-    mean = row_mean(data)
-    centered = data - mean
-    variance = row_mean(centered * centered)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    x_hat = centered * inv_std
-    out_data = x_hat * gamma.data + beta.data
+    out_data, x_hat, inv_std = layer_norm_forward(x.data, gamma.data,
+                                                  beta.data, eps)
 
     def backward(grad):
         grad = np.asarray(grad)
@@ -393,11 +369,8 @@ def attention_core(queries, keys, values, scale=1.0):
         return weights @ values
 
     scale = queries.data.dtype.type(scale)
-    scores = queries.data @ np.swapaxes(keys.data, -1, -2)
-    scores *= scale
-    scores -= row_max(scores)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    params = {"scale": scale}
+    weights = _k_attention_weights(None, params, queries.data, keys.data)
     out_data = weights @ values.data
 
     def backward(grad):
@@ -421,7 +394,7 @@ def attention_core(queries, keys, values, scale=1.0):
                 )
 
     return Tensor._from_op(out_data, (queries, keys, values), backward,
-                            "attention_core", {"scale": scale})
+                            "attention_core", params)
 
 
 def mse_loss(prediction, target):
@@ -488,9 +461,8 @@ def binary_cross_entropy(prediction, target, eps=1e-7):
 def pad_time(x, pad_left, pad_right, axis=-2):
     """Zero-pad a tensor along the time axis (constant padding)."""
     x = as_tensor(x)
-    pad_width = [(0, 0)] * x.ndim
-    pad_width[axis] = (pad_left, pad_right)
-    out_data = np.pad(x.data, pad_width)
+    params = {"pad_left": pad_left, "pad_right": pad_right, "axis": axis}
+    out_data = _k_pad_time(None, params, x.data)
     slicer = [slice(None)] * x.ndim
     slicer[axis] = slice(pad_left, pad_left + x.shape[axis])
     slicer = tuple(slicer)
@@ -499,6 +471,4 @@ def pad_time(x, pad_left, pad_right, axis=-2):
         if x.requires_grad:
             x._accumulate(np.asarray(grad)[slicer])
 
-    return Tensor._from_op(out_data, (x,), backward, "pad_time",
-                            {"pad_left": pad_left, "pad_right": pad_right,
-                             "axis": axis})
+    return Tensor._from_op(out_data, (x,), backward, "pad_time", params)

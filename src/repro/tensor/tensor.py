@@ -19,6 +19,8 @@ import threading
 
 import numpy as np
 
+from .kernels import _k_sigmoid
+
 __all__ = [
     "Tensor",
     "as_tensor",
@@ -485,7 +487,7 @@ class Tensor:
         return Tensor._from_op(out_data, (self,), backward, "tanh")
 
     def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = _k_sigmoid(None, None, self.data)
 
         def backward(grad):
             if self.requires_grad:

@@ -32,36 +32,31 @@ input buffers change — so this module records it once and replays it flat:
   — is evaluated once, at plan time, on its slot, and kept only if
   ``np.shares_memory`` confirms it aliases its base; otherwise it is
   planned as a copy into a slot.  Each remaining node becomes one
-  ``functools.partial(kernel, out, params, *operands)`` bound to its slots.
-  The fused single-node ops from ``repro.tensor.ops`` (softmax, silu, gelu,
-  layer_norm, attention_core, add_n) record as single nodes, so the planner
-  reuses those kernels directly; gelu and layer_norm borrow their
-  temporaries from the arena for the duration of the node.
+  ``functools.partial(kernel, out, params, *operands)`` bound to its slots,
+  over the kernel table of :mod:`repro.tensor.kernels`.  The fused ops
+  (softmax, silu, gelu, layer_norm, attention_core, add_n, pad_time) record
+  as single nodes; gelu and layer_norm borrow their temporaries from the
+  arena for the duration of the node.
 * :meth:`CompiledProgram.bind` runs the prefold schedule on one weight set
   and returns the binding :meth:`CompiledProgram.run` replays with; the
   traced weights bind through the same call.  ``run`` copies a binding
   into the weight slots only when the program switches binding, copies the
   inputs into their slots, calls each tape entry in order — zero graph
   construction, zero Tensor wrappers, zero views built — and copies the
-  outputs.  Every kernel writes its slot: those without an ``out=`` form
-  (pow, where, stack, astype, fancy ``getitem``) compute their exact eager
-  result and ``np.copyto`` it there.  What still allocates per replay: the
-  output copies, those eager results, the temporaries of the other fused
-  kernels — softmax's shifted input, silu's sigmoid — and the per-row max
-  and sum columns of every softmax and attention map (:func:`row_max`).
-  The in-place layer norm takes its mean and variance columns from the
-  arena (:func:`row_mean` writes into them); its allocating form, for an
-  input that is not C-ordered, does not.
+  outputs.  A kernel without an ``out=`` form (pow, where, stack, astype,
+  fancy ``getitem``) computes its eager result, which is copied into its
+  slot.
 
-Bit-identity is the contract: every kernel replicates the *exact* numpy
-expression of the eager op (same ufuncs, same operand order, same scalar
-handling), so a replay produces the same bits as the recorded execution.
-Anything the tracer cannot prove replayable — an op recorded without
-metadata, a parameter derived from runtime data or from a weight, a
-trainable tensor that is not one of the declared weights, an explicit
-:func:`trace_barrier` — marks the trace failed; callers then fall back to
-the eager path, which already ran to completion (tracing never changes what
-the eager code computes).
+Bit-identity is the contract: the fused eager ops compute their forward
+with the kernels the tape replays and constant folding runs, and every
+other kernel spells its eager op's numpy expression (see
+:mod:`repro.tensor.kernels`), so a replay produces the same bits as the
+recorded execution.  Anything the tracer cannot prove replayable — an op
+recorded without metadata, a parameter derived from runtime data or from a
+weight, a trainable tensor that is not one of the declared weights, an
+explicit :func:`trace_barrier` — marks the trace failed; callers then fall
+back to the eager path, which already ran to completion (tracing never
+changes what the eager code computes).
 
 The slots are shared mutable state: :meth:`CompiledProgram.run` is not
 reentrant and callers (``repro.inference.compiled``) must serialise replays
@@ -75,6 +70,7 @@ import weakref
 
 import numpy as np
 
+from .kernels import _KERNELS
 from .tensor import _STATE
 
 __all__ = [
@@ -87,8 +83,6 @@ __all__ = [
     "active_trace",
     "trace_barrier",
     "trace_runtime_guard",
-    "row_max",
-    "row_mean",
 ]
 
 
@@ -125,395 +119,6 @@ def trace_runtime_guard(array):
     tracer = active_trace()
     if tracer is not None and id(array) in tracer._runtime_ids:
         tracer.fail("op parameter derived from runtime data")
-
-
-# ---------------------------------------------------------------------------
-# Reductions shared by the fused ops and their replay kernels
-# ---------------------------------------------------------------------------
-# numpy reduces a short trailing axis row by row, with per-row overhead: a
-# 16-wide mean costs about three times a length-16 contraction, and a max
-# over the key axis of an attention map several times an elementwise
-# ``np.maximum`` chain.  The fused eager ops in ``repro.tensor.ops`` and the
-# kernels below call these helpers, so eager and replay run one expression.
-
-
-def row_max(a, axis=-1):
-    """``a.max(axis, keepdims=True)`` as an ``np.maximum`` chain along ``axis``.
-
-    Max is exact, so the chain equals numpy's reduction except, possibly,
-    for the sign of a zero maximum and the payload of a NaN; a softmax's
-    subtract-then-exp maps both to the same bits.
-    """
-    parts = np.moveaxis(a, axis, 0)
-    out = parts[0].copy()
-    for part in parts[1:]:
-        np.maximum(out, part, out=out)
-    return np.expand_dims(out, axis)
-
-
-@functools.lru_cache(maxsize=None)
-def _mean_column(size, dtype):
-    column = np.full((size, 1), 1.0 / size, dtype=dtype)
-    column.setflags(write=False)
-    return column
-
-
-def row_mean(a, out=None):
-    """``a.mean(axis=-1, keepdims=True)`` as a matmul with a ``(C, 1)``
-    column of ``1/C`` (ulp-level from numpy's pairwise sum).
-
-    The matmul runs per stacked ``(M, C)`` slice, so a row's result never
-    depends on how many rows share the call; a 1-D or 2-D ``a``, whose
-    ``M`` would be the batch, is contracted one row at a time (see
-    ``repro.nn.Linear.forward``).  ``out`` is a C-ordered
-    ``a.shape[:-1] + (1,)`` buffer.
-    """
-    column = _mean_column(a.shape[-1], a.dtype)
-    if a.ndim >= 3:
-        return np.matmul(a, column, out=out)
-    rows = a.reshape(-1, 1, a.shape[-1])
-    result = np.matmul(rows, column,
-                       out=None if out is None else out.reshape(-1, 1, 1))
-    return result.reshape(a.shape[:-1] + (1,)) if out is None else out
-
-
-# ---------------------------------------------------------------------------
-# Kernel registry
-# ---------------------------------------------------------------------------
-# Each kernel replays one recorded op: ``fn(out, params, *input_arrays)``
-# writes the result into the slot ``out`` (``uses_out``), or, with ``out``
-# ``None`` (constant folding, the prefold), returns a fresh result.  A kernel
-# without an ``out=`` form only returns; the planner copies its result into
-# the slot (:func:`_write`).  ``view`` kernels return a numpy view of their
-# input, which the planner takes once, on the input's slot.  Every kernel
-# mirrors the eager forward expression exactly — same ufuncs, same operand
-# order — which is what makes replay bit-identical.
-
-
-class _Kernel:
-    __slots__ = ("fn", "view", "uses_out", "scratch")
-
-    def __init__(self, fn, view=False, uses_out=False, scratch=None):
-        self.fn = fn
-        self.view = view
-        self.uses_out = uses_out
-        # ``scratch(input_values, out_value)`` lists the ``(shape, dtype)``
-        # temporaries the kernel's ``out`` form needs, or returns ``None``
-        # when it cannot run in place; the planner lends them from the
-        # arena and passes them as ``scratch=``.
-        self.scratch = scratch
-
-
-def _k_add(out, p, a, b):
-    return a + b if out is None else np.add(a, b, out=out)
-
-
-def _k_sub(out, p, a, b):
-    return a - b if out is None else np.subtract(a, b, out=out)
-
-
-def _k_mul(out, p, a, b):
-    return a * b if out is None else np.multiply(a, b, out=out)
-
-
-def _k_div(out, p, a, b):
-    return a / b if out is None else np.true_divide(a, b, out=out)
-
-
-def _k_neg(out, p, a):
-    return -a if out is None else np.negative(a, out=out)
-
-
-def _k_pow(out, p, a):
-    # ``a ** e`` (ndarray.__pow__) may take integer-exponent fast paths that
-    # plain np.power(..., out=) is not guaranteed to share bit-for-bit, so
-    # this kernel replays the exact eager expression (copied into its slot).
-    return a ** p["exponent"]
-
-
-def _k_matmul(out, p, a, b):
-    return a @ b if out is None else np.matmul(a, b, out=out)
-
-
-def _k_exp(out, p, a):
-    return np.exp(a) if out is None else np.exp(a, out=out)
-
-
-def _k_log(out, p, a):
-    return np.log(a) if out is None else np.log(a, out=out)
-
-
-def _k_sqrt(out, p, a):
-    return np.sqrt(a) if out is None else np.sqrt(a, out=out)
-
-
-def _k_abs(out, p, a):
-    return np.abs(a) if out is None else np.abs(a, out=out)
-
-
-def _k_tanh(out, p, a):
-    return np.tanh(a) if out is None else np.tanh(a, out=out)
-
-
-def _k_sigmoid(out, p, a):
-    if out is None:
-        return 1.0 / (1.0 + np.exp(-a))
-    np.negative(a, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    return out
-
-
-def _k_relu(out, p, a):
-    mask = a > 0
-    return a * mask if out is None else np.multiply(a, mask, out=out)
-
-
-def _k_clip(out, p, a):
-    return np.clip(a, p["min"], p["max"], out=out)
-
-
-def _k_sum(out, p, a):
-    return np.sum(a, axis=p["axis"], keepdims=p["keepdims"], out=out)
-
-
-def _k_max(out, p, a):
-    return np.max(a, axis=p["axis"], keepdims=p["keepdims"], out=out)
-
-
-def _k_copy(out, p, a):
-    if out is None:
-        return a.copy()
-    np.copyto(out, a)
-    return out
-
-
-def _k_astype(out, p, a):
-    return a.astype(p["dtype"])
-
-
-def _k_reshape(out, p, a):
-    return a.reshape(p["shape"])
-
-
-def _k_reshape_copy(out, p, a):
-    # A reshape numpy cannot express as a view of its input (merging heads
-    # after ``swapaxes``): copy in C order into the arena slot.
-    if out is None:
-        return a.reshape(p["shape"])
-    np.copyto(out.reshape(a.shape), a)
-    return out
-
-
-def _k_transpose(out, p, a):
-    return a.transpose(p["axes"])
-
-
-def _k_expand_dims(out, p, a):
-    return np.expand_dims(a, axis=p["axis"])
-
-
-def _k_squeeze(out, p, a):
-    return np.squeeze(a, axis=p["axis"])
-
-
-def _k_broadcast_to(out, p, a):
-    return np.broadcast_to(a, p["shape"])
-
-
-def _k_getitem(out, p, a):
-    return a[p["index"]]
-
-
-def _k_add_n(out, p, *arrays):
-    if out is None:
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        out = np.zeros(shape, dtype=np.result_type(*(a.dtype for a in arrays)))
-    else:
-        out[...] = 0
-    for a in arrays:
-        out += a
-    return out
-
-
-def _k_cat(out, p, *arrays):
-    return np.concatenate(arrays, axis=p["axis"], out=out)
-
-
-def _k_stack(out, p, *arrays):
-    return np.stack(arrays, axis=p["axis"])
-
-
-def _k_where(out, p, a, b):
-    return np.where(p["condition"], a, b)
-
-
-def _k_maximum(out, p, a, b):
-    return np.maximum(a, b) if out is None else np.maximum(a, b, out=out)
-
-
-def _k_softmax(out, p, a):
-    axis = p["axis"]
-    shifted = a - row_max(a, axis)
-    if out is None:
-        out = np.exp(shifted)
-    else:
-        np.exp(shifted, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
-
-
-def _k_silu(out, p, a):
-    sig = 1.0 / (1.0 + np.exp(-a))
-    return a * sig if out is None else np.multiply(a, sig, out=out)
-
-
-def _k_gelu(out, p, a, scratch=None):
-    c = a.dtype.type(np.sqrt(2.0 / np.pi))
-    if out is None:
-        inner = np.tanh(c * (a + p["coeff"] * (a * a * a)))
-        return 0.5 * a * (1.0 + inner)
-    # The eager expression, one ufunc at a time: ``inner`` in the scratch
-    # buffer, ``0.5 * a`` in the output slot.
-    (inner,) = scratch
-    np.multiply(a, a, out=inner)
-    np.multiply(inner, a, out=inner)
-    np.multiply(p["coeff"], inner, out=inner)
-    np.add(a, inner, out=inner)
-    np.multiply(c, inner, out=inner)
-    np.tanh(inner, out=inner)
-    np.add(1.0, inner, out=inner)
-    np.multiply(0.5, a, out=out)
-    np.multiply(out, inner, out=out)
-    return out
-
-
-def _gelu_scratch(ins, out):
-    return [(out.shape, out.dtype)]
-
-
-def _k_layer_norm(out, p, a, gamma, beta, scratch=None):
-    # The in-place form keeps eager's reduction order only when ``a - mean``
-    # is laid out like ``a``: a C-ordered ``a`` (the scratch is C-ordered).
-    if out is None or scratch is None or not a.flags.c_contiguous:
-        mean = row_mean(a)
-        centered = a - mean
-        variance = row_mean(centered * centered)
-        inv_std = 1.0 / np.sqrt(variance + p["eps"])
-        x_hat = centered * inv_std
-        if out is None:
-            return x_hat * gamma + beta
-        np.add(x_hat * gamma, beta, out=out)
-        return out
-    # The same ufuncs in the same operand order: ``centered``/``x_hat`` in
-    # one scratch buffer, the mean/variance/inv_std column in the other and
-    # ``centered * centered`` in the output slot.
-    centered, column = scratch
-    row_mean(a, out=column)
-    np.subtract(a, column, out=centered)
-    np.multiply(centered, centered, out=out)
-    row_mean(out, out=column)
-    np.add(column, p["eps"], out=column)
-    np.sqrt(column, out=column)
-    np.true_divide(1.0, column, out=column)
-    np.multiply(centered, column, out=centered)
-    np.multiply(centered, gamma, out=centered)
-    np.add(centered, beta, out=out)
-    return out
-
-
-def _layer_norm_scratch(ins, out):
-    a, gamma, beta = ins
-    if a.shape != out.shape or not (
-            a.dtype == gamma.dtype == beta.dtype == out.dtype):
-        return None
-    return [(a.shape, a.dtype), (a.shape[:-1] + (1,), a.dtype)]
-
-
-def _k_attention_core(out, p, q, k, v):
-    scores = q @ np.swapaxes(k, -1, -2)
-    scores *= p["scale"]
-    scores -= row_max(scores)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights @ v if out is None else np.matmul(weights, v, out=out)
-
-
-def _k_attention_weights(out, p, q, k):
-    # First half of _k_attention_core, split out by the planner so the
-    # softmax attention map can be shared when Q and K are step-invariant
-    # (PriSTI computes them from the prior, not the noisy stream).  The
-    # ufunc sequence matches _k_attention_core exactly; the ``out`` form
-    # runs the same ops in place on the arena slot.
-    kt = np.swapaxes(k, -1, -2)
-    scores = q @ kt if out is None else np.matmul(q, kt, out=out)
-    scores *= p["scale"]
-    scores -= row_max(scores)
-    weights = np.exp(scores) if out is None else np.exp(scores, out=scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
-
-
-def _k_pad_time(out, p, a):
-    axis = p["axis"]
-    pad_width = [(0, 0)] * a.ndim
-    pad_width[axis] = (p["pad_left"], p["pad_right"])
-    if out is None:
-        return np.pad(a, pad_width)
-    out[...] = 0
-    slicer = [slice(None)] * a.ndim
-    slicer[axis] = slice(p["pad_left"], p["pad_left"] + a.shape[axis])
-    out[tuple(slicer)] = a
-    return out
-
-
-_KERNELS = {
-    "add": _Kernel(_k_add, uses_out=True),
-    "sub": _Kernel(_k_sub, uses_out=True),
-    "mul": _Kernel(_k_mul, uses_out=True),
-    "div": _Kernel(_k_div, uses_out=True),
-    "neg": _Kernel(_k_neg, uses_out=True),
-    "pow": _Kernel(_k_pow),
-    "matmul": _Kernel(_k_matmul, uses_out=True),
-    "exp": _Kernel(_k_exp, uses_out=True),
-    "log": _Kernel(_k_log, uses_out=True),
-    "sqrt": _Kernel(_k_sqrt, uses_out=True),
-    "abs": _Kernel(_k_abs, uses_out=True),
-    "tanh": _Kernel(_k_tanh, uses_out=True),
-    "sigmoid": _Kernel(_k_sigmoid, uses_out=True),
-    "relu": _Kernel(_k_relu, uses_out=True),
-    "clip": _Kernel(_k_clip, uses_out=True),
-    "sum": _Kernel(_k_sum, uses_out=True),
-    "max": _Kernel(_k_max, uses_out=True),
-    "copy": _Kernel(_k_copy, uses_out=True),
-    "astype": _Kernel(_k_astype),
-    "reshape": _Kernel(_k_reshape, view=True),
-    "reshape_copy": _Kernel(_k_reshape_copy, uses_out=True),
-    "transpose": _Kernel(_k_transpose, view=True),
-    "expand_dims": _Kernel(_k_expand_dims, view=True),
-    "squeeze": _Kernel(_k_squeeze, view=True),
-    "broadcast_to": _Kernel(_k_broadcast_to, view=True),
-    # Basic getitem returns a view, which the planner takes once; fancy
-    # getitem returns a copy, which fails the planner's aliasing check and
-    # replays as its eager copy written into a slot.  Liveness still treats
-    # it as a view: the input's storage stays live while the copy is used,
-    # and the copy's slot is never reused.
-    "getitem": _Kernel(_k_getitem, view=True),
-    "add_n": _Kernel(_k_add_n, uses_out=True),
-    "cat": _Kernel(_k_cat, uses_out=True),
-    "stack": _Kernel(_k_stack),
-    "where": _Kernel(_k_where),
-    "maximum": _Kernel(_k_maximum, uses_out=True),
-    "softmax": _Kernel(_k_softmax, uses_out=True),
-    "silu": _Kernel(_k_silu, uses_out=True),
-    "gelu": _Kernel(_k_gelu, uses_out=True, scratch=_gelu_scratch),
-    "layer_norm": _Kernel(_k_layer_norm, uses_out=True,
-                          scratch=_layer_norm_scratch),
-    "attention_core": _Kernel(_k_attention_core, uses_out=True),
-    "attention_weights": _Kernel(_k_attention_weights, uses_out=True),
-    "pad_time": _Kernel(_k_pad_time, uses_out=True),
-}
 
 
 # ---------------------------------------------------------------------------

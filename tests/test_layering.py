@@ -2,7 +2,10 @@
 
 ``repro.telemetry`` is the leaf every layer reports metrics through, so it
 must stay importable on its own: standard library only, no other ``repro``
-module.  ``repro.inference`` sits below ``repro.serving`` and must not
+module.  ``repro.tensor.kernels`` holds the one forward spelling of every
+replayable op: it imports only numpy and the standard library, and no other
+module defines a ``_k_*`` kernel.  ``repro.inference`` sits below
+``repro.serving`` and must not
 import it at module level (that is the cycle the leaf exists to break).
 The HTTP gateway never runs a model: every inference it serves, stream ticks
 included, goes through ``ImputationService``.  ``inference/backend.py`` is the
@@ -24,28 +27,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# Imports ``repro.telemetry`` in a fresh interpreter.  The package root
-# ``repro/__init__.py`` re-exports the whole library, so it is replaced by a
-# bare package object over the same directory: the import statement, the
-# finder and the module file are the real ones, and any ``repro.*`` module or
+# Imports one leaf module (``argv[2]``) in a fresh interpreter.  Package
+# ``__init__`` files re-export their subpackages (``repro/__init__.py`` the
+# whole library), so every package above the leaf is replaced by a bare
+# package object over the same directory: the import statement, the finder
+# and the module file are the real ones, and any ``repro.*`` module or
 # third-party package the leaf pulls in shows up in ``sys.modules``.
 _PROBE = """
-import json, sys, types
+import importlib, json, sys, types
 baseline = set(sys.modules)
-package = types.ModuleType("repro")
-package.__path__ = [sys.argv[1] + "/repro"]
-sys.modules["repro"] = package
-import repro.telemetry
-loaded = sorted(set(sys.modules) - baseline - {"repro"})
+parts = sys.argv[2].split(".")
+packages = [".".join(parts[:depth]) for depth in range(1, len(parts))]
+for name in packages:
+    package = types.ModuleType(name)
+    package.__path__ = [sys.argv[1] + "/" + name.replace(".", "/")]
+    sys.modules[name] = package
+importlib.import_module(sys.argv[2])
+loaded = sorted(set(sys.modules) - baseline - set(packages))
 print(json.dumps(loaded))
 """
 
 
-def test_telemetry_imports_only_the_stdlib():
-    result = subprocess.run([sys.executable, "-c", _PROBE, str(SRC)],
+def _leaf_imports(module):
+    """Every module a fresh interpreter loads to import ``module`` alone."""
+    result = subprocess.run([sys.executable, "-c", _PROBE, str(SRC), module],
                             capture_output=True, text=True, check=True,
                             timeout=60)
-    loaded = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_telemetry_imports_only_the_stdlib():
+    loaded = _leaf_imports("repro.telemetry")
     assert "repro.telemetry" in loaded
     internal = [name for name in loaded
                 if name.startswith("repro.") and name != "repro.telemetry"]
@@ -53,6 +65,54 @@ def test_telemetry_imports_only_the_stdlib():
     third_party = [name for name in loaded if not name.startswith("repro.")
                    and name.split(".")[0] not in sys.stdlib_module_names]
     assert third_party == []
+
+
+def test_kernels_import_only_numpy_and_the_stdlib():
+    loaded = _leaf_imports("repro.tensor.kernels")
+    assert "repro.tensor.kernels" in loaded and "numpy" in loaded
+    internal = [name for name in loaded
+                if name.startswith("repro.") and name != "repro.tensor.kernels"]
+    assert internal == []
+    third_party = {name.split(".")[0] for name in loaded
+                   if not name.startswith("repro.")} - set(sys.stdlib_module_names)
+    assert third_party == {"numpy"}
+
+
+def _kernel_definitions(tree):
+    """``(line, name)`` of every function (at any depth) or module-level
+    assignment in ``tree`` that binds a ``_k_*`` name."""
+    hits = [(node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_k_")]
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            hits.extend((node.lineno, target.id) for target in node.targets
+                        if isinstance(target, ast.Name)
+                        and target.id.startswith("_k_"))
+    return sorted(hits)
+
+
+def test_only_the_kernel_module_defines_kernels():
+    definers = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        hits = _kernel_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            definers[path.relative_to(SRC / "repro").as_posix()] = len(hits)
+    assert list(definers) == ["tensor/kernels.py"]
+    assert definers["tensor/kernels.py"] > 30
+
+
+def test_kernel_definition_check_sees_functions_and_aliases():
+    tree = ast.parse("from .kernels import _k_softmax\n"
+                     "def _k_gelu(out, p, a):\n"
+                     "    return a\n"
+                     "class Planner:\n"
+                     "    def _k_silu(self, out, p, a):\n"
+                     "        return a\n"
+                     "_k_sigmoid = _k_softmax\n"
+                     "softmax = _k_softmax\n")
+    assert _kernel_definitions(tree) == [(2, "_k_gelu"), (5, "_k_silu"),
+                                         (7, "_k_sigmoid")]
 
 
 def _module_level_imports(tree, package):

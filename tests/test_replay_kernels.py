@@ -1,14 +1,17 @@
 """Replay kernels that keep their temporaries in the arena.
 
-Pins the fused GELU expression (eager, arena replay and constant folding all
-agree with the composed reference bit-for-bit), the copying-reshape node the
-tracer records when a reshape cannot be a view, the in-place layer-norm
-kernel, and the memory contract that follows from them: a warm replay of an
-attention block allocates no full-size intermediate.  Also the shared
-reductions: the softmax / attention-map row max as an ``np.maximum`` chain
-keeps the bits of the ``np.max`` form (ties, ±0.0, ``-inf`` and NaN rows),
-and the layer-norm mean by contraction keeps each row's bits independent of
-the rows batched with it, eager and replayed.
+Pins the fused GELU expression against the composed reference bit-for-bit;
+for every fused op in float32 and float64 on C-ordered and transposed
+inputs, eager, arena replay and constant folding agreeing bit-for-bit (the
+eager op runs its kernel's allocating form, the arena its ``out=`` form);
+the copying-reshape node the tracer records when a reshape cannot be a
+view, the in-place layer-norm kernel, and the memory contract that follows
+from them: a warm replay of an attention block allocates no full-size
+intermediate.  Also the shared reductions: the softmax / attention-map row
+max as an ``np.maximum`` chain keeps the bits of the ``np.max`` form (ties,
+±0.0, ``-inf`` and NaN rows), and the layer-norm mean by contraction keeps
+each row's bits independent of the rows batched with it, eager and
+replayed.
 """
 
 import tracemalloc
@@ -19,16 +22,19 @@ import pytest
 from repro.nn import MLP, LayerNorm, MultiHeadAttention
 from repro.tensor import (
     Tensor,
+    add_n,
     attention_core,
     compile_graph,
     gelu,
     layer_norm,
     no_grad,
+    pad_time,
+    silu,
     softmax,
     trace,
 )
+from repro.tensor.kernels import row_max, row_mean
 from repro.tensor.ops import _gelu_reference
-from repro.tensor.trace import row_max, row_mean
 
 DTYPES = [np.float32, np.float64]
 
@@ -70,28 +76,74 @@ def test_fused_gelu_equals_composed_reference(dtype):
     assert _same_bits(fused, reference)
 
 
+# Every fused op: (function of Tensors, input shapes).  GELU takes its
+# special points (a 10 x 501 grid of them); layer_norm's gamma and beta
+# broadcast over the trailing axis.
+FUSED_OPS = {
+    "gelu": (gelu, [None]),
+    "silu": (silu, [(6, 5, 8)]),
+    "sigmoid": (lambda a: a.sigmoid(), [(6, 5, 8)]),
+    "softmax-1": (lambda a: softmax(a, axis=-1), [(6, 5, 8)]),
+    "softmax-2": (lambda a: softmax(a, axis=-2), [(6, 5, 8)]),
+    "layer_norm": (layer_norm, [(6, 5, 24), (24,), (24,)]),
+    "attention_core": (lambda q, k, v: attention_core(q, k, v, scale=0.37),
+                       [(3, 2, 6, 4), (3, 2, 7, 4), (3, 2, 7, 4)]),
+    "add_n": (lambda *ts: add_n(ts), [(6, 5, 8)] * 3),
+    "pad_time": (lambda a: pad_time(a, 2, 3), [(6, 5, 8)]),
+}
+
+
+def _fused_inputs(op, dtype, transposed, seed=0):
+    """The op's input arrays; ``transposed`` lays every array of two or more
+    axes out with its first two axes swapped in memory (same values)."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for shape in FUSED_OPS[op][1]:
+        if shape is None:
+            array = _gelu_points(dtype).reshape(10, 501)
+        else:
+            array = rng.normal(loc=0.5, scale=3.0, size=shape).astype(dtype)
+        if transposed and array.ndim >= 2:
+            array = np.ascontiguousarray(array.swapaxes(0, 1)).swapaxes(0, 1)
+        arrays.append(array)
+    return arrays
+
+
 @overflow_ok
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_gelu_replay_and_folding_equal_eager(dtype):
-    x = _gelu_points(dtype)
-    with no_grad():
-        eager = gelu(Tensor(x, dtype=dtype)).data
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("op", sorted(FUSED_OPS))
+def test_fused_op_replay_and_folding_equal_eager(op, transposed, dtype):
+    fn = FUSED_OPS[op][0]
+    xs = _fused_inputs(op, dtype, transposed)
+    names = [f"x{i}" for i in range(len(xs))]
 
-    # Through the arena: the runtime input makes gelu a scheduled node.
-    _, program, traced = _trace(lambda a: gelu(a), a=x)
-    assert _same_bits(traced, eager)
-    assert _same_bits(program.run({"a": x})[0], eager)
+    def eager(arrays):
+        with no_grad():
+            return fn(*(Tensor(a, dtype=dtype) for a in arrays)).data
 
-    # Through folding: gelu of a captured constant runs at compile time.
-    table = Tensor(x, dtype=dtype)
-    zeros = np.zeros_like(x)
-    _, program, _ = _trace(lambda a: a * gelu(table), a=np.ones_like(x))
-    assert program.stats["folded_ops"] == 1
-    replay = program.run({"a": np.ones_like(x)})[0]
-    assert _same_bits(replay, eager)
+    expected = eager(xs)
+
+    # Through the arena: runtime inputs make the op a scheduled node.
+    graph, program, traced = _trace(lambda **ts: fn(*(ts[n] for n in names)),
+                                    **dict(zip(names, xs)))
+    assert [node.op for node in graph.nodes] == [op.split("-")[0]]
+    assert _same_bits(traced, expected)
+    assert _same_bits(program.run(dict(zip(names, xs)))[0], expected)
+    fresh = _fused_inputs(op, dtype, transposed, seed=1)
+    assert _same_bits(program.run(dict(zip(names, fresh)))[0], eager(fresh))
+
+    # Through folding: the op on captured constants runs at compile time.
+    captured = [Tensor(a, dtype=dtype) for a in xs]
+    ones = np.ones_like(expected)
+    _, program, _ = _trace(lambda a: a * fn(*captured), a=ones)
+    # (attention_core folds as the planner's attention_weights + matmul.)
+    assert program.stats["folded_ops"] == 1 + program.stats["attention_splits"]
+    assert _same_bits(program.run({"a": ones})[0], expected)
+    zeros = np.zeros_like(expected)
     with no_grad():
-        expected = (Tensor(zeros, dtype=dtype) * gelu(table)).data
-    assert _same_bits(program.run({"a": zeros})[0], expected)
+        masked = (Tensor(zeros, dtype=dtype) * fn(*captured)).data
+    assert _same_bits(program.run({"a": zeros})[0], masked)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -143,8 +143,7 @@ def _run_pooled(registry, requests, num_workers):
     with pool:
         warm_started = time.perf_counter()
         for shard in range(NUM_SHARDS):
-            pool.prewarm(registry.resolve(f"shard{shard}").path,
-                         generation=registry.generation)
+            pool.prewarm(registry.resolve(f"shard{shard}").path)
         pool.wait_idle(timeout=600)
         warm_seconds = time.perf_counter() - warm_started
         warm = {

@@ -42,7 +42,6 @@ request alone.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -50,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..io.artifacts import _artifact_signature
 from ..telemetry import PROCESS_METRICS
 
 __all__ = ["RawImputation", "ImputationBackend", "DiffusionBackend",
@@ -107,24 +107,6 @@ def load_backend(artifact_path):
     return load_model(artifact_path).backend()
 
 
-#: The artifact files whose ``(mtime_ns, size)`` pair identifies a publish:
-#: ``save_model`` stages and atomically swaps both, so an in-place republish
-#: of the same version always changes this signature.
-_ARTIFACT_FILES = ("manifest.json", "arrays.npz")
-
-
-def _artifact_signature(artifact_path):
-    """A cheap on-disk fingerprint of an artifact (two ``stat`` calls)."""
-    signature = []
-    for name in _ARTIFACT_FILES:
-        try:
-            stat = os.stat(os.path.join(artifact_path, name))
-            signature.append((name, stat.st_mtime_ns, stat.st_size))
-        except OSError:
-            signature.append((name, None, None))
-    return tuple(signature)
-
-
 class BackendCache:
     """A small LRU of rehydrated backends keyed by artifact path.
 
@@ -137,17 +119,12 @@ class BackendCache:
     :data:`repro.telemetry.PROCESS_METRICS`, which a worker pool folds from
     its children into the parent.
 
-    Staleness is generation-gated.  A registry ``publish`` may overwrite an
-    existing version *path* in place, so a path-keyed cache can silently
-    serve a superseded model.  Callers that know the registry's publish
-    ``generation`` pass it to :meth:`get`:
-
-    * generation unchanged since the entry was cached → pure LRU hit, **no
-      filesystem access** (the steady-state request path);
-    * generation bumped (or unknown) → one cheap ``stat`` probe of the
-      artifact files (``stat_probes``); the backend is re-loaded only when
-      the on-disk signature actually changed (``stale_reloads``), otherwise
-      the entry is revalidated against the new generation and stays resident.
+    A version *path* may be republished in place, by any registry or
+    process, so every lookup probes the artifact's on-disk signature
+    (:func:`repro.io.artifacts._artifact_signature`, two ``os.stat``)
+    outside the lock.  An unchanged signature is a hit; a changed one
+    reloads and counts as a miss; no artifact files (a republish between
+    its two renames, or a pulled version) keep the resident backend.
     """
 
     def __init__(self, max_loaded=4):
@@ -155,46 +132,24 @@ class BackendCache:
             raise ValueError("max_loaded must be a positive integer")
         self.max_loaded = int(max_loaded)
         self._lock = threading.Lock()
-        # artifact path -> [backend, generation, on-disk signature]
+        # artifact path -> (backend, on-disk signature at load)
         self._backends = OrderedDict()
-        self.stat_probes = 0
-        self.stale_reloads = 0
 
-    def get(self, artifact_path, generation=None):
-        """The backend for an artifact path, loading and evicting as needed.
-
-        ``generation`` is the caller's view of the registry publish counter
-        (see :attr:`repro.serving.ModelRegistry.generation`); ``None`` means
-        unknown, which degrades to a stat probe per call — still correct,
-        just not free.
-        """
+    def get(self, artifact_path):
+        """The backend for an artifact path, loading and evicting as needed."""
+        # Probed before loading: if a republish lands mid-load, the older
+        # signature is cached and the next lookup reloads.
+        signature = _artifact_signature(artifact_path)
         with self._lock:
             entry = self._backends.get(artifact_path)
-            if entry is not None:
-                backend, cached_generation, cached_signature = entry
-                if generation is not None and generation == cached_generation:
-                    self._backends.move_to_end(artifact_path)
-                    _HITS.inc()
-                    return backend
-                self.stat_probes += 1
-                if _artifact_signature(artifact_path) == cached_signature:
-                    # Same bytes on disk — revalidate against the new
-                    # generation so the next steady-state call skips the
-                    # probe too.
-                    entry[1] = generation
-                    self._backends.move_to_end(artifact_path)
-                    _HITS.inc()
-                    return backend
-                self.stale_reloads += 1
-                del self._backends[artifact_path]
+            if entry is not None and signature in (None, entry[1]):
+                self._backends.move_to_end(artifact_path)
+                _HITS.inc()
+                return entry[0]
+            self._backends.pop(artifact_path, None)
             _MISSES.inc()
-            # Snapshot the signature *before* loading: if a republish lands
-            # mid-load we cache the older signature and the next probe
-            # reloads, instead of pinning fresh stat data to a
-            # half-superseded backend.
-            signature = _artifact_signature(artifact_path)
             backend = load_backend(artifact_path)
-            self._backends[artifact_path] = [backend, generation, signature]
+            self._backends[artifact_path] = (backend, signature)
             while len(self._backends) > self.max_loaded:
                 self._backends.popitem(last=False)
                 _EVICTIONS.inc()
@@ -207,15 +162,14 @@ class BackendCache:
 _PROCESS_BACKENDS = BackendCache(max_loaded=4)
 
 
-def process_backend(artifact_path, generation=None):
+def process_backend(artifact_path):
     """The calling process's resident backend for ``artifact_path``.
 
     The one model lookup of the serving stack, called by a pool child's
-    batch loop and by the service's inline flush: rehydration happens at
-    most once per (process, artifact).  ``generation`` is the registry's
-    publish counter, so steady-state batches skip the artifact stat probe.
+    batch loop and by the service's inline flush: rehydration happens once
+    per (process, save of the artifact).
     """
-    return _PROCESS_BACKENDS.get(artifact_path, generation=generation)
+    return _PROCESS_BACKENDS.get(artifact_path)
 
 
 def resident_backends():

@@ -302,10 +302,12 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     :meth:`~repro.inference.engine.InferenceEngine._draw_noise`), and runs
     of ``samples_per_plan`` consecutive items share one condition.  Returns
     the ``(num_items,) + item_shape`` samples: a replay of the signature's
-    compiled program bound to ``engine.weights``, the validated traced
-    execution on a miss, or the eager loop on the same draws for every other
-    path (compilation disabled, a negative-cached signature, a failed replay
-    or trace, a miss on a key another thread is tracing).
+    compiled program bound to ``engine.weights``, the traced execution on a
+    miss (also when its program then fails to compile or validate), or the
+    eager loop on the same draws for every other path (compilation
+    disabled, a negative-cached signature, a failed replay, a trace that
+    failed before its loop finished, a miss on a key another thread is
+    tracing).
     """
     def eager():
         return engine._reverse_loop(start, step_noise, condition, conditional_mask,
@@ -330,7 +332,10 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     if not cache.claim(key):
         return eager()
 
-    # Cache miss: trace this execution, plan it, validate the replay.
+    # Cache miss: trace this execution, plan it, validate the replay.  Once
+    # the traced loop has finished it holds the eager bits, so a failure to
+    # compile or validate serves them instead of running the loop again.
+    result = None
     try:
         _inject_trace_fault()
         with trace(weights.arrays()) as tracer:
@@ -345,7 +350,7 @@ def sample_chunk_compiled(engine, start, step_noise, condition, conditional_mask
     except Exception:
         cache.store(key, FALLBACK)
         _FALLBACKS.inc()
-        return eager()
+        return eager() if result is None else result.data
     else:
         cache.store(key, sampler)
         return result.data

@@ -285,6 +285,33 @@ def save_model(model, path):
 
 
 # ----------------------------------------------------------------------
+# Staleness
+# ----------------------------------------------------------------------
+#: The files whose ``os.stat`` identifies one save of an artifact: every
+#: :func:`save_model` writes both afresh in a staging directory and swaps it
+#: in, so a republish in place changes the signature of each.
+_ARTIFACT_FILES = (MANIFEST_NAME, ARRAYS_NAME)
+
+
+def _artifact_signature(path):
+    """The on-disk identity of the artifact at ``path`` (two ``os.stat``).
+
+    The one staleness rule of every process-level cache of a published
+    artifact (a rehydrated backend, a manifest's shape): what was read
+    from it stays valid exactly while this signature is unchanged, whoever
+    republished it.  ``None`` means the files are not there — inside
+    :func:`save_model`'s two renames, or after the version was pulled — and
+    keeps whatever a cache already holds, since there is nothing newer to
+    read.
+    """
+    try:
+        stats = [os.stat(os.path.join(path, name)) for name in _ARTIFACT_FILES]
+    except OSError:
+        return None
+    return tuple((stat.st_ino, stat.st_mtime_ns, stat.st_size) for stat in stats)
+
+
+# ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
 def _read_manifest(path):

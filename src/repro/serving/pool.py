@@ -14,8 +14,9 @@ boundary as ``(segment, offset, shape, dtype)`` descriptors; the persistent
 pipe carries only those small control records plus each request's noise
 seed.  Children are started with the ``spawn`` method (``fork`` is unsafe in
 a multi-threaded parent).  Models are rehydrated child-side at most once per
-(process, artifact, registry generation) — and usually *before* the first
-request, via warm pre-fork (:meth:`WorkerPool.watch` /
+(process, save of the artifact) — the child's backend cache checks the
+artifact's on-disk signature on every batch — and usually *before* the
+first request, via warm pre-fork (:meth:`WorkerPool.watch` /
 :meth:`WorkerPool.prewarm`).
 
 Scheduling
@@ -182,13 +183,11 @@ class BatchTask:
 
     ``on_done(raws)`` / ``on_error(exc)`` run on the parent-side worker
     *thread* (the child only computes), so the dispatcher keeps ticket
-    resolution and its own bookkeeping in-process.  ``generation`` is the
-    dispatching registry's publish counter; children pass it to their backend
-    caches so steady-state batches skip the artifact staleness probe.
-    ``execute`` is a test hook: when set, the worker thread calls
-    ``execute(worker_id)`` itself instead of handing the batch to its child,
-    which lets the scheduling tests drive queueing, overload and crash
-    handling without trained models.
+    resolution and its own bookkeeping in-process.  ``execute`` is a test
+    hook: when set, the worker thread calls ``execute(worker_id)`` itself
+    instead of handing the batch to its child, which lets the scheduling
+    tests drive queueing, overload and crash handling without trained
+    models.
     """
 
     artifact_path: str
@@ -196,7 +195,6 @@ class BatchTask:
     on_done: object                 # callable(list[RawImputation]) -> None
     on_error: object                # callable(Exception) -> None
     execute: object = None          # callable(worker_id) -> raws  (tests only)
-    generation: int | None = None   # registry publish counter at dispatch
 
     @property
     def num_requests(self):
@@ -214,7 +212,6 @@ class _WarmupTask:
     """
 
     artifact_path: str
-    generation: int | None = None
 
 
 class _SplitJoin:
@@ -316,10 +313,10 @@ class _WorkerProcess:
                 f"worker process raised {type(result).__name__}: {result}")
         return result
 
-    def warm(self, artifact_path, generation=None):
+    def warm(self, artifact_path):
         """Pre-load one artifact in the child; returns the child's load
         seconds (near zero when it was already resident)."""
-        return self._roundtrip(("warm", artifact_path, generation))
+        return self._roundtrip(("warm", artifact_path))
 
     def run(self, task):
         """Execute ``task`` in the child over the shm transport.
@@ -339,7 +336,7 @@ class _WorkerProcess:
         staged = self.arena.stage(task.payloads)
         try:
             deltas = self._roundtrip(("batch", task.artifact_path,
-                                      task.generation, staged.descriptors()))
+                                      staged.descriptors()))
             PROCESS_METRICS.fold(deltas)
             self.metrics.counter("transport.batches.run").inc()
             return staged.read_responses()
@@ -364,7 +361,7 @@ class _WorkerProcess:
         self.arena.destroy()
 
 
-def _write_responses(artifact_path, generation, descriptors, attachments):
+def _write_responses(artifact_path, descriptors, attachments):
     """Decode one batch, execute it and write its responses in place.
 
     Every arena view lives in this frame only, so none outlives the batch:
@@ -372,7 +369,7 @@ def _write_responses(artifact_path, generation, descriptors, attachments):
     while views of it are alive.
     """
     payloads, response_views = decode_batch(descriptors, attachments)
-    raws = execute_batch(process_backend(artifact_path, generation), payloads)
+    raws = execute_batch(process_backend(artifact_path), payloads)
     for raw, (median_view, samples_view) in zip(raws, response_views):
         median_view[...] = raw.median
         samples_view[...] = raw.samples
@@ -406,10 +403,9 @@ def _process_worker_main(conn, max_loaded=4):
                 return
             kind = message[0]
             if kind == "batch":
-                _, artifact_path, generation, descriptors = message
+                _, artifact_path, descriptors = message
                 try:
-                    _write_responses(artifact_path, generation, descriptors,
-                                     attachments)
+                    _write_responses(artifact_path, descriptors, attachments)
                 except BaseException as error:  # noqa: BLE001 - forwarded
                     reply(("error", error))
                 else:
@@ -423,10 +419,10 @@ def _process_worker_main(conn, max_loaded=4):
                                   if value != sent.get(name, 0)}))
                     sent = counts
             elif kind == "warm":
-                _, artifact_path, generation = message
+                _, artifact_path = message
                 started = time.perf_counter()
                 try:
-                    process_backend(artifact_path, generation)
+                    process_backend(artifact_path)
                 except BaseException as error:  # noqa: BLE001 - forwarded
                     reply(("error", error))
                 else:
@@ -602,7 +598,6 @@ class WorkerPool:
                 artifact_path=task.artifact_path,
                 payloads=task.payloads[bounds[index]:bounds[index + 1]],
                 on_done=on_done, on_error=on_error,
-                generation=task.generation,
             ))
         return parts
 
@@ -624,7 +619,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Warm pre-fork
     # ------------------------------------------------------------------
-    def prewarm(self, artifact_path, generation=None):
+    def prewarm(self, artifact_path):
         """Queue a warm-load of ``artifact_path`` on every worker.
 
         Starts the pool if needed (publish-then-serve spawns the workers at
@@ -637,7 +632,7 @@ class WorkerPool:
                 return 0
             self._start_locked()
             for warmups in self._warmups:
-                warmups.append(_WarmupTask(artifact_path, generation))
+                warmups.append(_WarmupTask(artifact_path))
             self._cond.notify_all()
         return self.num_workers
 
@@ -645,9 +640,7 @@ class WorkerPool:
         """Subscribe this pool to ``registry`` publishes: every published
         model is pre-loaded on every worker immediately (warm pre-fork), so
         its first request never pays the rehydration cost.  Returns self."""
-        registry.subscribe(
-            lambda resolved, generation: self.prewarm(resolved.path,
-                                                      generation))
+        registry.subscribe(lambda resolved: self.prewarm(resolved.path))
         return self
 
     # ------------------------------------------------------------------
@@ -779,7 +772,7 @@ class WorkerPool:
         started = time.perf_counter()
         try:
             process = self._ensure_process(wid, process)
-            process.warm(task.artifact_path, task.generation)
+            process.warm(task.artifact_path)
         except WorkerCrashed:
             self._retire_process(wid, process, crashed=True)
             process = None

@@ -11,7 +11,11 @@ version, ``"aqi"`` means the latest — to its artifact path.  The registry
 holds no loaded model: ``backend`` hands out the calling process's resident
 backend from :func:`repro.inference.backend.process_backend`, the one model
 cache a pool child and an inline service flush both use, and ``load`` is a
-plain uncached :func:`repro.io.load_model`.
+plain uncached :func:`repro.io.load_model`.  The tree on disk is the only
+state registries share: what any cache read from an artifact stays valid
+while the artifact's on-disk signature is unchanged
+(:func:`repro.io.artifacts._artifact_signature`), so a publish made by
+another registry object or process is seen like one made by this one.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 from ..inference.backend import process_backend
 from ..io import load_model, save_model
-from ..io.artifacts import _read_manifest
+from ..io.artifacts import MANIFEST_NAME, _artifact_signature, _read_manifest
 
 __all__ = ["ModelRegistry", "RegistryError", "ResolvedModel"]
 
@@ -67,33 +71,21 @@ class ModelRegistry:
     root:
         Directory holding the artifact tree (created on first ``publish``).
 
-    Publish bookkeeping (the generation, the subscribers, the cached
-    manifest shapes) is guarded by a lock, so concurrent serving threads —
-    the service's inline path, its background flush worker and any direct
-    callers — can share one registry.
+    The subscribers and the cached manifest shapes are guarded by a lock,
+    so concurrent serving threads — the service's inline path, its
+    background flush worker and any direct callers — can share one
+    registry.
     """
 
     def __init__(self, root):
         self.root = os.fspath(root)
         self._lock = threading.Lock()
-        self._shapes = {}                 # (name, version) -> (num_nodes, window_length)
-        self._generation = 0
+        # artifact path -> (signature, (num_nodes, window_length))
+        self._shapes = {}
         self._subscribers = []
 
-    @property
-    def generation(self):
-        """Monotonic publish counter.
-
-        Bumped once per :meth:`publish`; downstream caches
-        (:class:`repro.inference.backend.BackendCache`) key their staleness
-        checks on it, so steady-state traffic between publishes never stats
-        the artifact tree.
-        """
-        with self._lock:
-            return self._generation
-
     def subscribe(self, callback):
-        """Register ``callback(resolved, generation)`` to run after every
+        """Register ``callback(resolved)`` to run after every
         :meth:`publish` (outside the registry lock, on the publishing
         thread).  This is the warm pre-fork hook:
         :meth:`repro.serving.WorkerPool.watch` subscribes the pool so workers
@@ -124,17 +116,11 @@ class ModelRegistry:
             self._check_component(version, "version")
         path = os.path.join(self.root, name, version)
         save_model(model, path)
-        # The artifact on disk is the source of truth; drop this version's
-        # cached shape and bump the publish generation so path-keyed backend
-        # caches revalidate.
         with self._lock:
-            self._shapes.pop((name, version), None)
-            self._generation += 1
-            generation = self._generation
             subscribers = list(self._subscribers)
         resolved = ResolvedModel(name=name, version=version, path=path)
         for callback in subscribers:
-            callback(resolved, generation)
+            callback(resolved)
         return resolved
 
     # ------------------------------------------------------------------
@@ -156,24 +142,32 @@ class ModelRegistry:
             return []
         found = [
             entry for entry in os.listdir(directory)
-            if os.path.isfile(os.path.join(directory, entry, "manifest.json"))
+            if os.path.isfile(os.path.join(directory, entry, MANIFEST_NAME))
         ]
         return sorted(found, key=_version_order)
 
     def resolve(self, spec):
-        """Resolve ``"name"`` / ``"name@version"`` to a :class:`ResolvedModel`."""
+        """Resolve ``"name"`` / ``"name@version"`` to a :class:`ResolvedModel`.
+
+        An explicit version costs one ``stat`` of its manifest; only
+        ``"name"`` (the latest) and the error path list the versions.
+        """
         name, _, version = str(spec).partition("@")
         self._check_component(name, "model name")
+        if version:
+            self._check_component(version, "version")
+            path = os.path.join(self.root, name, version)
+            if os.path.isfile(os.path.join(path, MANIFEST_NAME)):
+                return ResolvedModel(name=name, version=version, path=path)
         available = self.versions(name)
         if not available:
             raise RegistryError(f"no model named '{name}' in registry '{self.root}'")
-        if not version:
-            version = available[-1]
-        elif version not in available:
+        if version:
             raise RegistryError(
                 f"model '{name}' has no version '{version}' "
                 f"(available: {', '.join(available)})"
             )
+        version = available[-1]
         return ResolvedModel(name=name, version=version,
                              path=os.path.join(self.root, name, version))
 
@@ -201,26 +195,29 @@ class ModelRegistry:
 
         Read from the published manifest — no model load, so a service
         whose models live in pool workers can check it too — and cached
-        per version until that version is re-published.
+        under the artifact's on-disk signature, by the rule
+        :class:`~repro.inference.backend.BackendCache` keeps: a republish
+        by anyone reads the new manifest, and a missing artifact keeps the
+        cached shape.
         """
-        resolved = self._resolved(spec)
-        key = (resolved.name, resolved.version)
+        path = self._resolved(spec).path
+        signature = _artifact_signature(path)
         with self._lock:
-            shape = self._shapes.get(key)
-        if shape is None:
-            manifest = _read_manifest(resolved.path)
-            shape = (int(manifest["num_nodes"]),
-                     int(manifest["config"]["window_length"]))
-            with self._lock:
-                self._shapes[key] = shape
+            cached = self._shapes.get(path)
+        if cached is not None and signature in (None, cached[0]):
+            return cached[1]
+        manifest = _read_manifest(path)
+        shape = (int(manifest["num_nodes"]),
+                 int(manifest["config"]["window_length"]))
+        with self._lock:
+            self._shapes[path] = (signature, shape)
         return shape
 
     def backend(self, spec):
         """The stateless imputation backend of a spec's model: this
         process's resident copy from
-        :func:`~repro.inference.backend.process_backend`, revalidated
-        against this registry's publish generation."""
-        return process_backend(self._resolved(spec).path, self.generation)
+        :func:`~repro.inference.backend.process_backend`."""
+        return process_backend(self._resolved(spec).path)
 
     @staticmethod
     def _check_component(value, what):

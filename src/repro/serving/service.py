@@ -790,9 +790,6 @@ class ImputationService:
                 payloads=payloads,
                 on_done=on_done,
                 on_error=on_error,
-                # The publish generation lets worker caches skip the artifact
-                # staleness probe for steady-state batches (see BackendCache).
-                generation=self.registry.generation,
             ))
 
         self._track(len(entries))

@@ -193,15 +193,26 @@ def test_default_dtype_change_invalidates():
 @pytest.mark.parametrize("predict", [_numpy_predict, _barrier_predict],
                          ids=["untraced-predictor", "unsupported-op"])
 def test_fallback_keeps_results_bit_identical(predict):
-    eager = _impute(_engine(seed=5, predict=predict))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return predict(*args, **kwargs)
+
+    eager = _impute(_engine(seed=5, predict=counted))
+    eager_calls = len(calls)
     cache = CompiledStepCache()
     before = _counts()
-    compiled = _impute(_engine(seed=5, predict=predict, cache=cache))
+    compiled = _impute(_engine(seed=5, predict=counted, cache=cache))
     assert np.array_equal(compiled, eager, equal_nan=True)
     delta = _since(before)
     assert delta["programs"] == 0
     assert len(cache) == 1                   # the negative-cached signature
-    assert delta["fallbacks"] >= 1
+    # The failing chunk serves its traced run's bits: the predictor runs
+    # once per step, as eagerly, and every chunk (six steps each) counts
+    # one fallback.
+    assert len(calls) - eager_calls == eager_calls
+    assert delta["fallbacks"] == eager_calls // 6 >= 1
     # A negative-cached signature runs the eager loop on the noise the
     # engine already drew, so a rerun is bit-identical to a fresh eager run
     # too, and it does not trace again.

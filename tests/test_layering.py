@@ -10,7 +10,9 @@ import it at module level (that is the cycle the leaf exists to break).
 The HTTP gateway never runs a model: every inference it serves, stream ticks
 included, goes through ``ImputationService``.  ``inference/backend.py`` is the
 one module that knows window geometry and drives the engine; the engine only
-samples plans.  And no module keeps an import it does not use, ends a line
+samples plans.  Only ``repro.io`` spells the artifact's file names or
+defines its on-disk signature, the one staleness rule of every artifact
+cache.  And no module keeps an import it does not use, ends a line
 in whitespace, ends without exactly one newline or compiles with a warning
 (stdlib checks, so they run without a linter).  The benchmark's tracer
 (``perfbench/tracing.py``) finds every serving name it wraps and puts each
@@ -113,6 +115,62 @@ def test_kernel_definition_check_sees_functions_and_aliases():
                      "softmax = _k_softmax\n")
     assert _kernel_definitions(tree) == [(2, "_k_gelu"), (5, "_k_silu"),
                                          (7, "_k_sigmoid")]
+
+
+_ARTIFACT_FILE_NAMES = ("manifest.json", "arrays.npz")
+_SIGNATURE_NAMES = ("_artifact_signature", "_ARTIFACT_FILES")
+
+
+def _artifact_layout(tree):
+    """``(line, what)`` of every place ``tree`` spells the artifact layout
+    itself: a string literal naming an artifact file (docstrings aside) or
+    a definition of the artifact signature (importing it is a use)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            hits.extend((node.lineno, name) for name in _ARTIFACT_FILE_NAMES
+                        if name in node.value)
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name in _SIGNATURE_NAMES):
+            hits.append((node.lineno, node.name))
+        elif isinstance(node, ast.Assign):
+            hits.extend((node.lineno, target.id) for target in node.targets
+                        if isinstance(target, ast.Name)
+                        and target.id in _SIGNATURE_NAMES)
+    return sorted(hits)
+
+
+def test_only_repro_io_spells_the_artifact_layout():
+    """The artifact's file names and its on-disk signature — the one
+    staleness rule every artifact cache checks — live in ``repro.io``."""
+    spellers = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        hits = _artifact_layout(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            spellers[path.relative_to(SRC / "repro").as_posix()] = hits
+    assert "io/artifacts.py" in spellers
+    assert [path for path in spellers if not path.startswith("io/")] == []
+
+
+def test_artifact_layout_check_sees_literals_and_definitions():
+    tree = ast.parse('"""Layout: manifest.json + arrays.npz."""\n'
+                     "import os\n"
+                     'MANIFEST = "manifest.json"\n'
+                     "def _artifact_signature(path):\n"
+                     '    """Stats arrays.npz."""\n'
+                     '    return os.stat(f"{path}/arrays.npz")\n'
+                     "_ARTIFACT_FILES = (MANIFEST,)\n"
+                     "from .io.artifacts import _artifact_signature as probe\n")
+    assert _artifact_layout(tree) == [(3, "manifest.json"),
+                                      (4, "_artifact_signature"),
+                                      (6, "arrays.npz"),
+                                      (7, "_ARTIFACT_FILES")]
 
 
 def _module_level_imports(tree, package):

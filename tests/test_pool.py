@@ -12,6 +12,7 @@ no child.
 """
 
 import multiprocessing
+import os
 import shutil
 import sys
 import threading
@@ -29,7 +30,10 @@ from repro import (
     ServiceOverloaded,
     WorkerPool,
 )
+from repro.data import metr_la_like
 from repro.inference.backend import BackendCache
+from repro.io import load_model
+from repro.io.artifacts import ARRAYS_NAME
 from repro.serving import (
     BatchTask,
     PoolStopped,
@@ -37,6 +41,7 @@ from repro.serving import (
     WorkerCrashed,
     faults,
 )
+from repro.serving.pool import execute_batch
 from repro.telemetry import PROCESS_METRICS
 from repro.tensor import dtype_scope, get_default_dtype, is_grad_enabled, no_grad
 
@@ -164,8 +169,7 @@ class TestScheduling:
             while "wid" not in holder and time.monotonic() < deadline:
                 time.sleep(0.01)
             resolved = registry.resolve("traffic")
-            assert pool.prewarm(resolved.path,
-                                generation=registry.generation) == 2
+            assert pool.prewarm(resolved.path) == 2
             deadline = time.monotonic() + 120.0
             while (pool.metrics_snapshot()["pool.warm.models"] < 1
                    and time.monotonic() < deadline):
@@ -571,21 +575,32 @@ class TestSharedCaches:
         cache.get(second.path)
         assert _delta(before, _cache_counts()) == {"hits": 1, "misses": 2,
                                                    "evictions": 1}
-        assert (cache.stat_probes, cache.stale_reloads) == (1, 0)
         assert cache.get(first.path) is not a    # reloaded after eviction
+        assert _delta(before, _cache_counts()) == {"hits": 1, "misses": 3,
+                                                   "evictions": 2}
 
-    def test_backend_cache_generation_skips_stat_probe(self, registry):
+    def test_backend_cache_reloads_only_a_changed_artifact(self, registry):
+        """The one staleness rule: a hit while the artifact's on-disk
+        signature is unchanged, a miss that reloads once it changed, and a
+        hit while the artifact files are missing."""
         cache = BackendCache(max_loaded=2)
-        resolved = registry.resolve("traffic")
-        a = cache.get(resolved.path, generation=3)
-        assert cache.get(resolved.path, generation=3) is a
-        assert cache.stat_probes == 0              # generation match: no stat
-        # A generation bump probes the artifact once, sees unchanged bytes,
-        # and revalidates the resident entry instead of reloading.
-        assert cache.get(resolved.path, generation=4) is a
-        assert cache.stat_probes == 1 and cache.stale_reloads == 0
-        assert cache.get(resolved.path, generation=4) is a
-        assert cache.stat_probes == 1
+        path = registry.resolve("traffic").path
+        before = _cache_counts()
+        a = cache.get(path)
+        assert cache.get(path) is a
+        assert _delta(before, _cache_counts()) == {"hits": 1, "misses": 1,
+                                                   "evictions": 0}
+        arrays = os.path.join(path, ARRAYS_NAME)
+        stat = os.stat(arrays)
+        os.utime(arrays, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        b = cache.get(path)
+        assert b is not a and cache.get(path) is b
+        assert _delta(before, _cache_counts()) == {"hits": 2, "misses": 2,
+                                                   "evictions": 0}
+        os.rename(path, path + ".away")
+        assert cache.get(path) is b
+        assert _delta(before, _cache_counts()) == {"hits": 3, "misses": 2,
+                                                   "evictions": 0}
 
     def test_worker_lru_holds_exactly_max_loaded_per_worker(self, registry):
         """A child keeps at most ``max_loaded_per_worker`` models, as the
@@ -599,10 +614,10 @@ class TestSharedCaches:
                           max_loaded_per_worker=1)
         with pool:
             for resolved in (first, second):
-                pool.prewarm(resolved.path, generation=registry.generation)
+                pool.prewarm(resolved.path)
                 assert pool.wait_idle(timeout=120)
             shutil.rmtree(first.path)
-            pool.prewarm(first.path, generation=registry.generation)
+            pool.prewarm(first.path)
             assert pool.wait_idle(timeout=120)
             snapshot = pool.metrics_snapshot()
         assert snapshot["pool.warm.models"] == 2
@@ -625,3 +640,94 @@ class TestSharedCaches:
             BackendCache(max_loaded=0)
         with pytest.raises(TypeError):
             WorkerPool().dispatch("not a task")
+
+
+def _perturbed(model, seed):
+    """``model`` with every parameter shifted in place (new weights, same
+    architecture)."""
+    rng = np.random.default_rng(seed)
+    for _, parameter in model.network.named_parameters():
+        parameter.data += rng.normal(scale=0.05, size=parameter.data.shape)
+    return model
+
+
+def _republish_elsewhere(registry, model, spec="traffic@1"):
+    """Overwrite ``spec`` in place through a second registry on the same
+    root, as another process would; returns the artifact path."""
+    name, _, version = spec.partition("@")
+    other = ModelRegistry(registry.root)
+    return other.publish(model, name, version=version).path
+
+
+def _direct(path, requests):
+    """What a fresh load of the artifact at ``path`` returns for
+    ``requests``: the reference every cache must agree with."""
+    payloads = [RequestPayload(values=request.values,
+                               observed_mask=request.observed_mask,
+                               num_samples=request.num_samples,
+                               seed=np.random.SeedSequence(request.seed),
+                               stride=request.stride)
+                for request in requests]
+    return execute_batch(load_model(path).backend(), payloads)
+
+
+class TestRepublish:
+    """A version republished in place — by any registry object or process —
+    is what every process serves next, because every cache of an artifact
+    checks the artifact's on-disk signature."""
+
+    def test_inline_and_pooled_serving_see_a_republish_elsewhere(
+            self, registry, tiny_traffic_dataset):
+        requests = _requests(tiny_traffic_dataset, count=2)
+        pool = WorkerPool(num_workers=1, mode="process")
+        inline = ImputationService(registry)
+        pooled = ImputationService(registry, max_batch_requests=64,
+                                   executor=pool)
+        with pool:
+            # Version 1 becomes resident in this process and in the child.
+            old = [inline.serve(request) for request in requests]
+            tickets = [pooled.submit(request) for request in requests]
+            pooled.flush()
+            for ticket in tickets:
+                ticket.result(timeout=120)
+            path = _republish_elsewhere(
+                registry, _perturbed(registry.load("traffic@1"), seed=3))
+            served = [inline.serve(request) for request in requests]
+            tickets = [pooled.submit(request) for request in requests]
+            pooled.flush()
+            from_pool = [ticket.result(timeout=120) for ticket in tickets]
+        expected = _direct(path, requests)
+        for before, now, child, reference in zip(old, served, from_pool,
+                                                 expected):
+            assert not np.array_equal(before.samples, reference.samples)
+            assert np.array_equal(now.samples, reference.samples)
+            assert np.array_equal(child.samples, reference.samples)
+
+    def test_admission_reads_the_republished_manifest(
+            self, registry, tiny_traffic_dataset):
+        service = ImputationService(registry)
+        six = _requests(tiny_traffic_dataset, count=1)[0]
+        service.serve(six)                 # caches the 6-node shape and model
+        five_nodes = metr_la_like(num_nodes=5, num_days=4, steps_per_day=24,
+                                  missing_pattern="block", seed=7)
+        path = _republish_elsewhere(
+            registry, PriSTI(_fast_config()).fit(five_nodes))
+        assert registry.num_nodes("traffic@1") == 5
+        with pytest.raises(ValueError, match=r"expects \(time, 5\)"):
+            service.submit(six)
+        five = _requests(five_nodes, count=1)[0]
+        response = service.serve(five)
+        assert np.array_equal(response.samples,
+                              _direct(path, [five])[0].samples)
+
+    def test_missing_artifact_keeps_the_resident_backend(self, registry):
+        """Between ``save_model``'s two renames the version directory is
+        gone; a lookup then serves what is resident instead of failing."""
+        resolved = registry.resolve("traffic")
+        resident = registry.backend(resolved)
+        os.rename(resolved.path, resolved.path + ".bak")
+        before = _cache_counts()
+        assert ModelRegistry(registry.root).backend(resolved) is resident
+        assert registry.backend(resolved) is resident
+        assert _delta(before, _cache_counts()) == {"hits": 2, "misses": 0,
+                                                   "evictions": 0}

@@ -485,33 +485,6 @@ class TestWarmPrefork:
             assert all(process is not None for process in pool._processes)
         _assert_zero_leak(pool.metrics_snapshot())
 
-    def test_generation_rides_dispatch_to_worker_caches(
-            self, registry, tiny_traffic_dataset):
-        """Steady-state batches must not stat the artifact tree: the service
-        stamps each batch with the registry generation, which rides the
-        control message to the child's backend cache (that cache skipping
-        the probe on a match is pinned in ``tests/test_pool.py``)."""
-        pool = WorkerPool(num_workers=1)
-        dispatch = pool.dispatch
-        generations = []
-
-        def recording_dispatch(task):
-            generations.append(task.generation)
-            return dispatch(task)
-
-        pool.dispatch = recording_dispatch
-        service = ImputationService(registry, max_batch_requests=64,
-                                    executor=pool)
-        with pool:
-            for _ in range(3):
-                tickets = [service.submit(request) for request in
-                           _requests(tiny_traffic_dataset, count=2)]
-                service.flush()
-                for ticket in tickets:
-                    ticket.result(timeout=120)
-        assert registry.generation == 1          # the fixture's one publish
-        assert generations == [1, 1, 1]
-
 
 class TestBatchSplitting:
     def test_idle_pool_splits_one_batch_across_workers(
@@ -523,8 +496,7 @@ class TestBatchSplitting:
         with pool:
             # Splitting is residency-gated: warm every worker first, as a
             # production pool attached via ``pool.watch(registry)`` would be.
-            pool.prewarm(registry.resolve("traffic").path,
-                         generation=registry.generation)
+            pool.prewarm(registry.resolve("traffic").path)
             pool.wait_idle(timeout=120)
             alone = [service.serve(request) for request in requests]
             tickets = [service.submit(request) for request in requests]

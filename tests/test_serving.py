@@ -19,6 +19,7 @@ Covers the four layers of the refactor:
 
 import asyncio
 import json
+import os
 import threading
 
 import numpy as np
@@ -236,6 +237,23 @@ class TestModelRegistry:
             registry.resolve("traffic@99")
         with pytest.raises(RegistryError, match="invalid model name"):
             registry.resolve("../escape")
+
+    def test_explicit_version_resolve_lists_no_directory(self, registry,
+                                                         monkeypatch):
+        """``name@version`` checks that one version's manifest; only the
+        error path lists the versions, so its message is unchanged."""
+        listed = []
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir",
+                            lambda path: listed.append(path) or listdir(path))
+        resolved = registry.resolve("traffic@1")
+        assert (resolved.version, listed) == ("1", [])
+        with pytest.raises(RegistryError,
+                           match=r"has no version '99' \(available: 1\)"):
+            registry.resolve("traffic@99")
+        assert listed
+        with pytest.raises(RegistryError, match="invalid version"):
+            registry.resolve("traffic@../traffic/1")
 
     def test_publish_rejects_unsafe_components(self, registry, trained_pristi):
         with pytest.raises(RegistryError):

@@ -49,8 +49,12 @@ gained more than the replay; the static replay tape (every view taken at
 plan time, one pre-bound call per kernel) won some of it back.  On the
 host above, three runs measured 1.88–2.06x (float64) and 1.55–1.70x
 (float32) for DDPM and 1.53–1.97x for DDIM, against 1.80–1.81x and
-1.46–1.53x for DDPM before the tape; the float32 DDPM cell still sits
-close to its floor.  Run directly
+1.46–1.53x for DDPM before the tape.  The planner writing results where
+they are read (in-place elementwise kernels, heads-merge matmuls written
+through into the merged slot) raised three runs to 2.08–2.11x (float64)
+and 1.83–1.85x (float32) for DDPM and 1.81–2.11x for DDIM, against
+1.90–1.94x, 1.54–1.57x and 1.54–1.84x for the runs alternated with them
+on the code before it.  Run directly
 (``PYTHONPATH=src python benchmarks/bench_batched_inference.py``) or through
 pytest (``pytest benchmarks/bench_batched_inference.py``).
 """

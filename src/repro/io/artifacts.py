@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import zipfile
 from dataclasses import asdict
@@ -253,8 +254,7 @@ def save_model(model, path):
     path = os.fspath(path)
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    suffix = f"-{os.getpid()}-{token[:8]}"
-    staging = path.rstrip("/\\") + ".tmp" + suffix
+    staging = _sibling(path, "tmp", token)
     os.makedirs(staging)
     try:
         # Arrays first, manifest last: the manifest is the commit marker (no
@@ -265,7 +265,7 @@ def save_model(model, path):
             json.dump(manifest, handle, indent=2)
         backup = None
         if os.path.isdir(path):
-            backup = path.rstrip("/\\") + ".bak" + suffix
+            backup = _sibling(path, "bak", token)
             os.rename(path, backup)
         try:
             os.rename(staging, path)
@@ -282,6 +282,23 @@ def save_model(model, path):
     if backup is not None:
         shutil.rmtree(backup, ignore_errors=True)
     return path
+
+
+#: ``save_model``'s transient siblings of an artifact ``<path>``:
+#: ``<path>.tmp-<pid>-<token>`` while staging, ``<path>.bak-<pid>-<token>``
+#: while swapping.  Each holds a complete manifest for a moment.
+_SIBLING = re.compile(r"\.(?:tmp|bak)-[0-9]+-[0-9a-f]{8}$")
+
+
+def _sibling(path, kind, token):
+    base = path.rstrip("/\\")
+    return f"{base}.{kind}-{os.getpid()}-{token[:8]}"
+
+
+def is_save_sibling(name):
+    """Whether ``name`` is one of :func:`save_model`'s transient ``.tmp-*``
+    / ``.bak-*`` siblings rather than an artifact of its own."""
+    return _SIBLING.search(name) is not None
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 from ..inference.backend import process_backend
 from ..io import load_model, save_model
-from ..io.artifacts import MANIFEST_NAME, _artifact_signature, _read_manifest
+from ..io.artifacts import (
+    MANIFEST_NAME,
+    _artifact_signature,
+    _read_manifest,
+    is_save_sibling,
+)
 
 __all__ = ["ModelRegistry", "RegistryError", "ResolvedModel"]
 
@@ -114,6 +119,10 @@ class ModelRegistry:
         else:
             version = str(version)
             self._check_component(version, "version")
+            if is_save_sibling(version):
+                raise RegistryError(
+                    f"invalid version '{version}': the name of an artifact "
+                    "writer's staging or backup directory")
         path = os.path.join(self.root, name, version)
         save_model(model, path)
         with self._lock:
@@ -136,13 +145,15 @@ class ModelRegistry:
         )
 
     def versions(self, name):
-        """Published versions of ``name``, oldest-to-latest."""
+        """Published versions of ``name``, oldest-to-latest (never a
+        ``save_model`` staging or backup sibling)."""
         directory = os.path.join(self.root, name)
         if not os.path.isdir(directory):
             return []
         found = [
             entry for entry in os.listdir(directory)
-            if os.path.isfile(os.path.join(directory, entry, MANIFEST_NAME))
+            if not is_save_sibling(entry)
+            and os.path.isfile(os.path.join(directory, entry, MANIFEST_NAME))
         ]
         return sorted(found, key=_version_order)
 
@@ -157,7 +168,8 @@ class ModelRegistry:
         if version:
             self._check_component(version, "version")
             path = os.path.join(self.root, name, version)
-            if os.path.isfile(os.path.join(path, MANIFEST_NAME)):
+            if (not is_save_sibling(version)
+                    and os.path.isfile(os.path.join(path, MANIFEST_NAME))):
                 return ResolvedModel(name=name, version=version, path=path)
         available = self.versions(name)
         if not available:

@@ -13,6 +13,17 @@ taken once at plan time; a ``scratch`` callback lists the temporaries an
 intermediates (gelu, silu, layer_norm) have a forward helper that returns
 them, called by the eager op and the allocating form alike.
 
+An ``inplace`` kernel's ``out=`` form may be handed one of its own operands
+as ``out`` (same shape, dtype and layout): it reads each operand element
+before it writes that element — an elementwise ufunc, or a fused op whose
+reads all precede its first write to ``out`` or happen element by element —
+so the aliased call has the bits of a call with a separate ``out``, and the
+planner may write a node's result into an operand buffer that dies at the
+node.  The flag is a fixed property of each kernel.  A kernel that zeroes
+or overwrites its output before it has read its inputs (matmul,
+attention_weights, cat, add_n, pad_time, reshape_copy, the reductions) is
+never flagged.
+
 Per replay an ``out=`` form still allocates softmax's shifted input, silu's
 sigmoid and the row max and sum columns of each softmax and attention map;
 the in-place layer norm takes its mean and variance columns from the arena,
@@ -104,12 +115,16 @@ def layer_norm_forward(a, gamma, beta, eps, out=None):
 
 
 class _Kernel:
-    __slots__ = ("fn", "view", "uses_out", "scratch")
+    __slots__ = ("fn", "view", "uses_out", "scratch", "inplace")
 
-    def __init__(self, fn, view=False, uses_out=False, scratch=None):
+    def __init__(self, fn, view=False, uses_out=False, scratch=None,
+                 inplace=False):
         self.fn = fn
         self.view = view
         self.uses_out = uses_out
+        # ``inplace``: the ``out=`` form is exact with ``out`` one of its
+        # operands (see the module docstring).
+        self.inplace = inplace
         # ``scratch(input_values, out_value)`` lists the ``(shape, dtype)``
         # temporaries the kernel's ``out`` form needs, or returns ``None``
         # when it cannot run in place; the planner lends them from the
@@ -367,20 +382,20 @@ def _k_pad_time(out, p, a):
 
 
 _KERNELS = {
-    "add": _Kernel(_k_add, uses_out=True),
-    "sub": _Kernel(_k_sub, uses_out=True),
-    "mul": _Kernel(_k_mul, uses_out=True),
-    "div": _Kernel(_k_div, uses_out=True),
-    "neg": _Kernel(_k_neg, uses_out=True),
+    "add": _Kernel(_k_add, uses_out=True, inplace=True),
+    "sub": _Kernel(_k_sub, uses_out=True, inplace=True),
+    "mul": _Kernel(_k_mul, uses_out=True, inplace=True),
+    "div": _Kernel(_k_div, uses_out=True, inplace=True),
+    "neg": _Kernel(_k_neg, uses_out=True, inplace=True),
     "pow": _Kernel(_k_pow),
     "matmul": _Kernel(_k_matmul, uses_out=True),
-    "exp": _Kernel(_k_exp, uses_out=True),
-    "log": _Kernel(_k_log, uses_out=True),
-    "sqrt": _Kernel(_k_sqrt, uses_out=True),
-    "abs": _Kernel(_k_abs, uses_out=True),
-    "tanh": _Kernel(_k_tanh, uses_out=True),
-    "sigmoid": _Kernel(_k_sigmoid, uses_out=True),
-    "relu": _Kernel(_k_relu, uses_out=True),
+    "exp": _Kernel(_k_exp, uses_out=True, inplace=True),
+    "log": _Kernel(_k_log, uses_out=True, inplace=True),
+    "sqrt": _Kernel(_k_sqrt, uses_out=True, inplace=True),
+    "abs": _Kernel(_k_abs, uses_out=True, inplace=True),
+    "tanh": _Kernel(_k_tanh, uses_out=True, inplace=True),
+    "sigmoid": _Kernel(_k_sigmoid, uses_out=True, inplace=True),
+    "relu": _Kernel(_k_relu, uses_out=True, inplace=True),
     "clip": _Kernel(_k_clip, uses_out=True),
     "sum": _Kernel(_k_sum, uses_out=True),
     "max": _Kernel(_k_max, uses_out=True),
@@ -402,12 +417,13 @@ _KERNELS = {
     "cat": _Kernel(_k_cat, uses_out=True),
     "stack": _Kernel(_k_stack),
     "where": _Kernel(_k_where),
-    "maximum": _Kernel(_k_maximum, uses_out=True),
-    "softmax": _Kernel(_k_softmax, uses_out=True),
-    "silu": _Kernel(_k_silu, uses_out=True),
-    "gelu": _Kernel(_k_gelu, uses_out=True, scratch=_gelu_scratch),
+    "maximum": _Kernel(_k_maximum, uses_out=True, inplace=True),
+    "softmax": _Kernel(_k_softmax, uses_out=True, inplace=True),
+    "silu": _Kernel(_k_silu, uses_out=True, inplace=True),
+    "gelu": _Kernel(_k_gelu, uses_out=True, scratch=_gelu_scratch,
+                    inplace=True),
     "layer_norm": _Kernel(_k_layer_norm, uses_out=True,
-                          scratch=_layer_norm_scratch),
+                          scratch=_layer_norm_scratch, inplace=True),
     "attention_core": _Kernel(_k_attention_core, uses_out=True),
     "attention_weights": _Kernel(_k_attention_weights, uses_out=True),
     "pad_time": _Kernel(_k_pad_time, uses_out=True),

@@ -36,7 +36,12 @@ input buffers change — so this module records it once and replays it flat:
   over the kernel table of :mod:`repro.tensor.kernels`.  The fused ops
   (softmax, silu, gelu, layer_norm, attention_core, add_n, pad_time) record
   as single nodes; gelu and layer_norm borrow their temporaries from the
-  arena for the duration of the node.
+  arena for the duration of the node.  The planner writes each result
+  where it is read: an ``inplace`` kernel writes into the arena buffer of
+  an operand that dies at its node, and a matmul whose result reaches a
+  copying reshape only through single-consumer reshape/transpose views
+  (merging attention heads) writes through their inverse views straight
+  into the reshape's slot, so the copy leaves the tape.
 * :meth:`CompiledProgram.bind` runs the prefold schedule on one weight set
   and returns the binding :meth:`CompiledProgram.run` replays with; the
   traced weights bind through the same call.  ``run`` copies a binding
@@ -337,6 +342,11 @@ def trace(weights=None):
 # ---------------------------------------------------------------------------
 
 
+def _address(array):
+    """The address of ``array``'s first element."""
+    return array.__array_interface__["data"][0]
+
+
 def _write(fn, out, params, *arrays):
     """Replay a kernel without an ``out=`` form: its eager result, copied
     into the slot."""
@@ -474,13 +484,33 @@ def compile_graph(graph):
       projections, attention maps, pooled keys) once per step; after CSE the
       replay computes each once per chunk.
 
+    The slot planner then makes two bit-neutral moves, each changing only
+    where a value lives, never the ufuncs that compute it:
+
+    * **in place** — an ``inplace`` kernel (:mod:`repro.tensor.kernels`)
+      writes its result into an operand's buffer when that operand is a
+      kernel-written arena buffer (not a view, input, weight, prefold or
+      constant slot) whose storage dies at the node, is no graph output,
+      has the result's shape, dtype and layout and shares storage with no
+      other operand;
+    * **write-through** — a matmul whose result reaches a ``reshape_copy``
+      only through single-consumer ``reshape``/``transpose`` views is given,
+      as ``out``, the inverse views of the copy's slot.  It is planned so
+      only if the forward views of that ``out`` put every element exactly
+      where the copy would and ``out`` is a BLAS operand (unit inner
+      stride, row stride at least the row length); the copy then leaves
+      the tape.  Otherwise the node is planned as it stands.
+
     ``stats`` is the work ledger, all read from shapes at plan time:
     ``kernels`` tape entries, ``replay_calls`` numpy calls per warm replay
     (input loads, tape entries, output copies), ``hoisted_views`` views
     taken at plan time, ``slot_bytes`` every slot the program owns (inputs,
     weights and prefold results, arena), of which ``arena_bytes`` are the
-    arena, and ``matmul_flops``, ``2·K`` per output element of each
-    replayed matmul and attention map.
+    arena, ``matmul_flops``, ``2·K`` per output element of each
+    replayed matmul and attention map, ``bytes_written``, the output bytes
+    every tape entry writes per replay, ``inplace_ops`` tape entries that
+    write into an operand, ``reshape_copies`` copying reshapes in the
+    schedule, of which ``write_through`` left the tape.
 
     Raises :class:`TraceUnsupported` when the trace failed or recorded
     nothing replayable.
@@ -668,9 +698,12 @@ def compile_graph(graph):
             release_at.setdefault(index, []).append(storage)
 
     # Arena assignment: exact (shape, dtype, layout) slot reuse, freed only
-    # after the producing/consuming node has fully run — an output buffer
-    # is never one of the same node's dying inputs, which keeps kernels that
-    # read while writing (matmul, reductions) trivially safe.  A kernel's
+    # after the producing/consuming node has fully run — so a kernel that
+    # zeroes or overwrites its output before reading its inputs (matmul,
+    # cat, add_n, pad_time, the reductions) never writes over a dying
+    # input.  The one exception is an ``inplace`` kernel (see
+    # :mod:`repro.tensor.kernels`), which writes into the buffer of an
+    # operand that dies at the node (:func:`_dying_operand`).  A kernel's
     # scratch buffers come from the same pool and go back to it right after
     # the node, so they never alias the node's inputs or output.  A view
     # whose numpy result copies gets a slot of its own that is never freed
@@ -681,6 +714,13 @@ def compile_graph(graph):
     tape = []
     reshape_copies = 0
     matmul_flops = 0
+    inplace_ops = 0
+    bytes_written = 0
+    written_through = set()
+    consumers = {}
+    for index, node in enumerate(schedule):
+        for vin in node.inputs:
+            consumers.setdefault(vin, []).append(index)
 
     def _take(shape, dtype, layout=None):
         free = pool.get((shape, dtype, layout))
@@ -693,23 +733,105 @@ def compile_graph(graph):
     def _give(buf, layout):
         pool.setdefault((buf.shape, buf.dtype, layout), []).append(buf)
 
+    def _dying_operand(index, node, value):
+        """The arena entry of an operand ``node`` can write its result
+        into, removed from ``buffer_of``: a kernel-written buffer (not a
+        view, input, weight or constant slot) whose storage dies at this
+        node, laid out like ``value`` and shared with no other operand."""
+        key = (value.shape, value.dtype, value.layout)
+        for vin in node.inputs:
+            entry = buffer_of.get(vin)
+            if (entry is not None and root[vin] == vin
+                    and last_use[vin] == index
+                    and (entry[0].shape, entry[0].dtype, entry[1]) == key
+                    and sum(root[other] == vin for other in node.inputs) == 1):
+                del buffer_of[vin]
+                return entry
+        return None
+
+    def _write_through(node):
+        """Plan a matmul straight into the slot of the copying reshape its
+        result reaches only through single-consumer reshape/transpose views
+        (merging attention heads).  Returns ``(copy node, slot, out)`` —
+        ``out`` the inverse views of the slot — or ``None`` when there is
+        no such chain, or the forward views of ``out`` would not put each
+        element where the copy puts it, or ``out`` is not a BLAS operand."""
+        vid, chain = node.out, []
+        while True:
+            users = consumers.get(vid, ())
+            if vid in outputs or len(users) != 1:
+                return None
+            user = schedule[users[0]]
+            if user.op == "reshape_copy":
+                break
+            if user.op not in ("reshape", "transpose"):
+                return None
+            chain.append(user)
+            vid = user.out
+        target = values[user.out]
+
+        def inverse(slot):
+            out = slot.reshape(values[vid].shape)
+            for view in reversed(chain):
+                if view.op == "transpose":
+                    out = out.transpose(np.argsort(view.params["axes"]))
+                else:
+                    out = out.reshape(values[view.inputs[0]].shape)
+            return out
+
+        # A slot's geometry depends only on its shape and dtype: check on a
+        # probe that each element the forward views reach from ``out`` is
+        # the one the copy writes, then take the slot.
+        probe = np.empty(target.shape, target.dtype)
+        out = landed = inverse(probe)
+        for view in chain:
+            landed = _KERNELS[view.op].fn(None, view.params, landed)
+        copied = probe.reshape(values[vid].shape)
+        item = out.itemsize
+        if not (out.shape == values[node.out].shape and out.ndim >= 2
+                and landed.shape == copied.shape
+                and _address(landed) == _address(copied)
+                and all(a == b for a, b, n in zip(landed.strides,
+                                                  copied.strides, copied.shape)
+                        if n > 1)
+                and out.strides[-1] == item and out.strides[-2] % item == 0
+                and out.strides[-2] >= out.shape[-1] * item):
+            return None
+        slot = _take(target.shape, target.dtype)
+        return user, slot, inverse(slot)
+
     for index, node in enumerate(schedule):
         if _KERNELS[node.op].view and _hoist(node):
             hoisted_views += 1
+        elif node.out in written_through:
+            reshape_copies += 1
         else:
             op = "reshape_copy" if node.op == "reshape" else node.op
             kernel = _KERNELS[op]
             out_value = values[node.out]
             # A copying reshape writes through a C-ordered reshape of its slot.
             layout = None if op == "reshape_copy" else out_value.layout
-            out = _take(out_value.shape, out_value.dtype, layout)
-            buffer_of[node.out] = (out, layout)
+            entry = kernel.inplace and _dying_operand(index, node, out_value)
+            through = not entry and op == "matmul" and _write_through(node)
+            if entry:
+                inplace_ops += 1
+                buffer_of[node.out] = entry
+                out = entry[0]
+            elif through:
+                copy, slot, out = through
+                written_through.add(copy.out)
+                buffer_of[copy.out] = (slot, None)
+                array_of[copy.out] = slot
+            else:
+                out = _take(out_value.shape, out_value.dtype, layout)
+                buffer_of[node.out] = (out, layout)
             operands = [array_of[vin] for vin in node.inputs]
             if op == "reshape_copy":
                 reshape_copies += 1
             if op in ("matmul", "attention_weights"):
                 matmul_flops += 2 * values[node.inputs[0]].shape[-1] * int(
                     np.prod(out_value.shape))
+            bytes_written += out.nbytes
             if not kernel.uses_out:
                 tape.append(functools.partial(_write, kernel.fn, out,
                                               node.params, *operands))
@@ -762,6 +884,9 @@ def compile_graph(graph):
         "weights": len(weight_specs),
         "cse_ops": cse_ops,
         "reshape_copies": reshape_copies,
+        "write_through": len(written_through),
+        "inplace_ops": inplace_ops,
+        "bytes_written": bytes_written,
         "arena_buffers": len(buffers),
         "arena_bytes": arena_bytes,
         "slot_bytes": arena_bytes + int(sum(

@@ -37,6 +37,7 @@ from repro.io.artifacts import ARRAYS_NAME
 from repro.serving import (
     BatchTask,
     PoolStopped,
+    RegistryError,
     RequestPayload,
     WorkerCrashed,
     faults,
@@ -731,3 +732,19 @@ class TestRepublish:
         assert registry.backend(resolved) is resident
         assert _delta(before, _cache_counts()) == {"hits": 2, "misses": 0,
                                                    "evictions": 0}
+
+    def test_save_model_siblings_are_not_versions(self, tmp_path,
+                                                  trained_models):
+        """``save_model`` stages and backs up next to the version directory;
+        while ``m@prod`` is republished, ``prod.bak-*`` holds a manifest
+        and sorts after ``prod``, but it is no version and never latest."""
+        registry = ModelRegistry(tmp_path / "models")
+        path = registry.publish(trained_models["f64"], "m", version="prod").path
+        shutil.copytree(path, path + ".bak-1-deadbeef")
+        assert registry.versions("m") == ["prod"]
+        assert registry.resolve("m").version == "prod"
+        with pytest.raises(RegistryError, match="no version"):
+            registry.resolve("m@prod.bak-1-deadbeef")
+        with pytest.raises(RegistryError, match="staging or backup"):
+            registry.publish(trained_models["f64"], "m", version="1.tmp-1-abcdef12")
+        assert registry.versions("m") == ["prod"]

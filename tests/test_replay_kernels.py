@@ -11,7 +11,9 @@ intermediate.  Also the shared reductions: the softmax / attention-map row
 max as an ``np.maximum`` chain keeps the bits of the ``np.max`` form (ties,
 ±0.0, ``-inf`` and NaN rows), and the layer-norm mean by contraction keeps
 each row's bits independent of the rows batched with it, eager and
-replayed.
+replayed.  And the in-place contract: every kernel flagged ``inplace``
+gives the same bits with ``out`` set to any same-shaped operand as with a
+separate ``out``.
 """
 
 import tracemalloc
@@ -27,13 +29,14 @@ from repro.tensor import (
     compile_graph,
     gelu,
     layer_norm,
+    maximum,
     no_grad,
     pad_time,
     silu,
     softmax,
     trace,
 )
-from repro.tensor.kernels import row_max, row_mean
+from repro.tensor.kernels import _KERNELS, row_max, row_mean
 from repro.tensor.ops import _gelu_reference
 
 DTYPES = [np.float32, np.float64]
@@ -346,3 +349,90 @@ def test_layer_norm_replay_equals_eager_on_rows(dtype, transposed):
     with no_grad():
         expected = fn(Tensor(x2, dtype=dtype)).data
     assert _same_bits(program.run({"a": x2})[0], expected)
+
+
+# ----------------------------------------------------------------------
+# In-place kernels: an aliased ``out`` equals a separate one
+# ----------------------------------------------------------------------
+
+# Every kernel the planner may run in place, plus two that zero their
+# output before reading (``add_n``; ``pad_time`` with no padding keeps the
+# shape): (function of Tensors, input shapes).
+ALIASING_OPS = {
+    "add": (lambda a, b: a + b, [(6, 5, 8), (6, 5, 8)]),
+    "sub": (lambda a, b: a - b, [(6, 5, 8), (6, 5, 8)]),
+    "mul": (lambda a, b: a * b, [(6, 5, 8), (6, 5, 8)]),
+    "div": (lambda a, b: a / b, [(6, 5, 8), (6, 5, 8)]),
+    "maximum": (maximum, [(6, 5, 8), (6, 5, 8)]),
+    "neg": (lambda a: -a, [(6, 5, 8)]),
+    "exp": (lambda a: a.exp(), [(6, 5, 8)]),
+    "log": (lambda a: a.abs().log(), [(6, 5, 8)]),
+    "sqrt": (lambda a: a.abs().sqrt(), [(6, 5, 8)]),
+    "abs": (lambda a: a.abs(), [(6, 5, 8)]),
+    "tanh": (lambda a: a.tanh(), [(6, 5, 8)]),
+    "sigmoid": (lambda a: a.sigmoid(), [(6, 5, 8)]),
+    "relu": (lambda a: a.relu(), [(6, 5, 8)]),
+    "gelu": (gelu, [(6, 5, 8)]),
+    "silu": (silu, [(6, 5, 8)]),
+    "softmax": (lambda a: softmax(a, axis=-2), [(6, 5, 8)]),
+    "layer_norm": (layer_norm, [(6, 5, 24), (24,), (24,)]),
+    "add_n": (lambda *ts: add_n(ts), [(6, 5, 8)] * 3),
+    "pad_time": (lambda a: pad_time(a, 0, 0), [(6, 5, 8)]),
+}
+
+INPLACE_KERNELS = sorted(name for name, kernel in _KERNELS.items()
+                         if kernel.inplace)
+
+
+def test_kernels_that_write_before_they_read_are_not_in_place():
+    for name in ("matmul", "attention_weights", "cat", "add_n", "pad_time",
+                 "reshape_copy", "sum", "max"):
+        assert not _KERNELS[name].inplace, name
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("op", INPLACE_KERNELS)
+def test_inplace_kernel_with_an_aliased_out_equals_a_separate_out(
+        op, transposed, dtype):
+    assert op in ALIASING_OPS, f"{op} is flagged inplace without a case here"
+    fn, shapes = ALIASING_OPS[op]
+    rng = np.random.default_rng(8)
+    arrays = []
+    for shape in shapes:
+        array = rng.normal(loc=0.5, scale=3.0, size=shape).astype(dtype)
+        if transposed and array.ndim >= 2:
+            array = np.ascontiguousarray(array.swapaxes(0, 1)).swapaxes(0, 1)
+        arrays.append(array)
+    # The node the op records (its kernel name and params), on the ops
+    # that feed it.
+    graph, _, _ = _trace(lambda **ts: fn(*(ts[f"x{i}"] for i in range(len(ts)))),
+                         **{f"x{i}": array for i, array in enumerate(arrays)})
+    node = graph.nodes[-1]
+    assert node.op == op
+    values = {vid: array for vid, array in zip(
+        (graph.inputs[f"x{i}"] for i in range(len(arrays))), arrays)}
+    for prior in graph.nodes[:-1]:              # abs before log and sqrt
+        values[prior.out] = _KERNELS[prior.op].fn(
+            None, prior.params, *(values[v] for v in prior.inputs))
+    operands = [values[vid] for vid in node.inputs]
+    kernel = _KERNELS[op]
+
+    def run(out, ins):
+        needs = kernel.scratch and kernel.scratch(ins, out)
+        extra = {"scratch": tuple(np.empty(shape, dtype=dtype)
+                                  for shape, dtype in needs)} if needs else {}
+        return kernel.fn(out, node.params, *ins, **extra)
+
+    out_shape = kernel.fn(None, node.params, *operands).shape
+    aliased_any = False
+    for index, operand in enumerate(operands):
+        if operand.shape != out_shape:
+            continue
+        separate = np.empty_like(operand)
+        run(separate, [np.copy(a, order="K") for a in operands])
+        ins = [np.copy(a, order="K") for a in operands]
+        run(ins[index], ins)
+        assert _same_bits(ins[index], separate), index
+        aliased_any = True
+    assert aliased_any

@@ -8,7 +8,11 @@ replays on fresh inputs read the input slots (never an array a caller
 passed earlier), alternating bindings reload the weight slots only on a
 switch, a view numpy would copy is never hoisted, the kernels without an
 ``out=`` form write their eager result into their slot, and the work
-ledger in ``stats`` counts what the tape does.
+ledger in ``stats`` counts what the tape does.  Also the planner's two
+bit-neutral writes: an ``inplace`` kernel writes into an operand buffer
+that dies at its node (never into one still read later), and a matmul
+whose result reaches a copying reshape only through single-consumer views
+writes straight into that reshape's slot, the copy leaving the tape.
 """
 
 import numpy as np
@@ -160,3 +164,111 @@ def test_work_ledger_counts_a_tiny_graph_by_hand():
     assert stats["arena_bytes"] == 560
     assert stats["slot_bytes"] == 560 + 192 + 160   # + input a + weight w
     assert stats["matmul_flops"] == 2 * 4 * (2 * 3 * 5)
+
+
+def _heads_block(x, c, w, b, m):
+    hidden = tanh(x @ w + b) * c                      # (2, 3, 6)
+    heads = hidden.reshape(2, 3, 2, 3).swapaxes(1, 2)  # (2, 2, 3, 3) views
+    merged = (heads @ m).swapaxes(1, 2).reshape(2, 3, 6)   # the heads merge
+    return merged * 2.0
+
+
+def test_work_ledger_counts_in_place_and_write_through_by_hand():
+    rng = np.random.default_rng(4)
+    inputs = {"x": rng.normal(size=(2, 3, 4)), "c": rng.normal(size=(3, 6))}
+    weights_a = {"w": rng.normal(size=(4, 6)), "b": rng.normal(size=6),
+                 "m": rng.normal(size=(3, 3))}
+    weights_b = {name: rng.normal(size=array.shape)
+                 for name, array in weights_a.items()}
+    graph, traced = _trace(_heads_block, weights=weights_a, **inputs)
+    program = compile_graph(graph)
+    stats = program.stats
+    # Tape: x @ w into buffer A; + b, tanh and * c in place on A; the heads
+    # reshape and both swapaxes are views; heads @ m writes through into the
+    # merge's slot S, so the copy leaves the tape; * 2.0 in place on S.
+    # Six entries of 2 * 3 * 6 float64 each.
+    assert stats["kernels"] == 6
+    assert stats["inplace_ops"] == 4
+    assert stats["write_through"] == stats["reshape_copies"] == 1
+    assert stats["hoisted_views"] == 3
+    assert stats["arena_buffers"] == 2
+    assert stats["arena_bytes"] == 2 * 288
+    # + inputs x and c, weights w, b and m.
+    assert stats["slot_bytes"] == 2 * 288 + 192 + 144 + 192 + 48 + 72
+    assert stats["bytes_written"] == 6 * 288
+    assert stats["replay_calls"] == 2 + 6 + 1
+    assert stats["matmul_flops"] == 2 * 4 * 36 + 2 * 3 * 36
+
+    binding_a, binding_b = program.bind(weights_a), program.bind(weights_b)
+    assert _same_bits(program.run(inputs, binding_a)[0], traced)
+    for step, (binding, weights) in enumerate(
+            [(binding_a, weights_a), (binding_b, weights_b),
+             (binding_a, weights_a)]):
+        fresh = {name: rng.normal(size=array.shape)
+                 for name, array in inputs.items()}
+        expected = _eager(_heads_block, weights=weights, **fresh)
+        assert _same_bits(program.run(fresh, binding)[0], expected), step
+
+
+def test_an_operand_read_later_is_never_written_in_place():
+    def fn(a, w):
+        hidden = tanh(a @ w)
+        return (hidden * 2.0) * hidden      # ``hidden`` outlives the first mul
+
+    rng = np.random.default_rng(5)
+    weight = rng.normal(size=(4, 4))
+    graph, traced = _trace(fn, weights={"w": weight}, a=rng.normal(size=(3, 4)))
+    program = compile_graph(graph)
+    # tanh on the matmul's buffer and the last mul on the first mul's: the
+    # first mul takes a fresh buffer because ``hidden`` is read after it.
+    assert program.stats["inplace_ops"] == 2
+    assert program.stats["arena_buffers"] == 2
+    binding = program.bind({"w": weight})
+    for _ in range(2):
+        a = rng.normal(size=(3, 4))
+        assert _same_bits(program.run({"a": a}, binding)[0],
+                          _eager(fn, weights={"w": weight}, a=a))
+
+
+def test_write_through_inverts_a_transpose_that_is_not_its_own_inverse():
+    def fn(a, w):
+        # (2, 3, 4, 5) -> (3, 4, 2, 5) -> (12, 10): a copying merge whose
+        # transpose (1, 2, 0, 3) is undone by (2, 0, 1, 3).
+        return (a @ w).transpose(1, 2, 0, 3).reshape(12, 10) + 1.0
+
+    rng = np.random.default_rng(6)
+    weight = rng.normal(size=(6, 5))
+    graph, traced = _trace(fn, weights={"w": weight},
+                           a=rng.normal(size=(2, 3, 4, 6)))
+    program = compile_graph(graph)
+    assert program.stats["write_through"] == 1
+    assert program.stats["kernels"] == 2
+    binding = program.bind({"w": weight})
+    for _ in range(2):
+        a = rng.normal(size=(2, 3, 4, 6))
+        assert _same_bits(program.run({"a": a}, binding)[0],
+                          _eager(fn, weights={"w": weight}, a=a))
+
+
+def test_write_through_needs_a_blas_out_and_a_single_consumer_chain():
+    def moved_inner_axis(a, w):
+        # The merge would put the matmul's last axis at stride 3: not a
+        # BLAS output, so the copy stays.
+        return (a @ w).transpose(0, 2, 3, 1).reshape(2, 4, 15) + 1.0
+
+    def shared_view(a, w):
+        turned = (a @ w).swapaxes(1, 2)       # read by the merge and the sum
+        return (turned.reshape(2, 4, 15)
+                + turned.sum(axis=-1).sum(axis=-1, keepdims=True))
+
+    rng = np.random.default_rng(7)
+    for fn, shape in ((moved_inner_axis, (2, 3, 4, 6)),
+                      (shared_view, (2, 3, 4, 6))):
+        weight = rng.normal(size=(6, 5))
+        graph, _ = _trace(fn, weights={"w": weight}, a=rng.normal(size=shape))
+        program = compile_graph(graph)
+        assert program.stats["reshape_copies"] == 1
+        assert program.stats["write_through"] == 0
+        a = rng.normal(size=shape)
+        assert _same_bits(program.run({"a": a}, program.bind({"w": weight}))[0],
+                          _eager(fn, weights={"w": weight}, a=a))

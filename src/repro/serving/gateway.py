@@ -814,9 +814,11 @@ class Gateway:
     def _retry_after(self):
         """Load-aware ``Retry-After``: the time for the work already waiting
         (service queues + executor backlog) to clear, assuming full batches
-        every ``max_delay_seconds`` flush interval — deeper queues push the
-        hint out instead of hammering a backed-up gateway with retries.
-        Clamped to [1, 60] whole seconds."""
+        every ``max_delay_seconds`` — deeper queues push the hint out
+        instead of hammering a backed-up gateway with retries.
+        ``max_delay_seconds`` is the longest a queue waits before it is
+        flushed (a queue whose cohort has arrived flushes sooner), so the
+        hint is an upper bound.  Clamped to [1, 60] whole seconds."""
         waiting = self.service.pending()
         executor = self.service.executor
         if executor is not None and hasattr(executor, "backlog"):

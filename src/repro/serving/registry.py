@@ -147,39 +147,51 @@ class ModelRegistry:
     def versions(self, name):
         """Published versions of ``name``, oldest-to-latest (never a
         ``save_model`` staging or backup sibling)."""
+        return [version for version in self._candidates(name)
+                if self._is_published(name, version)]
+
+    def _candidates(self, name):
+        """Entries of ``name``'s directory that may be versions, in version
+        order: no manifest is read."""
         directory = os.path.join(self.root, name)
         if not os.path.isdir(directory):
             return []
-        found = [
-            entry for entry in os.listdir(directory)
-            if not is_save_sibling(entry)
-            and os.path.isfile(os.path.join(directory, entry, MANIFEST_NAME))
-        ]
-        return sorted(found, key=_version_order)
+        return sorted((entry for entry in os.listdir(directory)
+                       if not is_save_sibling(entry)), key=_version_order)
+
+    def _is_published(self, name, version):
+        """Is ``name@version`` a complete artifact (one ``stat``)?"""
+        return (not is_save_sibling(version) and os.path.isfile(
+            os.path.join(self.root, name, version, MANIFEST_NAME)))
 
     def resolve(self, spec):
         """Resolve ``"name"`` / ``"name@version"`` to a :class:`ResolvedModel`.
 
-        An explicit version costs one ``stat`` of its manifest; only
-        ``"name"`` (the latest) and the error path list the versions.
+        An explicit version costs one ``stat`` of its manifest.  ``"name"``
+        (the latest) lists the name's directory once and stats manifests
+        newest-first, stopping at the first complete version; only the
+        error path stats them all.  Nothing is cached: a directory mtime
+        can be too coarse to show a rename made in the same clock tick.
         """
         name, _, version = str(spec).partition("@")
         self._check_component(name, "model name")
         if version:
             self._check_component(version, "version")
-            path = os.path.join(self.root, name, version)
-            if (not is_save_sibling(version)
-                    and os.path.isfile(os.path.join(path, MANIFEST_NAME))):
-                return ResolvedModel(name=name, version=version, path=path)
-        available = self.versions(name)
-        if not available:
-            raise RegistryError(f"no model named '{name}' in registry '{self.root}'")
-        if version:
-            raise RegistryError(
-                f"model '{name}' has no version '{version}' "
-                f"(available: {', '.join(available)})"
-            )
-        version = available[-1]
+            if self._is_published(name, version):
+                return self._pinned(name, version)
+            available = self.versions(name)
+            if available:
+                raise RegistryError(
+                    f"model '{name}' has no version '{version}' "
+                    f"(available: {', '.join(available)})"
+                )
+        else:
+            for candidate in reversed(self._candidates(name)):
+                if self._is_published(name, candidate):
+                    return self._pinned(name, candidate)
+        raise RegistryError(f"no model named '{name}' in registry '{self.root}'")
+
+    def _pinned(self, name, version):
         return ResolvedModel(name=name, version=version,
                              path=os.path.join(self.root, name, version))
 

@@ -11,11 +11,23 @@ forward per diffusion step for the whole batch instead of per request.
 
 Batching semantics
 ------------------
-* Requests are queued per resolved ``(name, version)``; a queue is flushed
-  when it reaches ``max_batch_requests`` (size trigger) or when its oldest
-  request has waited ``max_delay_seconds`` (deadline trigger — enforced by
-  :meth:`ImputationService.poll`, the optional background worker, or the
-  next blocking ``result()`` call, whichever comes first).
+* Requests are queued per resolved ``(name, version)``.  A queue is due
+  when any of three triggers fires:
+
+  - **size** — it holds ``max_batch_requests`` requests;
+  - **cohort** — it holds as many requests as the largest of the model's
+    last four flushed batches (the model's *cohort*, keyed by model name,
+    so a newly published version inherits it).  Lockstep clients, such as
+    streaming sessions ticking together, are served the moment the last of
+    them has arrived instead of idling out the timer; a model with no
+    flushed batch yet has no cohort;
+  - **deadline** — its oldest request has waited ``max_delay_seconds``.
+    This is the upper bound: the cohort trigger only ever flushes earlier.
+
+  :meth:`ImputationService.poll` and the optional background worker serve
+  due queues through one predicate; the next blocking ``result()`` call
+  without a worker flushes its queue on demand.  ``submit`` itself flushes
+  inline (no worker started) only at ``max_batch_requests``.
 * Every request samples from its **own RNG stream**, fixed at submission as
   a ``numpy.random.SeedSequence`` (its ``seed``, or one spawned from the
   service seed) and built afresh on every execution attempt: the response
@@ -63,6 +75,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +91,10 @@ from .resilience import CircuitBreaker, counts_as_breaker_failure
 
 __all__ = ["ImputationRequest", "ImputationResponse", "PendingImputation",
            "ImputationService", "SERVICE_METRIC_SCHEMA"]
+
+#: How many of a model's most recent flushed batches its cohort spans: one
+#: batch cut short by a late arrival does not shrink the cohort at once.
+_COHORT_BATCHES = 4
 
 #: The stable ``service.*`` metric schema every service registers up front,
 #: so a snapshot's key set never depends on which code paths have run.
@@ -222,7 +239,9 @@ class ImputationService:
     registry:
         The ``name@version`` artifact tree to serve from.
     max_batch_requests, max_delay_seconds, seed, clock:
-        Micro-batching knobs, unchanged from the single-threaded service.
+        Micro-batching knobs: the largest batch, the longest a request waits
+        in its queue (see "Batching semantics" above), the seed unseeded
+        requests' streams are spawned from, and the time source.
     executor:
         Optional :class:`~repro.serving.pool.WorkerPool` — flushed batches
         are dispatched to it instead of executing on the flushing thread.
@@ -280,16 +299,19 @@ class ImputationService:
         # Serialises model execution: the networks are not re-entrant, and
         # CPU inference gains nothing from overlap.
         self._serve_lock = threading.Lock()
-        self._queues = {}              # (name, version) -> [_QueuedRequest]
-        self._resolved = {}            # (name, version) -> ResolvedModel
+        # (name, version) -> (ResolvedModel, [_QueuedRequest]); a queue and
+        # its resolved model leave together when the queue is flushed.
+        self._queues = {}
+        # name -> sizes of the model's last _COHORT_BATCHES flushed batches.
+        self._recent_batches = {}
         self._inflight_requests = 0    # popped off the queues, tickets pending
         self._worker = None
         self._stop_worker = False
-        # Resilience state: per-model breakers, an EWMA of observed batch
-        # execution time (feeds deadline admission), and a dedicated jitter
-        # RNG for retry backoff (never a request's stream).
+        # Resilience state: per-version breakers, a per-name EWMA of observed
+        # batch execution time (feeds deadline admission), and a dedicated
+        # jitter RNG for retry backoff (never a request's stream).
         self._breakers = {}            # (name, version) -> CircuitBreaker
-        self._batch_ewma = {}          # (name, version) -> seconds
+        self._batch_ewma = {}          # name -> seconds
         self._retry_lock = threading.Lock()
         self._retry_rng = np.random.default_rng(
             np.random.SeedSequence([int(seed) if np.isscalar(seed) else 0, 0x7e7]))
@@ -345,8 +367,7 @@ class ImputationService:
                                deadline=now + self.max_delay_seconds)
         size_triggered = False
         with self._cond:
-            self._resolved[key] = resolved
-            queue = self._queues.setdefault(key, [])
+            _, queue = self._queues.setdefault(key, (resolved, []))
             queue.append(entry)
             size_triggered = len(queue) >= self.max_batch_requests
             self._cond.notify_all()
@@ -386,34 +407,46 @@ class ImputationService:
         # Injection point: a stall (or failure) before any queue is popped —
         # no ticket is stranded because nothing has left the queues yet.
         faults.inject("service.queue_stall")
-        batches = []
         with self._lock:
-            for key in list(self._queues):
-                if key_filter is not None and key != key_filter:
-                    continue
-                queue = self._queues.pop(key)
-                if queue:
-                    batches.append((self._resolved[key], queue))
+            batches = [self._pop_queue(key) for key in list(self._queues)
+                       if key_filter is None or key == key_filter]
         return self._run_batches(batches)
 
     def poll(self):
-        """Serve the queues whose deadline or size trigger has fired."""
+        """Serve the queues whose size, cohort or deadline trigger has fired."""
         faults.inject("service.queue_stall")
         now = self.clock()
-        batches = []
         with self._lock:
-            for key in list(self._queues):
-                queue = self._queues[key]
-                if not queue:
-                    continue
-                if len(queue) >= self.max_batch_requests or queue[0].deadline <= now:
-                    batches.append((self._resolved[key], self._queues.pop(key)))
+            batches = [self._pop_queue(key)
+                       for key, (_, queue) in list(self._queues.items())
+                       if self._due(key, queue, now)]
         return self._run_batches(batches)
 
     def pending(self):
         """Number of queued, not yet served requests."""
         with self._lock:
-            return sum(len(queue) for queue in self._queues.values())
+            return sum(len(queue) for _, queue in self._queues.values())
+
+    def _due(self, key, queue, now):
+        """Has one of the queue's flush triggers fired?  Caller holds the lock.
+
+        The size and cohort triggers are one comparison: without a flushed
+        batch to learn from, the cohort is ``max_batch_requests``.
+        """
+        cohort = self.max_batch_requests
+        recent = self._recent_batches.get(key[0])
+        if recent:
+            cohort = min(max(recent), cohort)
+        return len(queue) >= cohort or queue[0].deadline <= now
+
+    def _pop_queue(self, key):
+        """Take a model's queue for flushing and count its size toward the
+        model's cohort; returns ``(resolved, entries)``.  Caller holds the
+        lock."""
+        resolved, queue = self._queues.pop(key)
+        self._recent_batches.setdefault(
+            resolved.name, deque(maxlen=_COHORT_BATCHES)).append(len(queue))
+        return resolved, queue
 
     def _request_seed(self, request):
         """The request's private noise seed: its own, else one spawned from
@@ -440,10 +473,10 @@ class ImputationService:
                 self._breakers[key] = breaker
             return breaker
 
-    def _expected_batch_seconds(self, key):
+    def _expected_batch_seconds(self, name):
         """EWMA of the model's observed batch execution time (0 when cold)."""
         with self._lock:
-            return self._batch_ewma.get(key, 0.0)
+            return self._batch_ewma.get(name, 0.0)
 
     def _check_request(self, resolved, request):
         """Refuse a request the model cannot run — a shape, sample count or
@@ -483,7 +516,8 @@ class ImputationService:
         key = (resolved.name, resolved.version)
         if request.deadline is not None:
             remaining = request.deadline.remaining(self.clock())
-            expected = self.max_delay_seconds + self._expected_batch_seconds(key)
+            expected = (self.max_delay_seconds
+                        + self._expected_batch_seconds(resolved.name))
             if remaining < expected:
                 self.metrics.counter("service.rejections.deadline").inc()
                 error = DeadlineExceeded(
@@ -634,12 +668,10 @@ class ImputationService:
                 if self._stop_worker:
                     return
                 now = self.clock()
-                deadlines = [queue[0].deadline
-                             for queue in self._queues.values() if queue]
-                due = any(len(queue) >= self.max_batch_requests
-                          for queue in self._queues.values())
-                due = due or any(deadline <= now for deadline in deadlines)
-                if not due:
+                if not any(self._due(key, queue, now)
+                           for key, (_, queue) in self._queues.items()):
+                    deadlines = [queue[0].deadline
+                                 for _, queue in self._queues.values()]
                     timeout = min(deadlines) - now if deadlines else None
                     self._cond.wait(timeout=timeout)
                     continue
@@ -813,7 +845,6 @@ class ImputationService:
     def _complete(self, resolved, entries, raws, started):
         """Resolve a served batch's tickets and update the counters."""
         batch_seconds = self.clock() - started
-        key = (resolved.name, resolved.version)
         self.metrics.counter("service.batches").inc()
         self.metrics.counter("service.requests.served").inc(len(entries))
         self.metrics.gauge("service.batch.max_requests").set_max(len(entries))
@@ -824,9 +855,10 @@ class ImputationService:
             # Feed deadline admission: an EWMA of this model's batch time
             # (includes queue-to-worker wait in executor mode, which is the
             # latency a newly admitted request would actually see).
-            previous = self._batch_ewma.get(key)
-            self._batch_ewma[key] = (batch_seconds if previous is None
-                                     else 0.7 * previous + 0.3 * batch_seconds)
+            previous = self._batch_ewma.get(resolved.name)
+            self._batch_ewma[resolved.name] = (
+                batch_seconds if previous is None
+                else 0.7 * previous + 0.3 * batch_seconds)
         for entry, raw in zip(entries, raws):
             response = ImputationResponse(
                 model=resolved.spec,

@@ -8,8 +8,9 @@ Covers the four layers of the refactor:
   reference, in float32 and float64),
 * the ``name@version`` :class:`~repro.serving.ModelRegistry`,
 * the :class:`~repro.serving.ImputationService` micro-batcher (the
-  **bit-identical to served-alone** acceptance criterion, size/deadline
-  triggers, error propagation, heterogeneous windows, worker thread), and
+  **bit-identical to served-alone** acceptance criterion, the size, cohort
+  and deadline flush triggers, error propagation, heterogeneous windows,
+  worker thread), and
 * the :class:`~repro.serving.StreamingImputer` ring-buffer sessions, and
 * the service error paths the HTTP gateway leans on (concurrent ticket
   fetches, submit-after-stop, stopped executor pools, the stop/drain
@@ -20,6 +21,7 @@ Covers the four layers of the refactor:
 import asyncio
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -64,6 +66,19 @@ def registry(tmp_path, trained_pristi):
     registry = ModelRegistry(tmp_path / "models")
     registry.publish(trained_pristi, "traffic")
     return registry
+
+
+class FakeClock:
+    """A manually advanced monotonic clock for flush-policy tests."""
+
+    def __init__(self, now=0.0):
+        self.now = float(now)
+
+    def __call__(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
 
 
 def _test_arrays(dataset, start=0, length=12):
@@ -255,6 +270,23 @@ class TestModelRegistry:
         with pytest.raises(RegistryError, match="invalid version"):
             registry.resolve("traffic@../traffic/1")
 
+    def test_latest_skips_an_incomplete_newest_version(self, registry,
+                                                       trained_pristi,
+                                                       monkeypatch):
+        """``resolve("name")`` stats manifests newest-first and stops at the
+        first complete version: a newer directory without a manifest is
+        skipped, and the older versions are never statted."""
+        registry.publish(trained_pristi, "traffic")
+        os.makedirs(os.path.join(registry.root, "traffic", "10"))
+        statted = []
+        isfile = os.path.isfile
+        monkeypatch.setattr(os.path, "isfile",
+                            lambda path: statted.append(path) or isfile(path))
+        assert registry.resolve("traffic").version == "2"
+        assert [os.path.basename(os.path.dirname(path))
+                for path in statted] == ["10", "2"]
+        assert registry.versions("traffic") == ["1", "2"]
+
     def test_publish_rejects_unsafe_components(self, registry, trained_pristi):
         with pytest.raises(RegistryError):
             registry.publish(trained_pristi, "bad/name")
@@ -269,16 +301,21 @@ class TestImputationService:
     def test_microbatched_bit_identical_to_served_alone(self, registry,
                                                         tiny_traffic_dataset):
         """Acceptance criterion: a coalesced response equals the same request
-        served alone, bit for bit — micro-batching is invisible."""
-        service = ImputationService(registry, max_batch_requests=16)
+        served alone, bit for bit — micro-batching is invisible.  Both an
+        explicit flush and a cohort-triggered poll (the clock never moves,
+        so no deadline fires) are covered."""
+        service = ImputationService(registry, max_batch_requests=16,
+                                    clock=FakeClock())
         requests = [
             ImputationRequest("traffic", *_test_arrays(tiny_traffic_dataset, start=i),
                               num_samples=2, seed=100 + i)
-            for i in range(5)
+            for i in range(10)
         ]
-        tickets = [service.submit(request) for request in requests]
+        tickets = [service.submit(request) for request in requests[:5]]
         assert service.pending() == 5
         service.flush()
+        tickets += [service.submit(request) for request in requests[5:]]
+        assert service.poll() == 5           # the cohort of the first flush
         batched = [ticket.result() for ticket in tickets]
         assert all(response.batch_requests == 5 for response in batched)
 
@@ -568,6 +605,193 @@ class TestImputationService:
         first = service.serve(request)
         second = service.serve(request)
         assert not np.array_equal(first.samples, second.samples)
+
+
+# ----------------------------------------------------------------------
+# Micro-batch flush policy: size, cohort and deadline triggers
+# ----------------------------------------------------------------------
+class TestFlushPolicy:
+    """A queue is due at ``max_batch_requests``, at its model's cohort (the
+    largest of its last four flushed batches) or at its oldest request's
+    deadline, whichever comes first; ``poll`` is driven on a fake clock, so
+    every flush below is decided by the policy alone."""
+
+    @pytest.fixture()
+    def clock(self):
+        return FakeClock()
+
+    @pytest.fixture()
+    def service(self, registry, clock):
+        return ImputationService(registry, max_batch_requests=8,
+                                 max_delay_seconds=0.5, clock=clock)
+
+    @pytest.fixture()
+    def submit(self, service, tiny_traffic_dataset):
+        values, mask = _test_arrays(tiny_traffic_dataset)
+        seeds = iter(range(1000))
+
+        def submit(count=1):
+            return [service.submit(ImputationRequest(
+                "traffic", values, mask, seed=next(seeds)))
+                for _ in range(count)]
+
+        return submit
+
+    def _round_of_two(self, service, submit, clock):
+        """A model's first batch: a pair that waits out the deadline."""
+        submit(2)
+        clock.advance(0.5)
+        assert service.poll() == 2
+
+    def test_first_batch_waits_for_the_deadline(self, service, submit, clock):
+        tickets = submit(2)
+        assert service.poll() == 0           # no history: no cohort yet
+        clock.advance(0.49)
+        assert service.poll() == 0
+        clock.advance(0.01)
+        assert service.poll() == 2
+        assert [ticket.result().batch_requests
+                for ticket in tickets] == [2, 2]
+
+    def test_cohort_flushes_without_the_clock_moving(self, service, submit,
+                                                     clock):
+        self._round_of_two(service, submit, clock)
+        first = submit()
+        assert service.poll() == 0           # one of a cohort of two
+        second = submit()
+        assert service.poll() == 2           # the cohort has arrived
+        assert [ticket.result().batch_requests
+                for ticket in first + second] == [2, 2]
+        assert [ticket.result().queued_seconds
+                for ticket in first + second] == [0.0, 0.0]
+
+    def test_pairs_coalesce_again_after_a_late_arrival(self, service, submit,
+                                                       clock):
+        self._round_of_two(service, submit, clock)
+        early = submit()
+        clock.advance(0.5)                   # its partner is late
+        assert service.poll() == 1
+        late = submit()
+        assert service.poll() == 0           # the cohort is still two
+        clock.advance(0.1)
+        partner = submit()                   # the next lockstep round
+        assert service.poll() == 2
+        assert early[0].result().batch_requests == 1
+        assert [ticket.result().batch_requests
+                for ticket in late + partner] == [2, 2]
+
+    def test_cohort_follows_the_last_four_batches(self, service, submit,
+                                                  clock):
+        self._round_of_two(service, submit, clock)
+        for _ in range(3):                   # three lone requests
+            submit()
+            clock.advance(0.5)
+            assert service.poll() == 1
+        submit()
+        assert service.poll() == 0           # the pair is one batch back
+        clock.advance(0.5)
+        assert service.poll() == 1
+        submit()                             # four lone batches: cohort 1
+        assert service.poll() == 1
+
+    def test_lone_request_flushes_at_its_deadline_never_later(
+            self, service, submit, clock):
+        self._round_of_two(service, submit, clock)
+        clock.advance(1.0)
+        ticket = submit()
+        clock.advance(0.4)
+        assert service.poll() == 0
+        clock.advance(0.1)                   # exactly its deadline
+        assert service.poll() == 1
+        response = ticket[0].result()
+        assert (response.batch_requests, response.queued_seconds) == (1, 0.5)
+
+    def test_submit_flushes_inline_only_at_max_batch_requests(
+            self, registry, clock, tiny_traffic_dataset):
+        service = ImputationService(registry, max_batch_requests=3,
+                                    max_delay_seconds=0.5, clock=clock)
+        values, mask = _test_arrays(tiny_traffic_dataset)
+
+        def submit(seed):
+            return service.submit(ImputationRequest("traffic", values, mask,
+                                                    seed=seed))
+
+        submit(0)
+        assert service.flush() == 1          # a cohort of one
+        tickets = [submit(1), submit(2)]
+        assert service.pending() == 2        # no inline flush at the cohort
+        assert not any(ticket.done for ticket in tickets)
+        tickets.append(submit(3))
+        assert service.pending() == 0        # the size trigger
+        assert [ticket.result().batch_requests
+                for ticket in tickets] == [3, 3, 3]
+
+    def test_worker_flushes_a_cohort_before_its_deadline(
+            self, registry, tiny_traffic_dataset):
+        """The background worker decides with the same predicate as
+        ``poll``: with a one-minute timer, a pair that matches the model's
+        cohort is served at once."""
+        values, mask = _test_arrays(tiny_traffic_dataset)
+        with ImputationService(registry, max_batch_requests=8,
+                               max_delay_seconds=60.0) as service:
+            def submit(seeds):
+                return [service.submit(ImputationRequest(
+                    "traffic", values, mask, seed=seed)) for seed in seeds]
+
+            submit((0, 1))
+            assert service.flush() == 2
+            tickets = submit((2, 3))
+            responses = [ticket.result(timeout=30) for ticket in tickets]
+        assert [response.batch_requests for response in responses] == [2, 2]
+
+    def test_concurrent_submitters_all_served(self, registry,
+                                              tiny_traffic_dataset):
+        """More submitting threads than cores, a fast thread switch and the
+        worker deciding flushes by cohort: every ticket resolves, each
+        request is served exactly once, and the cohort keeps four sizes."""
+        values, mask = _test_arrays(tiny_traffic_dataset)
+        responses = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ImputationService(registry, max_batch_requests=4,
+                                   max_delay_seconds=0.005) as service:
+                def client(offset):
+                    for round_index in range(3):
+                        responses.append(service.submit(ImputationRequest(
+                            "traffic", values, mask,
+                            seed=10 * offset + round_index)).result(timeout=30))
+
+                threads = [threading.Thread(target=client, args=(offset,))
+                           for offset in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(responses) == 18
+        assert service.metrics_snapshot()["service.requests.served"] == 18
+        assert len(service._recent_batches["traffic"]) == 4
+
+    def test_per_model_state_is_one_entry_per_name(self, registry,
+                                                   trained_pristi,
+                                                   tiny_traffic_dataset):
+        """A rollout publishes version after version of one name: the
+        service keeps one batch-time estimate and one cohort for the name,
+        and a flushed queue takes its resolved model with it."""
+        service = ImputationService(registry)
+        values, mask = _test_arrays(tiny_traffic_dataset)
+        for index in range(50):
+            if index:
+                registry.publish(trained_pristi, "traffic")
+            response = service.submit(ImputationRequest(
+                "traffic", values, mask, seed=index)).result()
+            assert response.model == f"traffic@{index + 1}"
+        assert service._queues == {}
+        assert list(service._batch_ewma) == ["traffic"]
+        assert list(service._recent_batches) == ["traffic"]
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "FaultRule",
     "FaultInjector",
     "INJECTION_POINTS",
-    "register_point",
     "install",
     "uninstall",
     "current",
@@ -76,9 +75,9 @@ class InjectedFault(ServingError):
 
 
 #: The canonical registry of injection points.  Site modules own their points
-#: (they are *used* where listed) and may add more via :func:`register_point`;
-#: :func:`install` validates every rule against this table so a typo in a
-#: fault plan fails loudly instead of silently never firing.
+#: (they are *used* where listed); :func:`install` validates every rule
+#: against this table so a typo in a fault plan fails loudly instead of
+#: silently never firing.
 INJECTION_POINTS = {
     "backend.load": "load_backend: model rehydration on a backend-cache "
                     "miss fails (pool child or inline flush)",
@@ -98,12 +97,6 @@ INJECTION_POINTS = {
     "gateway.connection_drop": "Gateway wire: drop the connection pre-response",
     "gateway.truncated_body": "Gateway wire: truncate the response body",
 }
-
-
-def register_point(name, description):
-    """Register an extra injection point (extension hook; idempotent)."""
-    INJECTION_POINTS[str(name)] = str(description)
-    return name
 
 
 @dataclass

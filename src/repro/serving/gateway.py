@@ -563,7 +563,8 @@ class Gateway:
                 self.metrics.counter("gateway.rejections.overload").inc()
             extra = {}
             if status in (429, 503):
-                extra["Retry-After"] = self._retry_after_for(error)
+                extra["Retry-After"] = self._retry_after(
+                    getattr(error, "retry_after", None))
             response = self._respond(status,
                                      _error_body(status, code, str(error)),
                                      extra=extra)
@@ -811,31 +812,21 @@ class Gateway:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _retry_after(self):
+    def _retry_after(self, seconds=None):
         """Load-aware ``Retry-After``: the time for the work already waiting
         (service queues + executor backlog) to clear, assuming full batches
         every ``max_delay_seconds`` — deeper queues push the hint out
         instead of hammering a backed-up gateway with retries.
         ``max_delay_seconds`` is the longest a queue waits before it is
         flushed (a queue whose cohort has arrived flushes sooner), so the
-        hint is an upper bound.  Clamped to [1, 60] whole seconds."""
-        waiting = self.service.pending()
-        executor = self.service.executor
-        if executor is not None and hasattr(executor, "backlog"):
-            waiting += executor.backlog()
-        batches_ahead = int(np.ceil(
-            (waiting + 1) / self.service.max_batch_requests))
-        seconds = batches_ahead * max(self.service.max_delay_seconds, 1e-3)
-        return str(int(min(60.0, max(1.0, np.ceil(seconds)))))
-
-    def _retry_after_for(self, error):
-        """The error's own retry estimate when it carries one (an open
-        circuit knows when its next probe admits), else the load-derived
-        hint."""
-        retry_after = getattr(error, "retry_after", None)
-        if retry_after is not None:
-            return str(int(min(60.0, max(1.0, np.ceil(float(retry_after))))))
-        return self._retry_after()
+        hint is an upper bound.  ``seconds``, an error's own estimate (an
+        open circuit knows when its next probe admits), replaces the load
+        estimate.  Clamped to [1, 60] whole seconds."""
+        if seconds is None:
+            batches_ahead = int(np.ceil(
+                (self.service.waiting() + 1) / self.service.max_batch_requests))
+            seconds = batches_ahead * max(self.service.max_delay_seconds, 1e-3)
+        return str(int(min(60.0, max(1.0, np.ceil(float(seconds))))))
 
     def _deadline_of(self, request):
         """Parse ``X-Deadline-Ms`` into a :class:`Deadline` on the service's

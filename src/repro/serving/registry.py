@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import re
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..inference.backend import process_backend
@@ -35,6 +36,9 @@ from ..io.artifacts import (
 )
 
 __all__ = ["ModelRegistry", "RegistryError", "ResolvedModel"]
+
+#: How many artifacts' manifest shapes a registry keeps (see ``_shape``).
+_SHAPE_CACHE_SIZE = 16
 
 #: name / version components must be filesystem-safe.
 _COMPONENT = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -85,8 +89,9 @@ class ModelRegistry:
     def __init__(self, root):
         self.root = os.fspath(root)
         self._lock = threading.Lock()
-        # artifact path -> (signature, (num_nodes, window_length))
-        self._shapes = {}
+        # artifact path -> (signature, (num_nodes, window_length)), the
+        # least recently used first
+        self._shapes = OrderedDict()
         self._subscribers = []
 
     def subscribe(self, callback):
@@ -222,12 +227,15 @@ class ModelRegistry:
         under the artifact's on-disk signature, by the rule
         :class:`~repro.inference.backend.BackendCache` keeps: a republish
         by anyone reads the new manifest, and a missing artifact keeps the
-        cached shape.
+        cached shape.  Only the ``_SHAPE_CACHE_SIZE`` most recently used
+        shapes are kept; an evicted one is read from its manifest again.
         """
         path = self._resolved(spec).path
         signature = _artifact_signature(path)
         with self._lock:
             cached = self._shapes.get(path)
+            if cached is not None:
+                self._shapes.move_to_end(path)
         if cached is not None and signature in (None, cached[0]):
             return cached[1]
         manifest = _read_manifest(path)
@@ -235,6 +243,9 @@ class ModelRegistry:
                  int(manifest["config"]["window_length"]))
         with self._lock:
             self._shapes[path] = (signature, shape)
+            self._shapes.move_to_end(path)
+            if len(self._shapes) > _SHAPE_CACHE_SIZE:
+                self._shapes.popitem(last=False)
         return shape
 
     def backend(self, spec):

@@ -43,14 +43,21 @@ Batching semantics
 
 Execution semantics
 -------------------
-* Without an ``executor`` every flushed batch executes inline on the calling
-  thread (serialised by one lock), running what a pool child runs:
+* One lifecycle: ``submit`` and ``serve`` share one admission step, and
+  every flushed batch becomes one :class:`~repro.serving.pool.BatchTask`
+  whose completion hooks own the retry decision and backoff, the circuit
+  breaker's bookkeeping and ticket resolution.  Inline and pooled batches
+  differ only in how that task is sent.
+* Without an ``executor`` (and always for ``serve``) it runs on the calling
+  thread, serialised by one lock, running what a pool child runs:
   :func:`~repro.serving.pool.execute_batch` over this process's resident
-  backend (:func:`~repro.inference.backend.process_backend`).
-* With ``executor=WorkerPool(...)`` flushed batches are **dispatched** to the
-  pool's one FIFO queue instead: ``flush``/``poll`` return once the batches
-  are queued, and tickets resolve when the idle worker that took the batch
-  finishes (see :mod:`repro.serving.pool`).  ``response.batch_seconds``
+  backend (:func:`~repro.inference.backend.process_backend`).  A flush
+  returns with every ticket resolved and re-raises a batch's final error.
+* With ``executor=WorkerPool(...)`` it is **dispatched** to the pool's one
+  FIFO queue: ``flush``/``poll`` return once the batches are queued (and
+  raise only a rejection at dispatch), tickets resolve when the idle worker
+  that took the batch finishes, and a retry goes back through the pool's
+  admission (see :mod:`repro.serving.pool`).  ``response.batch_seconds``
   then includes any time the batch waited in the pool queue.
 * ``max_queue_depth`` adds service-level backpressure: a ``submit`` that
   would push the number of waiting requests (service queues + pool backlog)
@@ -80,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..inference.backend import resident_backends
+from ..inference.backend import process_backend, resident_backends
 from ..metrics import imputation_metrics
 from ..telemetry import PROCESS_METRICS, MetricsRegistry
 from . import faults
@@ -340,32 +347,17 @@ class ImputationService:
         with :class:`~repro.serving.pool.ServiceOverloaded` before a ticket
         is issued — load shedding happens at admission, not mid-flight.
         """
-        if not isinstance(request, ImputationRequest):
-            raise TypeError("submit expects an ImputationRequest")
         if self.max_queue_depth is not None:
-            waiting = self.pending()
-            if self.executor is not None:
-                waiting += self.executor.backlog()
+            waiting = self.waiting()
             if waiting >= self.max_queue_depth:
                 raise ServiceOverloaded(
                     f"{waiting} requests already waiting "
                     f"(max_queue_depth={self.max_queue_depth})"
                 )
-        resolved = self.registry.resolve(request.model)
-        self._check_request(resolved, request)
-        admission_error, degradable = self._admission_error(resolved, request)
-        if admission_error is not None:
-            if degradable and self.fallback is not None:
-                return self._serve_degraded(resolved, request)
-            raise admission_error
+        resolved, entry = self._admit(request, self.max_delay_seconds)
+        if entry.ticket.done:
+            return entry.ticket
         key = (resolved.name, resolved.version)
-        seed = self._request_seed(request)
-        ticket = PendingImputation(self, key)
-        now = self.clock()
-        entry = _QueuedRequest(request=request, ticket=ticket, seed=seed,
-                               enqueued_at=now,
-                               deadline=now + self.max_delay_seconds)
-        size_triggered = False
         with self._cond:
             _, queue = self._queues.setdefault(key, (resolved, []))
             queue.append(entry)
@@ -373,29 +365,47 @@ class ImputationService:
             self._cond.notify_all()
         if size_triggered and self._worker is None:
             self.flush(key)
-        return ticket
+        return entry.ticket
 
     def serve(self, request):
         """Serve one request immediately, alone — the reference path a
         *seeded* micro-batched response is bit-identical to.  (An unseeded
         request gets a fresh stream spawned per call, exactly as ``submit``
-        does, so its samples are independent — not repeatable.)"""
+        does, so its samples are independent — not repeatable.)  It runs
+        inline on the calling thread even when a pool is attached."""
+        resolved, entry = self._admit(request, 0.0)
+        if not entry.ticket.done:
+            self._process_batch(resolved, [entry])
+        return entry.ticket.result()
+
+    def _admit(self, request, wait):
+        """Admission for ``submit`` and ``serve``: resolve, check, apply
+        deadline and circuit admission and fix the seed.  Returns
+        ``(resolved, entry)``, the entry due in ``wait`` seconds; its ticket
+        is already resolved when the fallback served the request."""
         if not isinstance(request, ImputationRequest):
-            raise TypeError("serve expects an ImputationRequest")
+            raise TypeError("expected an ImputationRequest")
         resolved = self.registry.resolve(request.model)
         self._check_request(resolved, request)
-        admission_error, degradable = self._admission_error(resolved, request)
-        if admission_error is not None:
-            if degradable and self.fallback is not None:
-                return self._serve_degraded(resolved, request).result()
-            raise admission_error
-        seed = self._request_seed(request)
         ticket = PendingImputation(self, (resolved.name, resolved.version))
+        seed = None
+        admission_error, degradable = self._admission_error(resolved, request)
+        if admission_error is None:
+            # The request's own noise seed, else one spawned per call (so
+            # unseeded requests are independent); a bad seed fails here.
+            if request.seed is not None:
+                seed = np.random.SeedSequence(request.seed)
+            else:
+                with self._lock:
+                    seed = self._seeds.spawn(1)[0]
+        elif degradable and self.fallback is not None:
+            self._serve_degraded(resolved, request, ticket)
+        else:
+            raise admission_error
         now = self.clock()
-        entry = _QueuedRequest(request=request, ticket=ticket, seed=seed,
-                               enqueued_at=now, deadline=now)
-        self._process_batch(resolved, [entry])
-        return ticket.result()
+        return resolved, _QueuedRequest(request=request, ticket=ticket,
+                                        seed=seed, enqueued_at=now,
+                                        deadline=now + wait)
 
     def flush(self, model=None):
         """Serve all pending requests now (one model's queue, or every queue).
@@ -427,6 +437,14 @@ class ImputationService:
         with self._lock:
             return sum(len(queue) for _, queue in self._queues.values())
 
+    def waiting(self):
+        """Requests waiting to run: this service's queues plus the
+        executor's backlog (what ``max_queue_depth`` bounds)."""
+        waiting = self.pending()
+        if self.executor is not None:
+            waiting += self.executor.backlog()
+        return waiting
+
     def _due(self, key, queue, now):
         """Has one of the queue's flush triggers fired?  Caller holds the lock.
 
@@ -448,30 +466,26 @@ class ImputationService:
             resolved.name, deque(maxlen=_COHORT_BATCHES)).append(len(queue))
         return resolved, queue
 
-    def _request_seed(self, request):
-        """The request's private noise seed: its own, else one spawned from
-        the service seed sequence (one per call, so unseeded requests are
-        independent of each other and of batching).  Built here so a bad
-        seed fails at admission, not inside a batch."""
-        if request.seed is not None:
-            return np.random.SeedSequence(request.seed)
-        with self._lock:
-            return self._seeds.spawn(1)[0]
-
     # ------------------------------------------------------------------
     # Resilience: admission, breakers, degraded mode
     # ------------------------------------------------------------------
     def _breaker(self, key):
-        """The model's circuit breaker (created on first use; ``None`` when
-        breakers are disabled)."""
-        if self.circuit_policy is None:
-            return None
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(self.circuit_policy, clock=self.clock)
-                self._breakers[key] = breaker
-            return breaker
+        """The model's breaker, created on first use.  Creating one drops
+        the breakers of the name's other versions that have never failed
+        and never opened: they are indistinguishable from a fresh breaker,
+        so a rollout keeps one per name, plus any that have failed.
+        Caller holds the lock."""
+        breaker = self._breakers.get(key)
+        if breaker is None:
+            for other in [other for other in self._breakers
+                          if other[0] == key[0]]:
+                if self._breakers[other].snapshot() == {
+                        "state": "closed", "consecutive_failures": 0,
+                        "opened_total": 0}:
+                    del self._breakers[other]
+            breaker = CircuitBreaker(self.circuit_policy, clock=self.clock)
+            self._breakers[key] = breaker
+        return breaker
 
     def _expected_batch_seconds(self, name):
         """EWMA of the model's observed batch execution time (0 when cold)."""
@@ -525,24 +539,25 @@ class ImputationService:
                     f"but queue wait + expected batch time is "
                     f"{expected * 1000.0:.1f} ms")
                 return error, remaining > 0.0
-        breaker = self._breaker(key)
-        if breaker is not None and not breaker.allow():
-            self.metrics.counter("service.rejections.circuit").inc()
-            return breaker.reject_error(resolved.spec), True
+        if self.circuit_policy is not None:
+            with self._lock:
+                breaker = self._breaker(key)
+            if not breaker.allow():
+                self.metrics.counter("service.rejections.circuit").inc()
+                return breaker.reject_error(resolved.spec), True
         return None, False
 
-    def _serve_degraded(self, resolved, request):
+    def _serve_degraded(self, resolved, request, ticket):
         """Serve a request through the statistical fallback, immediately, on
-        the calling thread; returns an already-resolved ticket whose
-        response is tagged ``degraded=True``."""
+        the calling thread; resolves ``ticket`` with a response tagged
+        ``degraded=True``."""
         started = self.clock()
-        ticket = PendingImputation(self, (resolved.name, resolved.version))
         try:
             raw = self.fallback.impute(request.values, request.observed_mask,
                                        num_samples=request.num_samples)
         except Exception as error:
             ticket._resolve(None, error)
-            return ticket
+            return
         self.metrics.counter("service.requests.degraded").inc()
         ticket._resolve(ImputationResponse(
             model=resolved.spec,
@@ -555,20 +570,6 @@ class ImputationService:
             batch_seconds=self.clock() - started,
             degraded=True,
         ))
-        return ticket
-
-    def _record_success(self, key):
-        breaker = self.circuit_policy and self._breakers.get(key)
-        if breaker:
-            breaker.record_success()
-
-    def _record_failure(self, key, error):
-        """Count an execution failure toward the model's breaker — unless it
-        is a capacity/lifecycle rejection, which says nothing about the
-        backend's health."""
-        if self.circuit_policy is None or not counts_as_breaker_failure(error):
-            return
-        self._breaker(key).record_failure()
 
     def _backoff_sleep(self, attempts_made):
         """Sleep the policy's backoff before retry ``attempts_made`` (the
@@ -738,7 +739,7 @@ class ImputationService:
 
     def _track(self, count):
         """Count ``count`` requests as executing (inline or on the executor);
-        :meth:`_complete` / :meth:`_fail` balance it when tickets resolve."""
+        :meth:`_untrack` balances it once their tickets are resolved."""
         with self._cond:
             self._inflight_requests += count
 
@@ -748,99 +749,96 @@ class ImputationService:
             self._cond.notify_all()
 
     def _process_batch(self, resolved, entries):
-        """Serve one model's micro-batch inline; tickets absorb any failure.
-
-        This runs exactly what a pool child runs for the batch.  With a
-        :class:`~repro.serving.resilience.RetryPolicy`, a failed attempt
-        re-executes the same payloads — each attempt draws fresh streams from
-        the request seeds, so retried responses stay bit-identical.
-        """
-        started = self.clock()
-        key = (resolved.name, resolved.version)
-        payloads = [self._payload(entry) for entry in entries]
-        self._track(len(entries))
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                with self._serve_lock:
-                    raws = execute_batch(self.registry.backend(resolved),
-                                         payloads)
-                    # Injection point: the flush failing after the batch ran
-                    # (its noise drawn), inside the try so the tickets
-                    # resolve with the error — a retry must replay exactly.
-                    faults.inject("service.flush")
-                break
-            except Exception as error:
-                if (self.retry_policy is not None
-                        and self.retry_policy.should_retry(error, attempts)):
-                    self._backoff_sleep(attempts)
-                    continue
-                self._record_failure(key, error)
-                self._fail(entries, error)
-                raise
-        self._record_success(key)
-        self._complete(resolved, entries, raws, started)
+        """Run one model's micro-batch inline (see :meth:`_run_batch`);
+        re-raises the batch's final error."""
+        self._run_batch(resolved, entries, self._execute_inline)
 
     def _dispatch_batch(self, resolved, entries):
-        """Hand one model's micro-batch to the executor's queue.
+        """Queue one model's micro-batch on the executor (see
+        :meth:`_run_batch`); raises only a rejection at dispatch."""
+        self._run_batch(resolved, entries, self.executor.dispatch)
 
-        The completion hooks run on the pool's parent-side worker thread; a
-        dispatch-time rejection (pool overloaded or stopped) resolves the
-        tickets here and re-raises so the flusher sees it.  With a retry policy, a retryable
-        worker failure (e.g. a crashed worker) re-dispatches the same seeded
-        payloads instead of failing the tickets.
-        """
+    def _run_batch(self, resolved, entries, send):
+        """Run one flushed batch as one :class:`BatchTask` through ``send``
+        (the executor's ``dispatch``, or :meth:`_execute_inline`), which
+        calls the task's hooks when an attempt ends.  A retryable failure
+        sends the same seeded payloads again, so a retried response is
+        bit-identical; a ``send`` that raises (a rejection at dispatch)
+        fails the tickets and re-raises.  An inline ``send`` returns with
+        every ticket resolved, so its final error re-raises here too."""
         started = self.clock()
         key = (resolved.name, resolved.version)
-        payloads = [self._payload(entry) for entry in entries]
-        attempts = [0]
+        attempts = 1
+        failure = None
+
+        def fail(error):
+            nonlocal failure, task
+            failure, task = error, None     # the batch is over (see on_done)
+            # Capacity/lifecycle rejections say nothing about the model's
+            # health; the lock keeps pruning from dropping the failure.
+            if (self.circuit_policy is not None
+                    and counts_as_breaker_failure(error)):
+                with self._lock:
+                    self._breaker(key).record_failure()
+            # Tickets resolve before the in-flight count drops: stop()
+            # returns at zero, with every ticket resolved.
+            for entry in entries:
+                entry.ticket._resolve(None, error)
+            self._untrack(len(entries))
 
         def on_done(raws):
-            self._record_success(key)
+            nonlocal task
+            # The batch is over: end the task -> hook -> task cycle, which
+            # would hold its requests and responses until a gc pass.
+            task = None
+            breaker = self.circuit_policy and self._breakers.get(key)
+            if breaker:
+                breaker.record_success()
             self._complete(resolved, entries, raws, started)
 
         def on_error(error):
-            # Runs on the pool worker's thread.  Re-dispatch sends the batch
-            # back through admission, so a retry can still be rejected
-            # (overloaded/stopped) — that rejection then fails the tickets.
+            nonlocal attempts
             if (self.retry_policy is not None
-                    and self.retry_policy.should_retry(error, attempts[0])):
-                self._backoff_sleep(attempts[0])
+                    and self.retry_policy.should_retry(error, attempts)):
+                self._backoff_sleep(attempts)
+                attempts += 1
+                # A re-send goes back through the pool's admission; a
+                # rejection there fails the tickets.
                 try:
-                    dispatch()
+                    send(task)
                     return
-                except Exception as redispatch_error:
-                    error = redispatch_error
-            self._record_failure(key, error)
-            self._fail(entries, error)
+                except Exception as rejection:
+                    error = rejection
+            fail(error)
 
-        def dispatch():
-            attempts[0] += 1
-            self.executor.dispatch(BatchTask(
-                artifact_path=resolved.path,
-                payloads=payloads,
-                on_done=on_done,
-                on_error=on_error,
-            ))
-
+        task = BatchTask(artifact_path=resolved.path,
+                         payloads=[self._payload(entry) for entry in entries],
+                         on_done=on_done, on_error=on_error)
         self._track(len(entries))
         try:
-            dispatch()
+            send(task)
         except Exception as error:
-            # Rejected before the pool accepted it (overload/stopped), so the
-            # completion hooks will never fire — resolve the tickets here.
-            self._record_failure(key, error)
-            self._fail(entries, error)
+            # Rejected before the executor accepted it, so the hooks never
+            # run: resolve the tickets here.
+            fail(error)
             raise
+        if failure is not None and send == self._execute_inline:
+            raise failure
 
-    def _fail(self, entries, error):
-        # Tickets resolve BEFORE the in-flight count drops: stop() returns
-        # when the count hits zero, and its contract is that every ticket is
-        # resolved by then.
-        for entry in entries:
-            entry.ticket._resolve(None, error)
-        self._untrack(len(entries))
+    def _execute_inline(self, task):
+        """The inline ``send``: run the batch as a pool child would, under
+        the serve lock, then call its hooks outside the lock."""
+        try:
+            with self._serve_lock:
+                raws = execute_batch(process_backend(task.artifact_path),
+                                     task.payloads)
+                # Injection point: the flush failing after the batch ran
+                # (its noise drawn), so a retry must replay exactly.
+                faults.inject("service.flush")
+        except Exception as error:
+            task.on_error(error)
+        else:
+            task.on_done(raws)
 
     def _complete(self, resolved, entries, raws, started):
         """Resolve a served batch's tickets and update the counters."""
@@ -871,7 +869,7 @@ class ImputationService:
                 batch_seconds=batch_seconds,
             )
             entry.ticket._resolve(response)
-        # After the tickets: see _fail for the ordering contract with stop().
+        # After the tickets: see _run_batch for the ordering with stop().
         self._untrack(len(entries))
 
     def _to_key(self, model):

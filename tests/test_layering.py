@@ -8,7 +8,8 @@ module defines a ``_k_*`` kernel.  ``repro.inference`` sits below
 ``repro.serving`` and must not
 import it at module level (that is the cycle the leaf exists to break).
 The HTTP gateway never runs a model: every inference it serves, stream ticks
-included, goes through ``ImputationService``.  ``inference/backend.py`` is the
+included, goes through ``ImputationService``, which admits a request and
+runs a batch's retries at one call site each for inline and pooled batches.  ``inference/backend.py`` is the
 one module that knows window geometry and drives the engine; the engine only
 samples plans.  Only ``repro.io`` spells the artifact's file names or
 defines its on-disk signature, the one staleness rule of every artifact
@@ -224,10 +225,10 @@ def test_relative_imports_resolve_against_the_package():
 _MODEL_CALLS = {"backend", "load", "impute_arrays"}
 
 
-def _model_calls(tree):
+def _calls(tree, names):
     """``(line, name)`` of every call in ``tree`` to a function or method
-    named in :data:`_MODEL_CALLS` (``np.load``, which decodes an NPZ
-    request body, is not a model load)."""
+    named in ``names`` (``np.load``, which decodes an NPZ request body, is
+    not a model load)."""
     hits = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -239,14 +240,15 @@ def _model_calls(tree):
             name = func.attr
         else:
             name = func.id if isinstance(func, ast.Name) else None
-        if name in _MODEL_CALLS:
+        if name in names:
             hits.append((node.lineno, name))
     return hits
 
 
 def test_gateway_never_loads_or_runs_a_model():
     path = SRC / "repro" / "serving" / "gateway.py"
-    assert _model_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert _calls(ast.parse(path.read_text(encoding="utf-8")),
+                  _MODEL_CALLS) == []
 
 
 def test_model_call_check_sees_method_and_function_calls():
@@ -256,8 +258,37 @@ def test_model_call_check_sees_method_and_function_calls():
                      "np.load(body)\n"
                      "def impute_arrays(self):\n"
                      "    return service.submit(request)\n")
-    assert _model_calls(tree) == [(1, "backend"), (2, "load"),
-                                  (3, "impute_arrays")]
+    assert _calls(tree, _MODEL_CALLS) == [(1, "backend"), (2, "load"),
+                                          (3, "impute_arrays")]
+
+
+#: The steps of a served batch's life that ``serving/service.py`` writes once
+#: for inline and pooled batches alike.
+_LIFECYCLE_CALLS = ("_check_request", "_admission_error", "execute_batch",
+                    "should_retry", "_backoff_sleep")
+
+
+def test_service_has_one_batch_lifecycle():
+    """Admission, execution and the retry decision each have one call site
+    in the service: ``submit`` and ``serve`` share one admission step, and
+    inline and pooled batches one runner."""
+    path = SRC / "repro" / "serving" / "service.py"
+    sites = _calls(ast.parse(path.read_text(encoding="utf-8")),
+                   _LIFECYCLE_CALLS)
+    assert sorted(name for _, name in sites) == sorted(_LIFECYCLE_CALLS)
+
+
+def test_lifecycle_call_check_counts_every_site():
+    tree = ast.parse("execute_batch(backend, payloads)\n"
+                     "if self.retry_policy.should_retry(error, 1):\n"
+                     "    self._backoff_sleep(1)\n"
+                     "while policy.should_retry(error, attempts):\n"
+                     "    pass\n"
+                     "def _check_request(self, request):\n"
+                     "    return self._admission_error\n")
+    assert _calls(tree, _LIFECYCLE_CALLS) == [
+        (1, "execute_batch"), (2, "should_retry"), (4, "should_retry"),
+        (3, "_backoff_sleep")]
 
 
 def _imported_names(tree):

@@ -7,7 +7,9 @@ Three tiers:
   by a fake clock), `FallbackRouter`, and the `errors` taxonomy/status table.
 * **Service semantics** — deadline admission and queued-expiry, bit-identical
   retry replays (inline and through a crashing worker pool), the circuit
-  open → half-open → closed cycle, and degraded-mode fallback.
+  open → half-open → closed cycle, degraded-mode fallback, and the one
+  batch lifecycle inline and pooled batches share (retry, breaker and
+  ticket resolution, each pinned on both).
 * **The invariant** — under seeded fault schedules (including probabilistic
   ones) over a pool-backed service, **every issued ticket resolves**: a
   response, a typed :class:`~repro.serving.errors.ServingError`, or a
@@ -16,6 +18,7 @@ Three tiers:
 
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +39,10 @@ from repro import (
     WorkerPool,
 )
 from repro.serving import PoolStopped, WorkerCrashed, faults
+from repro.serving import service as service_module
 from repro.serving.errors import ServingError, classify
+from repro.serving.pool import BatchTask
+from repro.serving.registry import _SHAPE_CACHE_SIZE
 from repro.serving.faults import FaultInjector, FaultRule, InjectedFault
 from repro.serving.resilience import CircuitBreaker, counts_as_breaker_failure
 
@@ -513,6 +519,165 @@ class TestServiceCircuit:
                 service.submit(request)
         assert not service.any_circuit_open()
         service.flush()
+
+
+    def test_rollout_keeps_one_clean_breaker_per_name(
+            self, registry, trained_model, tiny_traffic_dataset):
+        """Admitting a new version drops the breakers of older versions
+        that never failed (they equal a fresh one); a failed version's
+        breaker survives every later publish, and the registry's manifest
+        shape cache stays bounded."""
+        service = ImputationService(registry,
+                                    circuit_policy=CircuitBreakerPolicy())
+        request = _requests(tiny_traffic_dataset, count=1)[0]
+        with faults.active([{"point": "service.flush", "hits": [1]}]):
+            service.submit(request)
+            with pytest.raises(InjectedFault):
+                service.flush()
+        for _ in range(49):
+            registry.publish(trained_model, "traffic")
+            service.submit(request)             # admits the latest version
+        circuits = service.circuits()
+        assert sorted(circuits) == ["traffic@1", "traffic@50"]
+        assert circuits["traffic@1"]["consecutive_failures"] == 1
+        assert circuits["traffic@50"]["consecutive_failures"] == 0
+        assert len(registry._shapes) == _SHAPE_CACHE_SIZE
+        assert "traffic@1" not in {path.rsplit("/", 1)[-1]
+                                   for path in registry._shapes}
+        assert registry.num_nodes("traffic@1") == request.values.shape[1]
+
+
+# ----------------------------------------------------------------------
+# One batch lifecycle: every behaviour holds inline and pooled alike
+# ----------------------------------------------------------------------
+#: Where one attempt of a batch fails in each mode, and with what error:
+#: after the inline run, or as a crashed pool worker.
+_ATTEMPT_FAULTS = {"inline": ("service.flush", InjectedFault),
+                   "pooled": ("pool.worker_crash", WorkerCrashed)}
+
+
+@pytest.fixture(scope="module")
+def one_worker_pool():
+    """One process worker, so a batch is never split across workers."""
+    pool = WorkerPool(num_workers=1)
+    yield pool
+    pool.stop()
+
+
+class TestOneBatchLifecycle:
+    @pytest.fixture(params=sorted(_ATTEMPT_FAULTS))
+    def mode(self, request, registry):
+        pooled = request.param == "pooled"
+        pool = request.getfixturevalue("one_worker_pool") if pooled else None
+        point, error = _ATTEMPT_FAULTS[request.param]
+
+        def service(**kwargs):
+            return ImputationService(registry, executor=pool, **kwargs)
+
+        return SimpleNamespace(pooled=pooled, pool=pool, point=point,
+                               error=error, service=service)
+
+    def _retrying(self, mode, max_attempts, **kwargs):
+        return mode.service(retry_policy=RetryPolicy(
+            max_attempts=max_attempts, base_delay_seconds=0.001,
+            retry_on=(mode.error,)), **kwargs)
+
+    def test_successful_retry_serves_the_serve_bits(
+            self, mode, tiny_traffic_dataset):
+        service = self._retrying(mode, max_attempts=3)
+        requests = _requests(tiny_traffic_dataset, count=2)
+        reference = [service.serve(request) for request in requests]
+        with faults.active([{"point": mode.point, "hits": [1]}]):
+            tickets = [service.submit(request) for request in requests]
+            service.flush()                     # attempt 1 fails, 2 lands
+            responses = [ticket.result(timeout=120) for ticket in tickets]
+        for response, clean in zip(responses, reference):
+            assert np.array_equal(response.samples, clean.samples)
+            assert np.array_equal(response.median, clean.median)
+        assert service.metrics_snapshot()["service.retries"] == 1
+
+    def test_exhausted_retries_fail_every_ticket_with_the_final_error(
+            self, mode, tiny_traffic_dataset):
+        service = self._retrying(
+            mode, max_attempts=2,
+            circuit_policy=CircuitBreakerPolicy(failure_threshold=5))
+        requests = _requests(tiny_traffic_dataset, count=2)
+        with faults.active([{"point": mode.point, "after": 0}]):
+            tickets = [service.submit(request) for request in requests]
+            if mode.pooled:
+                service.flush()                 # raises only at dispatch
+            else:
+                with pytest.raises(InjectedFault):
+                    service.flush()
+            errors = []
+            for ticket in tickets:
+                with pytest.raises(mode.error) as excinfo:
+                    ticket.result(timeout=120)
+                errors.append(excinfo.value)
+        assert errors[0] is errors[1]
+        assert "(invocation 2)" in str(errors[0])     # the retry's error
+        assert service.metrics_snapshot()["service.retries"] == 1
+        assert service.circuits()["traffic@1"]["consecutive_failures"] == 1
+
+    def test_overload_rejection_at_dispatch_never_trips_the_breaker(
+            self, mode, tiny_traffic_dataset, monkeypatch):
+        service = mode.service(
+            circuit_policy=CircuitBreakerPolicy(failure_threshold=1))
+        if mode.pooled:
+            monkeypatch.setattr(mode.pool, "max_queue_depth", 1)
+        else:
+            def reject(task):
+                raise ServiceOverloaded("no room for the batch")
+
+            monkeypatch.setattr(service, "_execute_inline", reject)
+        tickets = [service.submit(request)
+                   for request in _requests(tiny_traffic_dataset, count=2)]
+        with pytest.raises(ServiceOverloaded):
+            service.flush()
+        for ticket in tickets:
+            with pytest.raises(ServiceOverloaded):
+                ticket.result(timeout=5)
+        assert service.circuits()["traffic@1"] == {
+            "state": "closed", "consecutive_failures": 0, "opened_total": 0}
+        assert service.metrics_snapshot()["service.requests.inflight"] == 0
+
+    def test_each_batch_enters_one_entry_point_once(
+            self, mode, tiny_traffic_dataset, monkeypatch):
+        """perfbench times ``service.batch`` by wrapping ``_process_batch``
+        and ``_dispatch_batch`` and reads ``len(args[2])``: one call per
+        flushed batch, retries included, and one per ``serve()``.  A
+        retry re-sends the batch's one :class:`BatchTask`."""
+        calls = {"_process_batch": [], "_dispatch_batch": []}
+        for name, sizes in calls.items():
+            def counting(self, resolved, entries, _original=getattr(
+                    service_module.ImputationService, name), _sizes=sizes):
+                _sizes.append(len(entries))
+                return _original(self, resolved, entries)
+
+            monkeypatch.setattr(service_module.ImputationService, name,
+                                counting)
+        tasks = []
+
+        class CountingTask(BatchTask):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tasks.append(self)
+
+        monkeypatch.setattr(service_module, "BatchTask", CountingTask)
+        service = self._retrying(mode, max_attempts=3)
+        requests = _requests(tiny_traffic_dataset, count=3)
+        with faults.active([{"point": mode.point, "hits": [1]}]):
+            tickets = [service.submit(request) for request in requests]
+            service.flush()
+            for ticket in tickets:
+                ticket.result(timeout=120)
+        assert service.metrics_snapshot()["service.retries"] == 1
+        assert len(tasks) == 1
+        service.serve(requests[0])              # inline, even with a pool
+        flushed = [3] if mode.pooled else []
+        assert calls == {"_process_batch": [1] if mode.pooled else [3, 1],
+                         "_dispatch_batch": flushed}
+        assert len(tasks) == 2
 
 
 # ----------------------------------------------------------------------

@@ -41,12 +41,14 @@ percentiles and a bit-identity flag.  The legacy ``serial``/``batched``
 fields keep their original meaning (both sides eager) so the organisational
 speedup stays comparable across commits; the JIT win is reported separately.
 The compiled floor is 1.5x for DDPM cells; DDIM-8 cells carry a 1.2x floor
-because the planner's cross-step CSE (the prior-derived attention maps are
-computed once per chunk instead of once per step) amortises over 8 steps
-instead of 20.  The per-window prior narrowed these ratios: the eager loop
-recomputes the attention maps every step, now on one row per window, so it
-gained more than the replay; the static replay tape (every view taken at
-plan time, one pre-bound call per kernel) won some of it back.  On the
+because the per-chunk work (the prior and its attention maps) amortises
+over 8 steps instead of 20.  The network builds that work once per chunk
+on both sides; before, only the compiled side did, through a planner pass
+that merged the repeats across steps, so the eager loop rebuilt the maps
+every step.  The per-window prior narrowed these ratios: the eager loop's
+per-step maps shrank to one row per window, so it gained more than the
+replay; the static replay tape (every view taken at plan time, one
+pre-bound call per kernel) won some of it back.  On the
 host above, three runs measured 1.88–2.06x (float64) and 1.55–1.70x
 (float32) for DDPM and 1.53–1.97x for DDIM, against 1.80–1.81x and
 1.46–1.53x for DDPM before the tape.  The planner writing results where
@@ -54,7 +56,12 @@ they are read (in-place elementwise kernels, heads-merge matmuls written
 through into the merged slot) raised three runs to 2.08–2.11x (float64)
 and 1.83–1.85x (float32) for DDPM and 1.81–2.11x for DDIM, against
 1.90–1.94x, 1.54–1.57x and 1.54–1.84x for the runs alternated with them
-on the code before it.  Run directly
+on the code before it.  With the maps built once per chunk on the eager
+side too, three runs measured 2.15–2.42x (float64) and 1.59–1.67x
+(float32) for DDPM and 1.56–2.20x for DDIM, against 2.06–2.07x,
+1.84–1.92x and 1.75–2.17x for the runs alternated with them on the code
+before it: the float32 ratios narrowed, as the eager side now skips the
+per-step maps.  Run directly
 (``PYTHONPATH=src python benchmarks/bench_batched_inference.py``) or through
 pytest (``pytest benchmarks/bench_batched_inference.py``).
 """
@@ -85,7 +92,7 @@ def _trace_cache_counts():
 NUM_SAMPLES = 8
 MIN_SPEEDUP = 2.0          # re-baselined in PR 2, see module docstring
 MIN_COMPILED_SPEEDUP = 1.5       # compiled vs eager, DDPM (20-step) cells
-MIN_COMPILED_SPEEDUP_DDIM = 1.2  # DDIM-8 cells: CSE amortises over 8 steps
+MIN_COMPILED_SPEEDUP_DDIM = 1.2  # DDIM-8 cells: per-chunk work amortises over 8 steps
 FLOAT32_MAX_DIFF = 1e-3
 WINDOW_LENGTH = 16
 NUM_DIFFUSION_STEPS = 20

@@ -77,9 +77,9 @@ BASELINES = {
                 "compiled.float64.ddim.trace_cache.fallbacks": 0,
                 "compiled.float32.ddpm.trace_cache.fallbacks": 0,
                 "compiled.float32.ddim.trace_cache.fallbacks": 0},
-        # DDIM-8 floors are lower than DDPM: the planner's cross-step CSE
-        # (prior-derived attention maps computed once per chunk) amortises
-        # over 8 steps instead of 20.
+        # DDIM-8 floors are lower than DDPM: the per-chunk work (the prior
+        # and its attention maps, which the network builds once per chunk)
+        # amortises over 8 steps instead of 20.
         "min": {"speedup": 2.0, "float32.speedup": 2.0,
                 "compiled.float64.ddpm.speedup_vs_eager": 1.5,
                 "compiled.float32.ddpm.speedup_vs_eager": 1.5,

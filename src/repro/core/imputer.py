@@ -369,13 +369,13 @@ class ConditionalDiffusionImputer(PersistableModel):
         """Gradient-free network forward used by the inference engine.
 
         ``cache`` is the engine's per-chunk scratch dict: the step-independent
-        conditioning tensors (auxiliary encodings and the prior ``H^pri``) are
-        computed on the first diffusion step of a chunk and reused for the
-        rest.  ``None`` recomputes them per call.  The batch is windows of
-        ``samples_per_plan`` items, so the conditioning is computed from
-        every ``samples_per_plan``-th condition row (a view, one row per
-        window).  CSDI's network has no prior and uses the noisy stream for
-        its attention maps, so ``samples_per_plan`` changes no work there.
+        conditioning tensors (auxiliary encodings, the prior ``H^pri`` and
+        its attention maps) are computed on the first diffusion step of a
+        chunk and reused for the rest.  ``None`` recomputes them per call.
+        The batch is windows of ``samples_per_plan`` items, so the
+        conditioning is computed from every ``samples_per_plan``-th
+        condition row (a view, one row per window).  CSDI's network has no
+        prior and uses the noisy stream for its attention maps, so ``samples_per_plan`` changes no work there.
         """
         with no_grad():
             conditioning = None

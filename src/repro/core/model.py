@@ -11,11 +11,16 @@ The network takes
 and predicts the Gaussian noise that was added to the target.  Internally it
 
 1. lifts the conditional information to ``d`` channels and runs the
-   conditional feature extraction module to obtain the prior ``H^pri``,
+   conditional feature extraction module to obtain the prior ``H^pri``, and
+   builds every noise estimation layer's attention maps from it,
 2. lifts the concatenation ``X || x_t`` to ``d`` channels (``H^in``),
-3. runs a stack of noise estimation layers whose attention weights are
-   conditioned on ``H^pri``, accumulating skip connections, and
+3. runs a stack of noise estimation layers that apply those maps to the
+   noisy stream, accumulating skip connections, and
 4. maps the summed skips through two 1×1 convolutions to a single channel.
+
+Step 1 depends on the condition alone, so
+:meth:`PriSTINetwork.prepare_conditioning` runs it once per chunk of reverse
+diffusion, and every step reuses it.
 """
 
 from __future__ import annotations
@@ -86,7 +91,6 @@ class PriSTINetwork(Module):
                 use_spatial=config.use_spatial,
                 use_spatial_attention=config.use_spatial_attention,
                 use_mpnn=config.use_mpnn,
-                use_conditional_feature=config.use_conditional_feature,
                 rng=rng,
             )
             for _ in range(config.layers)
@@ -109,16 +113,19 @@ class PriSTINetwork(Module):
     def prepare_conditioning(self, condition, batch_size):
         """Precompute the step-independent conditioning tensors.
 
-        The auxiliary encodings and the conditional-feature prior ``H^pri``
-        depend only on the condition and the batch size — not on the noisy
-        target ``x_t`` or the diffusion step — so during reverse-diffusion
-        sampling they can be computed once per window batch and reused for
-        every diffusion step.  ``condition`` holds one row per *window*
-        (``W`` rows); the batch holds ``batch_size`` items, ``B/W``
-        consecutive samples per window.  The prior has ``W`` rows, the
-        auxiliary encodings ``B``.  Returns a dict accepted by
-        :meth:`forward`'s ``conditioning`` parameter; it is only valid while
-        ``condition`` and the batch size stay unchanged.
+        The auxiliary encodings, the conditional-feature prior ``H^pri`` and
+        every layer's attention maps (Eq. 7–8, Q/K from the prior) depend
+        only on the condition and the batch size — not on the noisy target
+        ``x_t`` or the diffusion step — so during reverse-diffusion sampling
+        they are computed once per window batch and reused for every
+        diffusion step.  ``condition`` holds one row per *window* (``W``
+        rows); the batch holds ``batch_size`` items, ``B/W`` consecutive
+        samples per window.  The prior and the maps have ``W`` rows, the
+        auxiliary encodings ``B``.  Without a prior (w/o CF, CSDI) there
+        are no maps: each layer builds its own from its input on every call.
+        Returns a dict accepted by :meth:`forward`'s ``conditioning``
+        parameter; it is only valid while ``condition`` and the batch size
+        stay unchanged.
         """
         condition = condition if isinstance(condition, Tensor) \
             else Tensor(condition, dtype=self.dtype)
@@ -128,9 +135,10 @@ class PriSTINetwork(Module):
             prior_hidden = self.condition_projection(condition_channel).relu()
             prior = self.conditional_feature(
                 prior_hidden + auxiliary[:condition.shape[0]])    # (W, N, L, d)
+            maps = [layer.attention_maps(prior) for layer in self.layers]
         else:
-            prior = None
-        return {"auxiliary": auxiliary, "prior": prior}
+            maps = [None] * len(self.layers)
+        return {"auxiliary": auxiliary, "maps": maps}
 
     def forward(self, noisy_target, condition, steps, conditional_mask=None,
                 conditioning=None, samples_per_plan=1):
@@ -153,7 +161,8 @@ class PriSTINetwork(Module):
         conditioning:
             Optional precomputed output of :meth:`prepare_conditioning` for
             this ``condition`` / batch size; skips recomputing the auxiliary
-            encodings and the prior ``H^pri`` on every diffusion step.
+            encodings, the prior ``H^pri`` and its attention maps on every
+            diffusion step.  ``None`` computes them here (training).
         samples_per_plan:
             ``S``: the batch is ``batch / S`` windows (engine plans) of
             ``S`` consecutive items that share one condition row.  The prior
@@ -184,7 +193,6 @@ class PriSTINetwork(Module):
             conditioning = self.prepare_conditioning(
                 condition[::samples_per_plan], batch_size)
         auxiliary = conditioning["auxiliary"]
-        prior = conditioning["prior"]
 
         hidden_in = self.input_projection(
             cat([condition_channel, noisy_channel, mask_channel], axis=-1)
@@ -194,8 +202,8 @@ class PriSTINetwork(Module):
 
         skips = []
         hidden = hidden_in
-        for layer in self.layers:
-            hidden, skip = layer(hidden, prior, step_embedding, auxiliary=auxiliary)
+        for layer, maps in zip(self.layers, conditioning["maps"]):
+            hidden, skip = layer(hidden, maps, step_embedding, auxiliary=auxiliary)
             skips.append(skip)
         # One fused graph node for the whole skip sum instead of a chain of
         # binary adds (see repro.tensor.ops.add_n).

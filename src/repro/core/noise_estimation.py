@@ -9,6 +9,12 @@ Each layer consumes the noisy representation ``H^in`` together with the prior
 sampled Gaussian noise; values still come from the noisy stream.  Spatial
 attention keys/values can be pooled onto ``k`` virtual nodes (Eq. 9).
 
+The maps depend on the prior alone, so they are the same at every diffusion
+step: :meth:`NoiseEstimationLayer.attention_maps` builds them, the network
+calls it once per chunk (``PriSTINetwork.prepare_conditioning``) and hands
+each layer its maps at every step.  Without a prior (the w/o CF ablation,
+CSDI) each block builds its map from its own input on every call.
+
 Layers follow the DiffWave/CSDI residual design: the diffusion-step embedding
 is added to the input, the spatiotemporal block produces a gated activation,
 and the result is split into a residual connection (input of the next layer)
@@ -51,13 +57,13 @@ class NoiseEstimationLayer(Module):
     diffusion_dim:
         Width of the projected diffusion-step embedding.
     use_*:
-        Ablation switches corresponding to the Table VI variants.
+        Ablation switches corresponding to the Table VI variants (w/o CF is
+        a network without a prior, which passes no maps).
     """
 
     def __init__(self, channels, heads, adjacency, num_nodes, virtual_nodes,
                  diffusion_dim, mpnn_order=2, use_temporal=True, use_spatial=True,
-                 use_spatial_attention=True, use_mpnn=True,
-                 use_conditional_feature=True, rng=None):
+                 use_spatial_attention=True, use_mpnn=True, rng=None):
         super().__init__()
         if not (use_spatial_attention or use_mpnn):
             raise ValueError("the spatial module needs at least one of attention / MPNN")
@@ -66,7 +72,6 @@ class NoiseEstimationLayer(Module):
         self.use_spatial = use_spatial
         self.use_spatial_attention = use_spatial_attention
         self.use_mpnn = use_mpnn
-        self.use_conditional_feature = use_conditional_feature
 
         self.diffusion_projection = Linear(diffusion_dim, channels, rng=rng)
 
@@ -93,25 +98,35 @@ class NoiseEstimationLayer(Module):
     # ------------------------------------------------------------------
     # Sub-blocks
     # ------------------------------------------------------------------
-    def _temporal_block(self, hidden, prior):
-        """γ_T: temporal attention; weights from the prior when enabled."""
+    def attention_maps(self, prior):
+        """The ``(temporal, spatial)`` attention maps with Q/K from the prior.
+
+        ``prior`` is ``(W, node, time, channels)``, one row per window; each
+        map has ``W`` rows and is broadcast over a window's samples when
+        applied.  A disabled block's map is ``None``.
+        """
+        temporal = spatial = None
+        if self.use_temporal:
+            temporal = self.temporal_attention.attention_weights(prior)
+        if self.use_spatial and self.use_spatial_attention:
+            spatial = self.spatial_attention.attention_weights(prior.swapaxes(1, 2))
+        return temporal, spatial
+
+    def _temporal_block(self, hidden, weights):
+        """γ_T: temporal attention; ``weights`` ``None`` uses the map of
+        ``hidden`` itself."""
         if not self.use_temporal:
             return hidden
-        query_source = prior if (self.use_conditional_feature and prior is not None) else hidden
-        return self.temporal_attention(hidden, query_source=query_source)
+        return self.temporal_attention(hidden, weights=weights)
 
-    def _spatial_block(self, hidden, prior):
+    def _spatial_block(self, hidden, weights):
         """γ_S: spatial attention + MPNN aggregation (Eq. 6)."""
         if not self.use_spatial:
             return hidden
         branches = []
         if self.use_spatial_attention:
             swapped = hidden.swapaxes(1, 2)               # (B, L, N, d)
-            if self.use_conditional_feature and prior is not None:
-                prior_swapped = prior.swapaxes(1, 2)
-            else:
-                prior_swapped = swapped
-            attended = self.spatial_attention(swapped, query_source=prior_swapped)
+            attended = self.spatial_attention(swapped, weights=weights)
             attended = attended.swapaxes(1, 2)
             branches.append(self.spatial_norm(attended + hidden))
         if self.use_mpnn:
@@ -124,16 +139,17 @@ class NoiseEstimationLayer(Module):
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
-    def forward(self, hidden, prior, diffusion_embedding, auxiliary=None):
+    def forward(self, hidden, maps, diffusion_embedding, auxiliary=None):
         """Process one layer.
 
         Parameters
         ----------
         hidden:
             ``(batch, node, time, channels)`` noisy representation.
-        prior:
-            ``(batch, node, time, channels)`` conditional feature ``H^pri``
-            (may be ``None`` for the w/o CF ablation).
+        maps:
+            This layer's :meth:`attention_maps` of the prior ``H^pri``, or
+            ``None`` without a prior (the w/o CF ablation): each attention
+            block then builds its map from its own input.
         diffusion_embedding:
             ``(batch, diffusion_dim)`` embedded diffusion step.
         auxiliary:
@@ -150,8 +166,9 @@ class NoiseEstimationLayer(Module):
         if auxiliary is not None:
             x = x + auxiliary
 
-        temporal = self._temporal_block(x, prior)
-        spatial = self._spatial_block(temporal, prior)
+        temporal_map, spatial_map = (None, None) if maps is None else maps
+        temporal = self._temporal_block(x, temporal_map)
+        spatial = self._spatial_block(temporal, spatial_map)
 
         gated = self.gate(self.gate_projection(spatial))
         projected = self.output_projection(gated)

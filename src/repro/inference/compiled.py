@@ -12,7 +12,10 @@ the network computes the condition-only work once per plan, so 16 items in
 two plans of 8 samples trace a different program from 16 one-sample plans
 — so this module records it once with
 :mod:`repro.tensor.trace` and replays it as a static tape of pre-bound
-kernel calls over slots the program owns.  It owns no sampling algorithm: the recorded loop is
+kernel calls over slots the program owns.  The recording holds the
+chunk's condition-only work once, because the network itself computes it
+once per chunk, and every step's ops once per step: the planner merges
+no repeats.  It owns no sampling algorithm: the recorded loop is
 :meth:`~repro.inference.engine.InferenceEngine._reverse_loop`, the same
 Tensor-op loop the engine runs eagerly, run here under a
 :class:`~repro.tensor.trace.Tracer`.

@@ -33,7 +33,8 @@ one-plan chunks of ``cap`` items plus a remainder.  The predictor is told
 the chunk's ``samples_per_plan``, so the network computes what depends on
 the condition alone — PriSTI's prior ``H^pri`` and its attention maps —
 once per plan (``B/S`` rows of a ``B``-item chunk) instead of once per
-item.
+item, and once per chunk (on the first step, kept in the predictor's
+per-chunk cache) instead of once per step.
 
 ``inference_batch_size`` (surfaced as
 :attr:`repro.core.config.PriSTIConfig.inference_batch_size`) is the default

@@ -1,18 +1,24 @@
 """Multi-head attention blocks.
 
-Three flavours are provided, mirroring the paper:
+Every block has one form: :meth:`attention_weights` builds the softmax map
+``softmax(Q Kᵀ / √d_h)`` from the Q/K sources (one fused
+:func:`~repro.tensor.attention_weights` node), and ``forward`` applies a
+map to the values with an ordinary matmul — the given ``weights`` or, by
+default, the map of its own sources.
 
 * :class:`MultiHeadAttention` — standard dot-product self/cross attention
   (Vaswani et al.) over the second-to-last axis; used by the conditional
   feature extraction module where queries, keys and values all come from the
   interpolated conditional information.
-* Prior-conditioned attention (Eq. 7–8) — obtained by calling the same module
-  with different ``query``/``key`` and ``value`` sources: the attention
-  weights are computed from the conditional feature ``H^pri`` while the values
-  carry the noisy input ``H^in``.  The prior may have one row per *window*
-  while the values have one row per (window, sample) item: the ``W`` maps are
-  broadcast over each window's ``B/W`` consecutive samples
-  (:func:`_window_attention`), with the same bits as ``B`` per-item maps.
+* Prior-conditioned attention (Eq. 7–8) — the map is built from the
+  conditional feature ``H^pri`` while the values carry the noisy input
+  ``H^in``.  Since the prior does not change across the reverse diffusion
+  steps, neither does the map: PriSTI builds it once per chunk
+  (``PriSTINetwork.prepare_conditioning``) and passes it as ``weights`` at
+  every step.  A map may have one row per *window* while the values have
+  one row per (window, sample) item: each window's map is broadcast over
+  its ``B/W`` consecutive samples (:func:`_apply_weights`), with the same
+  bits as ``B`` per-item maps.
 * :class:`VirtualNodeAttention` (Eq. 9) — spatial attention whose keys and
   values are first projected from ``N`` physical nodes onto ``k`` virtual
   nodes, reducing the cost of the similarity computation from ``O(N^2 d)`` to
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import attention_core, softmax
+from ..tensor import attention_weights as _attention_weights
 from . import init
 from .linear import Linear
 from .module import Module, Parameter
@@ -46,20 +52,18 @@ def _merge_heads(x):
     return x.reshape(*batch, seq, heads * head_dim)
 
 
-def _window_attention(queries, keys, values, scale):
-    """``attention_core`` with Q/K of ``W`` windows against the values of
-    ``B`` items, ``B/W`` consecutive items per window.
+def _apply_weights(weights, values):
+    """Apply the maps of ``W`` windows to the values of ``B`` items, ``B/W``
+    consecutive items per window.
 
-    Q/K gain a unit sample axis and the values are viewed as ``(W, B/W,
-    ...)``, so each window's map is computed once and broadcast over its
-    samples.  Every map and matmul slice is the one the per-item form
-    computes, so the bits do not depend on ``W``; ``W = B`` is ordinary
-    attention.
+    The map gains a unit sample axis and the values are viewed as ``(W,
+    B/W, ...)``, so each window's map is broadcast over its samples.  Every
+    matmul slice is the one the per-item form computes, so the bits do not
+    depend on ``W``; ``W = B`` is ordinary attention.
     """
-    windows = queries.shape[0]
+    windows = weights.shape[0]
     grouped = values.reshape(windows, values.shape[0] // windows, *values.shape[1:])
-    context = attention_core(queries.expand_dims(1), keys.expand_dims(1), grouped,
-                             scale=scale)
+    context = weights.expand_dims(1) @ grouped
     return context.reshape(values.shape[0], *context.shape[2:])
 
 
@@ -70,11 +74,11 @@ class MultiHeadAttention(Module):
     temporal attention the caller passes ``(batch, node, time, d)`` directly;
     for spatial attention the caller first swaps the node and time axes.
 
-    The ``query_source`` / ``key_source`` may differ from the ``value`` input,
-    which implements the prior-conditioned attention of Eq. (7)–(8): the
-    attention map A is computed from the conditional feature while values are
-    taken from the noisy representation.  The sources may have one leading
-    row per window and ``value`` one per item (see :func:`_window_attention`).
+    The map may come from sources other than the ``value`` input, which
+    implements the prior-conditioned attention of Eq. (7)–(8): the attention
+    map A is computed from the conditional feature while values are taken
+    from the noisy representation.  A map may have one leading row per
+    window and ``value`` one per item (see :func:`_apply_weights`).
     """
 
     def __init__(self, d_model, num_heads, rng=None):
@@ -89,20 +93,15 @@ class MultiHeadAttention(Module):
         self.value_proj = Linear(d_model, d_model, rng=rng)
         self.out_proj = Linear(d_model, d_model, rng=rng)
 
-    def _project_qk(self, query_source, key_source):
-        """Project and head-split the Q/K sources (shared by both paths)."""
+    def attention_weights(self, query_source, key_source=None):
+        """The ``(..., heads, S_q, S_k)`` softmax map built from the sources
+        (``key_source`` defaults to ``query_source``)."""
+        key_source = query_source if key_source is None else key_source
         queries = _split_heads(self.query_proj(query_source), self.num_heads)
         keys = _split_heads(self.key_proj(key_source), self.num_heads)
-        return queries, keys
+        return _attention_weights(queries, keys, scale=1.0 / np.sqrt(self.head_dim))
 
-    def attention_weights(self, query_source, key_source):
-        """Return the softmax attention map built from the given sources."""
-        queries, keys = self._project_qk(query_source, key_source)
-        scores = queries @ keys.swapaxes(-1, -2)
-        scores = scores * (1.0 / np.sqrt(self.head_dim))
-        return softmax(scores, axis=-1)
-
-    def forward(self, value, query_source=None, key_source=None):
+    def forward(self, value, query_source=None, key_source=None, weights=None):
         """Apply attention.
 
         Parameters
@@ -112,17 +111,18 @@ class MultiHeadAttention(Module):
         query_source, key_source:
             Optional tensors providing Q and K.  Default to ``value``
             (standard self-attention).
+        weights:
+            Optional map from :meth:`attention_weights`, used instead of the
+            sources' map.
         """
-        query_source = value if query_source is None else query_source
-        key_source = query_source if key_source is None else key_source
-        queries, keys = self._project_qk(query_source, key_source)
+        if weights is None:
+            query_source = value if query_source is None else query_source
+            weights = self.attention_weights(query_source, key_source)
         values = _split_heads(self.value_proj(value), self.num_heads)
-        context = _window_attention(queries, keys, values,
-                                    scale=1.0 / np.sqrt(self.head_dim))
-        return self.out_proj(_merge_heads(context))
+        return self.out_proj(_merge_heads(_apply_weights(weights, values)))
 
 
-class VirtualNodeAttention(Module):
+class VirtualNodeAttention(MultiHeadAttention):
     """Spatial attention with keys/values projected onto ``k`` virtual nodes.
 
     Implements Eq. (9): ``K_S = H^pri P_K W_K`` and ``V_S = H^tem P_V W_V``
@@ -131,18 +131,9 @@ class VirtualNodeAttention(Module):
     """
 
     def __init__(self, d_model, num_heads, num_nodes, num_virtual_nodes, rng=None):
-        super().__init__()
-        if d_model % num_heads != 0:
-            raise ValueError("d_model must be divisible by num_heads")
-        self.d_model = d_model
-        self.num_heads = num_heads
-        self.head_dim = d_model // num_heads
+        super().__init__(d_model, num_heads, rng=rng)
         self.num_nodes = num_nodes
         self.num_virtual_nodes = min(num_virtual_nodes, num_nodes)
-        self.query_proj = Linear(d_model, d_model, rng=rng)
-        self.key_proj = Linear(d_model, d_model, rng=rng)
-        self.value_proj = Linear(d_model, d_model, rng=rng)
-        self.out_proj = Linear(d_model, d_model, rng=rng)
         self.key_pool = Parameter(
             init.xavier_uniform((num_nodes, self.num_virtual_nodes), rng=rng)
         )
@@ -157,16 +148,16 @@ class VirtualNodeAttention(Module):
         pooled = swapped @ pool               # (..., d, k)
         return pooled.swapaxes(-1, -2)        # (..., k, d)
 
-    def forward(self, value, query_source=None, key_source=None):
-        query_source = value if query_source is None else query_source
+    def attention_weights(self, query_source, key_source=None):
+        """The ``(..., heads, N, k)`` map of the queries against the keys
+        pooled onto the virtual nodes."""
         key_source = query_source if key_source is None else key_source
+        return super().attention_weights(
+            query_source, self._pool_nodes(key_source, self.key_pool))
 
-        queries = _split_heads(self.query_proj(query_source), self.num_heads)
-        pooled_keys = self._pool_nodes(key_source, self.key_pool)
-        pooled_values = self._pool_nodes(value, self.value_pool)
-        keys = _split_heads(self.key_proj(pooled_keys), self.num_heads)
-        values = _split_heads(self.value_proj(pooled_values), self.num_heads)
-
-        context = _window_attention(queries, keys, values,
-                                    scale=1.0 / np.sqrt(self.head_dim))
-        return self.out_proj(_merge_heads(context))
+    def forward(self, value, query_source=None, key_source=None, weights=None):
+        if weights is None:
+            query_source = value if query_source is None else query_source
+            weights = self.attention_weights(query_source, key_source)
+        return super().forward(self._pool_nodes(value, self.value_pool),
+                               weights=weights)

@@ -43,6 +43,10 @@ _SHAPE_CACHE_SIZE = 16
 #: name / version components must be filesystem-safe.
 _COMPONENT = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
+#: Serialises publishes in this process, so an auto-version is chosen and
+#: saved before the next publish reads the versions on disk.
+_PUBLISH_LOCK = threading.Lock()
+
 
 class RegistryError(RuntimeError):
     """Raised for unknown names/versions or malformed specs."""
@@ -116,20 +120,27 @@ class ModelRegistry:
         history; any explicit filesystem-safe string (e.g. ``"prod"``) is
         accepted too, and re-publishing an existing version overwrites it
         atomically (the artifact writer stages and swaps).
+
+        Publishes in one process are serialised — by every registry object,
+        whatever its root — so threads publishing auto-versions to one name
+        each get a version of their own.  Two *processes* doing so are not
+        coordinated: both may choose the same version, and the later save
+        replaces the earlier one.
         """
         self._check_component(name, "model name")
-        if version is None:
-            numeric = [int(v) for v in self.versions(name) if v.isdigit()]
-            version = str(max(numeric, default=0) + 1)
-        else:
+        if version is not None:
             version = str(version)
             self._check_component(version, "version")
             if is_save_sibling(version):
                 raise RegistryError(
                     f"invalid version '{version}': the name of an artifact "
                     "writer's staging or backup directory")
-        path = os.path.join(self.root, name, version)
-        save_model(model, path)
+        with _PUBLISH_LOCK:
+            if version is None:
+                numeric = [int(v) for v in self.versions(name) if v.isdigit()]
+                version = str(max(numeric, default=0) + 1)
+            path = os.path.join(self.root, name, version)
+            save_model(model, path)
         with self._lock:
             subscribers = list(self._subscribers)
         resolved = ResolvedModel(name=name, version=version, path=path)

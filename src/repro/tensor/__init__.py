@@ -23,7 +23,7 @@ the hot path (all on by default except the dtype):
     relative at the fast profile).
 
 ``fused ops`` — :func:`softmax`, :func:`silu`, :func:`gelu`,
-    :func:`layer_norm`, :func:`add_n` and :func:`attention_core` are single
+    :func:`layer_norm`, :func:`add_n` and :func:`attention_weights` are single
     autograd nodes with hand-derived backwards instead of chains of
     elementary ops; :func:`fusion_disabled` restores the composed reference
     chains (used by the equivalence tests and the benchmark baseline).
@@ -71,7 +71,7 @@ from .ops import (
     silu,
     leaky_relu,
     layer_norm,
-    attention_core,
+    attention_weights,
     mse_loss,
     mae_loss,
     masked_mse_loss,
@@ -116,7 +116,7 @@ __all__ = [
     "silu",
     "leaky_relu",
     "layer_norm",
-    "attention_core",
+    "attention_weights",
     "fusion_disabled",
     "mse_loss",
     "mae_loss",

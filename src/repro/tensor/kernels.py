@@ -350,15 +350,9 @@ def _layer_norm_scratch(ins, out):
     return [(a.shape, a.dtype), (a.shape[:-1] + (1,), a.dtype)]
 
 
-def _k_attention_core(out, p, q, k, v):
-    # Never replayed: the planner splits every attention_core node into
-    # attention_weights + matmul, which is this composition.
-    return np.matmul(_k_attention_weights(None, p, q, k), v, out=out)
-
-
 def _k_attention_weights(out, p, q, k):
-    # The softmax map ``softmax(q kᵀ · scale)`` of attention_core; the
-    # ``out`` form runs the same ops in place on the arena slot.
+    # The softmax map ``softmax(q kᵀ · scale)``; the ``out`` form runs the
+    # same ops in place on the arena slot.
     kt = np.swapaxes(k, -1, -2)
     scores = q @ kt if out is None else np.matmul(q, kt, out=out)
     scores *= p["scale"]
@@ -424,7 +418,6 @@ _KERNELS = {
                     inplace=True),
     "layer_norm": _Kernel(_k_layer_norm, uses_out=True,
                           scratch=_layer_norm_scratch, inplace=True),
-    "attention_core": _Kernel(_k_attention_core, uses_out=True),
     "attention_weights": _Kernel(_k_attention_weights, uses_out=True),
     "pad_time": _Kernel(_k_pad_time, uses_out=True),
 }

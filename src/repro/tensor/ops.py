@@ -7,7 +7,7 @@ conventionally written in functional form (softmax, losses).
 Fused kernels
 -------------
 The hot-path operations — :func:`softmax`, :func:`silu`, :func:`gelu`,
-:func:`layer_norm`, :func:`add_n`, :func:`attention_core` and
+:func:`layer_norm`, :func:`add_n`, :func:`attention_weights` and
 :func:`pad_time` — are *single* autograd nodes: one forward and one
 hand-derived backward closure, instead of a chain of elementary ``Tensor``
 ops each allocating its own output and gradient temporaries.  The forward is
@@ -47,7 +47,7 @@ __all__ = [
     "silu",
     "leaky_relu",
     "layer_norm",
-    "attention_core",
+    "attention_weights",
     "mse_loss",
     "mae_loss",
     "masked_mse_loss",
@@ -351,50 +351,42 @@ def layer_norm(x, gamma, beta, eps=1e-5):
                             {"eps": eps})
 
 
-def attention_core(queries, keys, values, scale=1.0):
-    """Fused scaled-dot-product attention ``softmax(Q Kᵀ · scale) V``.
+def attention_weights(queries, keys, scale=1.0):
+    """Fused scaled-dot-product attention map ``softmax(Q Kᵀ · scale)``.
 
-    ``queries`` are ``(..., S_q, d)``, ``keys``/``values`` ``(..., S_k, d)``
-    with identical leading (batch/head) axes.  The composed path (three
-    matmul nodes, a scaling node and a four-node softmax) materialises six
-    intermediate tensors per call; the fused node keeps only the attention
-    weights, and its backward recomputes the remaining products directly.
+    ``queries`` are ``(..., S_q, d)`` and ``keys`` ``(..., S_k, d)`` with
+    broadcastable leading (batch/head) axes; the map is ``(..., S_q, S_k)``
+    and is applied to the values with an ordinary matmul.  The composed
+    path (a matmul node, a scaling node and a four-node softmax)
+    materialises five intermediate tensors per call; the fused node keeps
+    only the map, and its backward is the softmax Jacobian-vector product
+    followed by the two score products.
     """
     queries = as_tensor(queries)
     keys = as_tensor(keys)
-    values = as_tensor(values)
     if not _FUSION_ENABLED[0]:
         scores = queries @ keys.swapaxes(-1, -2)
-        weights = softmax(scores * float(scale), axis=-1)
-        return weights @ values
+        return softmax(scores * float(scale), axis=-1)
 
     scale = queries.data.dtype.type(scale)
     params = {"scale": scale}
     weights = _k_attention_weights(None, params, queries.data, keys.data)
-    out_data = weights @ values.data
 
     def backward(grad):
-        grad = np.asarray(grad)
-        if values.requires_grad:
-            values._accumulate(
-                _unbroadcast(np.swapaxes(weights, -1, -2) @ grad, values.data.shape)
+        d_scores = weights * grad
+        d_scores -= weights * d_scores.sum(axis=-1, keepdims=True)
+        d_scores *= scale
+        if queries.requires_grad:
+            queries._accumulate(
+                _unbroadcast(d_scores @ keys.data, queries.data.shape)
             )
-        if queries.requires_grad or keys.requires_grad:
-            d_weights = grad @ np.swapaxes(values.data, -1, -2)
-            d_scores = weights * d_weights
-            d_scores -= weights * d_scores.sum(axis=-1, keepdims=True)
-            d_scores *= scale
-            if queries.requires_grad:
-                queries._accumulate(
-                    _unbroadcast(d_scores @ keys.data, queries.data.shape)
-                )
-            if keys.requires_grad:
-                keys._accumulate(
-                    _unbroadcast(np.swapaxes(d_scores, -1, -2) @ queries.data, keys.data.shape)
-                )
+        if keys.requires_grad:
+            keys._accumulate(
+                _unbroadcast(np.swapaxes(d_scores, -1, -2) @ queries.data, keys.data.shape)
+            )
 
-    return Tensor._from_op(out_data, (queries, keys, values), backward,
-                            "attention_core", params)
+    return Tensor._from_op(weights, (queries, keys), backward,
+                            "attention_weights", params)
 
 
 def mse_loss(prediction, target):

@@ -34,7 +34,7 @@ input buffers change — so this module records it once and replays it flat:
   planned as a copy into a slot.  Each remaining node becomes one
   ``functools.partial(kernel, out, params, *operands)`` bound to its slots,
   over the kernel table of :mod:`repro.tensor.kernels`.  The fused ops
-  (softmax, silu, gelu, layer_norm, attention_core, add_n, pad_time) record
+  (softmax, silu, gelu, layer_norm, attention_weights, add_n, pad_time) record
   as single nodes; gelu and layer_norm borrow their temporaries from the
   arena for the duration of the node.  The planner writes each result
   where it is read: an ``inplace`` kernel writes into the arena buffer of
@@ -442,47 +442,19 @@ class CompiledProgram:
         return [np.array(array) for array in self._outputs]
 
 
-def _freeze_param(value):
-    """A hashable key for one op parameter (CSE node keys).
-
-    Arrays freeze by identity — the tracer strong-refs every captured array,
-    so two params are "the same" only when they are the same object, which is
-    exactly the equality CSE needs (equal-but-distinct arrays stay distinct).
-    ``slice`` is unhashable, so it freezes structurally.
-    """
-    if isinstance(value, np.ndarray):
-        return ("nd", id(value))
-    if isinstance(value, slice):
-        return ("sl", value.start, value.stop, value.step)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze_param(v)) for k, v in value.items()))
-    if isinstance(value, (tuple, list)):
-        return ("tu", tuple(_freeze_param(v) for v in value))
-    if isinstance(value, np.dtype):
-        return ("dt", str(value))
-    return value
-
-
 def compile_graph(graph):
     """Plan a :class:`TraceGraph` into a :class:`CompiledProgram`.
 
-    Beyond scheduling, compilation runs three value-preserving optimisation
-    passes before the slot planner builds the tape:
-
-    * **attention split** — each ``attention_core(q, k, v)`` node becomes
-      ``attention_weights(q, k)`` + ``matmul(weights, v)`` (the exact same
-      ufunc sequence, cut in two), so the softmax map becomes a node of its
-      own that the next pass can deduplicate;
-    * **constant folding** — nodes whose inputs are all constants leave the
-      replay schedule.  Those fed by captures only run once here and bake
-      their result into the program; those that read a weight (the
-      diffusion step-embedding MLP: a table row through the projection
-      weights) form the prefold schedule :meth:`CompiledProgram.bind` runs
-      once per weight set;
-    * **CSE** — structurally identical nodes fed by the same values merge.
-      Reverse-diffusion traces recompute every prior-derived quantity (Q/K
-      projections, attention maps, pooled keys) once per step; after CSE the
-      replay computes each once per chunk.
+    Planning is constant folding, dead-code elimination and the slot
+    planner.  **Constant folding** takes the nodes whose inputs are all
+    constants off the replay schedule.  Those fed by captures only run once
+    here and bake their result into the program; those that read a weight
+    (the diffusion step-embedding MLP: a table row through the projection
+    weights) form the prefold schedule :meth:`CompiledProgram.bind` runs
+    once per weight set.  Step-invariant work is not searched for here: the
+    network computes it once per chunk itself (PriSTI's prior and its
+    attention maps, in ``PriSTINetwork.prepare_conditioning``), so every
+    traced step records the same ops.
 
     The slot planner then makes two bit-neutral moves, each changing only
     where a value lives, never the ufuncs that compute it:
@@ -520,29 +492,9 @@ def compile_graph(graph):
     if not graph.outputs:
         raise TraceUnsupported("trace declared no outputs")
 
-    values = list(graph.values)
+    values = graph.values
 
-    # Pass 1: split attention_core so the (step-invariant, when Q/K come
-    # from the conditioning prior) softmax map is CSE-able separately from
-    # the step-varying value application.
-    nodes = []
-    attention_splits = 0
-    for node in graph.nodes:
-        if node.op == "attention_core":
-            q_val, k_val = values[node.inputs[0]], values[node.inputs[1]]
-            batch = np.broadcast_shapes(q_val.shape[:-2], k_val.shape[:-2])
-            w_shape = tuple(batch) + (q_val.shape[-2], k_val.shape[-2])
-            w_dtype = np.result_type(q_val.dtype, k_val.dtype)
-            wid = len(values)
-            values.append(_Value(wid, "op", w_shape, w_dtype))
-            nodes.append(_Node("attention_weights", node.params,
-                               (node.inputs[0], node.inputs[1]), wid))
-            nodes.append(_Node("matmul", {}, (wid, node.inputs[2]), node.out))
-            attention_splits += 1
-        else:
-            nodes.append(node)
-
-    # Pass 2: constant folding.  ``baked`` maps vids produced purely from
+    # Constant folding.  ``baked`` maps vids produced purely from
     # captures to their compile-time result; ``weighted`` holds the weights
     # and every fold that reads one, which is deferred to the prefold
     # schedule.  Folded nodes leave the replay schedule either way.
@@ -552,12 +504,12 @@ def compile_graph(graph):
     def _constant(vid):
         return values[vid].kind == "capture" or vid in baked or vid in weighted
 
-    folded = []
+    runtime = []
     prefold = []
     folded_ops = 0
-    for node in nodes:
+    for node in graph.nodes:
         if not node.inputs or not all(_constant(vin) for vin in node.inputs):
-            folded.append(node)
+            runtime.append(node)
             continue
         folded_ops += 1
         if any(vin in weighted for vin in node.inputs):
@@ -569,29 +521,11 @@ def compile_graph(graph):
         baked[node.out] = np.asarray(
             _KERNELS[node.op].fn(None, node.params, *arrays))
 
-    # Pass 3: common-subexpression elimination.  Processing in recorded
-    # order lets merges cascade: once two steps' Q projections merge, the
-    # head reshapes above them get identical input vids and merge too.
-    remap = {}
-    seen = {}
-    cse_nodes = []
-    cse_ops = 0
-    for node in folded:
-        inputs = tuple(remap.get(vin, vin) for vin in node.inputs)
-        key = (node.op, _freeze_param(node.params), inputs)
-        prior = seen.get(key)
-        if prior is not None:
-            remap[node.out] = prior
-            cse_ops += 1
-        else:
-            seen[key] = node.out
-            cse_nodes.append(_Node(node.op, node.params, inputs, node.out))
-    outputs = [remap.get(vid, vid) for vid in graph.outputs]
-
     # Dead-code elimination: keep only nodes the outputs depend on.
+    outputs = graph.outputs
     needed = set(outputs)
     schedule = []
-    for node in reversed(cse_nodes):
+    for node in reversed(runtime):
         if node.out in needed:
             needed.update(node.inputs)
             schedule.append(node)
@@ -612,7 +546,7 @@ def compile_graph(graph):
 
     # ``array_of`` maps each value a replay reads to the array it reads:
     # a constant, a slot, or a view of a slot taken here.  Only constants
-    # something reads are retained — folding and CSE orphan many captures,
+    # something reads are retained — folding orphans many captures,
     # and keeping them would pin dead arrays for the lifetime of the program.
     array_of = {}
     constants = 0
@@ -878,11 +812,9 @@ def compile_graph(graph):
         "kernels": len(tape),
         "replay_calls": len(input_slots) + len(tape) + len(output_arrays),
         "hoisted_views": hoisted_views,
-        "attention_splits": attention_splits,
         "folded_ops": folded_ops,
         "prefold_ops": len(prefold_nodes),
         "weights": len(weight_specs),
-        "cse_ops": cse_ops,
         "reshape_copies": reshape_copies,
         "write_through": len(written_through),
         "inplace_ops": inplace_ops,

@@ -136,7 +136,7 @@ class TestModules:
         hidden = Tensor(rng.standard_normal((2, 5, 6, 8)))
         prior = Tensor(rng.standard_normal((2, 5, 6, 8)))
         step = Tensor(rng.standard_normal((2, 8)))
-        residual, skip = layer(hidden, prior, step)
+        residual, skip = layer(hidden, layer.attention_maps(prior), step)
         assert residual.shape == (2, 5, 6, 8)
         assert skip.shape == (2, 5, 6, 8)
 
@@ -148,14 +148,14 @@ class TestModules:
 
     def test_noise_estimation_ablation_flags(self, rng, adjacency):
         for flags in (dict(use_temporal=False), dict(use_spatial=False),
-                      dict(use_mpnn=False), dict(use_spatial_attention=False),
-                      dict(use_conditional_feature=False)):
+                      dict(use_mpnn=False), dict(use_spatial_attention=False)):
             layer = NoiseEstimationLayer(8, 2, adjacency, num_nodes=5, virtual_nodes=5,
                                          diffusion_dim=8, rng=rng, **flags)
             hidden = Tensor(rng.standard_normal((1, 5, 4, 8)))
-            prior = None if flags.get("use_conditional_feature") is False else hidden
-            residual, skip = layer(hidden, prior, Tensor(rng.standard_normal((1, 8))))
-            assert residual.shape == (1, 5, 4, 8)
+            # With the prior's maps, and without a prior (w/o CF).
+            for maps in (layer.attention_maps(hidden), None):
+                residual, skip = layer(hidden, maps, Tensor(rng.standard_normal((1, 8))))
+                assert residual.shape == (1, 5, 4, 8)
 
 
 class TestPriSTINetwork:

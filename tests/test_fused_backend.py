@@ -21,7 +21,7 @@ from repro.data import masks as mask_strategies
 from repro.tensor import (
     Tensor,
     add_n,
-    attention_core,
+    attention_weights,
     check_gradient,
     dtype_scope,
     get_default_dtype,
@@ -82,28 +82,37 @@ class TestFusedKernels:
             composed = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))
         assert np.allclose(fused.data, composed.data, atol=1e-12)
 
-    def test_attention_core_gradcheck_and_parity(self, rng):
+    def test_attention_weights_gradcheck_and_parity(self, rng):
+        # Keys broadcast over the queries' second axis, as a window's map
+        # is shared by its heads' batch rows.
         q = rng.standard_normal((2, 2, 4, 3))
-        k = rng.standard_normal((2, 2, 6, 3))
-        v = rng.standard_normal((2, 2, 6, 3))
-        w = Tensor(rng.standard_normal((2, 2, 4, 3)))
+        k = rng.standard_normal((2, 1, 6, 3))
+        w = Tensor(rng.standard_normal((2, 2, 4, 6)))
         check_gradient(
-            lambda ts: (attention_core(ts[0], ts[1], ts[2], scale=0.5) * w).sum(),
-            [Tensor(q, requires_grad=True),
-             Tensor(k, requires_grad=True),
-             Tensor(v, requires_grad=True)],
+            lambda ts: (attention_weights(ts[0], ts[1], scale=0.5) * w).sum(),
+            [Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)],
         )
-        fused = attention_core(Tensor(q), Tensor(k), Tensor(v), scale=0.5)
+        fused_q, fused_k = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
+        fused = attention_weights(fused_q, fused_k, scale=0.5)
+        (fused * w).sum().backward()
         with ops.fusion_disabled():
-            composed = attention_core(Tensor(q), Tensor(k), Tensor(v), scale=0.5)
-        assert np.allclose(fused.data, composed.data, atol=1e-12)
+            composed_q = Tensor(q, requires_grad=True)
+            composed_k = Tensor(k, requires_grad=True)
+            composed = attention_weights(composed_q, composed_k, scale=0.5)
+            (composed * w).sum().backward()
+        assert fused.data.shape == composed.data.shape == (2, 2, 4, 6)
+        assert len(fused._parents) == 2
+        assert np.allclose(fused.data, composed.data, atol=1e-14)
+        assert np.allclose(fused_q.grad, composed_q.grad, atol=1e-12)
+        assert np.allclose(fused_k.grad, composed_k.grad, atol=1e-12)
 
-    def test_attention_core_weight_normalisation(self, rng):
-        # softmax rows of the fused core must sum to one: probe with V = I.
+    def test_attention_weights_rows_are_distributions(self, rng):
         q = rng.standard_normal((1, 3, 4))
         k = rng.standard_normal((1, 5, 4))
-        ones = attention_core(Tensor(q), Tensor(k), Tensor(np.ones((1, 5, 1))))
-        assert np.allclose(ones.data, 1.0)
+        weights = attention_weights(Tensor(q), Tensor(k)).data
+        assert weights.shape == (1, 3, 5)
+        assert np.all(weights >= 0)
+        assert np.allclose(weights.sum(axis=-1), 1.0)
 
 
 class TestAddN:

@@ -25,7 +25,7 @@ from repro.nn import MLP, LayerNorm, MultiHeadAttention
 from repro.tensor import (
     Tensor,
     add_n,
-    attention_core,
+    attention_weights,
     compile_graph,
     gelu,
     layer_norm,
@@ -89,8 +89,8 @@ FUSED_OPS = {
     "softmax-1": (lambda a: softmax(a, axis=-1), [(6, 5, 8)]),
     "softmax-2": (lambda a: softmax(a, axis=-2), [(6, 5, 8)]),
     "layer_norm": (layer_norm, [(6, 5, 24), (24,), (24,)]),
-    "attention_core": (lambda q, k, v: attention_core(q, k, v, scale=0.37),
-                       [(3, 2, 6, 4), (3, 2, 7, 4), (3, 2, 7, 4)]),
+    "attention_weights": (lambda q, k: attention_weights(q, k, scale=0.37),
+                          [(3, 2, 6, 4), (3, 2, 7, 4)]),
     "add_n": (lambda *ts: add_n(ts), [(6, 5, 8)] * 3),
     "pad_time": (lambda a: pad_time(a, 2, 3), [(6, 5, 8)]),
 }
@@ -140,8 +140,7 @@ def test_fused_op_replay_and_folding_equal_eager(op, transposed, dtype):
     captured = [Tensor(a, dtype=dtype) for a in xs]
     ones = np.ones_like(expected)
     _, program, _ = _trace(lambda a: a * fn(*captured), a=ones)
-    # (attention_core folds as the planner's attention_weights + matmul.)
-    assert program.stats["folded_ops"] == 1 + program.stats["attention_splits"]
+    assert program.stats["folded_ops"] == 1
     assert _same_bits(program.run({"a": ones})[0], expected)
     zeros = np.zeros_like(expected)
     with no_grad():
@@ -291,14 +290,16 @@ def test_attention_keeps_the_max_reduction_bits(dtype):
     scores = q @ np.swapaxes(k, -1, -2)
     scores *= scale
     old = _old_softmax(scores) @ v
+
+    def attend(q, k, v):
+        return attention_weights(q, k, scale=0.5) @ v
+
     with no_grad():
-        eager = attention_core(Tensor(q, dtype=dtype), Tensor(k, dtype=dtype),
-                               Tensor(v, dtype=dtype), scale=0.5).data
+        eager = attend(Tensor(q, dtype=dtype), Tensor(k, dtype=dtype),
+                       Tensor(v, dtype=dtype)).data
     assert _same_bits(eager, old)
-    # Replayed as attention_weights + matmul (the planner's split).
-    graph, program, traced = _trace(
-        lambda q, k, v: attention_core(q, k, v, scale=0.5), q=q, k=k, v=v)
-    assert program.stats["attention_splits"] == 1
+    graph, program, traced = _trace(attend, q=q, k=k, v=v)
+    assert [node.op for node in graph.nodes] == ["attention_weights", "matmul"]
     assert _same_bits(traced, old)
     assert _same_bits(program.run({"q": q, "k": k, "v": v})[0], old)
 

@@ -287,6 +287,32 @@ class TestModelRegistry:
                 for path in statted] == ["10", "2"]
         assert registry.versions("traffic") == ["1", "2"]
 
+    def test_concurrent_publishes_get_distinct_versions(self, registry):
+        """Auto-versioned publishes racing on one name each get their own
+        version, and each version holds the weights its caller published."""
+        count = 4
+        models = [registry.load("traffic@1") for _ in range(count)]
+        for index, model in enumerate(models):
+            model.network.output_projection1.bias.data[...] = index
+        barrier = threading.Barrier(count)
+        published = [None] * count
+
+        def publish(index):
+            barrier.wait()
+            published[index] = registry.publish(models[index], "traffic")
+
+        threads = [threading.Thread(target=publish, args=(index,))
+                   for index in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        versions = sorted(int(resolved.version) for resolved in published)
+        assert versions == list(range(2, 2 + count))
+        for index, resolved in enumerate(published):
+            bias = registry.load(resolved.spec).network.output_projection1.bias.data
+            assert np.all(bias == index)
+
     def test_publish_rejects_unsafe_components(self, registry, trained_pristi):
         with pytest.raises(RegistryError):
             registry.publish(trained_pristi, "bad/name")

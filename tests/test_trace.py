@@ -1,8 +1,7 @@
 """Unit tests for the tracing JIT (:mod:`repro.tensor.trace`).
 
 Exercises the recorder and the planner directly: record/replay round-trips
-on fresh inputs, the compile-time optimisation passes (attention-core
-splitting, constant folding, cross-step CSE), view/arena interaction, and
+on fresh inputs, constant folding, view/arena interaction, and
 the refusal paths (unsupported ops, runtime-derived parameters, untraced
 values, input-signature mismatches), and weight binding: a program traced
 with named weights replays any weight set of the same shapes.
@@ -14,7 +13,6 @@ import pytest
 from repro.tensor import (
     Tensor,
     TraceUnsupported,
-    attention_core,
     compile_graph,
     leaky_relu,
     no_grad,
@@ -60,17 +58,6 @@ def test_replay_buffers_are_isolated_copies():
     assert np.array_equal(first, snapshot)
 
 
-def test_cse_merges_repeated_subexpressions():
-    def fn(a, b):
-        return tanh(a) * b + tanh(a) * b
-
-    a = np.linspace(-2, 2, 8).reshape(2, 4)
-    b = np.linspace(1, 2, 8).reshape(2, 4)
-    program, traced = _record(fn, a=a, b=b)
-    assert program.stats["cse_ops"] >= 2        # tanh and mul each deduped
-    assert np.array_equal(program.run({"a": a, "b": b})[0], traced)
-
-
 def test_constant_folding_bakes_capture_only_subgraphs():
     table = np.linspace(0.0, 1.0, 4)
 
@@ -84,27 +71,6 @@ def test_constant_folding_bakes_capture_only_subgraphs():
     assert program.stats["folded_ops"] >= 2
     assert program.stats["ops_scheduled"] == 1
     assert np.array_equal(program.run({"a": a})[0], traced)
-
-
-def test_attention_core_split_and_weight_reuse():
-    rng = np.random.default_rng(0)
-    q = rng.normal(size=(2, 3, 4))
-    k = rng.normal(size=(2, 3, 4))
-    v1 = rng.normal(size=(2, 3, 4))
-    v2 = rng.normal(size=(2, 3, 4))
-
-    def fn(q, k, v1, v2):
-        # Same (q, k) applied to two value streams — the per-step pattern of
-        # prior-conditioned attention.  After the split + CSE the softmax
-        # map is computed once.
-        return attention_core(q, k, v1, scale=0.5) \
-            + attention_core(q, k, v2, scale=0.5)
-
-    program, traced = _record(fn, q=q, k=k, v1=v1, v2=v2)
-    assert program.stats["attention_splits"] == 2
-    assert program.stats["cse_ops"] >= 1        # the shared weights node
-    replay = program.run({"q": q, "k": k, "v1": v1, "v2": v2})[0]
-    assert np.array_equal(replay, traced)
 
 
 def test_unsupported_op_fails_the_trace():
@@ -214,7 +180,7 @@ def test_stats_shape():
     program, _ = _record(lambda a: tanh(a) * 2.0 + 1.0, a=np.ones(5))
     stats = program.stats
     for key in ("ops_recorded", "ops_scheduled", "kernels", "replay_calls",
-                "hoisted_views", "attention_splits", "folded_ops", "cse_ops",
+                "hoisted_views", "folded_ops",
                 "reshape_copies", "arena_buffers", "arena_bytes", "slot_bytes",
                 "matmul_flops", "constants"):
         assert key in stats

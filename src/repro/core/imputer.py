@@ -375,7 +375,8 @@ class ConditionalDiffusionImputer(PersistableModel):
         The batch is windows of ``samples_per_plan`` items, so the
         conditioning is computed from every ``samples_per_plan``-th
         condition row (a view, one row per window).  CSDI's network has no
-        prior and uses the noisy stream for its attention maps, so ``samples_per_plan`` changes no work there.
+        prior and uses the noisy stream for its attention maps, so
+        ``samples_per_plan`` changes no work there.
         """
         with no_grad():
             conditioning = None

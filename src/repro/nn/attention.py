@@ -4,7 +4,7 @@ Every block has one form: :meth:`attention_weights` builds the softmax map
 ``softmax(Q Kᵀ / √d_h)`` from the Q/K sources (one fused
 :func:`~repro.tensor.attention_weights` node), and ``forward`` applies a
 map to the values with an ordinary matmul — the given ``weights`` or, by
-default, the map of its own sources.
+default, the values' own map (self-attention).
 
 * :class:`MultiHeadAttention` — standard dot-product self/cross attention
   (Vaswani et al.) over the second-to-last axis; used by the conditional
@@ -74,7 +74,7 @@ class MultiHeadAttention(Module):
     temporal attention the caller passes ``(batch, node, time, d)`` directly;
     for spatial attention the caller first swaps the node and time axes.
 
-    The map may come from sources other than the ``value`` input, which
+    ``forward`` may be given a map built from another source, which
     implements the prior-conditioned attention of Eq. (7)–(8): the attention
     map A is computed from the conditional feature while values are taken
     from the noisy representation.  A map may have one leading row per
@@ -101,23 +101,19 @@ class MultiHeadAttention(Module):
         keys = _split_heads(self.key_proj(key_source), self.num_heads)
         return _attention_weights(queries, keys, scale=1.0 / np.sqrt(self.head_dim))
 
-    def forward(self, value, query_source=None, key_source=None, weights=None):
+    def forward(self, value, weights=None):
         """Apply attention.
 
         Parameters
         ----------
         value:
             ``(..., S, d)`` tensor that provides V.
-        query_source, key_source:
-            Optional tensors providing Q and K.  Default to ``value``
-            (standard self-attention).
         weights:
-            Optional map from :meth:`attention_weights`, used instead of the
-            sources' map.
+            Optional map from :meth:`attention_weights`.  Defaults to the
+            map of ``value`` itself (standard self-attention).
         """
         if weights is None:
-            query_source = value if query_source is None else query_source
-            weights = self.attention_weights(query_source, key_source)
+            weights = self.attention_weights(value)
         values = _split_heads(self.value_proj(value), self.num_heads)
         return self.out_proj(_merge_heads(_apply_weights(weights, values)))
 
@@ -148,16 +144,14 @@ class VirtualNodeAttention(MultiHeadAttention):
         pooled = swapped @ pool               # (..., d, k)
         return pooled.swapaxes(-1, -2)        # (..., k, d)
 
-    def attention_weights(self, query_source, key_source=None):
-        """The ``(..., heads, N, k)`` map of the queries against the keys
-        pooled onto the virtual nodes."""
-        key_source = query_source if key_source is None else key_source
+    def attention_weights(self, query_source):
+        """The ``(..., heads, N, k)`` map of the queries against their own
+        keys pooled onto the virtual nodes."""
         return super().attention_weights(
-            query_source, self._pool_nodes(key_source, self.key_pool))
+            query_source, self._pool_nodes(query_source, self.key_pool))
 
-    def forward(self, value, query_source=None, key_source=None, weights=None):
+    def forward(self, value, weights=None):
         if weights is None:
-            query_source = value if query_source is None else query_source
-            weights = self.attention_weights(query_source, key_source)
+            weights = self.attention_weights(value)
         return super().forward(self._pool_nodes(value, self.value_pool),
                                weights=weights)

@@ -106,14 +106,6 @@ class TestFusedKernels:
         assert np.allclose(fused_q.grad, composed_q.grad, atol=1e-12)
         assert np.allclose(fused_k.grad, composed_k.grad, atol=1e-12)
 
-    def test_attention_weights_rows_are_distributions(self, rng):
-        q = rng.standard_normal((1, 3, 4))
-        k = rng.standard_normal((1, 5, 4))
-        weights = attention_weights(Tensor(q), Tensor(k)).data
-        assert weights.shape == (1, 3, 5)
-        assert np.all(weights >= 0)
-        assert np.allclose(weights.sum(axis=-1), 1.0)
-
 
 class TestAddN:
     def test_single_graph_node(self, rng):

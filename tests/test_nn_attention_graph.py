@@ -28,10 +28,12 @@ class TestMultiHeadAttention:
     def test_attention_weights_are_distributions(self, rng):
         attention = nn.MultiHeadAttention(8, 2, rng=rng)
         x = Tensor(rng.standard_normal((1, 4, 8)))
-        weights = attention.attention_weights(x, x).data
-        assert weights.shape == (1, 2, 4, 4)
-        assert np.allclose(weights.sum(axis=-1), 1.0)
-        assert np.all(weights >= 0)
+        keys = Tensor(rng.standard_normal((1, 6, 8)))
+        for key_source, shape in ((x, (1, 2, 4, 4)), (keys, (1, 2, 4, 6))):
+            weights = attention.attention_weights(x, key_source).data
+            assert weights.shape == shape
+            assert np.allclose(weights.sum(axis=-1), 1.0)
+            assert np.all(weights >= 0)
 
     def test_prior_conditioned_weights_independent_of_value(self, rng):
         """Eq. 7: the attention map must depend only on the prior source."""
@@ -39,10 +41,10 @@ class TestMultiHeadAttention:
         prior = Tensor(rng.standard_normal((1, 5, 8)))
         value_a = Tensor(rng.standard_normal((1, 5, 8)))
         value_b = Tensor(rng.standard_normal((1, 5, 8)))
-        weights_a = attention.attention_weights(prior, prior).data
-        out_a = attention(value_a, query_source=prior)
-        out_b = attention(value_b, query_source=prior)
-        weights_after = attention.attention_weights(prior, prior).data
+        weights_a = attention.attention_weights(prior).data
+        out_a = attention(value_a, weights=attention.attention_weights(prior))
+        out_b = attention(value_b, weights=attention.attention_weights(prior))
+        weights_after = attention.attention_weights(prior).data
         assert np.allclose(weights_a, weights_after)
         assert not np.allclose(out_a.data, out_b.data)
 
